@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .entropy import characteristic_matrix, solve_system
 from .errors import EmptyInputError, InputError
@@ -327,6 +326,8 @@ def spearman_size_check(residuals, log_n) -> tuple[float, float]:
     Reported (not asserted): a small rho indicates no leftover nonlinear
     size effect.
     """
+    from scipy import stats  # imported here: it doubles the CLI's start-up time
+
     rho, p = stats.spearmanr(residuals, log_n)
     return float(rho), float(p)
 

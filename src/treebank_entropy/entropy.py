@@ -13,6 +13,13 @@ terminal emissions per expansion) yields the per-non-terminal derivational
 entropies (respectively, expected string lengths).  The root components are
 the grammar's derivational entropy and mean length of utterance; their ratio
 is the derivational entropy rate in bits per emitted symbol.
+
+No eigensolver guards the solve.  Each solve first computes
+c = (I - M)^-1 1, the expected number of expansions per derivation, and
+accepts the system only when c is positive and (I - M) c is positive with
+margin: that certifies a spectral radius below one (semipositivity of
+non-singular M-matrices).  The one dense eigensolve left is the spectral
+radius that :func:`entropy_rate` reports.
 """
 
 from __future__ import annotations
@@ -27,15 +34,17 @@ from .grammar import Pcfg
 #: Relative residual bound for the linear solve, in the infinity norm.
 SOLVE_RESIDUAL_TOL = 1e-8
 
-POWER_ITERATION_TOL = 1e-10
-POWER_ITERATION_LIMIT = 100_000
+#: Lower bound on every component of (I - M) c, c = (I - M)^-1 1, that
+#: certifies a spectral radius below one.
+CERTIFICATE_MARGIN = 0.5
 
 
 def entropy_from_probs(probs: np.ndarray) -> float:
     """Plug-in entropy in bits, with the 0 log 0 = 0 convention."""
     probs = np.asarray(probs, dtype=np.float64)
     positive = probs[probs > 0.0]
-    return float(-(positive @ np.log2(positive)))
+    # 0.0 - 0.0 is +0.0, where negation would give -0.0.
+    return float(0.0 - positive @ np.log2(positive))
 
 
 def characteristic_matrix(grammar: Pcfg) -> np.ndarray:
@@ -74,82 +83,63 @@ def local_lengths(grammar: Pcfg) -> np.ndarray:
     return out
 
 
+def _finite_nonnegative_square(matrix) -> np.ndarray:
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StructuralError("expected a square matrix")
+    if not np.isfinite(m).all() or (m < 0).any():
+        raise StructuralError("expected a finite non-negative matrix")
+    return m
+
+
 def spectral_radius(matrix: np.ndarray) -> float:
     """Largest eigenvalue modulus of a non-negative square matrix.
 
-    Power iteration with a deterministic positive start vector and relative
-    tolerance 1e-10; dimension 1 is returned exactly.  The iteration runs on
-    M + I, which shifts the dominant eigenvalue by exactly one while making
-    cyclic structures aperiodic; nilpotent matrices are detected separately
-    (repeated multiplication must reach exact zero within n steps).
+    One dense eigensolve.  Unlike power iteration it cannot stall on the
+    defective matrices that valid grammars produce (S -> a S | A,
+    A -> b A | c at 0.5 each gives a Jordan block).
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StructuralError("expected a square matrix")
-    if (m < 0).any():
-        raise StructuralError("expected a non-negative matrix")
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    # Nilpotent case: the zero set of M^k 1 must grow strictly every step,
-    # reaching everything within n steps; any stall means a cycle exists.
-    v = np.ones(n)
-    zeros = 0
-    for _ in range(n):
-        v = m @ v
-        if not v.any():
-            return 0.0
-        now = int(np.count_nonzero(v == 0.0))
-        if now <= zeros:
-            break
-        zeros = now
-    shifted = m + np.eye(n)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    previous = 0.0
-    for _ in range(POWER_ITERATION_LIMIT):
-        w = shifted @ v
-        estimate = float(np.linalg.norm(w))
-        v = w / estimate
-        if abs(estimate - previous) <= POWER_ITERATION_TOL * max(1.0, estimate):
-            return estimate - 1.0
-        previous = estimate
-    raise NumericalError(
-        f"power iteration did not converge in {POWER_ITERATION_LIMIT} steps"
-    )
+    m = _finite_nonnegative_square(matrix)
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def _radius_for_check(matrix: np.ndarray) -> float:
-    # Divergence checks use the dense eigensolver: unlike power iteration it
-    # cannot stall on defective matrices, which valid grammars can produce.
-    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+def _certify_convergence(a: np.ndarray) -> None:
+    try:
+        c = np.linalg.solve(a, np.ones(a.shape[0]))
+    except np.linalg.LinAlgError:  # I - M is exactly singular
+        c = None
+    # Exact arithmetic gives (I - M) c = 1; the margin absorbs rounding.
+    if c is None or not (np.isfinite(c).all() and (c > 0).all()
+                         and (a @ c > CERTIFICATE_MARGIN).all()):
+        raise DivergentGrammarError(
+            "no positive certificate (I - M)^-1 1: spectral radius >= 1, "
+            "expected subtree measures diverge"
+        )
 
 
 def solve_system(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Solve (I - M) x = v for a non-negative M with spectral radius < 1.
+    """Solve (I - M) x = v for a finite non-negative M with spectral radius < 1.
+
+    Convergence is certified from the linear solve itself, with no
+    eigensolver.  I - M has non-positive off-diagonal entries, and such a
+    matrix is a non-singular M-matrix (equivalently rho(M) < 1) when some
+    c >= 0 has (I - M) c > 0 (Berman & Plemmons, *Nonnegative Matrices in
+    the Mathematical Sciences*, ch. 6).  The candidate is
+    c = (I - M)^-1 1; it is accepted when it is finite and positive and
+    (I - M) c > 1/2 in every component.  A failed certificate or an exactly
+    singular I - M raises :class:`DivergentGrammarError`; a negative or
+    non-finite entry of M raises :class:`StructuralError`.
 
     The residual is refined until its infinity norm is at most
     ``1e-8 * max|v|``; failing that, the condition estimate is reported.
-    A spectral radius of one or more raises :class:`DivergentGrammarError`.
     """
-    m = np.asarray(matrix, dtype=np.float64)
+    m = _finite_nonnegative_square(matrix)
     v = np.asarray(vector, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StructuralError("expected a square matrix")
     if v.shape[0] != m.shape[0]:
         raise StructuralError("matrix and vector dimensions disagree")
-    radius = _radius_for_check(m)
-    if radius >= 1.0:
-        raise DivergentGrammarError(
-            f"spectral radius {radius:.12g} >= 1: expected subtree measures diverge"
-        )
     a = np.eye(m.shape[0]) - m
-    try:
-        x = np.linalg.solve(a, v)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            f"I - M is singular to working precision "
-            f"(condition estimate {np.linalg.cond(a, 1):.3e})"
-        ) from None
+    _certify_convergence(a)
+    x = np.linalg.solve(a, v)
     bound = SOLVE_RESIDUAL_TOL * float(np.max(np.abs(v)))
     for _ in range(3):
         residual = a @ x - v
@@ -197,13 +187,14 @@ class RateReport:
 def entropy_rate(grammar: Pcfg) -> RateReport:
     """Derivational entropy rate: bits of tree entropy per emitted symbol."""
     matrix = characteristic_matrix(grammar)
-    radius = _radius_for_check(matrix)
-    entropy = float(
-        solve_system(matrix, local_entropies(grammar))[grammar.nt_index[grammar.root]]
-    )
-    mlu = float(
-        solve_system(matrix, local_lengths(grammar))[grammar.nt_index[grammar.root]]
-    )
+    radius = spectral_radius(matrix)
+    if radius >= 1.0:
+        raise DivergentGrammarError(
+            f"spectral radius {radius:.12g} >= 1: expected subtree measures diverge"
+        )
+    root = grammar.nt_index[grammar.root]
+    entropy = float(solve_system(matrix, local_entropies(grammar))[root])
+    mlu = float(solve_system(matrix, local_lengths(grammar))[root])
     if mlu <= 0.0:
         raise NumericalError(f"expected length {mlu} is not positive")
     return RateReport(entropy, mlu, entropy / mlu, radius)

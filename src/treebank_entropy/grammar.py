@@ -361,7 +361,12 @@ def dumps(grammar: Pcfg) -> str:
 
 
 def loads(text: str) -> Pcfg:
-    """Parse the serialization produced by :func:`dumps`."""
+    """Parse the serialization produced by :func:`dumps`.
+
+    The grammar is validated: a probability outside [0, 1] (NaN included)
+    or a non-terminal whose probabilities do not sum to one raises
+    :class:`StructuralError`.
+    """
     root = None
     rules = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -388,7 +393,9 @@ def loads(text: str) -> Pcfg:
         rules.append(Rule(symbols[0], tuple(symbols[2:]), prob, freq))
     if root is None:
         raise ParseError("missing '#root <symbol>' header")
-    return Pcfg(root, rules)
+    grammar = Pcfg(root, rules)
+    grammar.validate()
+    return grammar
 
 
 def write_grammar(grammar: Pcfg, path) -> None:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treebank_entropy
 from treebank_entropy.cli import main
 from treebank_entropy.grammar import Pcfg, Rule, Sampler, write_grammar
 from treebank_entropy.trees import write_bracketed
@@ -76,6 +81,15 @@ class TestBasicCommands:
             ) == 0
             out = capsys.readouterr().out
             assert f"site-{smoother}" in out
+
+    def test_deterministic_grammar_prints_positive_zero(self, tmp_path, capsys):
+        path = tmp_path / "deterministic.txt"
+        write_grammar(Pcfg("S", [Rule("S", ("a",), 1.0, 1)]), path)
+        assert main(["rate", "--grammar", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "entropy\t0.0\n" in out
+        assert "rate\t0.0\n" in out
+        assert "-0.0" not in out
 
     def test_sample_deterministic(self, grammar_file, capsys):
         argv = ["sample", "--grammar", str(grammar_file), "-n", "5",
@@ -202,3 +216,34 @@ class TestExitCodes:
 
     def test_no_input(self):
         assert main(["entropy"]) == 2
+
+    @pytest.mark.parametrize(
+        "probs",
+        [("0.3", "0.3"), ("-0.5", "1.5"), ("nan", "0.5")],
+        ids=["sum-below-one", "negative", "nan"],
+    )
+    @pytest.mark.parametrize("command", ["rate", "entropy", "mlu"])
+    def test_invalid_grammar_rejected(self, tmp_path, capsys, command, probs):
+        path = tmp_path / "invalid.txt"
+        path.write_text(
+            f"#root S\n{probs[0]}\t1\tS -> a S\n{probs[1]}\t1\tS -> a\n",
+            encoding="utf-8",
+        )
+        assert main([command, "--grammar", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, treebank_entropy.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "False"

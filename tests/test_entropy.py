@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from oracles import binary_recursion_entropy, enumerate_entropy, random_enumerab
 from treebank_entropy.entropy import (
     characteristic_matrix,
     derivational_entropy,
+    entropy_from_probs,
     entropy_rate,
     entropy_vector,
     grammar_mlu,
@@ -15,8 +18,9 @@ from treebank_entropy.entropy import (
     spectral_radius,
 )
 from treebank_entropy.errors import DivergentGrammarError, StructuralError
+from treebank_entropy.estimators import site
 from treebank_entropy.grammar import Pcfg, Rule, Sampler, induce
-from treebank_entropy.trees import corpus_mlu
+from treebank_entropy.trees import Corpus, Tree, corpus_mlu
 
 
 def geometric(q):
@@ -28,6 +32,20 @@ def binary(q):
 
 
 DETERMINISTIC = Pcfg("S", [Rule("S", ("a",), 1.0, 1)])
+
+# S -> a S | A, A -> b A | c, every rule at 0.5: M = [[.5, .5], [0, .5]] is a
+# 2x2 Jordan block.
+DEFECTIVE = Pcfg(
+    "S",
+    [
+        Rule("S", ("a", "S"), 0.5, 1),
+        Rule("S", ("A",), 0.5, 1),
+        Rule("A", ("b", "A"), 0.5, 1),
+        Rule("A", ("c",), 0.5, 1),
+    ],
+)
+
+JORDAN_3 = [[0.9, 1.0, 0.0], [0.0, 0.9, 1.0], [0.0, 0.0, 0.9]]
 
 
 class TestCharacteristicMatrix:
@@ -56,6 +74,10 @@ class TestCharacteristicMatrix:
 class TestLocalVectors:
     def test_single_rule_entropy_zero(self):
         assert local_entropies(DETERMINISTIC) == pytest.approx([0.0])
+
+    def test_certain_outcome_is_positive_zero(self):
+        assert math.copysign(1.0, entropy_from_probs([1.0])) == 1.0
+        assert math.copysign(1.0, entropy_from_probs([0.0, 1.0])) == 1.0
 
     def test_fair_choice_one_bit(self):
         assert local_entropies(geometric(0.5)) == pytest.approx([1.0])
@@ -89,6 +111,8 @@ class TestSolveSystem:
             solve_system([[1.0]], [1.0])
         with pytest.raises(DivergentGrammarError):
             solve_system([[1.5]], [1.0])
+        with pytest.raises(DivergentGrammarError):  # irreducible, radius 1.5
+            solve_system([[0.5, 1.0], [1.0, 0.5]], [1.0, 1.0])
 
     def test_residual_bound(self):
         rng = np.random.default_rng(0)
@@ -111,6 +135,69 @@ class TestSolveSystem:
     def test_shape_mismatch(self):
         with pytest.raises(StructuralError):
             solve_system([[0.1, 0.2]], [1.0])
+
+    def test_negative_or_non_finite_matrix_rejected(self):
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(StructuralError):
+                solve_system([[0.5, bad], [0.0, 0.5]], [1.0, 1.0])
+
+
+class TestCertificate:
+    """The convergence certificate c = (I - M)^-1 1 > 0 with (I - M) c > 1/2
+    stands in for an eigensolver inside `solve_system`.  Acceptance of the
+    random oracle grammars, with results equal to the inverse-matrix values,
+    is checked by `TestStructuralInvariants.test_shared_transform_identity`."""
+
+    def test_rejects_critical_binary_grammar(self):
+        with pytest.raises(DivergentGrammarError):
+            derivational_entropy(binary(0.5))
+
+    def test_rejects_divergent_unreachable_block(self):
+        # B is unreachable from S, and its expected subtree size is infinite.
+        grammar = Pcfg(
+            "S",
+            [
+                Rule("S", ("a",), 1.0, 1),
+                Rule("B", ("B", "B"), 0.6, 1),
+                Rule("B", ("b",), 0.4, 1),
+            ],
+        )
+        assert grammar.unreachable_nonterminals() == {"B"}
+        with pytest.raises(DivergentGrammarError):
+            entropy_vector(grammar)
+
+    def test_accepts_defective_matrices(self):
+        assert derivational_entropy(DEFECTIVE) == pytest.approx(4.0, abs=1e-12)
+        assert grammar_mlu(DEFECTIVE) == pytest.approx(3.0, abs=1e-12)
+        inverse = np.linalg.inv(np.eye(3) - np.array(JORDAN_3))
+        v = np.array([1.0, 2.0, 3.0])
+        assert solve_system(JORDAN_3, v) == pytest.approx(inverse @ v, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+    def test_accepts_near_critical_geometric_family(self, q):
+        h_binary = -(q * math.log2(q) + (1 - q) * math.log2(1 - q))
+        report = entropy_rate(geometric(q))
+        assert report.entropy == pytest.approx(h_binary / (1 - q), rel=1e-12)
+        assert report.mlu == pytest.approx(1 / (1 - q), rel=1e-12)
+
+    def test_one_eigensolve_per_rate_none_per_site(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        entropy_rate(DEFECTIVE)
+        assert len(calls) == 1
+        calls.clear()
+        corpus = Corpus(
+            [Tree("S", [Tree("a"), Tree("S", [Tree("a")])]), Tree("S", [Tree("a")])]
+        )
+        site(corpus)
+        derivational_entropy(DEFECTIVE)
+        assert calls == []
 
 
 class TestSpectralRadius:
@@ -140,6 +227,18 @@ class TestSpectralRadius:
     def test_negative_entries_rejected(self):
         with pytest.raises(StructuralError):
             spectral_radius([[-0.1]])
+
+    def test_defective_two_by_two(self):
+        # Power iteration stalled at 0.500015 on this Jordan block.
+        assert characteristic_matrix(DEFECTIVE) == pytest.approx(
+            np.array([[0.5, 0.5], [0.0, 0.5]])
+        )
+        assert spectral_radius(characteristic_matrix(DEFECTIVE)) == pytest.approx(
+            0.5, abs=1e-12
+        )
+
+    def test_defective_three_by_three(self):
+        assert spectral_radius(JORDAN_3) == pytest.approx(0.9, abs=1e-12)
 
 
 class TestDerivationalEntropy:
@@ -176,6 +275,17 @@ class TestRates:
         assert report.mlu == 1.0
         assert report.rate == 0.0
         assert report.spectral_radius == 0.0
+        assert math.copysign(1.0, report.entropy) == 1.0
+        assert math.copysign(1.0, report.rate) == 1.0
+
+    def test_divergent_radius_rejected(self):
+        with pytest.raises(DivergentGrammarError, match="spectral radius"):
+            entropy_rate(binary(0.6))
+
+    def test_defective(self):
+        report = entropy_rate(DEFECTIVE)
+        assert report.spectral_radius == pytest.approx(0.5, abs=1e-12)
+        assert report.rate == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_geometric(self):
         report = entropy_rate(geometric(0.5))
