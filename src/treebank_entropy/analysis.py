@@ -19,11 +19,12 @@ from .entropy import characteristic_matrix, solve_system
 from .errors import EmptyInputError, InputError
 from .estimators import (
     SmootherKind,
-    monte_carlo_cross_entropy,
+    cross_entropy,
     site,
+    site_from_grammar,
     smoothed_local_entropies,
 )
-from .grammar import Pcfg, Sampler, induce
+from .grammar import Pcfg, RuleCounts, Sampler, induce
 from .trees import Corpus, corpus_mlu
 
 #: Sweep sizes spanning 1 to 15,000 sentences, evenly spaced in log scale.
@@ -78,7 +79,7 @@ class RegressionFit:
     with_intercept: bool
 
 
-def _corpus_estimates(corpus: Corpus, estimators) -> dict[str, float]:
+def _corpus_estimates(corpus: Corpus, estimators) -> tuple[dict[str, float], Pcfg]:
     """All requested estimates of one sampled corpus, sharing one induction
     and one matrix factorization."""
     grammar = induce(corpus)
@@ -95,7 +96,7 @@ def _corpus_estimates(corpus: Corpus, estimators) -> dict[str, float]:
     out = {}
     for est in estimators:
         if est == "mc":
-            out[est] = monte_carlo_cross_entropy(corpus, corpus)
+            out[est] = cross_entropy(grammar, corpus)
         elif est in smoother_of:
             col_ids.append(est)
             columns.append(smoothed_local_entropies(grammar, smoother_of[est]))
@@ -196,7 +197,8 @@ def incremental(
     ``order='shuffled'`` all sentences are pooled, permuted with a seeded
     generator, and re-cut into chunks matching the original file sizes.  The
     endpoint is order-independent because the estimate only depends on the
-    accumulated multiset of trees.
+    accumulated multiset of trees.  Each chunk's rule counts are added to
+    running totals, so every sentence is walked once.
     """
     if len(files) < 2:
         raise InputError("incremental analysis needs at least two files")
@@ -215,13 +217,13 @@ def incremental(
     else:
         raise InputError(f"unknown order '{order}'")
     points = []
-    accumulated: list = []
+    counts = RuleCounts()
+    total = 0
     for step, (label, sentences) in enumerate(parts, start=1):
-        accumulated.extend(sentences)
-        estimate = site(Corpus(list(accumulated)), smoother)
-        points.append(
-            IncrementalPoint(step, label, len(accumulated), estimate.value)
-        )
+        counts.add(sentences)
+        total += len(sentences)
+        value = site_from_grammar(counts.grammar(), smoother)
+        points.append(IncrementalPoint(step, label, total, value))
     return points
 
 

@@ -26,7 +26,6 @@ from .trees import (
     DEFAULT_DROP_LABELS,
     Corpus,
     corpus_mlu,
-    preterminalize_corpus,
     read_bracketed,
     write_bracketed,
 )
@@ -78,10 +77,10 @@ def _read_file(path, args) -> Corpus:
             )
         return corpus
     drop = frozenset(args.drop_label) if args.drop_label else DEFAULT_DROP_LABELS
-    corpus = read_bracketed(path, drop_labels=drop, strip_tags=args.strip_tags)
-    if args.preterminalize:
-        corpus = preterminalize_corpus(corpus)
-    return corpus
+    return read_bracketed(
+        path, drop_labels=drop, strip_tags=args.strip_tags,
+        preterminalize=args.preterminalize,
+    )
 
 
 def _read_files(paths, args) -> list[Corpus]:
@@ -301,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--smoother", choices=[k.value for k in SmootherKind], default="cwj",
         help="local-entropy smoother for SITE (default: cwj)",
-    )
-    common.add_argument(
-        "--bits", action="store_true", default=True,
-        help="report entropies in bits (default)",
     )
     common.add_argument("--output", "-o", help="write output to this file")
     common.add_argument("--json", action="store_true", help="JSON output where supported")

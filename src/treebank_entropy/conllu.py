@@ -78,7 +78,7 @@ def parse_conllu(text: str) -> list[DepGraph]:
     sent_start_line = None
     n_sent = 0
 
-    def finish(line_no):
+    def finish():
         nonlocal rows, sent_id, sent_start_line, n_sent
         if not rows:
             sent_id = ""
@@ -101,7 +101,7 @@ def parse_conllu(text: str) -> list[DepGraph]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\n")
         if not line.strip():
-            finish(line_no)
+            finish()
             continue
         if line.startswith("#"):
             body = line[1:].strip()
@@ -131,7 +131,7 @@ def parse_conllu(text: str) -> list[DepGraph]:
         if sent_start_line is None:
             sent_start_line = line_no
         rows.append((cols[_FORM], cols[_UPOS], head, cols[_DEPREL]))
-    finish(None)
+    finish()
     return graphs
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .entropy import characteristic_matrix, entropy_from_probs, solve_system
 from .errors import EmptyInputError, OutOfGrammarError
@@ -123,6 +122,8 @@ def cwj_entropy(table: FreqTable) -> float:
     (1-A)**(1-n) * [log A + sum] form but avoids its catastrophic
     cancellation.
     """
+    from scipy.special import digamma  # imported here: it slows the CLI's start-up
+
     counts = np.asarray(table.counts, dtype=np.float64)
     n = table.n
     seen = counts[counts <= n - 1]
@@ -178,15 +179,20 @@ def ml_exact(corpus: Corpus) -> EstimateResult:
 
 
 def monte_carlo_cross_entropy(train: Corpus, test: Corpus) -> float:
-    """Cross-entropy in bits of the train-induced grammar on the test trees.
+    """Cross-entropy in bits of the train-induced grammar on the test trees
+    (see :func:`cross_entropy`)."""
+    return cross_entropy(induce(train), test)
+
+
+def cross_entropy(grammar: Pcfg, test: Corpus) -> float:
+    """Cross-entropy in bits of `grammar` on the test trees.
 
     Every occurrence in the test multiset counts once.  A test tree using a
-    rule absent from the training grammar raises
-    :class:`OutOfGrammarError` listing the offending rules.
+    rule absent from the grammar raises :class:`OutOfGrammarError` listing
+    the offending rules.
     """
     if not test.sentences:
         raise EmptyInputError("empty test corpus")
-    grammar = induce(train)
     total = 0.0
     missing: list[str] = []
     for tree in test.sentences:

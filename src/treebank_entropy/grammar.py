@@ -116,9 +116,9 @@ class Pcfg:
         return len(self.rules)
 
     def properness_gaps(self) -> dict[str, float]:
-        """Per-non-terminal deviation of the probability sum from one."""
+        """Per-non-terminal signed deviation of the probability sum from one."""
         return {
-            nt: abs(math.fsum(r.prob for r in rules) - 1.0)
+            nt: math.fsum(r.prob for r in rules) - 1.0
             for nt, rules in self._by_lhs.items()
         }
 
@@ -128,7 +128,7 @@ class Pcfg:
             if not 0.0 <= rule.prob <= 1.0:
                 raise StructuralError(f"rule '{rule}' has probability {rule.prob}")
         for nt, gap in self.properness_gaps().items():
-            if gap > tol:
+            if abs(gap) > tol:
                 raise StructuralError(
                     f"probabilities of '{nt}' sum to 1{gap:+.3e}"
                 )
@@ -147,6 +147,78 @@ class Pcfg:
         return set(self.nonterminals) - seen
 
 
+class RuleCounts:
+    """Sufficient statistics of ML induction over a multiset of trees.
+
+    `rules` counts ``(lhs, rhs)`` expansions and `roots` root labels, each
+    in first-encounter order (a :class:`Counter` keeps insertion order);
+    `leaves` holds every label seen on a leaf, for the alphabet check.
+    Counts of a union of corpora are the sums of their counts, and adding
+    trees in corpus order keeps the first-encounter order of the union.
+    """
+
+    __slots__ = ("rules", "roots", "leaves")
+
+    def __init__(self, trees: Iterable[Tree] = ()):
+        self.rules: Counter[tuple[str, tuple[str, ...]]] = Counter()
+        self.roots: Counter[str] = Counter()
+        self.leaves: set[str] = set()
+        self.add(trees)
+
+    def add(self, trees: Iterable[Tree]) -> None:
+        """Count every expansion of `trees`, walking each tree once."""
+        leaves = self.leaves
+        for tree in trees:
+            self.roots[tree.label] += 1
+            keys = []
+            stack = [tree]
+            while stack:  # pre-order, left to right
+                node = stack.pop()
+                children = node.children
+                if children:
+                    keys.append((node.label, tuple([c.label for c in children])))
+                    stack.extend(children[::-1])
+                else:
+                    leaves.add(node.label)
+            self.rules.update(keys)
+
+    def grammar(self) -> Pcfg:
+        """The maximum-likelihood grammar of the counted trees."""
+        if not self.roots:
+            raise EmptyInputError("cannot induce a grammar from an empty corpus")
+        internal_labels = {lhs for lhs, _ in self.rules}
+        clash = internal_labels & self.leaves
+        if clash:
+            raise AlphabetClashError(
+                "labels used both internally and as leaves: "
+                + ", ".join(sorted(clash)[:10])
+            )
+        lhs_total: Counter[str] = Counter()
+        for (lhs, _), freq in self.rules.items():
+            lhs_total[lhs] += freq
+        rules = [
+            Rule(lhs, rhs, freq / lhs_total[lhs], freq)
+            for (lhs, rhs), freq in self.rules.items()
+        ]
+        if len(self.roots) == 1:
+            (root,) = self.roots
+            if root not in internal_labels:
+                # Corpus of bare single-leaf trees has no expansions to learn.
+                raise StructuralError("corpus contains no internal nodes")
+        else:
+            if SYNTHETIC_ROOT in internal_labels or SYNTHETIC_ROOT in self.leaves:
+                raise AlphabetClashError(
+                    f"reserved root symbol '{SYNTHETIC_ROOT}' occurs in the corpus"
+                )
+            root = SYNTHETIC_ROOT
+            total = sum(self.roots.values())
+            rules.extend(
+                Rule(root, (label,), freq / total, freq)
+                for label, freq in self.roots.items()
+            )
+        return Pcfg(root, rules)
+
+
 def induce(corpus: Corpus) -> Pcfg:
     """Maximum-likelihood induction: one rule per distinct expansion,
     probability equal to its relative frequency among the left-hand side's
@@ -156,57 +228,7 @@ def induce(corpus: Corpus) -> Pcfg:
     added with one rule per observed root.  A symbol appearing both as an
     internal and as a leaf label raises :class:`AlphabetClashError`.
     """
-    if not corpus.sentences:
-        raise EmptyInputError("cannot induce a grammar from an empty corpus")
-    rule_freq: Counter[tuple[str, tuple[str, ...]]] = Counter()
-    rule_order: list[tuple[str, tuple[str, ...]]] = []
-    internal_labels: set[str] = set()
-    leaf_labels: set[str] = set()
-    root_freq: Counter[str] = Counter()
-    root_order: list[str] = []
-    for tree in corpus.sentences:
-        if tree.label not in root_freq:
-            root_order.append(tree.label)
-        root_freq[tree.label] += 1
-        for node in tree.iter_nodes():
-            if node.is_leaf:
-                leaf_labels.add(node.label)
-                continue
-            internal_labels.add(node.label)
-            key = (node.label, tuple(c.label for c in node.children))
-            if key not in rule_freq:
-                rule_order.append(key)
-            rule_freq[key] += 1
-    clash = internal_labels & leaf_labels
-    if clash:
-        raise AlphabetClashError(
-            "labels used both internally and as leaves: "
-            + ", ".join(sorted(clash)[:10])
-        )
-    lhs_total: Counter[str] = Counter()
-    for (lhs, _), freq in rule_freq.items():
-        lhs_total[lhs] += freq
-    rules = [
-        Rule(lhs, rhs, rule_freq[lhs, rhs] / lhs_total[lhs], rule_freq[lhs, rhs])
-        for lhs, rhs in rule_order
-    ]
-    if len(root_freq) == 1:
-        root = root_order[0]
-        if root not in internal_labels:
-            # Corpus of bare single-leaf trees has no expansions to learn.
-            raise StructuralError("corpus contains no internal nodes")
-    else:
-        if SYNTHETIC_ROOT in internal_labels or SYNTHETIC_ROOT in leaf_labels:
-            raise AlphabetClashError(
-                f"reserved root symbol '{SYNTHETIC_ROOT}' occurs in the corpus"
-            )
-        root = SYNTHETIC_ROOT
-        total = sum(root_freq.values())
-        rules.extend(
-            Rule(root, (label,), root_freq[label] / total, root_freq[label])
-            for label in root_order
-        )
-    return Pcfg(root, rules)
+    return RuleCounts(corpus.sentences).grammar()
 
 
 def tree_probability(grammar: Pcfg, tree: Tree) -> TreeProbability:

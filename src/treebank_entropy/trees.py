@@ -8,6 +8,7 @@ iterative; parsed trees can be arbitrarily deep.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import EmptyInputError, ParseError, StructuralError
@@ -84,79 +85,150 @@ class Tree:
         return best
 
 
-def parse_bracketed(text: str) -> list[Tree]:
+#: One token per match: a parenthesis or a maximal run of other non-space
+#: characters.  ``\s`` and ``str.isspace`` agree on every code point.
+_TOKENS = re.compile(r"\(|\)|[^\s()]+")
+
+
+def parse_bracketed(
+    text: str,
+    drop_labels=frozenset(),
+    strip_tags: bool = False,
+    preterminalize: bool = False,
+) -> list[Tree]:
     """Parse one or more parenthesized trees from `text`.
 
-    Node labels are kept verbatim.  A top-level group that wraps exactly one
-    subtree without a label of its own (the common treebank file convention
-    ``( (S ...) )``) is unwrapped.  Raises :class:`ParseError` on unbalanced
-    parentheses (reporting the 1-based byte offset) and
-    :class:`StructuralError` on empty nodes.
+    Node labels are kept verbatim unless one of the keywords asks otherwise;
+    each node is cleaned as it closes (see :func:`_close_rule`), so every
+    kept tree is built once.  Trees left empty by `drop_labels` are omitted.
+    A top-level group that wraps exactly one subtree without a label of its
+    own (the common treebank file convention ``( (S ...) )``) is unwrapped.
+    Raises :class:`ParseError` on unbalanced parentheses (reporting the
+    1-based byte offset) and :class:`StructuralError` on empty nodes; with
+    `preterminalize`, a node mixing word and phrase children raises
+    :class:`StructuralError` once the whole text has parsed.
     """
+    close = _close_rule(drop_labels, strip_tags, preterminalize)
     trees = []
-    pos = 0
-    n = len(text)
-
-    def skip_ws(i):
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_atom(i):
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        return text[i:j], j
-
-    while True:
-        pos = skip_ws(pos)
-        if pos >= n:
-            break
-        if text[pos] != "(":
-            raise ParseError("expected '('", offset=pos + 1)
-        # Stack of (label-or-None, children-list, open-paren-offset).
-        stack = []
-        tree = None
-        while tree is None:
-            pos = skip_ws(pos)
-            if pos >= n:
-                raise ParseError("unbalanced", offset=n + 1)
-            ch = text[pos]
-            if ch == "(":
-                stack.append([None, [], pos])
-                pos += 1
-            elif ch == ")":
-                if not stack:
-                    raise ParseError("unbalanced", offset=pos + 1)
-                label, children, opened = stack.pop()
-                if label is None:
-                    if len(children) == 1 and not stack:
-                        node = children[0]  # unwrap unlabeled top-level group
-                    else:
-                        raise StructuralError(
-                            f"node without a label at offset {opened + 1}"
-                        )
-                elif not children:
+    # Open nodes: [label or None, kept children, offset of '(', words, phrases]
+    # where words and phrases count the node's children as written.
+    stack = []
+    mixed = None
+    for match in _TOKENS.finditer(text):
+        token = match.group()
+        if token == "(":
+            stack.append([None, [], match.start(), 0, 0])
+        elif not stack:
+            raise ParseError("expected '('", offset=match.start() + 1)
+        elif token == ")":
+            label, kept, opened, words, phrases = stack.pop()
+            if label is None:
+                if stack or words + phrases != 1:
                     raise StructuralError(
-                        f"node '{label}' has no children at offset {opened + 1}"
+                        f"node without a label at offset {opened + 1}"
                     )
-                else:
-                    node = Tree(label, children)
-                pos += 1
-                if stack:
-                    stack[-1][1].append(node)
-                else:
-                    tree = node
+                node = kept[0] if kept else None  # unwrap unlabeled top-level group
+            elif not words + phrases:
+                raise StructuralError(
+                    f"node '{label}' has no children at offset {opened + 1}"
+                )
             else:
-                atom, pos = read_atom(pos)
-                if not stack:
-                    raise ParseError("expected '('", offset=pos)
-                if stack[-1][0] is None and not stack[-1][1]:
-                    stack[-1][0] = atom
-                else:
-                    stack[-1][1].append(Tree(atom))
-        trees.append(tree)
+                try:
+                    node = close(label, kept, words, phrases)
+                except StructuralError as err:
+                    # Raised once the text has parsed: a syntax error
+                    # anywhere in the text takes precedence over it.
+                    mixed = mixed or err
+                    node = None
+            if stack:
+                parent = stack[-1]
+                parent[4] += 1
+                if node is not None:
+                    parent[1].append(node)
+            elif node is not None:
+                trees.append(node)
+        else:
+            top = stack[-1]
+            if top[0] is None and not top[3] + top[4]:
+                top[0] = token
+            else:
+                top[3] += 1
+                top[1].append(Tree(token))
+    if stack:
+        raise ParseError("unbalanced", offset=len(text) + 1)
+    if mixed is not None:
+        raise mixed
     return trees
+
+
+def _cut_function_tags(label: str) -> str:
+    """``NP-SBJ=2`` -> ``NP``; a separator at the start of a label does not
+    cut it (``-NONE-`` stays)."""
+    for sep in ("-", "="):
+        idx = label.find(sep)
+        if idx > 0:
+            label = label[:idx]
+    return label
+
+
+def _close_rule(drop_labels=frozenset(), strip_tags=False, preterminalize=False):
+    """The cleaning applied to each internal node once its children are final.
+
+    The returned ``close(label, children, words, phrases)`` gets the node's
+    label as written, its kept (already cleaned) children, and how many of
+    its children as written were words (leaves) and phrases (internal
+    nodes).  It returns the cleaned node, or None when the node is dropped:
+    a pre-terminal labeled in `drop_labels`, or a node none of whose
+    children were kept.  With `strip_tags` function-tag suffixes are cut,
+    after the drop test; with `preterminalize` a pre-terminal becomes a leaf
+    labeled with its tag, and a node mixing words and kept phrases raises
+    :class:`StructuralError`.
+    """
+
+    def close(label, children, words, phrases):
+        if not phrases and label in drop_labels:
+            return None
+        if not children:
+            return None
+        if strip_tags:
+            label = _cut_function_tags(label)
+        if preterminalize and words:
+            if words != len(children):
+                raise StructuralError(
+                    f"node '{label}' mixes leaf and internal children"
+                )
+            return Tree(label)
+        return Tree(label, children)
+
+    return close
+
+
+def _rebuild(tree: Tree, close) -> Tree | None:
+    """Apply a close rule bottom-up to an existing tree."""
+    if tree.is_leaf:
+        return tree
+    pre = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        pre.append(node)
+        stack.extend(c for c in node.children if c.children)
+    built: dict[int, Tree | None] = {}
+    for node in reversed(pre):  # children before parents, left to right
+        children = []
+        words = 0
+        for child in node.children:
+            if child.children:
+                child = built[id(child)]
+                if child is None:
+                    continue
+            else:
+                words += 1
+            children.append(child)
+        built[id(node)] = close(
+            node.label, children, words, len(node.children) - words
+        )
+    return built[id(tree)]
 
 
 def write_bracketed(tree: Tree) -> str:
@@ -194,26 +266,7 @@ def strip_subtrees(tree: Tree, drop_labels=DEFAULT_DROP_LABELS) -> Tree | None:
     Internal nodes left without children are removed as well.  Returns None
     when the whole tree is dropped.
     """
-    if tree.is_leaf:
-        return tree
-    post = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        post.append(node)
-        stack.extend(node.children)
-    rebuilt: dict[int, Tree | None] = {}
-    for node in reversed(post):
-        if node.is_leaf:
-            rebuilt[id(node)] = node
-            continue
-        if node.label in drop_labels and all(c.is_leaf for c in node.children):
-            rebuilt[id(node)] = None
-            continue
-        kept = [rebuilt[id(c)] for c in node.children]
-        kept = [c for c in kept if c is not None]
-        rebuilt[id(node)] = Tree(node.label, kept) if kept else None
-    return rebuilt[id(tree)]
+    return _rebuild(tree, _close_rule(drop_labels=drop_labels))
 
 
 def strip_function_tags(tree: Tree) -> Tree:
@@ -222,30 +275,7 @@ def strip_function_tags(tree: Tree) -> Tree:
     Labels that would become empty (pure punctuation-style labels such as
     ``-NONE-`` or ``-LRB-``) are kept verbatim.  Leaf labels are never touched.
     """
-
-    def cut(label: str) -> str:
-        base = label
-        for sep in ("-", "="):
-            idx = base.find(sep)
-            if idx > 0:
-                base = base[:idx]
-        return base if base else label
-
-    post = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        post.append(node)
-        stack.extend(node.children)
-    rebuilt: dict[int, Tree] = {}
-    for node in reversed(post):
-        if node.is_leaf:
-            rebuilt[id(node)] = node
-        else:
-            rebuilt[id(node)] = Tree(
-                cut(node.label), [rebuilt[id(c)] for c in node.children]
-            )
-    return rebuilt[id(tree)]
+    return _rebuild(tree, _close_rule(strip_tags=True))
 
 
 def preterminalize(tree: Tree) -> Tree:
@@ -257,30 +287,7 @@ def preterminalize(tree: Tree) -> Tree:
     root-to-leaf path shortens by exactly one edge.  A bare single-leaf tree
     is returned unchanged.
     """
-    if tree.is_leaf:
-        return tree
-    post = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        post.append(node)
-        stack.extend(node.children)
-    rebuilt: dict[int, Tree] = {}
-    for node in reversed(post):
-        if node.is_leaf:
-            continue
-        leaf_children = [c for c in node.children if c.is_leaf]
-        if leaf_children and len(leaf_children) != len(node.children):
-            raise StructuralError(
-                f"node '{node.label}' mixes leaf and internal children"
-            )
-        if leaf_children:
-            rebuilt[id(node)] = Tree(node.label)  # pre-terminal becomes a leaf
-        else:
-            rebuilt[id(node)] = Tree(
-                node.label, [rebuilt[id(c)] for c in node.children]
-            )
-    return rebuilt[id(tree)]
+    return _rebuild(tree, _close_rule(preterminalize=True))
 
 
 @dataclass
@@ -327,24 +334,24 @@ def read_bracketed(
     drop_labels=DEFAULT_DROP_LABELS,
     strip_tags: bool = False,
     source_id: str | None = None,
+    preterminalize: bool = False,
 ) -> Corpus:
     """Read a bracketed treebank file into a :class:`Corpus`.
 
     Subtrees under pre-terminals listed in `drop_labels` are removed; with
-    `strip_tags`, function-tag suffixes on internal labels are cut.
+    `strip_tags`, function-tag suffixes on internal labels are cut; with
+    `preterminalize`, the word layer is deleted as by :func:`preterminalize`.
     """
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    trees = parse_bracketed(text)
-    kept = []
-    for tree in trees:
-        if drop_labels:
-            tree = strip_subtrees(tree, drop_labels)
-            if tree is None:
-                continue
-        if strip_tags:
-            tree = strip_function_tags(tree)
-        if not tree.frontier():
-            continue
-        kept.append(tree)
-    return Corpus(kept, source_id=source_id if source_id is not None else str(path))
+    trees = parse_bracketed(
+        text,
+        drop_labels=drop_labels or frozenset(),
+        strip_tags=strip_tags,
+        preterminalize=preterminalize,
+    )
+    return Corpus(
+        trees,
+        source_id=source_id if source_id is not None else str(path),
+        preterminalized=preterminalize,
+    )

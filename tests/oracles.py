@@ -2,7 +2,10 @@
 
 Nothing here calls the closed-form entropy path it is meant to check: tree
 entropies come from explicit enumeration of derivations, spectral radii from
-the dense eigensolver, and projective graphs from direct interval splitting.
+the dense eigensolver, projective graphs from direct interval splitting, and
+cleaned trees from the original read pipeline, in which parsing, trace
+stripping, function-tag cutting and pre-terminalization each rebuild the tree
+in a pass of their own.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from treebank_entropy.conllu import DepGraph
+from treebank_entropy.errors import ParseError, StructuralError
 from treebank_entropy.grammar import Pcfg, Rule
+from treebank_entropy.trees import DEFAULT_DROP_LABELS, Tree
 
 
 def enumerate_entropy(grammar, mass_tol=1e-10, max_pops=5_000_000):
@@ -178,3 +183,171 @@ def random_projective_graph(rng: np.random.Generator, n: int) -> DepGraph:
         None if heads[i] == 0 else str(rng.choice(_RELS)) for i in range(n)
     ]
     return DepGraph(tokens=tokens, heads=heads, labels=labels)
+
+
+def reference_read(
+    text: str,
+    drop_labels=DEFAULT_DROP_LABELS,
+    strip_tags: bool = False,
+    preterminalize: bool = False,
+) -> list[Tree]:
+    """Parse, then strip, cut and pre-terminalize each tree in its own pass.
+
+    Trees whose frontier ends up empty are skipped, and pre-terminalization
+    starts only after the whole text has parsed and been cleaned.
+    """
+    kept = []
+    for tree in reference_parse_bracketed(text):
+        if drop_labels:
+            tree = reference_strip_subtrees(tree, drop_labels)
+            if tree is None:
+                continue
+        if strip_tags:
+            tree = reference_strip_function_tags(tree)
+        if not tree.frontier():
+            continue
+        kept.append(tree)
+    if preterminalize:
+        kept = [reference_preterminalize(t) for t in kept]
+    return kept
+
+
+def reference_parse_bracketed(text: str) -> list[Tree]:
+    """Character-by-character bracketed parser; labels kept verbatim."""
+    trees = []
+    pos = 0
+    n = len(text)
+
+    def skip_ws(i):
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    def read_atom(i):
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in "()":
+            j += 1
+        return text[i:j], j
+
+    while True:
+        pos = skip_ws(pos)
+        if pos >= n:
+            break
+        if text[pos] != "(":
+            raise ParseError("expected '('", offset=pos + 1)
+        # Stack of (label-or-None, children-list, open-paren-offset).
+        stack = []
+        tree = None
+        while tree is None:
+            pos = skip_ws(pos)
+            if pos >= n:
+                raise ParseError("unbalanced", offset=n + 1)
+            ch = text[pos]
+            if ch == "(":
+                stack.append([None, [], pos])
+                pos += 1
+            elif ch == ")":
+                if not stack:
+                    raise ParseError("unbalanced", offset=pos + 1)
+                label, children, opened = stack.pop()
+                if label is None:
+                    if len(children) == 1 and not stack:
+                        node = children[0]  # unwrap unlabeled top-level group
+                    else:
+                        raise StructuralError(
+                            f"node without a label at offset {opened + 1}"
+                        )
+                elif not children:
+                    raise StructuralError(
+                        f"node '{label}' has no children at offset {opened + 1}"
+                    )
+                else:
+                    node = Tree(label, children)
+                pos += 1
+                if stack:
+                    stack[-1][1].append(node)
+                else:
+                    tree = node
+            else:
+                atom, pos = read_atom(pos)
+                if not stack:
+                    raise ParseError("expected '('", offset=pos)
+                if stack[-1][0] is None and not stack[-1][1]:
+                    stack[-1][0] = atom
+                else:
+                    stack[-1][1].append(Tree(atom))
+        trees.append(tree)
+    return trees
+
+
+def _post_order(tree: Tree) -> list[Tree]:
+    post = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        post.append(node)
+        stack.extend(node.children)
+    post.reverse()
+    return post
+
+
+def reference_strip_subtrees(tree: Tree, drop_labels=DEFAULT_DROP_LABELS):
+    """Drop pre-terminals labeled in `drop_labels`, then emptied nodes."""
+    if tree.is_leaf:
+        return tree
+    rebuilt: dict[int, Tree | None] = {}
+    for node in _post_order(tree):
+        if node.is_leaf:
+            rebuilt[id(node)] = node
+            continue
+        if node.label in drop_labels and all(c.is_leaf for c in node.children):
+            rebuilt[id(node)] = None
+            continue
+        kept = [rebuilt[id(c)] for c in node.children]
+        kept = [c for c in kept if c is not None]
+        rebuilt[id(node)] = Tree(node.label, kept) if kept else None
+    return rebuilt[id(tree)]
+
+
+def reference_strip_function_tags(tree: Tree) -> Tree:
+    """Cut `-`/`=` suffixes from internal labels; leaves are untouched."""
+
+    def cut(label: str) -> str:
+        base = label
+        for sep in ("-", "="):
+            idx = base.find(sep)
+            if idx > 0:
+                base = base[:idx]
+        return base if base else label
+
+    rebuilt: dict[int, Tree] = {}
+    for node in _post_order(tree):
+        if node.is_leaf:
+            rebuilt[id(node)] = node
+        else:
+            rebuilt[id(node)] = Tree(
+                cut(node.label), [rebuilt[id(c)] for c in node.children]
+            )
+    return rebuilt[id(tree)]
+
+
+def reference_preterminalize(tree: Tree) -> Tree:
+    """Turn every pre-terminal into a leaf; mixed nodes raise."""
+    if tree.is_leaf:
+        return tree
+    rebuilt: dict[int, Tree] = {}
+    for node in _post_order(tree):
+        if node.is_leaf:
+            continue
+        leaf_children = [c for c in node.children if c.is_leaf]
+        if leaf_children and len(leaf_children) != len(node.children):
+            raise StructuralError(
+                f"node '{node.label}' mixes leaf and internal children"
+            )
+        if leaf_children:
+            rebuilt[id(node)] = Tree(node.label)  # pre-terminal becomes a leaf
+        else:
+            rebuilt[id(node)] = Tree(
+                node.label, [rebuilt[id(c)] for c in node.children]
+            )
+    return rebuilt[id(tree)]

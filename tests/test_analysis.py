@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from treebank_entropy import analysis, estimators, grammar
 from treebank_entropy.analysis import (
+    DEFAULT_ESTIMATORS,
     DEFAULT_SIZES,
     converge,
     file_reports,
@@ -40,6 +42,20 @@ HIGH_ENTROPY = Pcfg(
         Rule("S", ("z",), 0.2, 1),
     ],
 )
+
+
+def count_inductions(monkeypatch) -> list[int]:
+    """Record the corpus size of every `induce` call, by any module."""
+    calls = []
+    real = grammar.induce
+
+    def counting(corpus):
+        calls.append(len(corpus))
+        return real(corpus)
+
+    for module in (grammar, analysis, estimators):
+        monkeypatch.setattr(module, "induce", counting)
+    return calls
 
 
 class TestConverge:
@@ -104,6 +120,15 @@ class TestConverge:
             converge(corpus, sizes=[2], replications=2, estimators=("bogus",))
 
 
+    def test_one_induction_per_task(self, monkeypatch):
+        calls = count_inductions(monkeypatch)
+        source = sampled_corpus(HIGH_ENTROPY, 40, 8)
+        converge(source, sizes=[2, 5], replications=3,
+                 estimators=DEFAULT_ESTIMATORS, seed=1)
+        # The truth grammar, then one sampled corpus per (replication, size).
+        assert calls == [40] + [2, 5] * 3
+
+
 class TestIncremental:
     def test_two_identical_files(self):
         file_a = sampled_corpus(HIGH_ENTROPY, 40, 11)
@@ -126,6 +151,20 @@ class TestIncremental:
         assert [p.cumulative_sentences for p in shuffled] == [
             p.cumulative_sentences for p in original
         ]
+
+    def test_points_equal_site_of_each_prefix(self, monkeypatch):
+        files = [
+            sampled_corpus(LOW_ENTROPY, 30, 31),
+            sampled_corpus(HIGH_ENTROPY, 50, 32),
+            sampled_corpus(LOW_ENTROPY, 20, 33),
+        ]
+        calls = count_inductions(monkeypatch)
+        points = incremental(files, order="original")
+        assert calls == []  # running counts: no corpus is re-induced
+        prefix = []
+        for point, corpus in zip(points, files):
+            prefix.extend(corpus.sentences)
+            assert point.entropy == site(Corpus(list(prefix))).value
 
     def test_heterogeneous_original_order_non_monotone(self):
         files = [

@@ -234,6 +234,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "probs, reported",
+        [(("0.3", "0.3"), "1-4.000e-01"), (("0.75", "0.5"), "1+2.500e-01")],
+        ids=["below-one", "above-one"],
+    )
+    def test_invalid_grammar_reports_signed_sum(self, tmp_path, capsys, probs, reported):
+        path = tmp_path / "invalid.txt"
+        path.write_text(
+            f"#root S\n{probs[0]}\t1\tS -> a S\n{probs[1]}\t1\tS -> a\n",
+            encoding="utf-8",
+        )
+        assert main(["rate", "--grammar", str(path)]) == 2
+        assert f"probabilities of 'S' sum to {reported}" in capsys.readouterr().err
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(treebank_entropy.__file__).resolve().parents[1])
@@ -241,9 +255,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    code = "import sys, treebank_entropy.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, treebank_entropy.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

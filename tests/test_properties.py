@@ -1,0 +1,67 @@
+"""Property-based tests: rule counts add over corpora, and the incremental
+curve built from running counts ends where SITE of the merged corpus does."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treebank_entropy.analysis import incremental
+from treebank_entropy.estimators import site
+from treebank_entropy.grammar import SYNTHETIC_ROOT, RuleCounts, induce
+from treebank_entropy.trees import Corpus, Tree
+
+# Disjoint alphabets, so no generated corpus has an alphabet clash.
+_PHRASES = ("S", "A", "B")
+_WORDS = ("a", "b", "c")
+
+
+def _node(children):
+    return st.builds(
+        Tree, st.sampled_from(_PHRASES), st.lists(children, min_size=1, max_size=3)
+    )
+
+
+_LEAVES = st.sampled_from(_WORDS).map(Tree)
+TREES = _node(st.recursive(_LEAVES, _node, max_leaves=10))
+CORPORA = st.lists(TREES, min_size=1, max_size=8)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@SETTINGS
+@given(CORPORA, CORPORA)
+def test_counts_of_union_are_sums(a, b):
+    union, left, right = RuleCounts(a + b), RuleCounts(a), RuleCounts(b)
+    assert union.rules == left.rules + right.rules
+    assert union.roots == left.roots + right.roots
+    induced = {
+        (r.lhs, r.rhs): r.freq
+        for r in induce(Corpus(a + b)).rules
+        if r.lhs != SYNTHETIC_ROOT
+    }
+    assert induced == left.rules + right.rules
+
+
+@st.composite
+def split_corpora(draw):
+    """A corpus cut at random points into at least two non-empty files."""
+    sentences = draw(st.lists(TREES, min_size=2, max_size=12))
+    cuts = draw(
+        st.lists(st.integers(1, len(sentences) - 1), min_size=1, max_size=4, unique=True)
+    )
+    bounds = [0, *sorted(cuts), len(sentences)]
+    return [Corpus(sentences[i:j]) for i, j in zip(bounds, bounds[1:])]
+
+
+@SETTINGS
+@given(split_corpora(), st.integers(0, 2**32 - 1))
+def test_incremental_endpoints_equal_site_of_merged(files, seed):
+    merged = Corpus([t for f in files for t in f.sentences])
+    expected = site(merged).value
+    original = incremental(files, order="original")
+    shuffled = incremental(files, order="shuffled", seed=seed)
+    assert original[-1].entropy == expected
+    # Shuffling changes the first-encounter order of the non-terminals, so
+    # the solve may round differently in the last bits.
+    assert abs(shuffled[-1].entropy - expected) <= 1e-9 * max(1.0, abs(expected))
+    assert original[-1].cumulative_sentences == shuffled[-1].cumulative_sentences
+    assert shuffled[-1].cumulative_sentences == len(merged)

@@ -1,13 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from oracles import reference_read
+from synthetic import scaffold_grammar
 from treebank_entropy.errors import EmptyInputError, ParseError, StructuralError
 from treebank_entropy.grammar import Pcfg, Rule, Sampler
 from treebank_entropy.trees import (
+    DEFAULT_DROP_LABELS,
     Corpus,
     Tree,
     corpus_mlu,
     parse_bracketed,
+    read_bracketed,
     preterminalize,
     preterminalize_corpus,
     strip_function_tags,
@@ -191,3 +197,126 @@ class TestCorpusMlu:
         merged = Corpus([t for c in parts for t in c.sentences])
         weighted = sum(len(c) * corpus_mlu(c) for c in parts) / len(merged)
         assert corpus_mlu(merged) == pytest.approx(weighted, abs=1e-12)
+
+
+#: Every combination of the reader's cleaning options.
+READ_OPTIONS = [
+    dict(drop_labels=drop, strip_tags=tags, preterminalize=pre)
+    for drop, tags, pre in itertools.product(
+        (DEFAULT_DROP_LABELS, frozenset()), (False, True), (False, True)
+    )
+]
+
+
+def _outcome(read, text, options):
+    """The trees read, or the error's type, message and offset."""
+    try:
+        return read(text, **options)
+    except (ParseError, StructuralError) as err:
+        return type(err), str(err), getattr(err, "offset", None)
+
+
+def assert_reads_like_reference(text):
+    for options in READ_OPTIONS:
+        expected = _outcome(reference_read, text, options)
+        assert _outcome(parse_bracketed, text, options) == expected, options
+
+
+def random_ptb(rng, sentences):
+    """PTB-style text: tagged phrases over POS pre-terminals, -NONE- traces
+    (some filling a whole phrase or sentence), bare words beside phrases,
+    and the unlabeled file wrapper."""
+    phrases = ("S", "NP", "VP", "PP", "SBAR")
+    tags = ("", "", "-SBJ", "-TMP-1", "=2", "-PRD=3")
+    pos = ("NN", "VB", "DT", "IN", "-LRB-", "PRP$")
+
+    def phrase(depth):
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            r = rng.random()
+            if r < 0.15:
+                parts.append("(-NONE- *T*-1)")
+            elif r < 0.18:
+                parts.append(f"w{rng.integers(9)}")
+            elif depth > 0 and r < 0.55:
+                parts.append(phrase(depth - 1))
+            else:
+                parts.append(f"({pos[rng.integers(len(pos))]} w{rng.integers(9)})")
+        label = phrases[rng.integers(len(phrases))] + tags[rng.integers(len(tags))]
+        return f"({label} {' '.join(parts)})"
+
+    out = []
+    for _ in range(sentences):
+        tree = phrase(int(rng.integers(0, 4)))
+        out.append(f"( {tree} )" if rng.random() < 0.5 else tree)
+    return "\n".join(out)
+
+
+class TestReaderMatchesReference:
+    """The one-pass reader against the parse-then-rebuild pipeline."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_random_ptb(self, seed):
+        rng = np.random.default_rng(seed)
+        # One sentence at a time, so a mixed node in one sentence does not
+        # hide the others; then all together.
+        texts = [random_ptb(rng, 1) for _ in range(40)]
+        for text in texts:
+            assert_reads_like_reference(text)
+        assert_reads_like_reference("\n".join(texts))
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_scaffold_samples(self, seed):
+        corpus = Sampler(scaffold_grammar()).sample_corpus(
+            30, np.random.default_rng(seed)
+        )
+        text = "\n".join(write_bracketed(t) for t in corpus.sentences)
+        assert_reads_like_reference(text)
+        for tree in corpus.sentences:
+            assert parse_bracketed(write_bracketed(tree)) == [tree]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "( (S (NP (PRP I)) (VP (VBP do))) )",
+            "(S (A-SBJ (-NONE- *)) (VP (VB go)))",
+            "(S (NP (-NONE- *)) (-NONE- *T*)) (S (NN x))",
+            "( (-NONE- *) ) (S (NN x))",
+            "(S (-NONE- (X x) y) (B b))",
+            "(S (-NONE- (-NONE- x)) (B b))",
+            "(S-TPC=1 (NP-SBJ (-LRB- -LRB-) (NN x)) (VP=2 (VB go)))",
+            "(S (NP-SBJ-1 (PRP I)) (VP=2 (VBP do)))",
+        ],
+        ids=["wrapper", "trace-only-phrase", "frontier-dropped",
+             "wrapped-trace", "drop-label-mixed", "nested-drop-labels",
+             "tags", "tags-and-indices"],
+    )
+    def test_edge_cases(self, text):
+        assert_reads_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "((S (X x))",
+            "(A a)) ",
+            "((A a) (B b))",
+            "(A)",
+            "(VP (VBP do) (NP (DT the) dog))",
+            "x (A a)",
+            "( (A a) b )",
+            "( (-NONE- x) y )",
+            "(A (B b) (C))",
+            "(NP (DT the) dog) (A a",
+            "",
+        ],
+    )
+    def test_malformed(self, text):
+        assert_reads_like_reference(text)
+
+    def test_read_bracketed_cleans_in_one_pass(self, tmp_path):
+        path = tmp_path / "bank.mrg"
+        path.write_text("(S (NN x) (-NONE- *))", encoding="utf-8")
+        corpus = read_bracketed(path, preterminalize=True)
+        assert corpus.preterminalized
+        assert corpus.sentences == [Tree("S", [Tree("NN")])]
+        assert preterminalize_corpus(corpus) is corpus
