@@ -19,10 +19,10 @@ from .entropy import characteristic_matrix, solve_system
 from .errors import EmptyInputError, InputError
 from .estimators import (
     SmootherKind,
-    cross_entropy,
     site,
     site_from_grammar,
     smoothed_local_entropies,
+    training_cross_entropy,
 )
 from .grammar import Pcfg, RuleCounts, Sampler, induce
 from .trees import Corpus, corpus_mlu
@@ -96,7 +96,7 @@ def _corpus_estimates(corpus: Corpus, estimators) -> tuple[dict[str, float], Pcf
     out = {}
     for est in estimators:
         if est == "mc":
-            out[est] = cross_entropy(grammar, corpus)
+            out[est] = training_cross_entropy(grammar, len(corpus))
         elif est in smoother_of:
             col_ids.append(est)
             columns.append(smoothed_local_entropies(grammar, smoother_of[est]))
@@ -333,9 +333,3 @@ def spearman_size_check(residuals, log_n) -> tuple[float, float]:
     rho, p = stats.spearmanr(residuals, log_n)
     return float(rho), float(p)
 
-
-def mlu_agreement(corpus: Corpus) -> tuple[float, float]:
-    """Corpus MLU and induced-grammar MLU (they agree for ML induction)."""
-    from .entropy import grammar_mlu
-
-    return corpus_mlu(corpus), grammar_mlu(induce(corpus))

@@ -21,8 +21,10 @@ the induced grammar bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +38,12 @@ _LN2 = math.log(2.0)
 #: Truncation threshold for geometric tail series (relative term size).
 _SERIES_EPS = 1e-18
 _SERIES_MAX_TERMS = 2_000_000
+
+#: Integer arguments from which digamma uses its asymptotic series; below
+#: it, an exact table of harmonic numbers.
+_DIGAMMA_ASYMPTOTIC_FROM = 16
+#: Euler's constant to 40 digits.
+_EULER_GAMMA = "0.5772156649015328606065120900824024310422"
 
 
 class SmootherKind(str, enum.Enum):
@@ -111,49 +119,100 @@ def _tail_series(u: float, offset: int) -> float:
     return float(u * mpmath.lerchphi(u, 1, offset + 1))
 
 
+@functools.cache
+def _digamma_table() -> np.ndarray:
+    """ψ(n) = H(n-1) - γ for 1 <= n < 16, correctly rounded (index n)."""
+    from fractions import Fraction  # imported here: only CWJ needs it
+
+    gamma = Fraction(_EULER_GAMMA)
+    harmonic = Fraction(0)
+    table = [0.0]
+    for n in range(1, _DIGAMMA_ASYMPTOTIC_FROM):
+        table.append(float(harmonic - gamma))
+        harmonic += Fraction(1, n)
+    table = np.array(table)
+    table.flags.writeable = False  # one array, shared by every call
+    return table
+
+
+def _digamma(n: np.ndarray) -> np.ndarray:
+    """ψ at positive integers.
+
+    Small arguments are looked up in an exact table; from 16 on, the
+    asymptotic series ln x - 1/(2x) - sum B(2k) / (2k x**(2k)) is cut after
+    the x**-12 term; the first term left out is below 1e-18 there.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    x = n.astype(np.float64)
+    z = 1.0 / (x * x)
+    series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (
+        1 / 240 - z * (1 / 132 - z * (691 / 32760))))))
+    asymptotic = np.log(x) - 0.5 / x - series
+    small = np.minimum(n, _DIGAMMA_ASYMPTOTIC_FROM - 1)
+    return np.where(n < _DIGAMMA_ASYMPTOTIC_FROM, _digamma_table()[small], asymptotic)
+
+
 def cwj_entropy(table: FreqTable) -> float:
     """Accumulation-curve entropy estimate in bits.
 
-    The first part sums, over types seen at most n-1 times, harmonic-number
-    differences weighted by relative frequency; the second extrapolates the
-    unseen tail from the singleton and doubleton counts.  Evaluated in nats
-    and converted once at the end.  The extrapolation term is computed from
-    its all-positive series expansion, which is exactly equal to the
-    (1-A)**(1-n) * [log A + sum] form but avoids its catastrophic
-    cancellation.
+    The first part sums, over the observed types, harmonic-number
+    differences weighted by relative frequency: a type seen c times adds
+    (c/n) * (ψ(n) - ψ(c)), and for integers ψ(n) - ψ(c) = H(n-1) - H(c-1)
+    = sum of 1/k for k = c .. n-1, which is zero for a type seen all n
+    times.  The second part extrapolates the unseen tail from the singleton
+    and doubleton counts.  Evaluated in nats and converted once at the end.
+    The extrapolation term is computed from its all-positive series
+    expansion, which is exactly equal to the (1-A)**(1-n) * [log A + sum]
+    form but avoids its catastrophic cancellation.
     """
-    from scipy.special import digamma  # imported here: it slows the CLI's start-up
+    return float(_cwj_entropies([table])[0])
 
-    counts = np.asarray(table.counts, dtype=np.float64)
-    n = table.n
-    seen = counts[counts <= n - 1]
-    first = float(np.sum((seen / n) * (digamma(n) - digamma(seen))))
-    f1 = int(np.count_nonzero(counts == 1))
-    f2 = int(np.count_nonzero(counts == 2))
-    if f2 > 0:
-        a = 2.0 * f2 / ((n - 1) * f1 + 2.0 * f2)
-    elif f1 > 0:
-        a = 2.0 / ((n - 1) * (f1 - 1) + 2.0)
-    else:
-        a = 1.0
-    nats = first
-    if f1 > 0 and a < 1.0:
-        nats += (f1 / n) * _tail_series(1.0 - a, n - 1)
+
+def _cwj_entropies(tables: list[FreqTable]) -> np.ndarray:
+    """:func:`cwj_entropy` of each table, with one ψ evaluation for all.
+
+    Each table sums only its own slice, so its value does not depend on the
+    tables passed alongside it.
+    """
+    sizes = [len(t.counts) for t in tables]
+    counts = np.fromiter(
+        chain.from_iterable(t.counts for t in tables), np.int64, sum(sizes)
+    )
+    starts = np.cumsum([0, *sizes[:-1]])
+    n = np.add.reduceat(counts, starts)
+    psi = _digamma(np.concatenate((counts, n)))
+    psi_counts, psi_n = psi[:counts.size], psi[counts.size:]
+    weights = counts / np.repeat(n, sizes)
+    nats = np.add.reduceat(weights * (np.repeat(psi_n, sizes) - psi_counts), starts)
+    f1s = np.add.reduceat(counts == 1, starts)
+    f2s = np.add.reduceat(counts == 2, starts)
+    for i in np.flatnonzero(f1s):
+        total, f1, f2 = int(n[i]), int(f1s[i]), int(f2s[i])
+        if f2 > 0:
+            a = 2.0 * f2 / ((total - 1) * f1 + 2.0 * f2)
+        else:
+            a = 2.0 / ((total - 1) * (f1 - 1) + 2.0)
+        if a < 1.0:
+            nats[i] += (f1 / total) * _tail_series(1.0 - a, total - 1)
     return nats / _LN2
 
 
+#: Smoothers applied table by table; CWJ runs over all tables at once.
 _SMOOTHERS = {
     SmootherKind.ML: ml_entropy,
     SmootherKind.CAE: cae_entropy,
-    SmootherKind.CWJ: cwj_entropy,
 }
 
 
 def smoothed_local_entropies(grammar: Pcfg, smoother: SmootherKind) -> np.ndarray:
     """Per-non-terminal local expansion entropies after bias correction."""
-    estimator = _SMOOTHERS[SmootherKind(smoother)]
+    smoother = SmootherKind(smoother)
     tables = rule_freq_tables(grammar)
-    return np.array([estimator(tables[nt]) for nt in grammar.nonterminals])
+    ordered = [tables[nt] for nt in grammar.nonterminals]
+    if smoother is SmootherKind.CWJ:
+        return _cwj_entropies(ordered)
+    estimator = _SMOOTHERS[smoother]
+    return np.array([estimator(t) for t in ordered])
 
 
 def site_from_grammar(grammar: Pcfg, smoother: SmootherKind = SmootherKind.CWJ) -> float:
@@ -171,17 +230,23 @@ def site(corpus: Corpus, smoother: SmootherKind = SmootherKind.CWJ) -> EstimateR
     return EstimateResult(value, f"site-{smoother.value}", len(corpus))
 
 
-def ml_exact(corpus: Corpus) -> EstimateResult:
-    """Exact derivational entropy of the ML-induced grammar."""
-    grammar = induce(corpus)
-    value = site_from_grammar(grammar, SmootherKind.ML)
-    return EstimateResult(value, "ml-exact", len(corpus))
-
-
 def monte_carlo_cross_entropy(train: Corpus, test: Corpus) -> float:
     """Cross-entropy in bits of the train-induced grammar on the test trees
     (see :func:`cross_entropy`)."""
     return cross_entropy(induce(train), test)
+
+
+def training_cross_entropy(grammar: Pcfg, sentences: int) -> float:
+    """Cross-entropy in bits of an induced grammar on its own training trees.
+
+    On the corpus it was induced from, a grammar's rule r is used exactly
+    f_r times, its observed frequency (a synthetic root rule's frequency is
+    the count of its root label), so :func:`cross_entropy` with test = train
+    reduces to -sum f_r log2 p_r / N, N the number of trees.
+    """
+    freqs = np.array([r.freq for r in grammar.rules], dtype=np.float64)
+    probs = np.array([r.prob for r in grammar.rules])
+    return float(0.0 - freqs @ np.log2(probs)) / sentences
 
 
 def cross_entropy(grammar: Pcfg, test: Corpus) -> float:

@@ -72,18 +72,6 @@ class Tree:
     def node_count(self) -> int:
         return sum(1 for _ in self.iter_nodes())
 
-    def depth(self) -> int:
-        """Number of edges on the longest root-to-leaf path."""
-        best = 0
-        stack = [(self, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.is_leaf:
-                best = max(best, d)
-            else:
-                stack.extend((c, d + 1) for c in node.children)
-        return best
-
 
 #: One token per match: a parenthesis or a maximal run of other non-space
 #: characters.  ``\s`` and ``str.isspace`` agree on every code point.

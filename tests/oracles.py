@@ -2,10 +2,10 @@
 
 Nothing here calls the closed-form entropy path it is meant to check: tree
 entropies come from explicit enumeration of derivations, spectral radii from
-the dense eigensolver, projective graphs from direct interval splitting, and
+the dense eigensolver, projective graphs from direct interval splitting,
 cleaned trees from the original read pipeline, in which parsing, trace
 stripping, function-tag cutting and pre-terminalization each rebuild the tree
-in a pass of their own.
+in a pass of their own, and CWJ estimates from ``scipy.special.digamma``.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import heapq
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from treebank_entropy.conllu import DepGraph
 from treebank_entropy.errors import ParseError, StructuralError
+from treebank_entropy.estimators import _tail_series
 from treebank_entropy.grammar import Pcfg, Rule
 from treebank_entropy.trees import DEFAULT_DROP_LABELS, Tree
 
@@ -84,6 +85,28 @@ def binary_recursion_entropy(q: float, mass_tol=1e-18, max_leaves=200_000):
         if n > 10 and m < mass_tol:
             break
     return total, mass
+
+
+def reference_cwj_entropy(table) -> float:
+    """CWJ estimate in bits of a frequency table, table by table, with ψ
+    from ``scipy.special.digamma``.  The unseen-tail series is the
+    package's own: only the ψ part is checked here."""
+    counts = np.asarray(table.counts, dtype=np.float64)
+    n = table.n
+    seen = counts[counts <= n - 1]
+    first = float(np.sum((seen / n) * (digamma(n) - digamma(seen))))
+    f1 = int(np.count_nonzero(counts == 1))
+    f2 = int(np.count_nonzero(counts == 2))
+    if f2 > 0:
+        a = 2.0 * f2 / ((n - 1) * f1 + 2.0 * f2)
+    elif f1 > 0:
+        a = 2.0 / ((n - 1) * (f1 - 1) + 2.0)
+    else:
+        a = 1.0
+    nats = first
+    if f1 > 0 and a < 1.0:
+        nats += (f1 / n) * _tail_series(1.0 - a, n - 1)
+    return nats / math.log(2.0)
 
 
 def random_enumerable_pcfg(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from synthetic import scaffold_grammar
 from treebank_entropy import analysis, estimators, grammar
 from treebank_entropy.analysis import (
     DEFAULT_ESTIMATORS,
@@ -11,13 +12,13 @@ from treebank_entropy.analysis import (
     file_reports,
     fit,
     incremental,
-    mlu_agreement,
     residualize,
     spearman_size_check,
 )
 from treebank_entropy.errors import InputError
+from treebank_entropy.entropy import grammar_mlu
 from treebank_entropy.estimators import site
-from treebank_entropy.grammar import Pcfg, Rule, Sampler
+from treebank_entropy.grammar import SYNTHETIC_ROOT, Pcfg, Rule, Sampler, induce
 from treebank_entropy.trees import Corpus, corpus_mlu, parse_bracketed
 
 
@@ -27,6 +28,11 @@ def corpus_of(*texts):
 
 def sampled_corpus(grammar, size, seed):
     return Sampler(grammar).sample_corpus(size, np.random.default_rng(seed))
+
+
+def mlu_agreement(corpus):
+    """Corpus MLU and induced-grammar MLU (they agree for ML induction)."""
+    return corpus_mlu(corpus), grammar_mlu(induce(corpus))
 
 
 LOW_ENTROPY = Pcfg(
@@ -127,6 +133,24 @@ class TestConverge:
                  estimators=DEFAULT_ESTIMATORS, seed=1)
         # The truth grammar, then one sampled corpus per (replication, size).
         assert calls == [40] + [2, 5] * 3
+
+    @pytest.mark.parametrize("several_roots", [False, True])
+    def test_mc_count_form_equals_tree_walk(self, several_roots):
+        # The sweep's mc value comes from rule frequencies alone; walking the
+        # trees through cross_entropy gives the same number.  With several
+        # root labels the synthetic root's rules carry the root counts.
+        sampler = Sampler(scaffold_grammar())
+        rng = np.random.default_rng(12)
+        for size in (1, 3, 20, 200):
+            trees = sampler.sample_corpus(size, rng).sentences
+            if several_roots:
+                trees = trees + [c for t in trees for c in t.children if c.children]
+            corpus = Corpus(trees)
+            values, grammar = analysis._corpus_estimates(corpus, ("mc",))
+            assert (grammar.root == SYNTHETIC_ROOT) == several_roots
+            assert values["mc"] == pytest.approx(
+                estimators.cross_entropy(grammar, corpus), rel=1e-12
+            )
 
 
 class TestIncremental:

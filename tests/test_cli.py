@@ -264,3 +264,38 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_site_commands_leave_scipy_unloaded(treebank, tmp_path):
+    # CWJ evaluates digamma with its own integer kernel: no SITE command
+    # may load any part of scipy.
+    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    other = tmp_path / "bank2.mrg"
+    other.write_text(treebank.read_text(encoding="utf-8"), encoding="utf-8")
+    bank, flag = str(treebank), "--no-preterminalize"
+    commands = [
+        ["site", flag, "--smoother", "cwj", bank],
+        ["report", flag, "-o", str(tmp_path / "report.csv"), bank, str(other)],
+        ["incremental", flag, bank, str(other)],
+        ["converge", flag, "--estimators", "ml,mc,site-cae,site-cwj",
+         "--sizes", "2,5", "--replications", "2", "-o",
+         str(tmp_path / "rows.csv"), bank],
+    ]
+    code = (
+        "import json, sys\n"
+        "from treebank_entropy.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []

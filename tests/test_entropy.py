@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -179,6 +180,39 @@ class TestCertificate:
         report = entropy_rate(geometric(q))
         assert report.entropy == pytest.approx(h_binary / (1 - q), rel=1e-12)
         assert report.mlu == pytest.approx(1 / (1 - q), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "q",
+        [0.4, *(0.5 - 10.0**-k for k in range(2, 17)), math.nextafter(0.5, 0.0)],
+    )
+    def test_near_critical_binary_family(self, q):
+        # S -> S S (q) | a (1-q): H = h(q) / (1 - 2q) bits, MLU =
+        # (1 - q) / (1 - 2q) and rate h(q) / (1 - q), evaluated in 50-digit
+        # arithmetic at the float q.  Every q up to the largest double below
+        # 1/2 is resolved; the worst error measured is 1.5e-16 relative for
+        # H and MLU and 2.2e-16 for the rate, so one unit in the last place
+        # bounds all three.
+        with mpmath.workdps(50):
+            p = mpmath.mpf(q)
+            h = -(p * mpmath.log(p, 2) + (1 - p) * mpmath.log(1 - p, 2))
+            closed = {
+                "entropy": h / (1 - 2 * p),
+                "mlu": (1 - p) / (1 - 2 * p),
+                "rate": h / (1 - p),
+            }
+
+            def rel(value, name):
+                return float(abs(mpmath.mpf(value) - closed[name]) / closed[name])
+
+            report = entropy_rate(binary(q))
+            errors = [
+                rel(derivational_entropy(binary(q)), "entropy"),
+                rel(grammar_mlu(binary(q)), "mlu"),
+                rel(report.entropy, "entropy"),
+                rel(report.mlu, "mlu"),
+                rel(report.rate, "rate"),
+            ]
+        assert max(errors) <= 2.3e-16
 
     def test_one_eigensolve_per_rate_none_per_site(self, monkeypatch):
         calls = []

@@ -1,24 +1,37 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import digamma
 
-from oracles import random_enumerable_pcfg
+from oracles import random_enumerable_pcfg, reference_cwj_entropy
+from synthetic import scaffold_grammar
 from treebank_entropy.entropy import derivational_entropy, entropy_from_probs
 from treebank_entropy.errors import EmptyInputError, OutOfGrammarError
 from treebank_entropy.estimators import (
+    EstimateResult,
     SmootherKind,
     cae_entropy,
     cwj_entropy,
     good_turing_probs,
     gt_degenerate,
     ml_entropy,
-    ml_exact,
     monte_carlo_cross_entropy,
     site,
     site_from_grammar,
+    smoothed_local_entropies,
+    _cwj_entropies,
+    _digamma,
 )
-from treebank_entropy.grammar import FreqTable, Pcfg, Rule, Sampler, induce
+from treebank_entropy.grammar import (
+    FreqTable,
+    Pcfg,
+    Rule,
+    Sampler,
+    induce,
+    rule_freq_tables,
+)
 from treebank_entropy.trees import Corpus, parse_bracketed
 
 LN2 = math.log(2.0)
@@ -30,6 +43,12 @@ def table(*counts):
 
 def corpus_of(*texts):
     return Corpus([parse_bracketed(t)[0] for t in texts])
+
+
+def ml_exact(corpus):
+    """Exact derivational entropy of the ML-induced grammar, through SITE."""
+    value = site_from_grammar(induce(corpus), SmootherKind.ML)
+    return EstimateResult(value, "ml-exact", len(corpus))
 
 
 class TestMlEntropy:
@@ -164,6 +183,60 @@ class TestCwj:
         value = cwj_entropy(table(*counts))
         assert math.isfinite(value)
         assert value > ml_entropy(table(*counts))
+
+
+class TestDigammaKernel:
+    def test_matches_scipy_on_integers(self):
+        # Measured on 1 .. 10**6: at most one unit in the last place apart,
+        # 2.2e-16 relative at worst.
+        n = np.arange(1, 1_000_001)
+        got = _digamma(n)
+        want = digamma(n.astype(np.float64))
+        gap = np.abs(got - want)
+        assert np.all(gap <= np.spacing(np.abs(want)))
+        assert float(np.max(gap / np.abs(want))) <= 2.3e-16
+
+    def test_table_correctly_rounded(self):
+        # Below the asymptotic range ψ(n) = H(n-1) - γ is exact, then
+        # rounded once.
+        with mpmath.workdps(40):
+            exact = [float(mpmath.digamma(n)) for n in range(1, 16)]
+        assert _digamma(np.arange(1, 16)).tolist() == exact
+
+
+def random_tables(rng):
+    """Multinomial tables from small n to n = 3e5, plus all-singleton ones."""
+    tables = []
+    for size in (2, 3, 7, 30, 1000, 100_000, 300_000):
+        for alpha in (0.1, 0.5, 2.0):
+            for _ in range(8):
+                k = int(rng.integers(1, 80))
+                counts = rng.multinomial(size, rng.dirichlet(np.full(k, alpha)))
+                tables.append(table(*[int(c) for c in counts if c > 0]))
+    tables.extend(table(*([1] * m)) for m in (1, 2, 3, 17, 1000, 100_000))
+    return tables
+
+
+class TestCwjAgainstScipyReference:
+    def test_random_tables(self):
+        # Measured: 4.7e-16 relative at worst.
+        for t in random_tables(np.random.default_rng(2013)):
+            assert cwj_entropy(t) == pytest.approx(reference_cwj_entropy(t), rel=1e-13)
+
+    def test_batched_equals_per_table_bit_for_bit(self):
+        tables = random_tables(np.random.default_rng(4))
+        assert _cwj_entropies(tables).tolist() == [cwj_entropy(t) for t in tables]
+
+    def test_smoothed_local_entropies_use_the_same_kernel(self):
+        sampler = Sampler(scaffold_grammar())
+        rng = np.random.default_rng(21)
+        for size in (1, 5, 50, 500):
+            grammar = induce(sampler.sample_corpus(size, rng))
+            batched = smoothed_local_entropies(grammar, SmootherKind.CWJ)
+            tables = rule_freq_tables(grammar)
+            assert batched.tolist() == [
+                cwj_entropy(tables[nt]) for nt in grammar.nonterminals
+            ]
 
 
 class TestEstimatorOrdering:
