@@ -1,16 +1,13 @@
 """Corpus experiments: convergence sweeps, incremental entropy, regressions.
 
-Replication sweeps draw every (replication, size) task from its own random
-stream derived from the master seed, merge results in task order, and are
-therefore byte-identical however many workers run them.  The worker count is
-capped by the ``SITE_THREADS`` environment variable.
+Replication sweeps run their (replication, size) tasks one after another,
+each drawing from its own random stream derived from the master seed, so a
+task's result does not depend on which tasks ran before it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,19 +115,12 @@ def _coverage(sample_grammar: Pcfg, true_rules, true_nts) -> dict[str, float]:
     }
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    return max(1, int(os.environ.get("SITE_THREADS", "1")))
-
-
 def converge(
     grammar_source: Corpus,
     sizes=DEFAULT_SIZES,
     replications: int = 100,
     estimators=DEFAULT_ESTIMATORS,
     seed: int = 0,
-    threads: int | None = None,
     coverage: bool = True,
 ) -> list[ConvergenceRow]:
     """Estimator accuracy as a function of sample size.
@@ -151,25 +141,16 @@ def converge(
     estimators = tuple(estimators)
     series = estimators + (COVERAGE_SERIES if coverage else ())
 
-    tasks = [(rep, size) for rep in range(replications) for size in sizes]
+    by_task = {}
+    for rep in range(replications):
+        for size in sizes:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, rep, size)))
+            corpus = sampler.sample_corpus(size, rng)
+            values, sample_grammar = _corpus_estimates(corpus, estimators)
+            if coverage:
+                values.update(_coverage(sample_grammar, true_rules, true_nts))
+            by_task[rep, size] = values
 
-    def run(task):
-        rep, size = task
-        rng = np.random.default_rng(np.random.SeedSequence((seed, rep, size)))
-        corpus = sampler.sample_corpus(size, rng)
-        values, sample_grammar = _corpus_estimates(corpus, estimators)
-        if coverage:
-            values.update(_coverage(sample_grammar, true_rules, true_nts))
-        return values
-
-    workers = _worker_count(threads)
-    if workers == 1:
-        results = [run(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-
-    by_task = dict(zip(tasks, results))
     rows = []
     for size in sizes:
         for est in series:

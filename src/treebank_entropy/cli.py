@@ -10,6 +10,7 @@ numerical errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -29,33 +30,6 @@ from .trees import (
     read_bracketed,
     write_bracketed,
 )
-
-
-def _add_reader_options(parser):
-    parser.add_argument(
-        "--format", choices=("ptb", "conllu"), default="ptb",
-        help="treebank file format (default: ptb)",
-    )
-    parser.add_argument(
-        "--drop-label", action="append", default=None, metavar="LABEL",
-        help="pre-terminal labels to strip (default: -NONE-)",
-    )
-    parser.add_argument(
-        "--strip-tags", action="store_true",
-        help="cut -/= function-tag suffixes from internal labels",
-    )
-    parser.add_argument(
-        "--no-preterminalize", dest="preterminalize", action="store_false",
-        help="keep word leaves instead of reducing to POS leaves (ptb only)",
-    )
-    parser.add_argument(
-        "--unlabeled", action="store_true",
-        help="omit relation nodes when converting dependencies",
-    )
-    parser.add_argument(
-        "--use-form", action="store_true",
-        help="label dependency nodes by word form instead of POS",
-    )
 
 
 def _conversion_config(args):
@@ -96,53 +70,50 @@ def _merge(corpora) -> Corpus:
 
 
 def _load_grammar(args) -> gr.Pcfg:
-    if getattr(args, "grammar", None):
+    if args.grammar:
         return gr.read_grammar(args.grammar)
     if not args.files:
         raise InputError("provide treebank files or --grammar")
     return gr.induce(_merge(_read_files(args.files, args)))
 
 
+@contextlib.contextmanager
 def _out_handle(args):
-    if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8", newline="")
-    return sys.stdout
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    else:
+        yield sys.stdout
+
+
+def _write_text(args, text: str):
+    with _out_handle(args) as handle:
+        handle.write(text)
+
+
+def _write_json(args, payload):
+    _write_text(args, json.dumps(payload, ensure_ascii=False) + "\n")
 
 
 def _write_rows(args, header, rows, metadata=None):
-    handle = _out_handle(args)
-    try:
+    with _out_handle(args) as handle:
         if metadata:
             handle.write(f"# {metadata}\r\n")
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
 
 
 def _print_scalar(args, payload: dict):
-    if getattr(args, "json", False):
-        text = json.dumps(payload, ensure_ascii=False) + "\n"
+    if args.json:
+        _write_json(args, payload)
     else:
-        text = "".join(f"{key}\t{value}\n" for key, value in payload.items())
-    handle = _out_handle(args)
-    try:
-        handle.write(text)
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+        _write_text(args, "".join(f"{key}\t{value}\n" for key, value in payload.items()))
 
 
 def _cmd_induce(args):
     g = gr.induce(_merge(_read_files(args.files, args)))
-    text = gr.dumps(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args, gr.dumps(g))
 
 
 def _cmd_entropy(args):
@@ -180,8 +151,7 @@ def _cmd_sample(args):
     g = gr.read_grammar(args.grammar)
     sampler = gr.Sampler(g, max_nodes=args.max_nodes)
     rng = np.random.default_rng(args.seed)
-    handle = _out_handle(args)
-    try:
+    with _out_handle(args) as handle:
         for _ in range(args.count):
             tree = sampler.sample(rng)
             if sampler.last_retries:
@@ -190,16 +160,12 @@ def _cmd_sample(args):
                     file=sys.stderr,
                 )
             handle.write(write_bracketed(tree) + "\n")
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
 
 
 def _cmd_convert(args):
     config = _conversion_config(args)
-    handle = _out_handle(args)
     total_skipped = 0
-    try:
+    with _out_handle(args) as handle:
         for path in args.files:
             corpus, skipped = depconv.graphs_to_corpus(
                 read_conllu(path), config, source_id=str(path)
@@ -209,9 +175,6 @@ def _cmd_convert(args):
                 print(f"{path}: sentence {idx + 1}: {err}", file=sys.stderr)
             for tree in corpus.sentences:
                 handle.write(write_bracketed(tree) + "\n")
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
     if total_skipped:
         print(f"skipped {total_skipped} non-projective sentence(s)", file=sys.stderr)
 
@@ -263,7 +226,7 @@ def _cmd_report(args):
     corpora = _read_files(args.files, args)
     reports = analysis.file_reports(corpora, smoother=SmootherKind(args.smoother))
     if args.json:
-        print(json.dumps([dataclasses.asdict(r) for r in reports], ensure_ascii=False))
+        _write_json(args, [dataclasses.asdict(r) for r in reports])
         return
     _write_rows(
         args,
@@ -287,7 +250,7 @@ def _cmd_fit(args):
     x = [float(r[args.x]) for r in rows]
     y = [float(r[args.y]) for r in rows]
     result = analysis.fit(x, y, with_intercept=not args.no_intercept)
-    print(json.dumps(dataclasses.asdict(result), ensure_ascii=False))
+    _write_json(args, dataclasses.asdict(result))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,73 +258,98 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treebank-entropy",
         description="Grammar induction and derivational-entropy analysis of treebanks.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument(
+    # Option groups; each subcommand takes only the groups its _cmd_* reads.
+    dependency = argparse.ArgumentParser(add_help=False)
+    dependency.add_argument(
+        "--unlabeled", action="store_true",
+        help="omit relation nodes when converting dependencies",
+    )
+    dependency.add_argument(
+        "--use-form", action="store_true",
+        help="label dependency nodes by word form instead of POS",
+    )
+    reader = argparse.ArgumentParser(add_help=False, parents=[dependency])
+    reader.add_argument(
+        "--format", choices=("ptb", "conllu"), default="ptb",
+        help="treebank file format (default: ptb)",
+    )
+    reader.add_argument(
+        "--drop-label", action="append", default=None, metavar="LABEL",
+        help="pre-terminal labels to strip (default: -NONE-)",
+    )
+    reader.add_argument(
+        "--strip-tags", action="store_true",
+        help="cut -/= function-tag suffixes from internal labels",
+    )
+    reader.add_argument(
+        "--no-preterminalize", dest="preterminalize", action="store_false",
+        help="keep word leaves instead of reducing to POS leaves (ptb only)",
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o", help="write output to this file")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="print JSON")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="random seed")
+    smoother = argparse.ArgumentParser(add_help=False)
+    smoother.add_argument(
         "--smoother", choices=[k.value for k in SmootherKind], default="cwj",
         help="local-entropy smoother for SITE (default: cwj)",
     )
-    common.add_argument("--output", "-o", help="write output to this file")
-    common.add_argument("--json", action="store_true", help="JSON output where supported")
-    _add_reader_options(common)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("induce", parents=[common], help="induce a grammar and print it")
+    def add(name, func, helptext, *parents):
+        p = sub.add_parser(name, parents=list(parents), help=helptext)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("induce", _cmd_induce, "induce a grammar and print it", reader, output)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_induce)
 
     for name, func, helptext in (
         ("entropy", _cmd_entropy, "exact derivational entropy of a grammar"),
         ("rate", _cmd_rate, "entropy, MLU, and entropy rate of a grammar"),
+        ("mlu", _cmd_mlu, "mean length of utterances"),
     ):
-        p = sub.add_parser(name, parents=[common], help=helptext)
+        p = add(name, func, helptext, reader, output, as_json)
         p.add_argument("files", nargs="*")
         p.add_argument("--grammar", help="serialized grammar file")
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("mlu", parents=[common], help="mean length of utterances")
-    p.add_argument("files", nargs="*")
-    p.add_argument("--grammar", help="serialized grammar file")
-    p.set_defaults(func=_cmd_mlu)
-
-    p = sub.add_parser("site", parents=[common], help="smoothed treebank entropy")
+    p = add("site", _cmd_site, "smoothed treebank entropy",
+            reader, output, as_json, smoother)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_site)
 
-    p = sub.add_parser("sample", parents=[common], help="sample trees from a grammar")
+    p = add("sample", _cmd_sample, "sample trees from a grammar", output, seed)
     p.add_argument("--grammar", required=True)
     p.add_argument("--count", "-n", type=int, default=1)
     p.add_argument("--max-nodes", type=int, default=gr.DEFAULT_MAX_NODES)
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("convert", parents=[common], help="dependency graphs to trees")
+    p = add("convert", _cmd_convert, "dependency graphs to trees", dependency, output)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("converge", parents=[common], help="estimator convergence sweep")
+    p = add("converge", _cmd_converge, "estimator convergence sweep",
+            reader, output, seed)
     p.add_argument("files", nargs="+")
     p.add_argument("--sizes", help="comma-separated sample sizes")
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--estimators", help="comma-separated ids (ml,mc,site-cae,site-cwj)")
     p.add_argument("--no-coverage", action="store_true", help="omit coverage rows")
-    p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("incremental", parents=[common], help="cumulative entropy curve")
+    p = add("incremental", _cmd_incremental, "cumulative entropy curve",
+            reader, output, seed, smoother)
     p.add_argument("files", nargs="+")
     p.add_argument("--order", choices=("original", "shuffled"), default="original")
-    p.set_defaults(func=_cmd_incremental)
 
-    p = sub.add_parser("report", parents=[common], help="per-file MLU and entropy")
+    p = add("report", _cmd_report, "per-file MLU and entropy",
+            reader, output, as_json, smoother)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("fit", parents=[common], help="least-squares fit on CSV columns")
+    p = add("fit", _cmd_fit, "least-squares fit on CSV columns", output)
     p.add_argument("csv", help="CSV file with a header row")
     p.add_argument("--x", required=True, help="predictor column")
     p.add_argument("--y", required=True, help="response column")
     p.add_argument("--no-intercept", action="store_true")
-    p.set_defaults(func=_cmd_fit)
 
     return parser
 

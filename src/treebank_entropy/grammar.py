@@ -267,9 +267,8 @@ class Sampler:
 
     Expansion is leftmost; each non-terminal draws a rule from its own
     distribution.  Draws exceeding the node budget are rejected and retried;
-    the retry count of the last draw is kept in `last_retries`.  The sampler
-    holds only read-only tables, so one instance can serve concurrent
-    workers as long as each worker brings its own generator.
+    the retry count of the last draw is kept in `last_retries`.  Every draw
+    takes its randomness from the generator passed in.
     """
 
     def __init__(self, grammar: Pcfg, max_nodes: int = DEFAULT_MAX_NODES):

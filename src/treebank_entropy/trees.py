@@ -290,10 +290,6 @@ class Corpus:
     source_id: str = ""
     preterminalized: bool = field(default=False, compare=False)
 
-    @property
-    def sentence_count(self) -> int:
-        return len(self.sentences)
-
     def __len__(self):
         return len(self.sentences)
 

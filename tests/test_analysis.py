@@ -106,12 +106,6 @@ class TestConverge:
         assert cov[60, "coverage-rules"] > cov[2, "coverage-rules"]
         assert all(0.0 <= v <= 100.0 for v in cov.values())
 
-    def test_thread_count_does_not_change_results(self):
-        corpus = sampled_corpus(HIGH_ENTROPY, 80, 4)
-        rows1 = converge(corpus, sizes=[2, 7], replications=6, seed=9, threads=1)
-        rows4 = converge(corpus, sizes=[2, 7], replications=6, seed=9, threads=4)
-        assert rows1 == rows4
-
     def test_ml_and_mc_agree(self):
         corpus = sampled_corpus(HIGH_ENTROPY, 100, 5)
         rows = converge(

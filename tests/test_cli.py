@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import treebank_entropy
-from treebank_entropy.cli import main
+from treebank_entropy.cli import build_parser, main
 from treebank_entropy.grammar import Pcfg, Rule, Sampler, write_grammar
 from treebank_entropy.trees import write_bracketed
 
@@ -45,6 +46,13 @@ def treebank(tmp_path):
 def grammar_file(tmp_path):
     path = tmp_path / "grammar.txt"
     write_grammar(GRAMMAR, path)
+    return path
+
+
+@pytest.fixture
+def xy_csv(tmp_path):
+    path = tmp_path / "xy.csv"
+    path.write_text("x,y\n1.0,2.1\n2.0,3.9\n3.0,6.1\n", encoding="utf-8")
     return path
 
 
@@ -165,6 +173,17 @@ class TestSweeps:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_converge_ignores_site_threads(self, treebank, tmp_path, monkeypatch):
+        # The sweep is serial: SITE_THREADS is no setting, whatever it holds.
+        argv = ["converge", "--no-preterminalize", "--sizes", "2,5",
+                "--replications", "3", "--seed", "11", str(treebank)]
+        monkeypatch.delenv("SITE_THREADS", raising=False)
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        assert main([*argv, "-o", str(plain)]) == 0
+        monkeypatch.setenv("SITE_THREADS", "abc")
+        assert main([*argv, "-o", str(odd)]) == 0
+        assert odd.read_bytes() == plain.read_bytes()
+
     def test_incremental_orders(self, treebank, tmp_path, capsys):
         other = tmp_path / "bank2.mrg"
         corpus = Sampler(GRAMMAR).sample_corpus(30, np.random.default_rng(8))
@@ -195,6 +214,89 @@ class TestSweeps:
             "x,y\n1.0,2.1\n2.0,3.9\n3.0,6.1\n", encoding="utf-8"
         )
         assert main(["fit", str(triple), "--x", "x", "--y", "y"]) == 0
+
+    def test_fit_output_file(self, xy_csv, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(xy_csv), "--x", "x", "--y", "y", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text(encoding="utf-8"))["n"] == 3
+
+    def test_report_json_output_file(self, treebank, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(
+            ["report", "--no-preterminalize", "--json", "-o", str(out), str(treebank)]
+        ) == 0
+        assert capsys.readouterr().out == ""
+        (record,) = json.loads(out.read_text(encoding="utf-8"))
+        assert record["sentences"] == 50
+
+
+class TestOptions:
+    """Each subcommand accepts exactly the options its handler reads."""
+
+    READER = {"--format", "--drop-label", "--strip-tags", "--no-preterminalize",
+              "--unlabeled", "--use-form"}
+    OUTPUT = {"--output"}
+    JSON = {"--json"}
+    SEED = {"--seed"}
+    SMOOTHER = {"--smoother"}
+    GRAMMAR = {"--grammar"}
+    EXPECTED = {
+        "induce": READER | OUTPUT,
+        "entropy": READER | OUTPUT | JSON | GRAMMAR,
+        "rate": READER | OUTPUT | JSON | GRAMMAR,
+        "mlu": READER | OUTPUT | JSON | GRAMMAR,
+        "site": READER | OUTPUT | JSON | SMOOTHER,
+        "report": READER | OUTPUT | JSON | SMOOTHER,
+        "sample": OUTPUT | SEED | GRAMMAR | {"--count", "--max-nodes"},
+        "convert": {"--unlabeled", "--use-form"} | OUTPUT,
+        "converge": READER | OUTPUT | SEED
+        | {"--sizes", "--replications", "--estimators", "--no-coverage"},
+        "incremental": READER | OUTPUT | SEED | SMOOTHER | {"--order"},
+        "fit": OUTPUT | {"--x", "--y", "--no-intercept"},
+    }
+
+    def test_option_sets(self):
+        (subparsers,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        accepted = {
+            name: {
+                max(a.option_strings, key=len)
+                for a in sub._actions
+                if a.option_strings and a.dest != "help"
+            }
+            for name, sub in subparsers.choices.items()
+        }
+        assert accepted == self.EXPECTED
+        assert sum(map(len, accepted.values())) == 86
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--format", "conllu", "{csv}", "--x", "x", "--y", "y"],
+            ["convert", "--format", "ptb", "{conllu}"],
+            ["sample", "--use-form", "--grammar", "{grammar}"],
+            ["rate", "--smoother", "cae", "--grammar", "{grammar}"],
+            ["converge", "--smoother", "cae", "--no-preterminalize", "--sizes", "2",
+             "--replications", "1", "{bank}"],
+            ["site", "--seed", "3", "--no-preterminalize", "{bank}"],
+            ["induce", "--json", "--no-preterminalize", "{bank}"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[1]}",
+    )
+    def test_unread_option_rejected(
+        self, argv, treebank, grammar_file, xy_csv, tmp_path, capsys
+    ):
+        conllu = tmp_path / "sents.conllu"
+        conllu.write_text(CONLLU, encoding="utf-8")
+        paths = {"csv": xy_csv, "conllu": conllu, "grammar": grammar_file,
+                 "bank": treebank}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 class TestExitCodes:
