@@ -12,7 +12,6 @@ from treebank_entropy import (
     entropy_rate,
     induce,
     parse_bracketed,
-    preterminalize_corpus,
 )
 from treebank_entropy.grammar import dumps
 
@@ -24,7 +23,7 @@ BANK = """
 (S (NP (PRP he)) (VP (VBD left)))
 """
 
-corpus = preterminalize_corpus(Corpus(parse_bracketed(BANK), source_id="demo"))
+corpus = Corpus(parse_bracketed(BANK, preterminalize=True), source_id="demo")
 print(f"{len(corpus)} sentences, MLU {corpus_mlu(corpus):.2f} tokens/sentence")
 
 grammar = induce(corpus)

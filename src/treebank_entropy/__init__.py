@@ -51,7 +51,6 @@ from .estimators import (
     cwj_entropy,
     good_turing_probs,
     ml_entropy,
-    monte_carlo_cross_entropy,
     site,
 )
 from .grammar import (
@@ -71,8 +70,6 @@ from .trees import (
     Tree,
     corpus_mlu,
     parse_bracketed,
-    preterminalize,
-    preterminalize_corpus,
     read_bracketed,
     write_bracketed,
 )

@@ -134,6 +134,8 @@ def converge(
     sizes = sorted(sizes)
     if not sizes or sizes[0] < 1:
         raise InputError("sample sizes must be positive")
+    if replications < 1:
+        raise InputError("the number of replications must be positive")
     truth = induce(grammar_source)
     sampler = Sampler(truth)
     true_rules = frozenset((r.lhs, r.rhs) for r in truth.rules)
@@ -301,16 +303,4 @@ def residualize(y, log_n) -> np.ndarray:
     design = np.column_stack([np.ones_like(log_n), log_n])
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     return y - design @ coeffs
-
-
-def spearman_size_check(residuals, log_n) -> tuple[float, float]:
-    """Rank correlation of residualized entropies with log size.
-
-    Reported (not asserted): a small rho indicates no leftover nonlinear
-    size effect.
-    """
-    from scipy import stats  # imported here: it doubles the CLI's start-up time
-
-    rho, p = stats.spearmanr(residuals, log_n)
-    return float(rho), float(p)
 

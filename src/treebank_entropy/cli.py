@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import sys
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import analysis, depconv, estimators, grammar as gr
 from .conllu import read_conllu
 from .entropy import derivational_entropy, entropy_rate, grammar_mlu
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, read_text
 from .estimators import SmootherKind
 from .trees import (
     DEFAULT_DROP_LABELS,
@@ -181,7 +182,12 @@ def _cmd_convert(args):
 
 def _cmd_converge(args):
     corpus = _merge(_read_files(args.files, args))
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else analysis.DEFAULT_SIZES
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else analysis.DEFAULT_SIZES
+    except ValueError:
+        raise InputError(
+            f"--sizes takes comma-separated integers, not {args.sizes!r}"
+        ) from None
     ests = tuple(args.estimators.split(",")) if args.estimators else analysis.DEFAULT_ESTIMATORS
     rows = analysis.converge(
         corpus,
@@ -238,17 +244,27 @@ def _cmd_report(args):
     )
 
 
+def _column(rows, col, path) -> list[float]:
+    values = []
+    for row_no, row in enumerate(rows, start=2):  # row 1 is the header
+        cell = row[col]
+        try:
+            values.append(float(cell))
+        except (TypeError, ValueError):  # None marks a short row
+            what = "is missing" if cell is None else f"{cell!r} is not a number"
+            raise InputError(f"{path}: row {row_no}, column '{col}' {what}") from None
+    return values
+
+
 def _cmd_fit(args):
-    with open(args.csv, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        rows = list(reader)
+    rows = list(csv.DictReader(io.StringIO(read_text(args.csv), newline="")))
     if not rows:
         raise InputError(f"{args.csv} has no data rows")
     for col in (args.x, args.y):
         if col not in rows[0]:
             raise InputError(f"column '{col}' not found in {args.csv}")
-    x = [float(r[args.x]) for r in rows]
-    y = [float(r[args.y]) for r in rows]
+    x = _column(rows, args.x, args.csv)
+    y = _column(rows, args.y, args.csv)
     result = analysis.fit(x, y, with_intercept=not args.no_intercept)
     _write_json(args, dataclasses.asdict(result))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError, StructuralError
+from .errors import ParseError, StructuralError, read_text
 
 _ID, _FORM, _LEMMA, _UPOS, _XPOS, _FEATS, _HEAD, _DEPREL, _DEPS, _MISC = range(10)
 
@@ -137,5 +137,4 @@ def parse_conllu(text: str) -> list[DepGraph]:
 
 def read_conllu(path) -> list[DepGraph]:
     """Read and parse a CoNLL-U file."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_conllu(handle.read())
+    return parse_conllu(read_text(path))

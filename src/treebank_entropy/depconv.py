@@ -236,5 +236,4 @@ def graphs_to_corpus(
             trees.append(dep_to_tree(graph, config))
         except NonProjectiveError as err:
             skipped.append((idx, err))
-    corpus = Corpus(trees, source_id=source_id, preterminalized=True)
-    return corpus, skipped
+    return Corpus(trees, source_id=source_id), skipped

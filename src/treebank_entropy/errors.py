@@ -4,7 +4,8 @@ Input-side problems (malformed files, structurally invalid trees or graphs,
 out-of-grammar material) derive from :class:`InputError`; numerical failures
 (divergent grammars, non-converging iterations) derive from
 :class:`NumericalError`.  The command-line driver maps the former to exit
-code 2 and the latter to exit code 3.
+code 2 and the latter to exit code 3.  Every input file is read through
+:func:`read_text`, so bytes that are not UTF-8 are a :class:`ParseError` too.
 """
 
 
@@ -80,3 +81,16 @@ class DivergentGrammarError(NumericalError):
 
 class SamplingDivergenceError(NumericalError):
     """Sampling repeatedly exceeded the node budget."""
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, with universal newlines as :func:`open`
+    gives it.  Bytes that are not UTF-8 raise :class:`ParseError` at the
+    1-based byte offset of the first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text", offset=err.start + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -230,12 +230,6 @@ def site(corpus: Corpus, smoother: SmootherKind = SmootherKind.CWJ) -> EstimateR
     return EstimateResult(value, f"site-{smoother.value}", len(corpus))
 
 
-def monte_carlo_cross_entropy(train: Corpus, test: Corpus) -> float:
-    """Cross-entropy in bits of the train-induced grammar on the test trees
-    (see :func:`cross_entropy`)."""
-    return cross_entropy(induce(train), test)
-
-
 def training_cross_entropy(grammar: Pcfg, sentences: int) -> float:
     """Cross-entropy in bits of an induced grammar on its own training trees.
 

@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     SamplingDivergenceError,
     StructuralError,
+    read_text,
 )
 from .trees import Corpus, Tree
 
@@ -294,50 +295,28 @@ class Sampler:
 
     def _try_sample(self, rng: np.random.Generator) -> Tree | None:
         tables = self._tables
-        root = [self.grammar.root, None]
+        root = Tree(self.grammar.root)
         agenda = [root]
         nodes = 1
         while agenda:
             node = agenda.pop()
-            cum, rhs_list = tables[node[0]]
+            cum, rhs_list = tables[node.label]
             u = rng.random()
             idx = int(np.searchsorted(cum, u, side="right"))
             if idx >= len(rhs_list):  # guards cum[-1] rounding below 1.0
                 idx = len(rhs_list) - 1
-            children = [[sym, None] for sym in rhs_list[idx]]
-            nodes += len(children)
+            rhs = rhs_list[idx]
+            nodes += len(rhs)
             if nodes > self.max_nodes:
                 return None
-            node[1] = children
-            for child in reversed(children):
-                if child[0] in tables:
-                    agenda.append(child)
-        return _freeze(root)
+            node.children = children = tuple(map(Tree, rhs))
+            agenda.extend(c for c in reversed(children) if c.label in tables)
+        return root
 
     def sample_corpus(
         self, size: int, rng: np.random.Generator, source_id: str = ""
     ) -> Corpus:
-        trees = [self.sample(rng) for _ in range(size)]
-        return Corpus(trees, source_id=source_id, preterminalized=True)
-
-
-def _freeze(node) -> Tree:
-    """Convert the sampler's mutable [label, children] pairs into Trees."""
-    post = []
-    stack = [node]
-    while stack:
-        item = stack.pop()
-        post.append(item)
-        if item[1]:
-            stack.extend(item[1])
-    frozen: dict[int, Tree] = {}
-    for item in reversed(post):
-        label, children = item
-        if children:
-            frozen[id(item)] = Tree(label, [frozen[id(c)] for c in children])
-        else:
-            frozen[id(item)] = Tree(label)
-    return frozen[id(node)]
+        return Corpus([self.sample(rng) for _ in range(size)], source_id=source_id)
 
 
 def sample(
@@ -425,5 +404,4 @@ def write_grammar(grammar: Pcfg, path) -> None:
 
 
 def read_grammar(path) -> Pcfg:
-    with open(path, encoding="utf-8") as handle:
-        return loads(handle.read())
+    return loads(read_text(path))

@@ -9,9 +9,9 @@ iterative; parsed trees can be arbitrarily deep.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import EmptyInputError, ParseError, StructuralError
+from .errors import EmptyInputError, ParseError, StructuralError, read_text
 
 #: Pre-terminal labels whose subtrees are dropped on reading (trace/empty
 #: elements carry no surface tokens and would corrupt MLU).
@@ -86,17 +86,19 @@ def parse_bracketed(
 ) -> list[Tree]:
     """Parse one or more parenthesized trees from `text`.
 
-    Node labels are kept verbatim unless one of the keywords asks otherwise;
-    each node is cleaned as it closes (see :func:`_close_rule`), so every
-    kept tree is built once.  Trees left empty by `drop_labels` are omitted.
-    A top-level group that wraps exactly one subtree without a label of its
-    own (the common treebank file convention ``( (S ...) )``) is unwrapped.
-    Raises :class:`ParseError` on unbalanced parentheses (reporting the
-    1-based byte offset) and :class:`StructuralError` on empty nodes; with
-    `preterminalize`, a node mixing word and phrase children raises
-    :class:`StructuralError` once the whole text has parsed.
+    Node labels are kept verbatim unless one of the keywords asks otherwise.
+    Each internal node is cleaned as it closes, so every kept tree is built
+    once: a pre-terminal labeled in `drop_labels` is dropped, and so is a
+    node none of whose children were kept; with `strip_tags` function-tag
+    suffixes are cut, after the drop test; with `preterminalize` a
+    pre-terminal becomes a leaf labeled with its tag.  Trees left empty are
+    omitted.  A top-level group that wraps exactly one subtree without a
+    label of its own (the common treebank file convention ``( (S ...) )``)
+    is unwrapped.  Raises :class:`ParseError` on unbalanced parentheses
+    (reporting the 1-based byte offset) and :class:`StructuralError` on
+    empty nodes; with `preterminalize`, a node mixing word and phrase
+    children raises :class:`StructuralError` once the whole text has parsed.
     """
-    close = _close_rule(drop_labels, strip_tags, preterminalize)
     trees = []
     # Open nodes: [label or None, kept children, offset of '(', words, phrases]
     # where words and phrases count the node's children as written.
@@ -120,13 +122,21 @@ def parse_bracketed(
                 raise StructuralError(
                     f"node '{label}' has no children at offset {opened + 1}"
                 )
+            elif not kept or (not phrases and label in drop_labels):
+                node = None
             else:
-                try:
-                    node = close(label, kept, words, phrases)
-                except StructuralError as err:
+                if strip_tags:
+                    label = _cut_function_tags(label)
+                if not (preterminalize and words):
+                    node = Tree(label, kept)
+                elif words == len(kept):
+                    node = Tree(label)  # the pre-terminal becomes a leaf
+                else:
                     # Raised once the text has parsed: a syntax error
                     # anywhere in the text takes precedence over it.
-                    mixed = mixed or err
+                    mixed = mixed or StructuralError(
+                        f"node '{label}' mixes leaf and internal children"
+                    )
                     node = None
             if stack:
                 parent = stack[-1]
@@ -159,66 +169,6 @@ def _cut_function_tags(label: str) -> str:
     return label
 
 
-def _close_rule(drop_labels=frozenset(), strip_tags=False, preterminalize=False):
-    """The cleaning applied to each internal node once its children are final.
-
-    The returned ``close(label, children, words, phrases)`` gets the node's
-    label as written, its kept (already cleaned) children, and how many of
-    its children as written were words (leaves) and phrases (internal
-    nodes).  It returns the cleaned node, or None when the node is dropped:
-    a pre-terminal labeled in `drop_labels`, or a node none of whose
-    children were kept.  With `strip_tags` function-tag suffixes are cut,
-    after the drop test; with `preterminalize` a pre-terminal becomes a leaf
-    labeled with its tag, and a node mixing words and kept phrases raises
-    :class:`StructuralError`.
-    """
-
-    def close(label, children, words, phrases):
-        if not phrases and label in drop_labels:
-            return None
-        if not children:
-            return None
-        if strip_tags:
-            label = _cut_function_tags(label)
-        if preterminalize and words:
-            if words != len(children):
-                raise StructuralError(
-                    f"node '{label}' mixes leaf and internal children"
-                )
-            return Tree(label)
-        return Tree(label, children)
-
-    return close
-
-
-def _rebuild(tree: Tree, close) -> Tree | None:
-    """Apply a close rule bottom-up to an existing tree."""
-    if tree.is_leaf:
-        return tree
-    pre = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        pre.append(node)
-        stack.extend(c for c in node.children if c.children)
-    built: dict[int, Tree | None] = {}
-    for node in reversed(pre):  # children before parents, left to right
-        children = []
-        words = 0
-        for child in node.children:
-            if child.children:
-                child = built[id(child)]
-                if child is None:
-                    continue
-            else:
-                words += 1
-            children.append(child)
-        built[id(node)] = close(
-            node.label, children, words, len(node.children) - words
-        )
-    return built[id(tree)]
-
-
 def write_bracketed(tree: Tree) -> str:
     """Serialize a tree to the bracketed format read by :func:`parse_bracketed`.
 
@@ -248,61 +198,15 @@ def write_bracketed(tree: Tree) -> str:
     return "".join(out)
 
 
-def strip_subtrees(tree: Tree, drop_labels=DEFAULT_DROP_LABELS) -> Tree | None:
-    """Remove subtrees rooted at pre-terminals with a label in `drop_labels`.
-
-    Internal nodes left without children are removed as well.  Returns None
-    when the whole tree is dropped.
-    """
-    return _rebuild(tree, _close_rule(drop_labels=drop_labels))
-
-
-def strip_function_tags(tree: Tree) -> Tree:
-    """Strip `-`/`=` suffixes from internal labels (``NP-SBJ`` -> ``NP``).
-
-    Labels that would become empty (pure punctuation-style labels such as
-    ``-NONE-`` or ``-LRB-``) are kept verbatim.  Leaf labels are never touched.
-    """
-    return _rebuild(tree, _close_rule(strip_tags=True))
-
-
-def preterminalize(tree: Tree) -> Tree:
-    """Delete the word layer so pre-terminals (POS tags) become the leaves.
-
-    Requires every leaf's parent to be a pre-terminal, i.e. an internal node
-    whose children are all leaves; a node mixing leaf and internal children
-    raises :class:`StructuralError` naming the offending label.  Every
-    root-to-leaf path shortens by exactly one edge.  A bare single-leaf tree
-    is returned unchanged.
-    """
-    return _rebuild(tree, _close_rule(preterminalize=True))
-
-
 @dataclass
 class Corpus:
-    """A list of parsed sentences plus provenance.
-
-    `preterminalized` records whether the word layer has already been
-    removed, making :func:`preterminalize_corpus` idempotent.
-    """
+    """A list of parsed sentences plus provenance."""
 
     sentences: list[Tree]
     source_id: str = ""
-    preterminalized: bool = field(default=False, compare=False)
 
     def __len__(self):
         return len(self.sentences)
-
-
-def preterminalize_corpus(corpus: Corpus) -> Corpus:
-    """Pre-terminalize every sentence; no-op on an already processed corpus."""
-    if corpus.preterminalized:
-        return corpus
-    return Corpus(
-        [preterminalize(t) for t in corpus.sentences],
-        source_id=corpus.source_id,
-        preterminalized=True,
-    )
 
 
 def corpus_mlu(corpus: Corpus) -> float:
@@ -324,18 +228,14 @@ def read_bracketed(
 
     Subtrees under pre-terminals listed in `drop_labels` are removed; with
     `strip_tags`, function-tag suffixes on internal labels are cut; with
-    `preterminalize`, the word layer is deleted as by :func:`preterminalize`.
+    `preterminalize`, the word layer is deleted, so pre-terminals (POS tags)
+    become the leaves.  Every node is cleaned as :func:`parse_bracketed`
+    reads it.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     trees = parse_bracketed(
-        text,
+        read_text(path),
         drop_labels=drop_labels or frozenset(),
         strip_tags=strip_tags,
         preterminalize=preterminalize,
     )
-    return Corpus(
-        trees,
-        source_id=source_id if source_id is not None else str(path),
-        preterminalized=preterminalize,
-    )
+    return Corpus(trees, source_id=source_id if source_id is not None else str(path))

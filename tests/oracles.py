@@ -5,7 +5,9 @@ entropies come from explicit enumeration of derivations, spectral radii from
 the dense eigensolver, projective graphs from direct interval splitting,
 cleaned trees from the original read pipeline, in which parsing, trace
 stripping, function-tag cutting and pre-terminalization each rebuild the tree
-in a pass of their own, and CWJ estimates from ``scipy.special.digamma``.
+in a pass of their own, sampled trees from the original sampler, which draws
+into ``[label, children]`` lists and freezes them into trees afterwards, and
+CWJ estimates from ``scipy.special.digamma``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from treebank_entropy.conllu import DepGraph
-from treebank_entropy.errors import ParseError, StructuralError
+from treebank_entropy.errors import ParseError, SamplingDivergenceError, StructuralError
 from treebank_entropy.estimators import _tail_series
-from treebank_entropy.grammar import Pcfg, Rule
+from treebank_entropy.grammar import MAX_SAMPLE_RETRIES, Pcfg, Rule
 from treebank_entropy.trees import DEFAULT_DROP_LABELS, Tree
 
 
@@ -374,3 +376,55 @@ def reference_preterminalize(tree: Tree) -> Tree:
                 node.label, [rebuilt[id(c)] for c in node.children]
             )
     return rebuilt[id(tree)]
+
+
+def reference_sample(grammar: Pcfg, rng: np.random.Generator, max_nodes: int):
+    """One leftmost draw with node-budget rejection, as ``(tree, retries)``.
+
+    Each try expands mutable ``[label, children]`` pairs, one ``rng.random()``
+    per expansion, and the accepted draw is frozen into :class:`Tree` objects
+    in a pass of its own.
+    """
+    tables = {}
+    for nt in grammar.nonterminals:
+        rules = grammar.rules_for(nt)
+        tables[nt] = (np.cumsum([r.prob for r in rules]), [r.rhs for r in rules])
+
+    def try_sample():
+        root = [grammar.root, None]
+        agenda = [root]
+        nodes = 1
+        while agenda:
+            node = agenda.pop()
+            cum, rhs_list = tables[node[0]]
+            idx = int(np.searchsorted(cum, rng.random(), side="right"))
+            idx = min(idx, len(rhs_list) - 1)
+            children = [[sym, None] for sym in rhs_list[idx]]
+            nodes += len(children)
+            if nodes > max_nodes:
+                return None
+            node[1] = children
+            for child in reversed(children):
+                if child[0] in tables:
+                    agenda.append(child)
+        return root
+
+    def freeze(root) -> Tree:
+        post = []
+        stack = [root]
+        while stack:
+            item = stack.pop()
+            post.append(item)
+            if item[1]:
+                stack.extend(item[1])
+        frozen = {}
+        for item in reversed(post):
+            label, children = item
+            frozen[id(item)] = Tree(label, [frozen[id(c)] for c in children or ()])
+        return frozen[id(root)]
+
+    for retries in range(MAX_SAMPLE_RETRIES):
+        root = try_sample()
+        if root is not None:
+            return freeze(root), retries
+    raise SamplingDivergenceError("node budget exceeded on every try")

@@ -30,7 +30,7 @@ from treebank_entropy.estimators import (
     site_from_grammar,
 )
 from treebank_entropy.grammar import FreqTable, Pcfg, Rule, Sampler, induce
-from treebank_entropy.trees import Corpus, corpus_mlu, preterminalize_corpus, read_bracketed
+from treebank_entropy.trees import Corpus, corpus_mlu, read_bracketed
 
 #: Environment variables pointing at the real WSJ sample (optional).
 WSJ_PTB_ENV = "TREEBANK_WSJ_PTB"  # glob of bracketed files
@@ -176,7 +176,7 @@ def _wsj_constituency_corpus():
     if not paths:
         pytest.skip(f"{WSJ_PTB_ENV} matched no files")
     files = [
-        preterminalize_corpus(read_bracketed(p, source_id=os.path.basename(p)))
+        read_bracketed(p, source_id=os.path.basename(p), preterminalize=True)
         for p in paths
     ]
     merged = Corpus(

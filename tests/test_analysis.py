@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from synthetic import scaffold_grammar
 from treebank_entropy import analysis, estimators, grammar
@@ -13,7 +14,6 @@ from treebank_entropy.analysis import (
     fit,
     incremental,
     residualize,
-    spearman_size_check,
 )
 from treebank_entropy.errors import InputError
 from treebank_entropy.entropy import grammar_mlu
@@ -28,6 +28,15 @@ def corpus_of(*texts):
 
 def sampled_corpus(grammar, size, seed):
     return Sampler(grammar).sample_corpus(size, np.random.default_rng(seed))
+
+
+def spearman_size_check(residuals, log_n) -> tuple[float, float]:
+    """Rank correlation of residualized entropies with log size.
+
+    A small rho indicates no leftover nonlinear size effect.
+    """
+    rho, p = stats.spearmanr(residuals, log_n)
+    return float(rho), float(p)
 
 
 def mlu_agreement(corpus):
@@ -119,6 +128,11 @@ class TestConverge:
         with pytest.raises(InputError, match="estimator"):
             converge(corpus, sizes=[2], replications=2, estimators=("bogus",))
 
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_non_positive_replications_rejected(self, replications):
+        corpus = corpus_of("(S (A a) (B b))")
+        with pytest.raises(InputError, match="replications"):
+            converge(corpus, sizes=[1], replications=replications)
 
     def test_one_induction_per_task(self, monkeypatch):
         calls = count_inductions(monkeypatch)

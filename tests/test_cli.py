@@ -337,6 +337,53 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "option, value",
+        [("--sizes", "x,1"), ("--replications", "0"), ("--replications", "-1")],
+    )
+    def test_converge_bad_numbers(self, treebank, capsys, option, value):
+        argv = ["converge", "--no-preterminalize", "--sizes", "1",
+                "--replications", "1", str(treebank)]
+        argv[argv.index(option) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, data, offset",
+        [
+            (["entropy", "{path}"], b"(S (A a\xff))", 8),
+            (["entropy", "--format", "conllu", "{path}"], b"1\tI\t_\tPRP\t\xe9", 11),
+            (["entropy", "--grammar", "{path}"], b"#root S\n1\t1\tS -> \xc3", 18),
+        ],
+        ids=["ptb", "conllu", "grammar"],
+    )
+    def test_input_not_utf8(self, tmp_path, capsys, argv, data, offset):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        argv = [str(path) if a == "{path}" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text at offset {offset}\n"
+
+    @pytest.mark.parametrize(
+        "text, reported",
+        [
+            ("x,y\n1.0,2.1\n2.0,abc\n3.0,6.1\n", "row 3, column 'y' 'abc' is not a number"),
+            ("x,y\n1.0,2.1\n2.0,3.9\n3.0\n", "row 4, column 'y' is missing"),
+        ],
+        ids=["non-numeric", "short-row"],
+    )
+    def test_fit_bad_cell(self, tmp_path, capsys, text, reported):
+        path = tmp_path / "xy.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["fit", "--x", "x", "--y", "y", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {reported}\n"
+
+    @pytest.mark.parametrize(
         "probs, reported",
         [(("0.3", "0.3"), "1-4.000e-01"), (("0.75", "0.5"), "1+2.500e-01")],
         ids=["below-one", "above-one"],

@@ -13,11 +13,11 @@ from treebank_entropy.estimators import (
     EstimateResult,
     SmootherKind,
     cae_entropy,
+    cross_entropy,
     cwj_entropy,
     good_turing_probs,
     gt_degenerate,
     ml_entropy,
-    monte_carlo_cross_entropy,
     site,
     site_from_grammar,
     smoothed_local_entropies,
@@ -337,14 +337,14 @@ class TestSite:
 class TestMonteCarlo:
     def test_repeated_deterministic_tree(self):
         corpus = corpus_of("(S (A a) (B b))", "(S (A a) (B b))")
-        assert monte_carlo_cross_entropy(corpus, corpus) == 0.0
+        assert cross_entropy(induce(corpus), corpus) == 0.0
 
     def test_geometric_convergence(self):
         truth = Pcfg(
             "S", [Rule("S", ("a", "S"), 0.5, 1), Rule("S", ("a",), 0.5, 1)]
         )
         corpus = Sampler(truth).sample_corpus(100_000, np.random.default_rng(9))
-        value = monte_carlo_cross_entropy(corpus, corpus)
+        value = cross_entropy(induce(corpus), corpus)
         assert value == pytest.approx(2.0, abs=0.02)
 
     def test_train_equals_test_matches_ml_exact(self):
@@ -359,7 +359,7 @@ class TestMonteCarlo:
             if all(t.is_leaf for t in corpus.sentences):
                 continue
             grammar = induce(corpus)
-            assert monte_carlo_cross_entropy(corpus, corpus) == pytest.approx(
+            assert cross_entropy(grammar, corpus) == pytest.approx(
                 derivational_entropy(grammar), abs=1e-9
             )
 
@@ -367,9 +367,9 @@ class TestMonteCarlo:
         train = corpus_of("(S (A a))")
         test = corpus_of("(S (A b))")
         with pytest.raises(OutOfGrammarError, match="A -> b"):
-            monte_carlo_cross_entropy(train, test)
+            cross_entropy(induce(train), test)
 
     def test_empty_test_rejected(self):
         train = corpus_of("(S (A a))")
         with pytest.raises(EmptyInputError):
-            monte_carlo_cross_entropy(train, Corpus([]))
+            cross_entropy(induce(train), Corpus([]))

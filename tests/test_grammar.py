@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import random_enumerable_pcfg, reference_sample
+from synthetic import scaffold_grammar
 from treebank_entropy.errors import (
     AlphabetClashError,
     OutOfGrammarError,
@@ -219,6 +221,30 @@ class TestSampler:
             sampler.sample(rng)
             retried += sampler.last_retries
         assert retried > 0
+
+    @pytest.mark.parametrize(
+        "case, max_nodes",
+        [("scaffold", 10_000), ("random", 10_000), ("binary", 12)],
+    )
+    def test_draws_match_reference_sampler(self, case, max_nodes):
+        if case == "scaffold":
+            grammar = scaffold_grammar()
+        elif case == "random":
+            grammar, _, _ = random_enumerable_pcfg(np.random.default_rng(8))
+        else:
+            grammar = Pcfg(
+                "S", [Rule("S", ("S", "S"), 0.55, 11), Rule("S", ("a",), 0.45, 9)]
+            )
+        sampler = Sampler(grammar, max_nodes=max_nodes)
+        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+        retried = 0
+        for _ in range(200):
+            expected, retries = reference_sample(grammar, ref_rng, max_nodes)
+            assert sampler.sample(rng) == expected
+            assert sampler.last_retries == retries
+            retried += retries
+        assert (retried > 0) == (case == "binary")
+        assert rng.random() == ref_rng.random()
 
 
 class TestFreqTables:

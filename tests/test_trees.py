@@ -14,10 +14,6 @@ from treebank_entropy.trees import (
     corpus_mlu,
     parse_bracketed,
     read_bracketed,
-    preterminalize,
-    preterminalize_corpus,
-    strip_function_tags,
-    strip_subtrees,
     write_bracketed,
 )
 
@@ -122,59 +118,52 @@ class TestSerializationGuard:
 
 class TestPreterminalize:
     def test_pos_becomes_leaf(self):
-        (tree,) = parse_bracketed("(NP (PRP I))")
-        assert preterminalize(tree) == Tree("NP", [leaf("PRP")])
+        (out,) = parse_bracketed("(NP (PRP I))", preterminalize=True)
+        assert out == Tree("NP", [leaf("PRP")])
 
     def test_bare_preterminal_becomes_leaf(self):
-        (tree,) = parse_bracketed("(PRP I)")
-        assert preterminalize(tree) == leaf("PRP")
+        (out,) = parse_bracketed("(PRP I)", preterminalize=True)
+        assert out == leaf("PRP")
 
     def test_frontier_is_pos_layer(self):
-        (tree,) = parse_bracketed("(NP (PRP I) (VP (V go)))")
-        assert preterminalize(tree).frontier() == ["PRP", "V"]
+        (out,) = parse_bracketed("(NP (PRP I) (VP (V go)))", preterminalize=True)
+        assert out.frontier() == ["PRP", "V"]
 
     def test_depth_drops_by_one_everywhere(self):
-        (tree,) = parse_bracketed(
+        text = (
             "(S (NP (PRP I)) (VP (VBP do) (RB n't) (VP (VB have) (NP (DT any) (NNS kids)))))"
         )
-        out = preterminalize(tree)
+        (tree,) = parse_bracketed(text)
+        (out,) = parse_bracketed(text, preterminalize=True)
         assert depth(out) == depth(tree) - 1
         assert len(out.frontier()) == len(tree.frontier())
 
     def test_mixed_node_rejected(self):
-        (tree,) = parse_bracketed("(VP (VBP do) (NP (DT the) dog))")
         with pytest.raises(StructuralError, match="NP"):
-            preterminalize(tree)
-
-    def test_corpus_level_idempotent(self):
-        (tree,) = parse_bracketed("(S (NP (PRP I)) (VP (VBP do)))")
-        corpus = Corpus([tree])
-        once = preterminalize_corpus(corpus)
-        twice = preterminalize_corpus(once)
-        assert twice is once
-        assert once.sentences[0].frontier() == ["PRP", "VBP"]
+            parse_bracketed("(VP (VBP do) (NP (DT the) dog))", preterminalize=True)
 
 
 class TestStripping:
     def test_trace_subtree_removed(self):
-        (tree,) = parse_bracketed("(S (NP-SBJ (-NONE- *T*-1)) (VP (VB go)))")
-        out = strip_subtrees(tree)
+        (out,) = parse_bracketed(
+            "(S (NP-SBJ (-NONE- *T*-1)) (VP (VB go)))",
+            drop_labels=DEFAULT_DROP_LABELS,
+        )
         assert out.frontier() == ["go"]
         assert all(n.label != "NP-SBJ" for n in out.iter_nodes())
 
     def test_whole_tree_dropped(self):
-        (tree,) = parse_bracketed("(S (-NONE- 0))")
-        assert strip_subtrees(tree) is None
+        assert parse_bracketed("(S (-NONE- 0))", drop_labels=DEFAULT_DROP_LABELS) == []
 
     def test_function_tags_cut(self):
-        (tree,) = parse_bracketed("(S (NP-SBJ-1 (PRP I)) (VP=2 (VBP do)))")
-        out = strip_function_tags(tree)
+        (out,) = parse_bracketed(
+            "(S (NP-SBJ-1 (PRP I)) (VP=2 (VBP do)))", strip_tags=True
+        )
         labels = sorted(n.label for n in out.iter_nodes() if not n.is_leaf)
         assert labels == ["NP", "PRP", "S", "VBP", "VP"]
 
     def test_dashed_special_labels_kept(self):
-        (tree,) = parse_bracketed("(S (-LRB- x))")
-        out = strip_function_tags(tree)
+        (out,) = parse_bracketed("(S (-LRB- x))", strip_tags=True)
         assert out.children[0].label == "-LRB-"
 
 
@@ -330,6 +319,4 @@ class TestReaderMatchesReference:
         path = tmp_path / "bank.mrg"
         path.write_text("(S (NN x) (-NONE- *))", encoding="utf-8")
         corpus = read_bracketed(path, preterminalize=True)
-        assert corpus.preterminalized
         assert corpus.sentences == [Tree("S", [Tree("NN")])]
-        assert preterminalize_corpus(corpus) is corpus
