@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import characteristic_matrix, solve_system
+from .entropy import solve_root
 from .errors import EmptyInputError, InputError
 from .estimators import (
     SmootherKind,
@@ -80,29 +80,24 @@ def _corpus_estimates(corpus: Corpus, estimators) -> tuple[dict[str, float], Pcf
     """All requested estimates of one sampled corpus, sharing one induction
     and one matrix factorization."""
     grammar = induce(corpus)
-    matrix = characteristic_matrix(grammar)
-    root = grammar.nt_index[grammar.root]
     smoother_of = {
         "ml": SmootherKind.ML,
         "site-ml": SmootherKind.ML,
         "site-cae": SmootherKind.CAE,
         "site-cwj": SmootherKind.CWJ,
     }
-    columns = []
-    col_ids = []
+    columns = {}
     out = {}
     for est in estimators:
         if est == "mc":
             out[est] = training_cross_entropy(grammar, len(corpus))
         elif est in smoother_of:
-            col_ids.append(est)
-            columns.append(smoothed_local_entropies(grammar, smoother_of[est]))
+            columns[est] = smoothed_local_entropies(grammar, smoother_of[est])
         else:
             raise InputError(f"unknown estimator id '{est}'")
     if columns:
-        solution = solve_system(matrix, np.column_stack(columns))
-        for i, est in enumerate(col_ids):
-            out[est] = float(solution[root, i])
+        root_row = solve_root(grammar, np.column_stack(list(columns.values())))
+        out.update(zip(columns, map(float, root_row[1:])))
     return out, grammar
 
 
@@ -129,9 +124,11 @@ def converge(
     size an artificial corpus of that many trees is sampled from it and each
     estimator applied.  Rows aggregate the replications with normal 95%
     confidence intervals.  Coverage rows report the percentage of the true
-    grammar's rules and non-terminals observed.
+    grammar's rules and non-terminals observed.  Each size and each
+    estimator is taken once, however often it is listed.
     """
-    sizes = sorted(sizes)
+    sizes = sorted(set(sizes))
+    estimators = tuple(dict.fromkeys(estimators))  # first occurrences, in order
     if not sizes or sizes[0] < 1:
         raise InputError("sample sizes must be positive")
     if replications < 1:
@@ -140,7 +137,6 @@ def converge(
     sampler = Sampler(truth)
     true_rules = frozenset((r.lhs, r.rhs) for r in truth.rules)
     true_nts = frozenset(truth.nonterminals)
-    estimators = tuple(estimators)
     series = estimators + (COVERAGE_SERIES if coverage else ())
 
     by_task = {}

@@ -72,6 +72,15 @@ def _merge(corpora) -> Corpus:
 
 def _load_grammar(args) -> gr.Pcfg:
     if args.grammar:
+        reader_options = {
+            "--format": args.format, "--drop-label": args.drop_label,
+            "--strip-tags": args.strip_tags, "--unlabeled": args.unlabeled,
+            "--no-preterminalize": not args.preterminalize,
+            "--use-form": args.use_form,
+        }
+        unread = args.files + [k for k, given in reader_options.items() if given]
+        if unread:
+            raise InputError(f"--grammar leaves input unread: {' '.join(unread)}")
         return gr.read_grammar(args.grammar)
     if not args.files:
         raise InputError("provide treebank files or --grammar")
@@ -124,7 +133,7 @@ def _cmd_entropy(args):
 
 def _cmd_mlu(args):
     if args.grammar:
-        value = grammar_mlu(gr.read_grammar(args.grammar))
+        value = grammar_mlu(_load_grammar(args))
     else:
         value = corpus_mlu(_merge(_read_files(args.files, args)))
     _print_scalar(args, {"mlu": value})
@@ -149,6 +158,8 @@ def _cmd_site(args):
 
 
 def _cmd_sample(args):
+    if args.count < 0:
+        raise InputError(f"--count must not be negative, not {args.count}")
     g = gr.read_grammar(args.grammar)
     sampler = gr.Sampler(g, max_nodes=args.max_nodes)
     rng = np.random.default_rng(args.seed)
@@ -183,17 +194,16 @@ def _cmd_convert(args):
 def _cmd_converge(args):
     corpus = _merge(_read_files(args.files, args))
     try:
-        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else analysis.DEFAULT_SIZES
+        sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise InputError(
             f"--sizes takes comma-separated integers, not {args.sizes!r}"
         ) from None
-    ests = tuple(args.estimators.split(",")) if args.estimators else analysis.DEFAULT_ESTIMATORS
     rows = analysis.converge(
         corpus,
         sizes=sizes,
         replications=args.replications,
-        estimators=ests,
+        estimators=args.estimators.split(","),
         seed=args.seed,
         coverage=not args.no_coverage,
     )
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reader = argparse.ArgumentParser(add_help=False, parents=[dependency])
     reader.add_argument(
-        "--format", choices=("ptb", "conllu"), default="ptb",
+        "--format", choices=("ptb", "conllu"),
         help="treebank file format (default: ptb)",
     )
     reader.add_argument(
@@ -347,9 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("converge", _cmd_converge, "estimator convergence sweep",
             reader, output, seed)
     p.add_argument("files", nargs="+")
-    p.add_argument("--sizes", help="comma-separated sample sizes")
+    p.add_argument("--sizes", default=",".join(map(str, analysis.DEFAULT_SIZES)),
+                   help="comma-separated sample sizes (default: 1 to 15000)")
     p.add_argument("--replications", type=int, default=100)
-    p.add_argument("--estimators", help="comma-separated ids (ml,mc,site-cae,site-cwj)")
+    p.add_argument("--estimators", default=",".join(analysis.DEFAULT_ESTIMATORS),
+                   help="comma-separated ids (default: %(default)s)")
     p.add_argument("--no-coverage", action="store_true", help="omit coverage rows")
 
     p = add("incremental", _cmd_incremental, "cumulative entropy curve",

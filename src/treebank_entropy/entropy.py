@@ -14,12 +14,13 @@ entropies (respectively, expected string lengths).  The root components are
 the grammar's derivational entropy and mean length of utterance; their ratio
 is the derivational entropy rate in bits per emitted symbol.
 
-No eigensolver guards the solve.  Each solve first computes
-c = (I - M)^-1 1, the expected number of expansions per derivation, and
-accepts the system only when c is positive and (I - M) c is positive with
-margin: that certifies a spectral radius below one (semipositivity of
-non-singular M-matrices).  The one dense eigensolve left is the spectral
-radius that :func:`entropy_rate` reports.
+No eigensolver guards the solve.  One factorization of I - M solves
+[1 | v] for all the right-hand sides v of a grammar (:func:`solve_root`),
+and its first column, c = (I - M)^-1 1, the expected number of expansions
+per derivation, is accepted only when c is positive and (I - M) c is
+positive with margin: that certifies a spectral radius below one
+(semipositivity of non-singular M-matrices).  The one dense eigensolve left
+is the spectral radius that :func:`entropy_rate` reports.
 """
 
 from __future__ import annotations
@@ -103,75 +104,81 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def _certify_convergence(a: np.ndarray) -> None:
+def solve_system(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Solve (I - M) x = v for a finite non-negative M with spectral radius < 1.
+
+    `vector` is one right-hand side or an (n, k) block; x has its shape.
+    One factorization solves [1 | v], and its first column c = (I - M)^-1 1
+    certifies convergence: I - M has non-positive off-diagonal entries, and
+    such a matrix is a non-singular M-matrix (equivalently rho(M) < 1) when
+    some c >= 0 has (I - M) c > 0 (Berman & Plemmons, *Nonnegative Matrices
+    in the Mathematical Sciences*, ch. 6).  c is accepted, unrefined, when
+    it is finite and positive and (I - M) c > 1/2 in every component.  A
+    failed certificate or an exactly singular I - M raises
+    :class:`DivergentGrammarError`; a negative or non-finite entry of M
+    raises :class:`StructuralError`.
+
+    Each column of x is refined until its residual is at most
+    ``1e-8 * max|v_j|``, the bound of its own right-hand side; failing
+    that, the condition estimate is reported.
+    """
+    m = _finite_nonnegative_square(matrix)
+    v = np.asarray(vector, dtype=np.float64)
+    n = m.shape[0]
+    if v.shape[0] != n:
+        raise StructuralError("matrix and vector dimensions disagree")
+    rhs = v.reshape(n, -1)
+    a = np.eye(n) - m
     try:
-        c = np.linalg.solve(a, np.ones(a.shape[0]))
+        solution = np.linalg.solve(a, np.column_stack((np.ones(n), rhs)))
     except np.linalg.LinAlgError:  # I - M is exactly singular
-        c = None
+        solution = np.full((n, 1), np.nan)
+    c = solution[:, 0]
     # Exact arithmetic gives (I - M) c = 1; the margin absorbs rounding.
-    if c is None or not (np.isfinite(c).all() and (c > 0).all()
-                         and (a @ c > CERTIFICATE_MARGIN).all()):
+    if not (np.isfinite(c).all() and (c > 0).all()
+            and (a @ c > CERTIFICATE_MARGIN).all()):
         raise DivergentGrammarError(
             "no positive certificate (I - M)^-1 1: spectral radius >= 1, "
             "expected subtree measures diverge"
         )
-
-
-def solve_system(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Solve (I - M) x = v for a finite non-negative M with spectral radius < 1.
-
-    Convergence is certified from the linear solve itself, with no
-    eigensolver.  I - M has non-positive off-diagonal entries, and such a
-    matrix is a non-singular M-matrix (equivalently rho(M) < 1) when some
-    c >= 0 has (I - M) c > 0 (Berman & Plemmons, *Nonnegative Matrices in
-    the Mathematical Sciences*, ch. 6).  The candidate is
-    c = (I - M)^-1 1; it is accepted when it is finite and positive and
-    (I - M) c > 1/2 in every component.  A failed certificate or an exactly
-    singular I - M raises :class:`DivergentGrammarError`; a negative or
-    non-finite entry of M raises :class:`StructuralError`.
-
-    The residual is refined until its infinity norm is at most
-    ``1e-8 * max|v|``; failing that, the condition estimate is reported.
-    """
-    m = _finite_nonnegative_square(matrix)
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape[0] != m.shape[0]:
-        raise StructuralError("matrix and vector dimensions disagree")
-    a = np.eye(m.shape[0]) - m
-    _certify_convergence(a)
-    x = np.linalg.solve(a, v)
-    bound = SOLVE_RESIDUAL_TOL * float(np.max(np.abs(v)))
+    x = solution[:, 1:]
+    bound = SOLVE_RESIDUAL_TOL * np.max(np.abs(rhs), axis=0)
     for _ in range(3):
-        residual = a @ x - v
-        if float(np.max(np.abs(residual))) <= bound:
-            return x
-        x = x - np.linalg.solve(a, residual)
+        residual = a @ x - rhs
+        over = ~(np.max(np.abs(residual), axis=0) <= bound)  # nan is over
+        if not over.any():
+            return x.reshape(v.shape)
+        x[:, over] -= np.linalg.solve(a, residual[:, over])
+    residual = np.max(np.abs(a @ x - rhs), axis=0)
+    j = int(np.argmax(residual - bound))
     raise NumericalError(
-        f"residual {np.max(np.abs(a @ x - v)):.3e} exceeds {bound:.3e} "
+        f"residual {residual[j]:.3e} exceeds {bound[j]:.3e} "
         f"(condition estimate {np.linalg.cond(a, 1):.3e})"
     )
 
 
-def entropy_vector(grammar: Pcfg) -> np.ndarray:
-    """Derivational entropy in bits of the subtrees rooted at each
-    non-terminal, in `grammar.nonterminals` order."""
-    return solve_system(characteristic_matrix(grammar), local_entropies(grammar))
-
-
-def mlu_vector(grammar: Pcfg) -> np.ndarray:
-    """Expected frontier length of the subtrees rooted at each non-terminal."""
-    return solve_system(characteristic_matrix(grammar), local_lengths(grammar))
+def solve_root(grammar: Pcfg, entropies=None, matrix=None) -> np.ndarray:
+    """Root row of (I - M)^-1 [local lengths | entropies], from one solve:
+    the grammar's MLU, then its derivational entropy under each column of
+    `entropies` (by default its own local entropies).  `matrix` is M, for a
+    caller that holds it already."""
+    if entropies is None:
+        entropies = local_entropies(grammar)
+    if matrix is None:
+        matrix = characteristic_matrix(grammar)
+    x = solve_system(matrix, np.column_stack((local_lengths(grammar), entropies)))
+    return x[grammar.nt_index[grammar.root]]
 
 
 def derivational_entropy(grammar: Pcfg) -> float:
     """Entropy in bits of the distribution over the trees the grammar
     generates."""
-    return float(entropy_vector(grammar)[grammar.nt_index[grammar.root]])
+    return float(solve_root(grammar)[1])
 
 
 def grammar_mlu(grammar: Pcfg) -> float:
     """Expected length in terminal symbols of a generated sentence."""
-    return float(mlu_vector(grammar)[grammar.nt_index[grammar.root]])
+    return float(solve_root(grammar)[0])
 
 
 @dataclass(frozen=True)
@@ -192,9 +199,7 @@ def entropy_rate(grammar: Pcfg) -> RateReport:
         raise DivergentGrammarError(
             f"spectral radius {radius:.12g} >= 1: expected subtree measures diverge"
         )
-    root = grammar.nt_index[grammar.root]
-    entropy = float(solve_system(matrix, local_entropies(grammar))[root])
-    mlu = float(solve_system(matrix, local_lengths(grammar))[root])
+    mlu, entropy = map(float, solve_root(grammar, matrix=matrix))
     if mlu <= 0.0:
         raise NumericalError(f"expected length {mlu} is not positive")
     return RateReport(entropy, mlu, entropy / mlu, radius)

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .entropy import characteristic_matrix, entropy_from_probs, solve_system
+from .entropy import entropy_from_probs, solve_root
 from .errors import EmptyInputError, OutOfGrammarError
 from .grammar import FreqTable, Pcfg, induce, rule_freq_tables, tree_probability
 from .trees import Corpus
@@ -218,8 +218,7 @@ def smoothed_local_entropies(grammar: Pcfg, smoother: SmootherKind) -> np.ndarra
 def site_from_grammar(grammar: Pcfg, smoother: SmootherKind = SmootherKind.CWJ) -> float:
     """SITE value of an induced grammar (frequency counts required)."""
     h0 = smoothed_local_entropies(grammar, smoother)
-    x = solve_system(characteristic_matrix(grammar), h0)
-    return float(x[grammar.nt_index[grammar.root]])
+    return float(solve_root(grammar, h0)[1])
 
 
 def site(corpus: Corpus, smoother: SmootherKind = SmootherKind.CWJ) -> EstimateResult:

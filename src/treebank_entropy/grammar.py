@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     AlphabetClashError,
     EmptyInputError,
+    InputError,
     OutOfGrammarError,
     ParseError,
     SamplingDivergenceError,
@@ -273,6 +274,8 @@ class Sampler:
     """
 
     def __init__(self, grammar: Pcfg, max_nodes: int = DEFAULT_MAX_NODES):
+        if max_nodes < 2:  # a root and one child is the smallest tree
+            raise InputError(f"max_nodes must be at least 2, not {max_nodes}")
         grammar.validate()
         self.grammar = grammar
         self.max_nodes = max_nodes

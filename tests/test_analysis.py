@@ -128,6 +128,14 @@ class TestConverge:
         with pytest.raises(InputError, match="estimator"):
             converge(corpus, sizes=[2], replications=2, estimators=("bogus",))
 
+    def test_repeated_sizes_and_estimators_taken_once(self):
+        corpus = sampled_corpus(HIGH_ENTROPY, 30, 6)
+        once = converge(corpus, sizes=[2, 5], replications=2,
+                        estimators=("site-cae", "ml"))
+        repeated = converge(corpus, sizes=[5, 2, 2, 5], replications=2,
+                            estimators=("site-cae", "ml", "site-cae", "ml"))
+        assert repeated == once
+
     @pytest.mark.parametrize("replications", [0, -1])
     def test_non_positive_replications_rejected(self, replications):
         corpus = corpus_of("(S (A a) (B b))")

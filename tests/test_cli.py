@@ -350,6 +350,48 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "option, value, reported",
+        [("--count", "-3", "--count must not be negative, not -3"),
+         ("--max-nodes", "1", "max_nodes must be at least 2, not 1"),
+         ("--max-nodes", "0", "max_nodes must be at least 2, not 0"),
+         ("--max-nodes", "-5", "max_nodes must be at least 2, not -5")],
+    )
+    def test_sample_bad_numbers(self, grammar_file, capsys, option, value, reported):
+        assert main(["sample", "--grammar", str(grammar_file), option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reported}\n"
+
+    @pytest.mark.parametrize("option", ["--sizes", "--estimators"])
+    def test_converge_empty_list(self, treebank, capsys, option):
+        argv = ["converge", "--no-preterminalize", "--replications", "1",
+                option, "", str(treebank)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "extra, reported",
+        [(["{bank}"], "{bank}"), (["--strip-tags"], "--strip-tags"),
+         (["--format", "conllu"], "--format"),
+         (["--no-preterminalize", "{bank}"], "{bank} --no-preterminalize")],
+        ids=["file", "strip-tags", "format", "both"],
+    )
+    @pytest.mark.parametrize("command", ["entropy", "rate", "mlu"])
+    def test_grammar_with_treebank_input_rejected(
+        self, grammar_file, treebank, capsys, command, extra, reported
+    ):
+        extra = [a.format(bank=treebank) for a in extra]
+        assert main([command, "--grammar", str(grammar_file), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --grammar leaves input unread: "
+            f"{reported.format(bank=treebank)}\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv, data, offset",
         [
             (["entropy", "{path}"], b"(S (A a\xff))", 8),

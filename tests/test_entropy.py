@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 
 from oracles import binary_recursion_entropy, enumerate_entropy, random_enumerable_pcfg
+from treebank_entropy.analysis import converge
 from treebank_entropy.entropy import (
     characteristic_matrix,
     derivational_entropy,
     entropy_from_probs,
     entropy_rate,
-    entropy_vector,
     grammar_mlu,
     local_entropies,
     local_lengths,
-    mlu_vector,
     solve_system,
     spectral_radius,
 )
-from treebank_entropy.errors import DivergentGrammarError, StructuralError
+from treebank_entropy.errors import DivergentGrammarError, NumericalError, StructuralError
 from treebank_entropy.estimators import site
 from treebank_entropy.grammar import Pcfg, Rule, Sampler, induce
 from treebank_entropy.trees import Corpus, Tree, corpus_mlu
@@ -116,14 +115,42 @@ class TestSolveSystem:
             solve_system([[0.5, 1.0], [1.0, 0.5]], [1.0, 1.0])
 
     def test_residual_bound(self):
+        # A vector, and a block whose columns differ in scale by 15 orders:
+        # each column meets 1e-8 of its own largest entry.
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 12))
             m = rng.random((n, n)) * (0.9 / n)
-            v = rng.random(n)
-            x = solve_system(m, v)
-            residual = np.max(np.abs((np.eye(n) - m) @ x - v))
-            assert residual <= 1e-8 * np.max(np.abs(v))
+            for v in (rng.random(n), rng.random((n, 3)) * [1e6, 1.0, 1e-9]):
+                x = solve_system(m, v)
+                assert x.shape == v.shape
+                residual = np.abs((np.eye(n) - m) @ x - v)
+                assert (residual.max(axis=0) <= 1e-8 * np.abs(v).max(axis=0)).all()
+
+    def test_only_columns_over_their_bound_are_refined(self, monkeypatch):
+        solve, shapes = np.linalg.solve, []
+
+        def spoiled(a, b):  # the first solve misses in its last column
+            x = solve(a, b)
+            if not shapes:
+                x[:, -1] *= 1 + 1e-6
+            shapes.append(np.shape(b))
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", spoiled)
+        m = np.array([[0.5, 0.25], [0.0, 0.5]])
+        v = np.array([[1.0, 1.0], [2.0, 1.0]])
+        x = solve_system(m, v)
+        assert shapes == [(2, 3), (2, 1)]
+        assert x == pytest.approx(np.linalg.inv(np.eye(2) - m) @ v, rel=1e-15)
+
+    def test_residual_not_met_after_refinement(self, monkeypatch):
+        with pytest.raises(NumericalError, match="residual nan exceeds nan"):
+            solve_system([[0.5, 0.0], [0.0, 0.5]], [[1.0, 1.0], [2.0, np.nan]])
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * 1.5)
+        with pytest.raises(NumericalError, match="residual .* exceeds"):
+            solve_system([[0.5]], [1.0])
 
     def test_nonnegative_solution_for_nonnegative_input(self):
         rng = np.random.default_rng(1)
@@ -165,7 +192,7 @@ class TestCertificate:
         )
         assert grammar.unreachable_nonterminals() == {"B"}
         with pytest.raises(DivergentGrammarError):
-            entropy_vector(grammar)
+            solve_system(characteristic_matrix(grammar), local_entropies(grammar))
 
     def test_accepts_defective_matrices(self):
         assert derivational_entropy(DEFECTIVE) == pytest.approx(4.0, abs=1e-12)
@@ -215,24 +242,39 @@ class TestCertificate:
         assert max(errors) <= 2.3e-16
 
     def test_one_eigensolve_per_rate_none_per_site(self, monkeypatch):
-        calls = []
-        eigvals = np.linalg.eigvals
+        # Certificate, MLU and every entropy come from one factorization:
+        # on a well-conditioned grammar no column needs refining, so each
+        # entry point makes exactly one `np.linalg.solve` call.
+        calls, solves = [], []
+        eigvals, solve = np.linalg.eigvals, np.linalg.solve
 
         def counting(matrix):
             calls.append(matrix.shape)
             return eigvals(matrix)
 
+        def counting_solve(a, b):
+            solves.append(np.shape(b))
+            return solve(a, b)
+
         monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         entropy_rate(DEFECTIVE)
         assert len(calls) == 1
+        assert len(solves) == 1
         calls.clear()
         corpus = Corpus(
             [Tree("S", [Tree("a"), Tree("S", [Tree("a")])]), Tree("S", [Tree("a")])]
         )
-        site(corpus)
-        derivational_entropy(DEFECTIVE)
+        for run in (
+            lambda: site(corpus),
+            lambda: derivational_entropy(DEFECTIVE),
+            lambda: grammar_mlu(DEFECTIVE),
+            lambda: converge(corpus, sizes=(2,), replications=1, coverage=False),
+        ):
+            solves.clear()
+            run()
+            assert len(solves) == 1
         assert calls == []
-
 
 class TestSpectralRadius:
     def test_dimension_one_exact(self):
@@ -347,19 +389,17 @@ class TestStructuralInvariants:
             inverse = np.linalg.inv(np.eye(m.shape[0]) - m)
             h0 = local_entropies(grammar)
             l0 = local_lengths(grammar)
-            assert entropy_vector(grammar) == pytest.approx(
-                inverse @ h0, abs=1e-9
-            )
-            assert mlu_vector(grammar) == pytest.approx(
-                inverse @ l0, abs=1e-9
-            )
+            x = solve_system(m, np.column_stack((h0, l0)))
+            assert x[:, 0] == pytest.approx(inverse @ h0, abs=1e-9)
+            assert x[:, 1] == pytest.approx(inverse @ l0, abs=1e-9)
 
     def test_vectors_nonnegative(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             grammar, _, _ = random_enumerable_pcfg(rng)
-            assert (entropy_vector(grammar) >= 0).all()
-            assert (mlu_vector(grammar) >= 0).all()
+            m = characteristic_matrix(grammar)
+            assert (solve_system(m, local_entropies(grammar)) >= 0).all()
+            assert (solve_system(m, local_lengths(grammar)) >= 0).all()
 
     def test_nonterminal_order_invariance(self):
         rng = np.random.default_rng(23)

@@ -5,6 +5,7 @@ from oracles import random_enumerable_pcfg, reference_sample
 from synthetic import scaffold_grammar
 from treebank_entropy.errors import (
     AlphabetClashError,
+    InputError,
     OutOfGrammarError,
     ParseError,
     SamplingDivergenceError,
@@ -209,6 +210,13 @@ class TestSampler:
         sampler = Sampler(grammar, max_nodes=3)
         with pytest.raises(SamplingDivergenceError):
             sampler.sample(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("max_nodes", [1, 0, -5])
+    def test_budget_below_smallest_tree_rejected(self, max_nodes):
+        # No tree has fewer than two nodes: a root and one child.
+        with pytest.raises(InputError, match="max_nodes must be at least 2"):
+            Sampler(geometric(0.5), max_nodes=max_nodes)
+        assert sample(geometric(0.5), seed=0, max_nodes=2) == parse_bracketed("(S a)")[0]
 
     def test_retry_count_reported(self):
         grammar = Pcfg(
