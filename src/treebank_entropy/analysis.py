@@ -35,6 +35,14 @@ DEFAULT_ESTIMATORS = ("ml", "mc", "site-cae", "site-cwj")
 #: Percentage-coverage curves reported alongside the entropy estimators.
 COVERAGE_SERIES = ("coverage-rules", "coverage-nonterminals")
 
+#: The smoother behind each SITE estimator id; "mc" is the only other id.
+_SMOOTHER_OF = {
+    "ml": SmootherKind.ML,
+    "site-ml": SmootherKind.ML,
+    "site-cae": SmootherKind.CAE,
+    "site-cwj": SmootherKind.CWJ,
+}
+
 
 @dataclass(frozen=True)
 class ConvergenceRow:
@@ -80,21 +88,13 @@ def _corpus_estimates(corpus: Corpus, estimators) -> tuple[dict[str, float], Pcf
     """All requested estimates of one sampled corpus, sharing one induction
     and one matrix factorization."""
     grammar = induce(corpus)
-    smoother_of = {
-        "ml": SmootherKind.ML,
-        "site-ml": SmootherKind.ML,
-        "site-cae": SmootherKind.CAE,
-        "site-cwj": SmootherKind.CWJ,
-    }
     columns = {}
     out = {}
     for est in estimators:
         if est == "mc":
             out[est] = training_cross_entropy(grammar, len(corpus))
-        elif est in smoother_of:
-            columns[est] = smoothed_local_entropies(grammar, smoother_of[est])
         else:
-            raise InputError(f"unknown estimator id '{est}'")
+            columns[est] = smoothed_local_entropies(grammar, _SMOOTHER_OF[est])
     if columns:
         root_row = solve_root(grammar, np.column_stack(list(columns.values())))
         out.update(zip(columns, map(float, root_row[1:])))
@@ -133,6 +133,9 @@ def converge(
         raise InputError("sample sizes must be positive")
     if replications < 1:
         raise InputError("the number of replications must be positive")
+    for est in estimators:
+        if est != "mc" and est not in _SMOOTHER_OF:
+            raise InputError(f"unknown estimator id '{est}'")
     truth = induce(grammar_source)
     sampler = Sampler(truth)
     true_rules = frozenset((r.lhs, r.rhs) for r in truth.rules)

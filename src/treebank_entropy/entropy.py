@@ -14,13 +14,14 @@ entropies (respectively, expected string lengths).  The root components are
 the grammar's derivational entropy and mean length of utterance; their ratio
 is the derivational entropy rate in bits per emitted symbol.
 
-No eigensolver guards the solve.  One factorization of I - M solves
-[1 | v] for all the right-hand sides v of a grammar (:func:`solve_root`),
-and its first column, c = (I - M)^-1 1, the expected number of expansions
-per derivation, is accepted only when c is positive and (I - M) c is
-positive with margin: that certifies a spectral radius below one
-(semipositivity of non-singular M-matrices).  The one dense eigensolve left
-is the spectral radius that :func:`entropy_rate` reports.
+No eigensolver runs.  One factorization of I - M solves [1 | v] for all
+the right-hand sides v of a grammar (:func:`solve_root`), and its first
+column, c = (I - M)^-1 1, the expected number of expansions per derivation,
+is accepted only when c is positive and (I - M) c is positive with margin:
+that certifies a spectral radius below one (semipositivity of non-singular
+M-matrices).  The spectral radius that :func:`entropy_rate` reports is a
+Collatz-Wielandt upper bound, taken over the strongly connected blocks of M
+and iterated until it is tight (:func:`spectral_radius`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ SOLVE_RESIDUAL_TOL = 1e-8
 #: Lower bound on every component of (I - M) c, c = (I - M)^-1 1, that
 #: certifies a spectral radius below one.
 CERTIFICATE_MARGIN = 0.5
+
+#: Relative width at which a Collatz-Wielandt bracket on a block's spectral
+#: radius counts as closed.
+RADIUS_TOL = 1e-14
+
+#: Power steps on one irreducible block before Noda iteration takes over.
+POWER_STEPS = 1000
 
 
 def entropy_from_probs(probs: np.ndarray) -> float:
@@ -93,15 +101,131 @@ def _finite_nonnegative_square(matrix) -> np.ndarray:
     return m
 
 
-def spectral_radius(matrix: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a non-negative square matrix.
+def _strong_components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the graph on 0..n-1 with the edges
+    rows[k] -> cols[k], `rows` sorted: Tarjan's algorithm, walking depth
+    first on an explicit stack, so that a long chain cannot exhaust the
+    interpreter's."""
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    succ = cols.tolist()
+    index = [-1] * n  # discovery order
+    low = [0] * n
+    on_stack = [False] * n
+    stack, path, components = [], [], []
+    visited = 0
 
-    One dense eigensolve.  Unlike power iteration it cannot stall on the
-    defective matrices that valid grammars produce (S -> a S | A,
-    A -> b A | c at 0.5 each gives a Jordan block).
+    def enter(v):
+        nonlocal visited
+        index[v] = low[v] = visited
+        visited += 1
+        stack.append(v)
+        on_stack[v] = True
+        path.append([v, starts[v]])  # [vertex, its next edge]
+
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        enter(root)
+        while path:
+            frame = path[-1]
+            v, k = frame
+            if k < starts[v + 1]:
+                frame[1] = k + 1
+                w = succ[k]
+                if index[w] < 0:
+                    enter(w)
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:  # v is the first vertex of its component
+                component = []
+                while not component or component[-1] != v:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                components.append(component)
+    return components
+
+
+def _perron_upper_bound(size: int, rows, cols, weights) -> float:
+    """Collatz-Wielandt upper bound on the spectral radius of the
+    irreducible size x size matrix B with entries `weights` at (rows, cols).
+
+    Power iteration on B + I, then Noda iteration if POWER_STEPS leave the
+    bracket open.  Every iterate x is positive, and the least upper end of
+    the brackets seen is returned."""
+    x = np.ones(size)
+    upper = np.inf
+    for _ in range(POWER_STEPS):
+        bx = np.bincount(rows, weights * x[cols], minlength=size)
+        ratio = bx / x
+        lo, hi = float(ratio.min()), float(ratio.max())
+        upper = min(upper, hi)
+        if hi - lo <= RADIUS_TOL * hi:
+            return upper
+        x = bx + x  # (B + I) x: primitive, so periodic blocks converge too
+        x /= x.max()
+    # A small spectral gap: shifted inverse iteration (Noda 1971) at the
+    # current upper bound converges quadratically, and the bound falls
+    # monotonically until rounding stops it.
+    b = np.zeros((size, size))
+    b[rows, cols] = weights
+    while True:
+        try:
+            y = np.linalg.solve(upper * np.eye(size) - b, x)
+        except np.linalg.LinAlgError:  # upper is an eigenvalue: rho itself
+            return upper
+        if not (y > 0).all():  # rounding put the shift at or below rho
+            return upper
+        x = y / y.max()
+        ratio = (b @ x) / x
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if not hi < upper:
+            return upper
+        upper = hi
+        if hi - lo <= RADIUS_TOL * hi:
+            return upper
+
+
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a non-negative square matrix, as a
+    certified upper bound; no eigensolver runs.
+
+    rho(M) is the largest radius among the strongly connected blocks of M's
+    non-zero pattern.  A 1x1 block's radius is its diagonal entry, exactly,
+    so triangular, nilpotent and Jordan-type matrices come out exact: the
+    grammar S -> a S | A, A -> b A | c, every rule at 0.5, gives
+    M = [[.5, .5], [0, .5]] and rho = 0.5, where power iteration stalls.
+    A larger block B is irreducible, and any x > 0 brackets its radius,
+    min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i (Collatz-Wielandt;
+    Wielandt 1950).  Iteration on B narrows the bracket until its width is
+    at most RADIUS_TOL of the upper end; that end, the largest over the
+    blocks, is returned.  The power steps touch only the non-zero entries.
     """
     m = _finite_nonnegative_square(matrix)
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    n = m.shape[0]
+    rows, cols = np.nonzero(m)
+    blocks = _strong_components(n, rows, cols)
+    label = np.empty(n, dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)
+    for b, block in enumerate(blocks):
+        label[block] = b
+        position[block] = np.arange(len(block))
+    # Edges inside a block, grouped by block.
+    inside = np.flatnonzero(label[rows] == label[cols])
+    inside = inside[np.argsort(label[rows[inside]], kind="stable")]
+    rows, cols = rows[inside], cols[inside]
+    bounds = np.searchsorted(label[rows], np.arange(len(blocks) + 1))
+    radius = 0.0
+    for b, block in enumerate(blocks):
+        r, c = rows[bounds[b]:bounds[b + 1]], cols[bounds[b]:bounds[b + 1]]
+        radius = max(radius, _perron_upper_bound(
+            len(block), position[r], position[c], m[r, c]))
+    return radius
 
 
 def solve_system(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -194,12 +318,8 @@ class RateReport:
 def entropy_rate(grammar: Pcfg) -> RateReport:
     """Derivational entropy rate: bits of tree entropy per emitted symbol."""
     matrix = characteristic_matrix(grammar)
-    radius = spectral_radius(matrix)
-    if radius >= 1.0:
-        raise DivergentGrammarError(
-            f"spectral radius {radius:.12g} >= 1: expected subtree measures diverge"
-        )
+    # The solve certifies rho(M) < 1 or raises DivergentGrammarError.
     mlu, entropy = map(float, solve_root(grammar, matrix=matrix))
     if mlu <= 0.0:
         raise NumericalError(f"expected length {mlu} is not positive")
-    return RateReport(entropy, mlu, entropy / mlu, radius)
+    return RateReport(entropy, mlu, entropy / mlu, spectral_radius(matrix))

@@ -128,6 +128,13 @@ class TestConverge:
         with pytest.raises(InputError, match="estimator"):
             converge(corpus, sizes=[2], replications=2, estimators=("bogus",))
 
+    def test_unknown_estimator_rejected_before_any_induction(self, monkeypatch):
+        calls = count_inductions(monkeypatch)
+        corpus = sampled_corpus(HIGH_ENTROPY, 30, 6)
+        with pytest.raises(InputError, match="unknown estimator id 'bogus'"):
+            converge(corpus, sizes=[2], replications=2, estimators=("ml", "bogus"))
+        assert calls == []
+
     def test_repeated_sizes_and_estimators_taken_once(self):
         corpus = sampled_corpus(HIGH_ENTROPY, 30, 6)
         once = converge(corpus, sizes=[2, 5], replications=2,

@@ -308,13 +308,17 @@ class TestExitCodes:
         path.write_text("((S (X x))", encoding="utf-8")
         assert main(["entropy", str(path)]) == 2
 
-    def test_divergent_grammar_numerical(self, tmp_path):
+    def test_divergent_grammar_numerical(self, tmp_path, capsys):
         grammar = Pcfg(
             "S", [Rule("S", ("S", "S"), 0.9, 9), Rule("S", ("a",), 0.1, 1)]
         )
         path = tmp_path / "divergent.txt"
         write_grammar(grammar, path)
-        assert main(["entropy", "--grammar", str(path)]) == 3
+        for command in ("entropy", "rate"):
+            assert main([command, "--grammar", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "spectral radius >= 1" in captured.err
 
     def test_no_input(self):
         assert main(["entropy"]) == 2

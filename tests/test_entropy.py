@@ -241,10 +241,12 @@ class TestCertificate:
             ]
         assert max(errors) <= 2.3e-16
 
-    def test_one_eigensolve_per_rate_none_per_site(self, monkeypatch):
+    def test_no_eigensolve_and_one_solve_per_entry_point(self, monkeypatch):
         # Certificate, MLU and every entropy come from one factorization:
         # on a well-conditioned grammar no column needs refining, so each
-        # entry point makes exactly one `np.linalg.solve` call.
+        # entry point makes exactly one `np.linalg.solve` call.  The radius
+        # that `entropy_rate` reports needs no eigensolver, and on DEFECTIVE
+        # (two 1x1 blocks) no solve either.
         calls, solves = [], []
         eigvals, solve = np.linalg.eigvals, np.linalg.solve
 
@@ -258,14 +260,11 @@ class TestCertificate:
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        entropy_rate(DEFECTIVE)
-        assert len(calls) == 1
-        assert len(solves) == 1
-        calls.clear()
         corpus = Corpus(
             [Tree("S", [Tree("a"), Tree("S", [Tree("a")])]), Tree("S", [Tree("a")])]
         )
         for run in (
+            lambda: entropy_rate(DEFECTIVE),
             lambda: site(corpus),
             lambda: derivational_entropy(DEFECTIVE),
             lambda: grammar_mlu(DEFECTIVE),
@@ -276,29 +275,99 @@ class TestCertificate:
             assert len(solves) == 1
         assert calls == []
 
+
+def _eigvals_radius(m):
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m)))))
+
+
+def _weighted_cycle(weights):
+    """i -> i+1 (mod n) with the given weights: rho = their geometric mean,
+    and every eigenvalue has that modulus."""
+    n = len(weights)
+    m = np.zeros((n, n))
+    m[np.arange(n), (np.arange(n) + 1) % n] = weights
+    return m
+
+
 class TestSpectralRadius:
     def test_dimension_one_exact(self):
         assert spectral_radius([[0.8]]) == 0.8
 
     def test_nilpotent(self):
         assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
+        rng = np.random.default_rng(5)
+        assert spectral_radius(np.triu(rng.random((7, 7)), k=1)) == 0.0
+
+    def test_triangular_exact(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            m = np.triu(rng.random((6, 6)))
+            assert spectral_radius(m) == m.diagonal().max()
+            assert spectral_radius(m.T) == m.diagonal().max()
+
+    def test_long_chain(self):
+        # Depth-first search along a 1,500-vertex chain needs no recursion.
+        assert spectral_radius(np.eye(1500, k=1) * 0.5) == 0.0
 
     def test_symmetric_two_by_two(self):
         m = [[0.5, 0.25], [0.25, 0.5]]
-        assert spectral_radius(m) == pytest.approx(0.75, abs=1e-9)
+        assert spectral_radius(m) == pytest.approx(0.75, rel=1e-12)
 
     def test_periodic_structure(self):
         # Pure two-cycle: eigenvalues +-sqrt(pq).
         m = [[0.0, 0.8], [0.2, 0.0]]
-        assert spectral_radius(m) == pytest.approx(0.4, abs=1e-8)
+        assert spectral_radius(m) == pytest.approx(0.4, rel=1e-12)
+        weights = [0.9, 0.3, 0.6]
+        assert spectral_radius(_weighted_cycle(weights)) == pytest.approx(
+            np.prod(weights) ** (1 / 3), rel=1e-12
+        )
 
-    def test_matches_dense_eigensolver(self):
+    def test_matches_dense_eigensolver(self, monkeypatch):
+        # Random positive matrices, radius above one; a clear spectral gap,
+        # so power iteration closes the bracket without a solve.
+        monkeypatch.setattr(np.linalg, "solve", None)
         rng = np.random.default_rng(4)
         for _ in range(25):
-            n = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 40))
             m = rng.random((n, n))
-            expected = float(np.max(np.abs(np.linalg.eigvals(m))))
-            assert spectral_radius(m) == pytest.approx(expected, rel=1e-7)
+            expected = _eigvals_radius(m)
+            assert expected > 1.0
+            assert spectral_radius(m) == pytest.approx(expected, rel=1e-12)
+
+    def test_random_grammars_match_dense_eigensolver(self):
+        rng = np.random.default_rng(7)
+        for _ in range(15):
+            grammar, _, _ = random_enumerable_pcfg(rng)
+            m = characteristic_matrix(grammar)
+            assert spectral_radius(m) == pytest.approx(_eigvals_radius(m), rel=1e-12)
+
+    def test_reducible_with_equal_block_radii(self):
+        # Two copies of an irreducible B coupled one way: rho(B) is a
+        # defective eigenvalue of M, which a dense eigensolver resolves only
+        # to about the square root of machine epsilon.
+        b = np.array([[0.2, 0.5], [0.3, 0.1]])
+        m = np.block([[b, 0.4 * np.eye(2)], [np.zeros((2, 2)), b]])
+        expected = (0.3 + math.sqrt(0.61)) / 2  # (tr + sqrt(tr^2 - 4 det)) / 2
+        assert spectral_radius(m) == pytest.approx(expected, rel=1e-12)
+        assert spectral_radius(m) == pytest.approx(_eigvals_radius(b), rel=1e-12)
+
+    def test_small_gap_falls_back_to_noda(self, monkeypatch):
+        # On a 200-cycle the next eigenvalues of B + I after the Perron root
+        # are smaller in modulus by only 1.2e-4 relative: power steps alone
+        # would need about 2.6e5 steps, so Noda iteration closes the bracket.
+        solve, solves = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            solves.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        weights = np.random.default_rng(8).uniform(0.5, 1.5, 200)
+        m = _weighted_cycle(weights)
+        radius = spectral_radius(m)
+        assert solves and set(solves) == {(200, 200)}
+        assert radius == pytest.approx(_eigvals_radius(m), rel=1e-12)
+        assert radius == pytest.approx(np.exp(np.mean(np.log(weights))), rel=1e-12)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(StructuralError):
@@ -309,12 +378,10 @@ class TestSpectralRadius:
         assert characteristic_matrix(DEFECTIVE) == pytest.approx(
             np.array([[0.5, 0.5], [0.0, 0.5]])
         )
-        assert spectral_radius(characteristic_matrix(DEFECTIVE)) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert spectral_radius(characteristic_matrix(DEFECTIVE)) == 0.5
 
     def test_defective_three_by_three(self):
-        assert spectral_radius(JORDAN_3) == pytest.approx(0.9, abs=1e-12)
+        assert spectral_radius(JORDAN_3) == 0.9
 
 
 class TestDerivationalEntropy:
@@ -360,7 +427,7 @@ class TestRates:
 
     def test_defective(self):
         report = entropy_rate(DEFECTIVE)
-        assert report.spectral_radius == pytest.approx(0.5, abs=1e-12)
+        assert report.spectral_radius == 0.5
         assert report.rate == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_geometric(self):

@@ -86,12 +86,11 @@ def permuted_grammars(draw):
 @given(permuted_grammars())
 def test_scalars_invariant_under_nonterminal_permutation(grammars):
     grammar, permuted = grammars
-    # The spectral radius is left out: on a defective M its eigenvalues are
-    # accurate only to about the square root of machine epsilon.
     want, got = entropy_rate(grammar), entropy_rate(permuted)
     assert _close(got.entropy, want.entropy)
     assert _close(got.mlu, want.mlu)
     assert _close(got.rate, want.rate)
+    assert _close(got.spectral_radius, want.spectral_radius)
     for smoother in SmootherKind:
         assert _close(
             site_from_grammar(permuted, smoother), site_from_grammar(grammar, smoother)
