@@ -67,8 +67,12 @@ from .grammar import (
 )
 from .trees import (
     Corpus,
+    CountedCorpus,
+    Derivation,
     Tree,
     corpus_mlu,
+    count_bracketed,
+    derivation,
     parse_bracketed,
     read_bracketed,
     write_bracketed,

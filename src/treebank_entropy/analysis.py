@@ -22,7 +22,7 @@ from .estimators import (
     training_cross_entropy,
 )
 from .grammar import Pcfg, RuleCounts, Sampler, induce
-from .trees import Corpus, corpus_mlu
+from .trees import Corpus, CountedCorpus, corpus_mlu
 
 #: Sweep sizes spanning 1 to 15,000 sentences, evenly spaced in log scale.
 DEFAULT_SIZES = (
@@ -111,7 +111,7 @@ def _coverage(sample_grammar: Pcfg, true_rules, true_nts) -> dict[str, float]:
 
 
 def converge(
-    grammar_source: Corpus,
+    grammar_source: Corpus | CountedCorpus,
     sizes=DEFAULT_SIZES,
     replications: int = 100,
     estimators=DEFAULT_ESTIMATORS,
@@ -168,7 +168,7 @@ def converge(
 
 
 def incremental(
-    files: list[Corpus],
+    files: list[Corpus | CountedCorpus],
     order: str = "original",
     seed: int | None = None,
     smoother: SmootherKind = SmootherKind.CWJ,
@@ -180,14 +180,17 @@ def incremental(
     generator, and re-cut into chunks matching the original file sizes.  The
     endpoint is order-independent because the estimate only depends on the
     accumulated multiset of trees.  Each chunk's rule counts are added to
-    running totals, so every sentence is walked once.
+    running totals, so every sentence is counted once.
     """
     if len(files) < 2:
         raise InputError("incremental analysis needs at least two files")
     if order == "original":
-        parts = [(c.source_id or f"file{i + 1:02d}", c.sentences) for i, c in enumerate(files)]
+        parts = [
+            (c.source_id or f"file{i + 1:02d}", c.derivations())
+            for i, c in enumerate(files)
+        ]
     elif order == "shuffled":
-        pool = [t for c in files for t in c.sentences]
+        pool = [d for c in files for d in c.derivations()]
         rng = np.random.default_rng(seed)
         permuted = [pool[i] for i in rng.permutation(len(pool))]
         parts = []
@@ -210,7 +213,7 @@ def incremental(
 
 
 def file_reports(
-    files: list[Corpus], smoother: SmootherKind = SmootherKind.CWJ
+    files: list[Corpus | CountedCorpus], smoother: SmootherKind = SmootherKind.CWJ
 ) -> list[FileReport]:
     """Per-file sentence count, MLU, treebank entropy, and log size."""
     reports = []

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,13 +23,14 @@ import numpy as np
 from . import analysis, depconv, estimators, grammar as gr
 from .conllu import read_conllu
 from .entropy import derivational_entropy, entropy_rate, grammar_mlu
-from .errors import InputError, NumericalError, read_text
+from .errors import InputError, NonProjectiveError, NumericalError, read_text
 from .estimators import SmootherKind
 from .trees import (
     DEFAULT_DROP_LABELS,
-    Corpus,
+    CountedCorpus,
     corpus_mlu,
-    read_bracketed,
+    count_bracketed,
+    derivation,
     write_bracketed,
 )
 
@@ -39,35 +41,43 @@ def _conversion_config(args):
     )
 
 
-def _read_file(path, args) -> Corpus:
+def _read_file(path, args) -> CountedCorpus:
+    """The derivations of a file's sentences: all that the treebank
+    commands read.  Bracketed text is read without building trees."""
     if args.format == "conllu":
-        graphs = read_conllu(path)
-        corpus, skipped = depconv.graphs_to_corpus(
-            graphs, _conversion_config(args), source_id=str(path)
-        )
+        # Each tree is walked as soon as it is built, so no two are held.
+        config = _conversion_config(args)
+        derivations = []
+        skipped = 0
+        for graph in read_conllu(path):
+            try:
+                derivations.append(derivation(depconv.dep_to_tree(graph, config)))
+            except NonProjectiveError:
+                skipped += 1
         if skipped:
             print(
-                f"{path}: skipped {len(skipped)} non-projective sentence(s)",
+                f"{path}: skipped {skipped} non-projective sentence(s)",
                 file=sys.stderr,
             )
-        return corpus
+        return CountedCorpus(derivations, source_id=str(path))
     drop = frozenset(args.drop_label) if args.drop_label else DEFAULT_DROP_LABELS
-    return read_bracketed(
-        path, drop_labels=drop, strip_tags=args.strip_tags,
+    derivations = count_bracketed(
+        read_text(path), drop_labels=drop, strip_tags=args.strip_tags,
         preterminalize=args.preterminalize,
     )
+    return CountedCorpus(derivations, source_id=str(path))
 
 
-def _read_files(paths, args) -> list[Corpus]:
+def _read_files(paths, args) -> list[CountedCorpus]:
     corpora = [_read_file(p, args) for p in paths]
     if not any(c.sentences for c in corpora):
         raise InputError("no sentences found in input")
     return corpora
 
 
-def _merge(corpora) -> Corpus:
-    sentences = [t for c in corpora for t in c.sentences]
-    return Corpus(sentences, source_id=";".join(c.source_id for c in corpora))
+def _merge(corpora) -> CountedCorpus:
+    derivations = [d for c in corpora for d in c.sentences]
+    return CountedCorpus(derivations, source_id=";".join(c.source_id for c in corpora))
 
 
 def _load_grammar(args) -> gr.Pcfg:
@@ -259,10 +269,15 @@ def _column(rows, col, path) -> list[float]:
     for row_no, row in enumerate(rows, start=2):  # row 1 is the header
         cell = row[col]
         try:
-            values.append(float(cell))
+            value = float(cell)
         except (TypeError, ValueError):  # None marks a short row
             what = "is missing" if cell is None else f"{cell!r} is not a number"
             raise InputError(f"{path}: row {row_no}, column '{col}' {what}") from None
+        if not math.isfinite(value):
+            raise InputError(
+                f"{path}: row {row_no}, column '{col}' {cell!r} is not finite"
+            )
+        values.append(value)
     return values
 
 

@@ -31,40 +31,47 @@ class ConversionConfig:
     use_pos: bool = True
 
 
-def _subtree_spans(graph: DepGraph) -> list[set[int]]:
-    """1-indexed list of each token's projection (descendants incl. itself)."""
+def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
+    """Arcs (head, dependent) that violate projectivity.
+
+    An arc is reported when some token inside its surface interval is not
+    dominated by the arc's head.  That happens only under a head whose
+    projection (the tokens it dominates) has a gap, and no projection has
+    one exactly when no arcs cross; so one pass over the projections' bounds
+    and sizes settles the common, projective case.
+    """
     n = len(graph)
-    spans = [set() for _ in range(n + 1)]
+    heads = graph.heads
     deps = graph.dependents()
-    # Post-order accumulation over the dependency tree.
-    order = []
+    order = []  # pre-order: every projection is a contiguous run of it
     stack = [graph.root]
     while stack:
         node = stack.pop()
         order.append(node)
         stack.extend(deps[node])
+    lo = list(range(n + 1))  # bounds and size of each token's projection
+    hi = lo[:]
+    size = [1] * (n + 1)
     for node in reversed(order):
-        acc = {node}
-        for d in deps[node]:
-            acc |= spans[d]
-        spans[node] = acc
-    return spans
-
-
-def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
-    """Arcs (head, dependent) that violate projectivity.
-
-    An arc is reported when some token inside its surface interval is not
-    dominated by the arc's head.
-    """
-    spans = _subtree_spans(graph)
+        head = heads[node - 1]
+        if head:
+            if lo[node] < lo[head]:
+                lo[head] = lo[node]
+            if hi[node] > hi[head]:
+                hi[head] = hi[node]
+            size[head] += size[node]
+    if all(h - l + 1 == s for l, h, s in zip(lo, hi, size)):
+        return []
+    rank = [0] * (n + 1)
+    for i, node in enumerate(order):
+        rank[node] = i
     bad = []
-    for dep, head in enumerate(graph.heads, start=1):
-        if head == 0:
+    for dep, head in enumerate(heads, start=1):
+        if head == 0 or hi[head] - lo[head] + 1 == size[head]:
             continue
-        lo, hi = min(head, dep), max(head, dep)
-        inside = set(range(lo, hi + 1))
-        if not inside <= spans[head]:
+        first, end = rank[head], rank[head] + size[head]
+        between = range(min(head, dep), max(head, dep) + 1)
+        if not all(first <= rank[t] < end for t in between):
             bad.append((head, dep))
     return bad
 

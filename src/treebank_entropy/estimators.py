@@ -31,7 +31,7 @@ import numpy as np
 from .entropy import entropy_from_probs, solve_root
 from .errors import EmptyInputError, OutOfGrammarError
 from .grammar import FreqTable, Pcfg, induce, rule_freq_tables, tree_probability
-from .trees import Corpus
+from .trees import Corpus, CountedCorpus
 
 _LN2 = math.log(2.0)
 
@@ -221,7 +221,9 @@ def site_from_grammar(grammar: Pcfg, smoother: SmootherKind = SmootherKind.CWJ) 
     return float(solve_root(grammar, h0)[1])
 
 
-def site(corpus: Corpus, smoother: SmootherKind = SmootherKind.CWJ) -> EstimateResult:
+def site(
+    corpus: Corpus | CountedCorpus, smoother: SmootherKind = SmootherKind.CWJ
+) -> EstimateResult:
     """Smoothed induced treebank entropy of a corpus, in bits."""
     smoother = SmootherKind(smoother)
     grammar = induce(corpus)

@@ -27,7 +27,7 @@ from .errors import (
     StructuralError,
     read_text,
 )
-from .trees import Corpus, Tree
+from .trees import Corpus, CountedCorpus, Derivation, Tree
 
 #: Synthetic start symbol used when the treebank has several root labels.
 SYNTHETIC_ROOT = "⊤ROOT⊤"
@@ -150,39 +150,30 @@ class Pcfg:
 
 
 class RuleCounts:
-    """Sufficient statistics of ML induction over a multiset of trees.
+    """Sufficient statistics of ML induction over a multiset of derivations.
 
     `rules` counts ``(lhs, rhs)`` expansions and `roots` root labels, each
     in first-encounter order (a :class:`Counter` keeps insertion order);
     `leaves` holds every label seen on a leaf, for the alphabet check.
     Counts of a union of corpora are the sums of their counts, and adding
-    trees in corpus order keeps the first-encounter order of the union.
+    derivations in corpus order keeps the first-encounter order of the
+    union.  Trees are counted through :func:`~.trees.derivation`.
     """
 
     __slots__ = ("rules", "roots", "leaves")
 
-    def __init__(self, trees: Iterable[Tree] = ()):
+    def __init__(self, derivations: Iterable[Derivation] = ()):
         self.rules: Counter[tuple[str, tuple[str, ...]]] = Counter()
         self.roots: Counter[str] = Counter()
         self.leaves: set[str] = set()
-        self.add(trees)
+        self.add(derivations)
 
-    def add(self, trees: Iterable[Tree]) -> None:
-        """Count every expansion of `trees`, walking each tree once."""
-        leaves = self.leaves
-        for tree in trees:
-            self.roots[tree.label] += 1
-            keys = []
-            stack = [tree]
-            while stack:  # pre-order, left to right
-                node = stack.pop()
-                children = node.children
-                if children:
-                    keys.append((node.label, tuple([c.label for c in children])))
-                    stack.extend(children[::-1])
-                else:
-                    leaves.add(node.label)
-            self.rules.update(keys)
+    def add(self, derivations: Iterable[Derivation]) -> None:
+        """Count every expansion, root and leaf of `derivations`."""
+        for root, rules, leaves in derivations:
+            self.roots[root] += 1
+            self.rules.update(rules)
+            self.leaves.update(leaves)
 
     def grammar(self) -> Pcfg:
         """The maximum-likelihood grammar of the counted trees."""
@@ -221,7 +212,7 @@ class RuleCounts:
         return Pcfg(root, rules)
 
 
-def induce(corpus: Corpus) -> Pcfg:
+def induce(corpus: Corpus | CountedCorpus) -> Pcfg:
     """Maximum-likelihood induction: one rule per distinct expansion,
     probability equal to its relative frequency among the left-hand side's
     expansions.
@@ -230,7 +221,7 @@ def induce(corpus: Corpus) -> Pcfg:
     added with one rule per observed root.  A symbol appearing both as an
     internal and as a leaf label raises :class:`AlphabetClashError`.
     """
-    return RuleCounts(corpus.sentences).grammar()
+    return RuleCounts(corpus.derivations()).grammar()
 
 
 def tree_probability(grammar: Pcfg, tree: Tree) -> TreeProbability:

@@ -4,12 +4,18 @@ Trees are the common currency of the package: internal nodes carry
 non-terminal labels, leaves carry terminal labels, and the left-to-right
 sequence of leaves (the frontier) is the surface string.  All traversals are
 iterative; parsed trees can be arbitrarily deep.
+
+Every measure the package computes is a function of rule counts, so a tree
+is counted through its :class:`Derivation`: the root label, the expansions
+in pre-order and the frontier.  :func:`count_bracketed` reads bracketed text
+straight into derivations, without building a tree.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyInputError, ParseError, StructuralError, read_text
 
@@ -71,6 +77,38 @@ class Tree:
 
     def node_count(self) -> int:
         return sum(1 for _ in self.iter_nodes())
+
+
+class Derivation(NamedTuple):
+    """What rule counting reads of one tree.
+
+    `rules` holds the ``(lhs, rhs)`` expansion of every internal node in
+    pre-order (the leftmost derivation), and `leaves` the frontier.
+    """
+
+    root: str
+    rules: list[tuple[str, tuple[str, ...]]]
+    leaves: list[str]
+
+    @property
+    def terminals(self) -> int:
+        return len(self.leaves)
+
+
+def derivation(tree: Tree) -> Derivation:
+    """The derivation of a tree, walking it once."""
+    rules = []
+    leaves = []
+    stack = [tree]
+    while stack:  # pre-order, left to right
+        node = stack.pop()
+        children = node.children
+        if children:
+            rules.append((node.label, tuple([c.label for c in children])))
+            stack.extend(children[::-1])
+        else:
+            leaves.append(node.label)
+    return Derivation(tree.label, rules, leaves)
 
 
 #: One token per match: a parenthesis or a maximal run of other non-space
@@ -169,6 +207,85 @@ def _cut_function_tags(label: str) -> str:
     return label
 
 
+def count_bracketed(
+    text: str,
+    drop_labels=frozenset(),
+    strip_tags: bool = False,
+    preterminalize: bool = False,
+) -> list[Derivation]:
+    """The derivations of the trees ``parse_bracketed(text, ...)`` returns,
+    read without building them.
+
+    The tokens and the close rule are those of :func:`parse_bracketed`,
+    applied to labels instead of nodes.  Each node reserves a slot for its
+    rule when it opens and fills it when it closes, so every sentence's
+    rules come out in pre-order.  Malformed text is handed to
+    :func:`parse_bracketed`, so the error raised is its own.
+    """
+
+    def malformed():
+        parse_bracketed(text, drop_labels, strip_tags, preterminalize)
+        raise AssertionError("the two bracketed readers disagree on this text")
+
+    derivations = []
+    # Open nodes: [label or None, kept child labels, words, phrases, rule slot]
+    # where words and phrases count the node's children as written.
+    stack = []
+    slots = []  # the open sentence's rules, one slot per '(' so far
+    leaves = []  # the open sentence's frontier so far
+    # split() cuts at str.isspace, as \s in _TOKENS does: the same tokens.
+    for token in text.replace("(", " ( ").replace(")", " ) ").split():
+        if token == "(":
+            stack.append([None, [], 0, 0, len(slots)])
+            slots.append(None)
+        elif not stack:
+            malformed()
+        elif token == ")":
+            label, kept, words, phrases, slot = stack.pop()
+            if label is None:
+                if stack or words + phrases != 1:
+                    malformed()
+                label = kept[0] if kept else None  # unwrap unlabeled top-level group
+            elif not words + phrases:
+                malformed()
+            elif not kept or (not phrases and label in drop_labels):
+                label = None
+                if not preterminalize:  # its words are the last leaves read
+                    del leaves[len(leaves) - words:]
+            else:
+                if strip_tags:
+                    label = _cut_function_tags(label)
+                if not (preterminalize and words):
+                    slots[slot] = (label, tuple(kept))
+                elif words == len(kept):
+                    leaves.append(label)  # the pre-terminal becomes a leaf
+                else:
+                    malformed()  # mixes leaf and internal children
+            if stack:
+                parent = stack[-1]
+                parent[3] += 1
+                if label is not None:
+                    parent[1].append(label)
+            else:
+                if label is not None:
+                    rules = [rule for rule in slots if rule is not None]
+                    derivations.append(Derivation(label, rules, leaves))
+                slots = []
+                leaves = []
+        else:
+            top = stack[-1]
+            if top[0] is None and not top[2] + top[3]:
+                top[0] = token
+            else:
+                top[2] += 1
+                top[1].append(token)
+                if not preterminalize:
+                    leaves.append(token)
+    if stack:
+        malformed()
+    return derivations
+
+
 def write_bracketed(tree: Tree) -> str:
     """Serialize a tree to the bracketed format read by :func:`parse_bracketed`.
 
@@ -208,12 +325,32 @@ class Corpus:
     def __len__(self):
         return len(self.sentences)
 
+    def derivations(self) -> list[Derivation]:
+        return [derivation(t) for t in self.sentences]
 
-def corpus_mlu(corpus: Corpus) -> float:
+
+@dataclass
+class CountedCorpus:
+    """The derivations of a list of sentences plus provenance: what
+    :func:`count_bracketed` reads.  It stands in for a :class:`Corpus`
+    wherever only rule counts, sentence counts and frontier lengths are
+    read."""
+
+    sentences: list[Derivation]
+    source_id: str = ""
+
+    def __len__(self):
+        return len(self.sentences)
+
+    def derivations(self) -> list[Derivation]:
+        return self.sentences
+
+
+def corpus_mlu(corpus: Corpus | CountedCorpus) -> float:
     """Mean frontier length in tokens per sentence."""
     if not corpus.sentences:
         raise EmptyInputError("MLU is undefined for an empty corpus")
-    total = sum(len(t.frontier()) for t in corpus.sentences)
+    total = sum(d.terminals for d in corpus.derivations())
     return total / len(corpus.sentences)
 
 

@@ -3,6 +3,7 @@
 Nothing here calls the closed-form entropy path it is meant to check: tree
 entropies come from explicit enumeration of derivations, spectral radii from
 the dense eigensolver, projective graphs from direct interval splitting,
+crossing arcs from each head's projection as a set,
 cleaned trees from the original read pipeline, in which parsing, trace
 stripping, function-tag cutting and pre-terminalization each rebuild the tree
 in a pass of their own, sampled trees from the original sampler, which draws
@@ -208,6 +209,46 @@ def random_projective_graph(rng: np.random.Generator, n: int) -> DepGraph:
         None if heads[i] == 0 else str(rng.choice(_RELS)) for i in range(n)
     ]
     return DepGraph(tokens=tokens, heads=heads, labels=labels)
+
+
+def random_dependency_graph(rng: np.random.Generator, n: int) -> DepGraph:
+    """A random dependency tree over `n` tokens, usually not projective:
+    tokens join in a random order, each under a random earlier one."""
+    order = [int(t) for t in rng.permutation(n) + 1]
+    heads = [0] * n
+    for i, token in enumerate(order[1:], start=1):
+        heads[token - 1] = order[int(rng.integers(0, i))]
+    labels = [None if h == 0 else str(rng.choice(_RELS)) for h in heads]
+    tags = [str(rng.choice(_POS_TAGS)) for _ in range(n)]
+    return DepGraph(tokens=[(t, t) for t in tags], heads=heads, labels=labels)
+
+
+def reference_crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
+    """Arcs (head, dependent) with a token inside their surface interval
+    that the head does not dominate, checked against each head's
+    projection as a set."""
+    n = len(graph)
+    spans = [set() for _ in range(n + 1)]
+    deps = graph.dependents()
+    order = []
+    stack = [graph.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(deps[node])
+    for node in reversed(order):
+        acc = {node}
+        for d in deps[node]:
+            acc |= spans[d]
+        spans[node] = acc
+    bad = []
+    for dep, head in enumerate(graph.heads, start=1):
+        if head == 0:
+            continue
+        lo, hi = min(head, dep), max(head, dep)
+        if not set(range(lo, hi + 1)) <= spans[head]:
+            bad.append((head, dep))
+    return bad
 
 
 def reference_read(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import treebank_entropy
+from treebank_entropy import trees
 from treebank_entropy.cli import build_parser, main
 from treebank_entropy.grammar import Pcfg, Rule, Sampler, write_grammar
 from treebank_entropy.trees import write_bracketed
@@ -140,6 +141,20 @@ class TestConvert:
         captured = capsys.readouterr()
         assert captured.out.strip() == ""
         assert "non-projective" in captured.err
+
+    def test_nonprojective_skip_reported_when_reading(self, tmp_path, capsys):
+        bad = (
+            "1\ta\t_\tA\t_\t_\t3\tx\t_\t_\n"
+            "2\tb\t_\tB\t_\t_\t4\ty\t_\t_\n"
+            "3\tc\t_\tC\t_\t_\t0\troot\t_\t_\n"
+            "4\td\t_\tD\t_\t_\t3\tz\t_\t_\n"
+        )
+        path = tmp_path / "mixed.conllu"
+        path.write_text(CONLLU + "\n" + bad, encoding="utf-8")
+        assert main(["site", "--format", "conllu", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "sentences\t2\n" in captured.out
+        assert captured.err == f"{path}: skipped 1 non-projective sentence(s)\n"
 
     def test_conllu_pipeline_site(self, tmp_path, capsys):
         path = tmp_path / "sents.conllu"
@@ -418,8 +433,11 @@ class TestExitCodes:
         [
             ("x,y\n1.0,2.1\n2.0,abc\n3.0,6.1\n", "row 3, column 'y' 'abc' is not a number"),
             ("x,y\n1.0,2.1\n2.0,3.9\n3.0\n", "row 4, column 'y' is missing"),
+            ("x,y\n1.0,2.1\nnan,3.9\n3.0,6.1\n", "row 3, column 'x' 'nan' is not finite"),
+            ("x,y\n1.0,2.1\n2.0,3.9\n3.0,-Infinity\n",
+             "row 4, column 'y' '-Infinity' is not finite"),
         ],
-        ids=["non-numeric", "short-row"],
+        ids=["non-numeric", "short-row", "nan", "infinite"],
     )
     def test_fit_bad_cell(self, tmp_path, capsys, text, reported):
         path = tmp_path / "xy.csv"
@@ -494,3 +512,43 @@ def test_site_commands_leave_scipy_unloaded(treebank, tmp_path):
     codes, loaded = json.loads(result.stdout.strip().splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert loaded == []
+
+
+PTB = """\
+( (S (NP-SBJ (DT the) (NN dog)) (VP (VBD ran) (-NONE- *T*-1))) )
+(S (NP (PRP it)) (VP (VBZ sleeps) (ADVP (RB here))))
+( (S (NP (NN rain)) (VP=2 (VBD fell))) )
+"""
+
+
+def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = trees.parse_bracketed
+
+    def spy(text, *args, **kwargs):
+        calls.append(text)
+        return real(text, *args, **kwargs)
+
+    # Every package namespace that holds the tree reader gets the spy.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "treebank_entropy":
+            if getattr(module, "parse_bracketed", None) is real:
+                monkeypatch.setattr(module, "parse_bracketed", spy)
+    first, second = tmp_path / "a.mrg", tmp_path / "b.mrg"
+    first.write_text(PTB, encoding="utf-8")
+    second.write_text(PTB.split("\n", 1)[1], encoding="utf-8")
+    files = [str(first), str(second)]
+    for options in ([], ["--no-preterminalize", "--strip-tags"]):
+        for argv in (
+            ["induce", *files], ["entropy", *files], ["mlu", *files],
+            ["rate", *files], ["site", *files], ["report", *files],
+            ["incremental", *files], ["incremental", "--order", "shuffled", *files],
+            ["converge", "--sizes", "2", "--replications", "1", *files],
+        ):
+            assert main([argv[0], *options, *argv[1:]]) == 0, argv
+    assert calls == []
+    bad = tmp_path / "bad.mrg"
+    bad.write_text("(S (NN x)", encoding="utf-8")
+    assert main(["site", str(bad)]) == 2  # malformed text goes to the tree reader
+    assert calls == ["(S (NN x)"]
+    assert "unbalanced" in capsys.readouterr().err

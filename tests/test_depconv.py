@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import random_projective_graph
+from oracles import (
+    random_dependency_graph,
+    random_projective_graph,
+    reference_crossing_arcs,
+)
 from treebank_entropy.conllu import DepGraph
 from treebank_entropy.depconv import (
     ConversionConfig,
@@ -56,6 +60,19 @@ class TestProjectivity:
             labels=["x", None, "y"],
         )
         assert not is_projective(graph)
+
+    def test_crossing_arcs_match_reference(self):
+        rng = np.random.default_rng(31)
+        crossing = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            projective = random_projective_graph(rng, n)
+            assert crossing_arcs(projective) == []
+            assert reference_crossing_arcs(projective) == []
+            graph = random_dependency_graph(rng, n)
+            assert crossing_arcs(graph) == reference_crossing_arcs(graph)
+            crossing += bool(reference_crossing_arcs(graph))
+        assert crossing > 200  # the random trees are mostly non-projective
 
 
 class TestDepToTree:

@@ -1,17 +1,22 @@
 """Seeded fuzzing of every reader: on any input, either a value comes back
-or an :class:`InputError` subclass is raised; nothing else may escape."""
+or an :class:`InputError` subclass is raised; nothing else may escape.  The
+counting reader must also agree with the tree reader on every input."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
+from test_trees import READ_OPTIONS as ALL_READ_OPTIONS
+from test_trees import _outcome
 from treebank_entropy.conllu import parse_conllu, read_conllu
 from treebank_entropy.errors import InputError
 from treebank_entropy.grammar import dumps, induce, loads, read_grammar
 from treebank_entropy.trees import (
     DEFAULT_DROP_LABELS,
     Corpus,
+    count_bracketed,
+    derivation,
     parse_bracketed,
     read_bracketed,
 )
@@ -120,3 +125,14 @@ def test_readers_raise_only_input_errors(seed, kind, tmp_path):
         path.write_bytes(data)
         with contextlib.suppress(InputError):
             read(path)
+
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_counting_reader_reads_like_parse_bracketed(seed):
+    for text in _texts(np.random.default_rng(seed), BRACKETED, 400):
+        for options in ALL_READ_OPTIONS:
+            expected = _outcome(parse_bracketed, text, options)
+            if isinstance(expected, list):
+                expected = [derivation(t) for t in expected]
+            assert _outcome(count_bracketed, text, options) == expected

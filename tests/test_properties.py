@@ -1,15 +1,26 @@
-"""Property-based tests: rule counts add over corpora, the incremental
-curve built from running counts ends where SITE of the merged corpus does,
-and no scalar depends on the order of the non-terminals."""
+"""Property-based tests: rule counts add over corpora, the counting reader
+counts what the reference reader's trees hold, the incremental curve built
+from running counts ends where SITE of the merged corpus does, and no scalar
+depends on the order of the non-terminals."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_read
+from test_trees import READ_OPTIONS
 from treebank_entropy.analysis import incremental
 from treebank_entropy.entropy import entropy_rate
+from treebank_entropy.errors import StructuralError
 from treebank_entropy.estimators import SmootherKind, site, site_from_grammar
 from treebank_entropy.grammar import SYNTHETIC_ROOT, Pcfg, RuleCounts, induce
-from treebank_entropy.trees import Corpus, Tree
+from treebank_entropy.trees import (
+    Corpus,
+    Tree,
+    count_bracketed,
+    derivation,
+    write_bracketed,
+)
 
 # Disjoint alphabets, so no generated corpus has an alphabet clash.
 _PHRASES = ("S", "A", "B")
@@ -32,7 +43,7 @@ SETTINGS = settings(max_examples=60, deadline=None)
 @SETTINGS
 @given(CORPORA, CORPORA)
 def test_counts_of_union_are_sums(a, b):
-    union, left, right = RuleCounts(a + b), RuleCounts(a), RuleCounts(b)
+    union, left, right = (RuleCounts(map(derivation, c)) for c in (a + b, a, b))
     assert union.rules == left.rules + right.rules
     assert union.roots == left.roots + right.roots
     induced = {
@@ -41,6 +52,52 @@ def test_counts_of_union_are_sums(a, b):
         if r.lhs != SYNTHETIC_ROOT
     }
     assert induced == left.rules + right.rules
+
+
+#: Labels with anything but whitespace and parentheses, and labels that the
+#: drop and function-tag options act on.
+_LABELS = st.one_of(
+    st.sampled_from(["-NONE-", "NP-SBJ", "VP=2", "S-TPC-1=3", "-", "="]),
+    st.text(
+        st.characters().filter(lambda c: not c.isspace() and c not in "()"),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+def _labeled_node(children):
+    return st.builds(Tree, _LABELS, st.lists(children, min_size=1, max_size=3))
+
+
+LABELED_TREES = _labeled_node(
+    st.recursive(_LABELS.map(Tree), _labeled_node, max_leaves=12)
+)
+
+@SETTINGS
+@given(st.lists(st.tuples(LABELED_TREES, st.booleans()), min_size=1, max_size=5))
+def test_counting_reader_counts_reference_trees(sentences):
+    # Some sentences sit in the unlabeled wrapper of treebank files.
+    text = "\n".join(
+        f"( {write_bracketed(t)} )" if wrapped else write_bracketed(t)
+        for t, wrapped in sentences
+    )
+    for options in READ_OPTIONS:
+        try:
+            trees = reference_read(text, **options)
+        except StructuralError:  # a node mixing words and phrases
+            with pytest.raises(StructuralError):
+                count_bracketed(text, **options)
+            continue
+        derivations = count_bracketed(text, **options)
+        got, want = RuleCounts(derivations), RuleCounts(map(derivation, trees))
+        assert list(got.rules.items()) == list(want.rules.items())
+        assert list(got.roots.items()) == list(want.roots.items())
+        assert got.leaves == want.leaves
+        assert len(derivations) == len(trees)
+        assert sum(d.terminals for d in derivations) == sum(
+            len(t.frontier()) for t in trees
+        )
 
 
 @st.composite

@@ -8,10 +8,13 @@ from synthetic import scaffold_grammar
 from treebank_entropy.errors import EmptyInputError, ParseError, StructuralError
 from treebank_entropy.grammar import Pcfg, Rule, Sampler
 from treebank_entropy.trees import (
+    _TOKENS,
     DEFAULT_DROP_LABELS,
     Corpus,
     Tree,
     corpus_mlu,
+    count_bracketed,
+    derivation,
     parse_bracketed,
     read_bracketed,
     write_bracketed,
@@ -219,9 +222,14 @@ def _outcome(read, text, options):
 
 
 def assert_reads_like_reference(text):
+    """Both readers agree with the reference: the tree reader on the trees,
+    the counting reader on their derivations, and both on any error."""
     for options in READ_OPTIONS:
         expected = _outcome(reference_read, text, options)
         assert _outcome(parse_bracketed, text, options) == expected, options
+        if isinstance(expected, list):
+            expected = [derivation(t) for t in expected]
+        assert _outcome(count_bracketed, text, options) == expected, options
 
 
 def random_ptb(rng, sentences):
@@ -255,7 +263,8 @@ def random_ptb(rng, sentences):
 
 
 class TestReaderMatchesReference:
-    """The one-pass reader against the parse-then-rebuild pipeline."""
+    """The one-pass and counting readers against the parse-then-rebuild
+    pipeline."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_random_ptb(self, seed):
@@ -320,3 +329,25 @@ class TestReaderMatchesReference:
         path.write_text("(S (NN x) (-NONE- *))", encoding="utf-8")
         corpus = read_bracketed(path, preterminalize=True)
         assert corpus.sentences == [Tree("S", [Tree("NN")])]
+
+
+class TestCountBracketed:
+    def test_derivation_in_pre_order(self):
+        (got,) = count_bracketed("( (S (NP (DT a) (NN b)) (VP (VB c) (-NONE- *))) )",
+                                 DEFAULT_DROP_LABELS, preterminalize=True)
+        assert got.root == "S"
+        assert got.rules == [("S", ("NP", "VP")), ("NP", ("DT", "NN")), ("VP", ("VB",))]
+        assert got.leaves == ["DT", "NN", "VB"]
+        assert got.terminals == 3
+
+    def test_bare_preterminal_is_a_leaf_sentence(self):
+        assert count_bracketed("(NN x)", preterminalize=True) == [
+            derivation(Tree("NN"))
+        ]
+
+    def test_split_tokenizes_like_the_regex(self):
+        # Every code point between two letters: a whitespace character
+        # separates them for both tokenizers, any other one for neither.
+        text = "a".join(map(chr, range(0x110000)))
+        split = text.replace("(", " ( ").replace(")", " ) ").split()
+        assert split == _TOKENS.findall(text)
