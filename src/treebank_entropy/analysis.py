@@ -12,15 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import solve_root
+from .entropy import root_values
 from .errors import EmptyInputError, InputError
-from .estimators import (
-    SmootherKind,
-    site,
-    site_from_grammar,
-    smoothed_local_entropies,
-    training_cross_entropy,
-)
+from .estimators import SmootherKind, site, site_from_grammar, smoothed_local_entropies
 from .grammar import Pcfg, RuleCounts, Sampler, induce
 from .trees import Corpus, CountedCorpus, corpus_mlu
 
@@ -35,9 +29,12 @@ DEFAULT_ESTIMATORS = ("ml", "mc", "site-cae", "site-cwj")
 #: Percentage-coverage curves reported alongside the entropy estimators.
 COVERAGE_SERIES = ("coverage-rules", "coverage-nonterminals")
 
-#: The smoother behind each SITE estimator id; "mc" is the only other id.
+#: The smoother behind each estimator id.  "mc", the cross-entropy of a
+#: sampled corpus's grammar on its own trees, is -sum_r f_r log2 p_r / N =
+#: sum_A f_A h_A / N, the ML entropy: one number serves both.
 _SMOOTHER_OF = {
     "ml": SmootherKind.ML,
+    "mc": SmootherKind.ML,
     "site-ml": SmootherKind.ML,
     "site-cae": SmootherKind.CAE,
     "site-cwj": SmootherKind.CWJ,
@@ -86,19 +83,15 @@ class RegressionFit:
 
 def _corpus_estimates(corpus: Corpus, estimators) -> tuple[dict[str, float], Pcfg]:
     """All requested estimates of one sampled corpus, sharing one induction
-    and one matrix factorization."""
+    and one smoothing per smoother."""
     grammar = induce(corpus)
-    columns = {}
-    out = {}
-    for est in estimators:
-        if est == "mc":
-            out[est] = training_cross_entropy(grammar, len(corpus))
-        else:
-            columns[est] = smoothed_local_entropies(grammar, _SMOOTHER_OF[est])
-    if columns:
-        root_row = solve_root(grammar, np.column_stack(list(columns.values())))
-        out.update(zip(columns, map(float, root_row[1:])))
-    return out, grammar
+    smoothers = list(dict.fromkeys(_SMOOTHER_OF[est] for est in estimators))
+    by_smoother = {}
+    if smoothers:
+        entropies = [smoothed_local_entropies(grammar, s) for s in smoothers]
+        values = root_values(grammar, np.column_stack(entropies))[1:]
+        by_smoother = dict(zip(smoothers, map(float, values)))
+    return {est: by_smoother[_SMOOTHER_OF[est]] for est in estimators}, grammar
 
 
 def _coverage(sample_grammar: Pcfg, true_rules, true_nts) -> dict[str, float]:
@@ -134,7 +127,7 @@ def converge(
     if replications < 1:
         raise InputError("the number of replications must be positive")
     for est in estimators:
-        if est != "mc" and est not in _SMOOTHER_OF:
+        if est not in _SMOOTHER_OF:
             raise InputError(f"unknown estimator id '{est}'")
     truth = induce(grammar_source)
     sampler = Sampler(truth)

@@ -3,30 +3,31 @@
 The expected-counts (characteristic) matrix M of a grammar has one row per
 non-terminal; entry (i, j) is the expected number of occurrences of
 non-terminal j produced by a single expansion of non-terminal i.  When the
-spectral radius of M is below one, I - M is a non-singular M-matrix with a
-non-negative inverse, and solving
+spectral radius of M is below one, the root row of (I - M)^-1 [l | h], l
+the expected terminals and h the entropy of one expansion of each
+non-terminal, holds the grammar's mean length of utterance and derivational
+entropy (:func:`root_values`); their ratio is the entropy rate in bits per
+emitted symbol.  No eigensolver runs, and two paths give that root row:
 
-    (I - M) x = v
+* A relative-frequency grammar (an induced one, or a file that ``induce``
+  wrote) needs no M: the root row of (I - M)^-1 is f / N, f_A the
+  occurrences of A in the N counted trees, and its counts certify the
+  spectral radius below one in integers (:func:`count_totals`).
+* Any other grammar is solved: one factorization of I - M solves
+  [1 | l | h], and c = (I - M)^-1 1 must be positive with (I - M) c
+  positive with margin, which certifies the spectral radius below one
+  (:func:`solve_system`).
 
-with v the vector of local expansion entropies (respectively, of expected
-terminal emissions per expansion) yields the per-non-terminal derivational
-entropies (respectively, expected string lengths).  The root components are
-the grammar's derivational entropy and mean length of utterance; their ratio
-is the derivational entropy rate in bits per emitted symbol.
-
-No eigensolver runs.  One factorization of I - M solves [1 | v] for all
-the right-hand sides v of a grammar (:func:`solve_root`), and its first
-column, c = (I - M)^-1 1, the expected number of expansions per derivation,
-is accepted only when c is positive and (I - M) c is positive with margin:
-that certifies a spectral radius below one (semipositivity of non-singular
-M-matrices).  The spectral radius that :func:`entropy_rate` reports is a
-Collatz-Wielandt upper bound, taken over the strongly connected blocks of M
-and iterated until it is tight (:func:`spectral_radius`).
+The spectral radius that :func:`entropy_rate` reports is a Collatz-Wielandt
+upper bound, taken over the strongly connected blocks of M's non-zeros and
+iterated until it is tight (:func:`spectral_radius`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,20 +57,51 @@ def entropy_from_probs(probs: np.ndarray) -> float:
     return float(0.0 - positive @ np.log2(positive))
 
 
+class _RuleArrays(NamedTuple):
+    """Rule i expands `lhs[i]` with probability `prob[i]` and emits
+    `emitted[i]` terminals; its right-hand side's non-terminal occurrences
+    are the k with `rule[k]` = i, each of non-terminal `child[k]`.  M has the
+    entries `weights`, summed in rule order, at (`rows`, `cols`), row-major."""
+
+    n: int
+    lhs: np.ndarray
+    prob: np.ndarray
+    emitted: np.ndarray
+    rule: np.ndarray
+    child: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+
+def _rule_arrays(grammar: Pcfg) -> _RuleArrays:
+    index = grammar.nt_index
+    rules = grammar.rules
+    n = len(index)
+    lengths = np.fromiter((len(r.rhs) for r in rules), np.intp, len(rules))
+    symbols = np.fromiter(
+        (index.get(s, -1) for r in rules for s in r.rhs), np.intp, int(lengths.sum())
+    )
+    inner = symbols >= 0
+    rule = np.repeat(np.arange(len(rules)), lengths)[inner]
+    child = symbols[inner]
+    lhs = np.fromiter((index[r.lhs] for r in rules), np.intp, len(rules))
+    prob = np.array([r.prob for r in rules], dtype=np.float64)
+    emitted = lengths - np.bincount(rule, minlength=len(rules))
+    keys, inverse = np.unique(lhs[rule] * n + child, return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    weights = np.bincount(inverse, prob[rule], minlength=keys.size)
+    return _RuleArrays(n, lhs, prob, emitted, rule, child, rows, cols, weights)
+
+
 def characteristic_matrix(grammar: Pcfg) -> np.ndarray:
     """Expected non-terminal production counts per single expansion.
 
     Rows and columns follow `grammar.nonterminals` order.
     """
-    index = grammar.nt_index
-    n = len(grammar.nonterminals)
-    matrix = np.zeros((n, n))
-    for rule in grammar.rules:
-        row = index[rule.lhs]
-        for sym in rule.rhs:
-            col = index.get(sym)
-            if col is not None:
-                matrix[row, col] += rule.prob
+    arrays = _rule_arrays(grammar)
+    matrix = np.zeros((arrays.n, arrays.n))
+    matrix[arrays.rows, arrays.cols] = arrays.weights
     return matrix
 
 
@@ -84,12 +116,8 @@ def local_entropies(grammar: Pcfg) -> np.ndarray:
 
 def local_lengths(grammar: Pcfg) -> np.ndarray:
     """Expected number of terminal symbols emitted per single expansion."""
-    index = grammar.nt_index
-    out = np.zeros(len(grammar.nonterminals))
-    for rule in grammar.rules:
-        emitted = sum(1 for sym in rule.rhs if sym not in index)
-        out[index[rule.lhs]] += rule.prob * emitted
-    return out
+    arrays = _rule_arrays(grammar)
+    return np.bincount(arrays.lhs, arrays.prob * arrays.emitted, minlength=arrays.n)
 
 
 def _finite_nonnegative_square(matrix) -> np.ndarray:
@@ -207,24 +235,36 @@ def spectral_radius(matrix: np.ndarray) -> float:
     blocks, is returned.  The power steps touch only the non-zero entries.
     """
     m = _finite_nonnegative_square(matrix)
-    n = m.shape[0]
     rows, cols = np.nonzero(m)
+    return _sparse_radius(m.shape[0], rows, cols, m[rows, cols])
+
+
+def _block_labels(n: int, rows: np.ndarray, cols: np.ndarray):
+    """The strongly connected blocks of the pattern, and each vertex's
+    block and its position within it."""
     blocks = _strong_components(n, rows, cols)
     label = np.empty(n, dtype=np.intp)
     position = np.empty(n, dtype=np.intp)
     for b, block in enumerate(blocks):
         label[block] = b
         position[block] = np.arange(len(block))
+    return blocks, label, position
+
+
+def _sparse_radius(n: int, rows, cols, weights) -> float:
+    """:func:`spectral_radius` of the n x n matrix with the positive
+    entries `weights` at (rows, cols), `rows` sorted."""
+    blocks, label, position = _block_labels(n, rows, cols)
     # Edges inside a block, grouped by block.
     inside = np.flatnonzero(label[rows] == label[cols])
     inside = inside[np.argsort(label[rows[inside]], kind="stable")]
-    rows, cols = rows[inside], cols[inside]
+    rows, cols, weights = rows[inside], cols[inside], weights[inside]
     bounds = np.searchsorted(label[rows], np.arange(len(blocks) + 1))
     radius = 0.0
     for b, block in enumerate(blocks):
-        r, c = rows[bounds[b]:bounds[b + 1]], cols[bounds[b]:bounds[b + 1]]
+        part = slice(bounds[b], bounds[b + 1])
         radius = max(radius, _perron_upper_bound(
-            len(block), position[r], position[c], m[r, c]))
+            len(block), position[rows[part]], position[cols[part]], weights[part]))
     return radius
 
 
@@ -281,28 +321,92 @@ def solve_system(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     )
 
 
-def solve_root(grammar: Pcfg, entropies=None, matrix=None) -> np.ndarray:
-    """Root row of (I - M)^-1 [local lengths | entropies], from one solve:
-    the grammar's MLU, then its derivational entropy under each column of
-    `entropies` (by default its own local entropies).  `matrix` is M, for a
-    caller that holds it already."""
+class CountTotals(NamedTuple):
+    occurrences: np.ndarray  # f_A, in `Pcfg.nonterminals` order
+    sentences: int  # N
+    terminals: int  # T
+
+
+def count_totals(grammar: Pcfg, arrays: _RuleArrays | None = None) -> CountTotals | None:
+    """f_A, N and T of a grammar that is the relative-frequency grammar of
+    its own rule frequencies, certified; None for any other grammar.
+
+    Every probability must be the float f_r / f_A that
+    :func:`~.grammar.induce` computes, and roots_A = f_A - (occurrences of A
+    on right-hand sides) must be zero except at the root, where it is N > 0.
+    Then z = f / N solves z^T (I - M) = e_root^T.  I - M is non-singular when
+    every strongly connected block of M receives an occurrence from outside
+    itself (the root, or a child of a rule whose left-hand side lies
+    elsewhere): with z > 0, z^T M <= z^T then holds strictly somewhere on
+    each irreducible block, so its spectral radius is below one (Seneta,
+    *Non-negative Matrices and Markov Chains*, Thm 1.6; cf. Chi 1999).  A
+    block that receives none has radius one: :class:`DivergentGrammarError`.
+    """
+    if arrays is None:
+        arrays = _rule_arrays(grammar)
+    try:
+        freq = np.array([r.freq for r in grammar.rules], dtype=np.float64)
+    except OverflowError:
+        return None
+    # Every sum below is of integers smaller than this total, so exact.
+    if not ((freq >= 1).all()
+            and freq.sum() + freq[arrays.rule].sum() + freq @ arrays.emitted < 2.0**53):
+        return None
+    occurrences = np.bincount(arrays.lhs, freq, minlength=arrays.n)
+    if not (arrays.prob == freq / occurrences[arrays.lhs]).all():
+        return None
+    roots = occurrences - np.bincount(arrays.child, freq[arrays.rule], minlength=arrays.n)
+    root = grammar.nt_index[grammar.root]
+    sentences = roots[root]
+    roots[root] = 0
+    if not sentences > 0 or roots.any():
+        return None
+    blocks, label, _ = _block_labels(arrays.n, arrays.rows, arrays.cols)
+    fed = np.zeros(len(blocks), dtype=bool)
+    fed[label[root]] = True
+    fed[label[arrays.cols[label[arrays.rows] != label[arrays.cols]]]] = True
+    if not fed.all():
+        raise DivergentGrammarError(
+            f"{np.count_nonzero(~fed)} strongly connected block(s) of M receive "
+            "no occurrence from outside: spectral radius 1, expected subtree "
+            "measures diverge"
+        )
+    return CountTotals(occurrences, int(sentences), int(freq @ arrays.emitted))
+
+
+def root_values(grammar: Pcfg, entropies=None, arrays: _RuleArrays | None = None) -> np.ndarray:
+    """The root row of (I - M)^-1 [local lengths | entropies]: the grammar's
+    MLU, then its derivational entropy under each column of `entropies` (by
+    default its own local entropies).
+
+    A relative-frequency grammar (:func:`count_totals`) needs no M: the MLU
+    is T / N and each entropy sum_A f_A h_A / N, the sum correctly rounded.
+    Any other grammar is solved (:func:`solve_system`).
+    """
     if entropies is None:
         entropies = local_entropies(grammar)
-    if matrix is None:
-        matrix = characteristic_matrix(grammar)
-    x = solve_system(matrix, np.column_stack((local_lengths(grammar), entropies)))
-    return x[grammar.nt_index[grammar.root]]
+    totals = count_totals(grammar, arrays)
+    if totals is None:
+        x = solve_system(characteristic_matrix(grammar),
+                         np.column_stack((local_lengths(grammar), entropies)))
+        return x[grammar.nt_index[grammar.root]]
+    n = totals.sentences
+    columns = np.asarray(entropies, dtype=np.float64).reshape(len(totals.occurrences), -1)
+    return np.array([
+        totals.terminals / n,
+        *(math.fsum(totals.occurrences * h) / n for h in columns.T),
+    ])
 
 
 def derivational_entropy(grammar: Pcfg) -> float:
     """Entropy in bits of the distribution over the trees the grammar
     generates."""
-    return float(solve_root(grammar)[1])
+    return float(root_values(grammar)[1])
 
 
 def grammar_mlu(grammar: Pcfg) -> float:
     """Expected length in terminal symbols of a generated sentence."""
-    return float(solve_root(grammar)[0])
+    return float(root_values(grammar)[0])
 
 
 @dataclass(frozen=True)
@@ -317,9 +421,13 @@ class RateReport:
 
 def entropy_rate(grammar: Pcfg) -> RateReport:
     """Derivational entropy rate: bits of tree entropy per emitted symbol."""
-    matrix = characteristic_matrix(grammar)
-    # The solve certifies rho(M) < 1 or raises DivergentGrammarError.
-    mlu, entropy = map(float, solve_root(grammar, matrix=matrix))
+    arrays = _rule_arrays(grammar)
+    # Either path certifies rho(M) < 1 or raises DivergentGrammarError; the
+    # solve also rejects a negative or non-finite probability.
+    mlu, entropy = map(float, root_values(grammar, arrays=arrays))
     if mlu <= 0.0:
         raise NumericalError(f"expected length {mlu} is not positive")
-    return RateReport(entropy, mlu, entropy / mlu, spectral_radius(matrix))
+    positive = arrays.weights > 0
+    radius = _sparse_radius(arrays.n, arrays.rows[positive], arrays.cols[positive],
+                            arrays.weights[positive])
+    return RateReport(entropy, mlu, entropy / mlu, radius)

@@ -12,10 +12,14 @@ expected-counts matrix of the induced grammar is kept as-is (its entries are
 plain frequency ratios and need no correction, and leaving it untouched
 keeps its spectral radius below one), while the vector of local expansion
 entropies is replaced component-wise by a bias-corrected estimate computed
-from each non-terminal's observed expansion frequencies.  Solving the usual
-linear system then yields the smoothed induced treebank entropy (SITE).
-With the plain ML smoother the composition reproduces the exact entropy of
-the induced grammar bit for bit.
+from each non-terminal's observed expansion frequencies.  The smoothed
+induced treebank entropy (SITE) is the root component of (I - M)^-1 applied
+to that vector: for an induced grammar, or a file written from one, that is
+sum_A f_A h_A / N over its counts, with no M and no solve, the counts
+certifying the spectral radius (:func:`~.entropy.count_totals`); a grammar
+whose probabilities are not its relative frequencies is solved.  With the
+plain ML smoother the composition reproduces the exact entropy of the
+induced grammar bit for bit.
 """
 
 from __future__ import annotations
@@ -28,16 +32,17 @@ from itertools import chain
 
 import numpy as np
 
-from .entropy import entropy_from_probs, solve_root
+from .entropy import entropy_from_probs, root_values
 from .errors import EmptyInputError, OutOfGrammarError
 from .grammar import FreqTable, Pcfg, induce, rule_freq_tables, tree_probability
 from .trees import Corpus, CountedCorpus
 
 _LN2 = math.log(2.0)
 
-#: Truncation threshold for geometric tail series (relative term size).
-_SERIES_EPS = 1e-18
-_SERIES_MAX_TERMS = 2_000_000
+#: Gauss-Legendre nodes of the CWJ tail integral.
+_TAIL_NODES = 80
+#: The tail integrand is cut where its exponential factor reaches e**-40.
+_TAIL_CUT = 40.0
 
 #: Integer arguments from which digamma uses its asymptotic series; below
 #: it, an exact table of harmonic numbers.
@@ -104,19 +109,50 @@ def cae_entropy(table: FreqTable) -> float:
     return float(np.sum(terms / coverage))
 
 
-def _tail_series(u: float, offset: int) -> float:
-    """Sum of u**k / (offset + k) over k >= 1, for 0 <= u < 1."""
-    if u <= 0.0:
-        return 0.0
-    needed = math.log(_SERIES_EPS) / math.log(u)
-    if needed <= _SERIES_MAX_TERMS:
-        k = np.arange(1, int(needed) + 2, dtype=np.float64)
-        return float(np.sum(np.power(u, k) / (offset + k)))
-    # u is so close to one that the series is impractical; fall back to the
-    # Lerch transcendent, of which this sum is u * phi(u, 1, offset + 1).
-    import mpmath
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _TAIL_NODES-point Gauss-Legendre rule on
+    [-1, 1]: Newton's method on the three-term recurrence, from Tricomi's
+    starting values; four steps reach rounding, the fifth is a margin."""
+    n = _TAIL_NODES
 
-    return float(u * mpmath.lerchphi(u, 1, offset + 1))
+    def value_and_slope(x):  # P_n(x) and P_n'(x)
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(5):
+        p, slope = value_and_slope(x)
+        x = x - p / slope
+    _, slope = value_and_slope(x)
+    weights = 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    for array in (x, weights):
+        array.flags.writeable = False  # shared by every call
+    return x, weights
+
+
+def _tail_sums(u: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Sum of u**k / (offset + k) over k >= 1, for each 0 < u < 1.
+
+    The sum is u * integral over 0 < s < 1 of s**offset / (1 - u s) ds; with
+    v = -ln u, s = exp(v - x) and x = v e**t the integrand becomes
+    exp(-(offset + 1) v expm1(t)) * x / (1 - e**-x), smooth in t however
+    close u is to one.  One Gauss-Legendre rule integrates it up to where the
+    exponent reaches _TAIL_CUT, so the cost does not grow with 1 / (1 - u).
+    Each row is summed alone: a value does not depend on the others.
+    Within 2.2e-15 relative of 50-digit arithmetic for u >= 1e-12,
+    1 - u >= 1e-14 and offsets 1 to 3e5.
+    """
+    nodes, weights = _gauss_legendre()
+    v = -np.log(u)
+    rate = (offset + 1.0) * v
+    half = 0.5 * np.log1p(_TAIL_CUT / rate)  # half the cut-off in t
+    t = half[:, None] * (nodes + 1.0)
+    x = v[:, None] * np.exp(t)
+    integrand = np.exp(-rate[:, None] * np.expm1(t)) * x / -np.expm1(-x)
+    return u * half * np.sum(integrand * weights, axis=1)
 
 
 @functools.cache
@@ -161,9 +197,10 @@ def cwj_entropy(table: FreqTable) -> float:
     = sum of 1/k for k = c .. n-1, which is zero for a type seen all n
     times.  The second part extrapolates the unseen tail from the singleton
     and doubleton counts.  Evaluated in nats and converted once at the end.
-    The extrapolation term is computed from its all-positive series
-    expansion, which is exactly equal to the (1-A)**(1-n) * [log A + sum]
-    form but avoids its catastrophic cancellation.
+    The extrapolation term is its all-positive series expansion, which is
+    exactly equal to the (1-A)**(1-n) * [log A + sum] form but avoids its
+    catastrophic cancellation; the series is summed as an integral
+    (:func:`_tail_sums`).
     """
     return float(_cwj_entropies([table])[0])
 
@@ -184,16 +221,16 @@ def _cwj_entropies(tables: list[FreqTable]) -> np.ndarray:
     psi_counts, psi_n = psi[:counts.size], psi[counts.size:]
     weights = counts / np.repeat(n, sizes)
     nats = np.add.reduceat(weights * (np.repeat(psi_n, sizes) - psi_counts), starts)
-    f1s = np.add.reduceat(counts == 1, starts)
-    f2s = np.add.reduceat(counts == 2, starts)
-    for i in np.flatnonzero(f1s):
-        total, f1, f2 = int(n[i]), int(f1s[i]), int(f2s[i])
-        if f2 > 0:
-            a = 2.0 * f2 / ((total - 1) * f1 + 2.0 * f2)
-        else:
-            a = 2.0 / ((total - 1) * (f1 - 1) + 2.0)
-        if a < 1.0:
-            nats[i] += (f1 / total) * _tail_series(1.0 - a, total - 1)
+    f1 = np.add.reduceat(counts == 1, starts)
+    f2 = np.add.reduceat(counts == 2, starts)
+    singletons = np.flatnonzero(f1)  # only these tables have an unseen tail
+    total, f1, f2 = n[singletons], f1[singletons], f2[singletons]
+    doubletons = f2 > 0
+    a = np.where(doubletons, 2.0 * f2, 2.0) / np.where(
+        doubletons, (total - 1) * f1 + 2.0 * f2, (total - 1) * (f1 - 1) + 2.0)
+    tail = a < 1.0
+    nats[singletons[tail]] += (f1[tail] / total[tail]) * _tail_sums(
+        1.0 - a[tail], total[tail] - 1.0)
     return nats / _LN2
 
 
@@ -217,8 +254,7 @@ def smoothed_local_entropies(grammar: Pcfg, smoother: SmootherKind) -> np.ndarra
 
 def site_from_grammar(grammar: Pcfg, smoother: SmootherKind = SmootherKind.CWJ) -> float:
     """SITE value of an induced grammar (frequency counts required)."""
-    h0 = smoothed_local_entropies(grammar, smoother)
-    return float(solve_root(grammar, h0)[1])
+    return float(root_values(grammar, smoothed_local_entropies(grammar, smoother))[1])
 
 
 def site(
@@ -229,19 +265,6 @@ def site(
     grammar = induce(corpus)
     value = site_from_grammar(grammar, smoother)
     return EstimateResult(value, f"site-{smoother.value}", len(corpus))
-
-
-def training_cross_entropy(grammar: Pcfg, sentences: int) -> float:
-    """Cross-entropy in bits of an induced grammar on its own training trees.
-
-    On the corpus it was induced from, a grammar's rule r is used exactly
-    f_r times, its observed frequency (a synthetic root rule's frequency is
-    the count of its root label), so :func:`cross_entropy` with test = train
-    reduces to -sum f_r log2 p_r / N, N the number of trees.
-    """
-    freqs = np.array([r.freq for r in grammar.rules], dtype=np.float64)
-    probs = np.array([r.prob for r in grammar.rules])
-    return float(0.0 - freqs @ np.log2(probs)) / sentences
 
 
 def cross_entropy(grammar: Pcfg, test: Corpus) -> float:

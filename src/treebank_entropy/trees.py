@@ -350,7 +350,10 @@ def corpus_mlu(corpus: Corpus | CountedCorpus) -> float:
     """Mean frontier length in tokens per sentence."""
     if not corpus.sentences:
         raise EmptyInputError("MLU is undefined for an empty corpus")
-    total = sum(d.terminals for d in corpus.derivations())
+    if isinstance(corpus, CountedCorpus):
+        total = sum(d.terminals for d in corpus.sentences)
+    else:
+        total = sum(len(t.frontier()) for t in corpus.sentences)
     return total / len(corpus.sentences)
 
 

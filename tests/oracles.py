@@ -2,13 +2,14 @@
 
 Nothing here calls the closed-form entropy path it is meant to check: tree
 entropies come from explicit enumeration of derivations, spectral radii from
-the dense eigensolver, projective graphs from direct interval splitting,
+the dense eigensolver, the expected-counts matrix and the expected terminals
+per expansion from a loop over the rules, projective graphs from direct interval splitting,
 crossing arcs from each head's projection as a set,
 cleaned trees from the original read pipeline, in which parsing, trace
 stripping, function-tag cutting and pre-terminalization each rebuild the tree
 in a pass of their own, sampled trees from the original sampler, which draws
 into ``[label, children]`` lists and freezes them into trees afterwards, and
-CWJ estimates from ``scipy.special.digamma``.
+CWJ estimates from ``scipy.special.digamma`` and a tail summed in ``mpmath``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import heapq
 import math
 
+import mpmath
 import numpy as np
 from scipy.special import digamma, gammaln
 
 from treebank_entropy.conllu import DepGraph
 from treebank_entropy.errors import ParseError, SamplingDivergenceError, StructuralError
-from treebank_entropy.estimators import _tail_series
 from treebank_entropy.grammar import MAX_SAMPLE_RETRIES, Pcfg, Rule
 from treebank_entropy.trees import DEFAULT_DROP_LABELS, Tree
 
@@ -90,10 +91,47 @@ def binary_recursion_entropy(q: float, mass_tol=1e-18, max_leaves=200_000):
     return total, mass
 
 
+def reference_characteristic_matrix(grammar) -> np.ndarray:
+    """M, adding each right-hand-side occurrence's probability in rule
+    order."""
+    index = grammar.nt_index
+    matrix = np.zeros((len(index), len(index)))
+    for rule in grammar.rules:
+        for sym in rule.rhs:
+            if sym in index:
+                matrix[index[rule.lhs], index[sym]] += rule.prob
+    return matrix
+
+
+def reference_local_lengths(grammar) -> np.ndarray:
+    """Expected terminals of one expansion, adding rule by rule."""
+    index = grammar.nt_index
+    out = np.zeros(len(index))
+    for rule in grammar.rules:
+        out[index[rule.lhs]] += rule.prob * sum(sym not in index for sym in rule.rhs)
+    return out
+
+
+def reference_tail(u: float, offset: int, digits: int = 30) -> float:
+    """Sum of u**k / (offset + k) over k >= 1, at the float u, in
+    `digits`-digit arithmetic: the series itself while u <= 1/2, beyond
+    that u * Φ(u, 1, offset + 1), the Lerch transcendent."""
+    with mpmath.workdps(digits):
+        u = mpmath.mpf(u)
+        if u > 0.5:
+            return float(u * mpmath.lerchphi(u, 1, offset + 1))
+        total, term, k = mpmath.mpf(0), u, 1
+        while term > total * mpmath.mpf(10) ** -digits:
+            total += term / (offset + k)
+            term *= u
+            k += 1
+        return float(total)
+
+
 def reference_cwj_entropy(table) -> float:
     """CWJ estimate in bits of a frequency table, table by table, with ψ
-    from ``scipy.special.digamma``.  The unseen-tail series is the
-    package's own: only the ψ part is checked here."""
+    from ``scipy.special.digamma`` and the unseen tail from
+    :func:`reference_tail`."""
     counts = np.asarray(table.counts, dtype=np.float64)
     n = table.n
     seen = counts[counts <= n - 1]
@@ -108,7 +146,7 @@ def reference_cwj_entropy(table) -> float:
         a = 1.0
     nats = first
     if f1 > 0 and a < 1.0:
-        nats += (f1 / n) * _tail_series(1.0 - a, n - 1)
+        nats += (f1 / n) * reference_tail(1.0 - a, n - 1)
     return nats / math.log(2.0)
 
 

@@ -175,10 +175,10 @@ class TestSweeps:
         assert lines[0].startswith("sample_size,estimator,mean")
         assert len(lines) == 1 + 2 * 6  # two sizes, four estimators + coverage
 
-    def test_converge_threads_byte_identical(self, treebank, tmp_path, monkeypatch):
+    def test_converge_threads_byte_identical(self, treebank, tmp_path):
+        # The sweep is serial and seeded: two runs write the same bytes.
         outputs = []
-        for threads, name in (("1", "a.csv"), ("4", "b.csv")):
-            monkeypatch.setenv("SITE_THREADS", threads)
+        for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             assert main(
                 ["converge", "--no-preterminalize", "--sizes", "2,5",
@@ -198,6 +198,22 @@ class TestSweeps:
         monkeypatch.setenv("SITE_THREADS", "abc")
         assert main([*argv, "-o", str(odd)]) == 0
         assert odd.read_bytes() == plain.read_bytes()
+
+    def test_converge_mc_rows_equal_ml_rows(self, treebank, tmp_path):
+        # mc, the cross-entropy of each sample's grammar on its own trees,
+        # is the ML entropy: the two series print the same bytes.
+        out = tmp_path / "rows.csv"
+        assert main(
+            ["converge", "--no-preterminalize", "--sizes", "1,3,20",
+             "--replications", "3", "--seed", "2", "--estimators", "mc,ml",
+             "--no-coverage", "-o", str(out), str(treebank)]
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        by_series = {"mc": [], "ml": []}
+        for row in rows:
+            by_series[row[1]].append([row[0], *row[2:]])
+        assert len(by_series["mc"]) == 3
+        assert by_series["mc"] == by_series["ml"]
 
     def test_incremental_orders(self, treebank, tmp_path, capsys):
         other = tmp_path / "bank2.mrg"

@@ -1,0 +1,262 @@
+"""The count path: an induced grammar's MLU, entropies, rate and SITE from its
+rule counts, checked against the linear solve, and the integer certificate
+that lets it skip the solve."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synthetic import scaffold_grammar
+from test_properties import CORPORA
+from treebank_entropy import entropy
+from treebank_entropy.cli import build_parser, main
+from treebank_entropy.cli import _merge, _read_files
+from treebank_entropy.entropy import (
+    characteristic_matrix,
+    count_totals,
+    local_entropies,
+    local_lengths,
+    root_values,
+    solve_system,
+)
+from treebank_entropy.estimators import SmootherKind, smoothed_local_entropies
+from treebank_entropy.grammar import Pcfg, Rule, Sampler, dumps, induce, loads
+from treebank_entropy.trees import Corpus, write_bracketed
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: The sum over rules that each count-path value is, against the solve.
+REL = 1e-12
+
+
+def entropy_columns(grammar):
+    """Local entropies, then every smoother's estimate of them."""
+    return np.column_stack([
+        local_entropies(grammar),
+        *(smoothed_local_entropies(grammar, s) for s in SmootherKind),
+    ])
+
+
+def solved_root_row(grammar, columns):
+    x = solve_system(characteristic_matrix(grammar),
+                     np.column_stack((local_lengths(grammar), columns)))
+    return x[grammar.nt_index[grammar.root]]
+
+
+def assert_count_path_matches_solve(grammar):
+    assert count_totals(grammar) is not None
+    columns = entropy_columns(grammar)
+    np.testing.assert_allclose(
+        root_values(grammar, columns), solved_root_row(grammar, columns),
+        rtol=REL, atol=0.0,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(CORPORA)
+def test_count_path_matches_solve_on_random_trees(trees):
+    assert_count_path_matches_solve(induce(Corpus(trees)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400))
+def test_count_path_matches_solve_on_sampled_corpora(seed, size):
+    rng = np.random.default_rng(seed)
+    corpus = Sampler(scaffold_grammar()).sample_corpus(size, rng)
+    assert_count_path_matches_solve(induce(corpus))
+
+
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    """The benchmark's three inputs at its sizes, seed 41."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(BENCH))
+    work = tmp_path_factory.mktemp("bench")
+    bank = inputs.write_conllu(work / "wide.conllu", 41, 1600, 800)
+    files = inputs.write_treebank(work, 41, 28000, 20)
+    (source,) = inputs.write_treebank(work, inputs.SCAFFOLD_SEED, 12000, 1,
+                                      prefix="sweep")
+    parse = build_parser().parse_args
+    wide = parse(["site", "--format", "conllu", "--use-form", "--unlabeled", "x"])
+    ptb = parse(["site", "x"])
+    return {
+        "wide_grammar": induce(_merge(_read_files([str(bank.path)], wide))),
+        "treebank_files": induce(_merge(_read_files([str(f.path) for f in files], ptb))),
+        "sweep": induce(_merge(_read_files([str(source.path)], ptb))),
+    }
+
+
+@pytest.mark.parametrize("workload", ["wide_grammar", "treebank_files", "sweep"])
+def test_count_path_matches_solve_on_bench_inputs(bench_inputs, workload):
+    assert_count_path_matches_solve(bench_inputs[workload])
+
+
+GRAMMAR = Pcfg(
+    "S",
+    [
+        Rule("S", ("a", "S"), 0.25, 5),
+        Rule("S", ("B", "S"), 0.25, 5),
+        Rule("S", ("a",), 0.5, 10),
+        Rule("B", ("b",), 0.6, 3),
+        Rule("B", ("c", "B", "c"), 0.4, 2),
+    ],
+)
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_cli_commands_build_no_matrix_and_solve_nothing(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count path builds no M and solves nothing")
+
+    monkeypatch.setattr(entropy, "solve_system", refuse)
+    monkeypatch.setattr(entropy, "characteristic_matrix", refuse)
+    rng = np.random.default_rng(3)
+    sampler = Sampler(GRAMMAR)
+    files = [
+        write(tmp_path / f"{name}.mrg", "\n".join(
+            write_bracketed(t) for t in sampler.sample_corpus(size, rng).sentences))
+        for name, size in (("a", 40), ("b", 25))
+    ]
+    grammar = str(tmp_path / "induced.txt")
+    options = ["--no-preterminalize"]
+    for argv in (
+        ["site", *options, *files],
+        ["site", "--smoother", "ml", *options, *files],
+        ["report", *options, *files],
+        ["incremental", *options, *files],
+        ["incremental", "--order", "shuffled", *options, *files],
+        ["converge", "--sizes", "2,7", "--replications", "2", *options, *files],
+        ["entropy", *options, *files],
+        ["induce", "-o", grammar, *options, *files],
+        ["entropy", "--grammar", grammar],
+        ["mlu", "--grammar", grammar],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert main(["rate", *options, *files]) == 0
+    from_treebank = capsys.readouterr().out
+    assert main(["rate", "--grammar", grammar]) == 0
+    assert capsys.readouterr().out == from_treebank
+
+
+PROBABILITY_ONLY = """\
+#root S
+0.25\t0\tS -> a S
+0.25\t0\tS -> B S
+0.5\t0\tS -> a
+0.75\t0\tB -> b
+0.25\t0\tB -> c B c
+"""
+
+
+@pytest.mark.parametrize("command, printed", [
+    ("rate", "entropy\t3.540852082972755\nmlu\t2.333333333333333\n"
+             "rate\t1.5175080355597523\nspectral_radius\t0.5\n"),
+    ("entropy", "entropy_bits\t3.540852082972755\n"),
+    ("mlu", "mlu\t2.333333333333333\n"),
+])
+def test_probability_only_file_is_solved(tmp_path, monkeypatch, capsys, command, printed):
+    # The bytes printed before the count path existed.
+    solves = []
+    real = entropy.solve_system
+
+    def spy(matrix, vector):
+        solves.append(np.shape(vector))
+        return real(matrix, vector)
+
+    monkeypatch.setattr(entropy, "solve_system", spy)
+    path = write(tmp_path / "g.txt", PROBABILITY_ONLY)
+    assert main([command, "--grammar", path]) == 0
+    assert capsys.readouterr().out == printed
+    assert len(solves) == 1
+
+
+def relative_frequency_grammar(root, counts):
+    """The grammar with `counts` ((lhs, rhs) -> f) and the probabilities
+    `induce` gives them."""
+    totals = {}
+    for (lhs, _), f in counts.items():
+        totals[lhs] = totals.get(lhs, 0) + f
+    return Pcfg(root, [Rule(lhs, rhs, f / totals[lhs], f)
+                       for (lhs, rhs), f in counts.items()])
+
+
+def test_mutated_count_never_gives_a_wrong_value():
+    # Change any one count of an induced grammar, with or without the
+    # probabilities following it.  Kept probabilities no longer equal the
+    # relative frequencies (unless the rule is its left-hand side's only
+    # one), so the grammar leaves the count path; refitted ones break the
+    # balance of roots, or keep it and get the value the solve gives.  One
+    # changed count that keeps the balance keeps the flow into every block
+    # of M, so only a table that already had a closed block fails the
+    # certificate (test_closed_block_fails_certificate).
+    corpus = Sampler(scaffold_grammar()).sample_corpus(60, np.random.default_rng(8))
+    grammar = induce(corpus)
+    counts = {(r.lhs, r.rhs): r.freq for r in grammar.rules}
+    for key in counts:
+        for delta in (-1, 1):
+            if counts[key] + delta < 1:
+                continue
+            altered = {**counts, key: counts[key] + delta}
+            kept_probs = Pcfg(grammar.root, [
+                Rule(r.lhs, r.rhs, r.prob, altered[r.lhs, r.rhs])
+                for r in grammar.rules])
+            refit = relative_frequency_grammar(grammar.root, altered)
+            if len(grammar.rules_for(key[0])) > 1:
+                assert count_totals(kept_probs) is None
+            for mutant in (kept_probs, refit):
+                if count_totals(mutant) is not None:
+                    assert_count_path_matches_solve(mutant)
+
+
+CLOSED_BLOCK = """\
+#root S
+1\t1\tS -> a
+0.5\t2\tA -> b A
+0.5\t2\tA -> c A
+"""
+
+
+def test_closed_block_fails_certificate(tmp_path, monkeypatch, capsys):
+    # Counts, probabilities and roots agree, but A's block receives no
+    # occurrence from outside: its counts are a left eigenvector of M with
+    # eigenvalue 1.  The certificate, not the solve, rejects it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count path solves nothing")
+
+    path = write(tmp_path / "closed.txt", CLOSED_BLOCK)
+    monkeypatch.setattr(entropy, "solve_system", refuse)
+    for command in ("rate", "entropy", "mlu"):
+        assert main([command, "--grammar", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "receive no occurrence from outside" in captured.err
+
+
+@pytest.mark.parametrize("freq", ["0", "-3", str(10**400)])
+def test_frequencies_off_the_count_path(tmp_path, capsys, freq):
+    # Zero, negative and huge counts leave the grammar to the solve.
+    path = write(tmp_path / "g.txt",
+                 f"#root S\n0.5\t{freq}\tS -> a S\n0.5\t{freq}\tS -> a\n")
+    assert main(["rate", "--grammar", path]) == 0
+    assert capsys.readouterr().out.startswith("entropy\t2.0\nmlu\t2.0\n")
+    assert count_totals(loads(open(path, encoding="utf-8").read())) is None
+
+
+def test_dumped_grammar_keeps_count_totals():
+    grammar = induce(Sampler(GRAMMAR).sample_corpus(30, np.random.default_rng(4)))
+    totals = count_totals(loads(dumps(grammar)))
+    assert totals is not None
+    assert totals.sentences == 30
+    np.testing.assert_array_equal(totals.occurrences, count_totals(grammar).occurrences)

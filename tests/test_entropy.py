@@ -4,7 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import binary_recursion_entropy, enumerate_entropy, random_enumerable_pcfg
+from oracles import (
+    binary_recursion_entropy,
+    enumerate_entropy,
+    random_enumerable_pcfg,
+    reference_characteristic_matrix,
+    reference_local_lengths,
+)
+from synthetic import scaffold_grammar
 from treebank_entropy.analysis import converge
 from treebank_entropy.entropy import (
     characteristic_matrix,
@@ -69,6 +76,21 @@ class TestCharacteristicMatrix:
         )
         expected = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert characteristic_matrix(grammar) == pytest.approx(expected)
+
+
+    def test_equals_rule_loop_bit_for_bit(self):
+        # The entries are summed in rule order, as the loop sums them, and
+        # the radius `entropy_rate` takes from them is the dense matrix's.
+        rng = np.random.default_rng(17)
+        sampler = Sampler(scaffold_grammar())
+        grammars = [induce(sampler.sample_corpus(n, rng)) for n in (1, 10, 300)]
+        grammars += [random_enumerable_pcfg(rng)[0] for _ in range(5)]
+        for grammar in grammars:
+            assert np.array_equal(characteristic_matrix(grammar),
+                                  reference_characteristic_matrix(grammar))
+            assert np.array_equal(local_lengths(grammar), reference_local_lengths(grammar))
+            assert entropy_rate(grammar).spectral_radius == spectral_radius(
+                reference_characteristic_matrix(grammar))
 
 
 class TestLocalVectors:
@@ -242,11 +264,14 @@ class TestCertificate:
         assert max(errors) <= 2.3e-16
 
     def test_no_eigensolve_and_one_solve_per_entry_point(self, monkeypatch):
-        # Certificate, MLU and every entropy come from one factorization:
-        # on a well-conditioned grammar no column needs refining, so each
-        # entry point makes exactly one `np.linalg.solve` call.  The radius
-        # that `entropy_rate` reports needs no eigensolver, and on DEFECTIVE
-        # (two 1x1 blocks) no solve either.
+        # A grammar given by probabilities alone gets certificate, MLU and
+        # every entropy from one factorization: on a well-conditioned
+        # grammar no column needs refining, so each entry point makes
+        # exactly one `np.linalg.solve` call.  A relative-frequency grammar
+        # (DEFECTIVE's counts are its probabilities, and so are an induced
+        # grammar's) makes none.  The radius that `entropy_rate` reports
+        # needs no eigensolver, and on DEFECTIVE (two 1x1 blocks) no solve
+        # either.
         calls, solves = [], []
         eigvals, solve = np.linalg.eigvals, np.linalg.solve
 
@@ -263,16 +288,22 @@ class TestCertificate:
         corpus = Corpus(
             [Tree("S", [Tree("a"), Tree("S", [Tree("a")])]), Tree("S", [Tree("a")])]
         )
-        for run in (
-            lambda: entropy_rate(DEFECTIVE),
-            lambda: site(corpus),
-            lambda: derivational_entropy(DEFECTIVE),
-            lambda: grammar_mlu(DEFECTIVE),
-            lambda: converge(corpus, sizes=(2,), replications=1, coverage=False),
+        by_probability = Pcfg(
+            DEFECTIVE.root, [Rule(r.lhs, r.rhs, r.prob) for r in DEFECTIVE.rules]
+        )
+        for wanted, run in (
+            (1, lambda: entropy_rate(by_probability)),
+            (1, lambda: derivational_entropy(by_probability)),
+            (1, lambda: grammar_mlu(by_probability)),
+            (0, lambda: entropy_rate(DEFECTIVE)),
+            (0, lambda: site(corpus)),
+            (0, lambda: derivational_entropy(DEFECTIVE)),
+            (0, lambda: grammar_mlu(DEFECTIVE)),
+            (0, lambda: converge(corpus, sizes=(2,), replications=1, coverage=False)),
         ):
             solves.clear()
             run()
-            assert len(solves) == 1
+            assert len(solves) == wanted
         assert calls == []
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from oracles import random_enumerable_pcfg, reference_cwj_entropy
+from oracles import random_enumerable_pcfg, reference_cwj_entropy, reference_tail
 from synthetic import scaffold_grammar
 from treebank_entropy.entropy import derivational_entropy, entropy_from_probs
 from treebank_entropy.errors import EmptyInputError, OutOfGrammarError
@@ -23,6 +23,7 @@ from treebank_entropy.estimators import (
     smoothed_local_entropies,
     _cwj_entropies,
     _digamma,
+    _tail_sums,
 )
 from treebank_entropy.grammar import (
     FreqTable,
@@ -165,16 +166,25 @@ class TestCwj:
         assert cwj_mean == pytest.approx(2.0, abs=0.02)
         assert abs(cwj_mean - 2.0) < abs(ml_mean - 2.0)
 
-    def test_tail_series_paths_agree(self, monkeypatch):
-        # The vectorized geometric series and the Lerch-transcendent
-        # fallback must agree wherever both are usable.
-        import treebank_entropy.estimators as est
+    def test_tail_matches_mpmath_on_grid(self):
+        # The tail integral against 50-digit mpmath (the series, or the Lerch
+        # transcendent for u > 1/2), over the range the former finite series
+        # covered and the range it left to mpmath, up to 1 - u = 1e-7.
+        # Measured on a denser grid: 2.1e-15 relative at worst.
+        u = np.concatenate((np.logspace(-12, -0.5, 9), 1.0 - np.logspace(-0.5, -7, 9)))
+        m = np.unique(np.geomspace(1, 300_000, 9).round())
+        uu, mm = (g.ravel() for g in np.meshgrid(u, m))
+        want = np.array([reference_tail(a, int(b), digits=50) for a, b in zip(uu, mm)])
+        got = _tail_sums(uu, mm)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
 
-        t = table(*( [40] * 3 + [1] * 60 + [2] * 4 ))
-        direct = cwj_entropy(t)
-        monkeypatch.setattr(est, "_SERIES_MAX_TERMS", 1)
-        via_lerch = cwj_entropy(t)
-        assert via_lerch == pytest.approx(direct, abs=1e-12)
+    def test_tail_near_one(self):
+        # All-singleton tables of 1e5 and more put 1 - u near 2 / n**2.
+        u = 1.0 - np.array([1e-9, 2e-10, 1e-12, 1e-14])
+        for m in (1, 1000, 99_999):
+            want = np.array([reference_tail(a, m, digits=50) for a in u])
+            got = _tail_sums(u, np.full(u.size, float(m)))
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
 
     def test_large_table_far_tail_finite(self):
         # Large n with few doubletons drives the correction parameter close

@@ -1,7 +1,8 @@
 """Property-based tests: rule counts add over corpora, the counting reader
 counts what the reference reader's trees hold, the incremental curve built
-from running counts ends where SITE of the merged corpus does, and no scalar
-depends on the order of the non-terminals."""
+from running counts ends where SITE of the merged corpus does, no scalar
+depends on the order of the non-terminals, and grammar files keep every
+label, probability and frequency."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,23 @@ from hypothesis import strategies as st
 from oracles import reference_read
 from test_trees import READ_OPTIONS
 from treebank_entropy.analysis import incremental
-from treebank_entropy.entropy import entropy_rate
+from treebank_entropy.entropy import count_totals, entropy_rate
 from treebank_entropy.errors import StructuralError
 from treebank_entropy.estimators import SmootherKind, site, site_from_grammar
-from treebank_entropy.grammar import SYNTHETIC_ROOT, Pcfg, RuleCounts, induce
+from treebank_entropy.grammar import (
+    SYNTHETIC_ROOT,
+    Pcfg,
+    Rule,
+    RuleCounts,
+    dumps,
+    induce,
+    loads,
+)
 from treebank_entropy.trees import (
     Corpus,
+    CountedCorpus,
     Tree,
+    corpus_mlu,
     count_bracketed,
     derivation,
     write_bracketed,
@@ -119,8 +130,8 @@ def test_incremental_endpoints_equal_site_of_merged(files, seed):
     original = incremental(files, order="original")
     shuffled = incremental(files, order="shuffled", seed=seed)
     assert original[-1].entropy == expected
-    # Shuffling changes the first-encounter order of the non-terminals, so
-    # the solve may round differently in the last bits.
+    # Shuffling changes the first-encounter order of the rules, so a local
+    # entropy may round differently in the last bits.
     assert abs(shuffled[-1].entropy - expected) <= 1e-9 * max(1.0, abs(expected))
     assert original[-1].cumulative_sentences == shuffled[-1].cumulative_sentences
     assert shuffled[-1].cumulative_sentences == len(merged)
@@ -152,3 +163,69 @@ def test_scalars_invariant_under_nonterminal_permutation(grammars):
         assert _close(
             site_from_grammar(permuted, smoother), site_from_grammar(grammar, smoother)
         )
+
+
+@SETTINGS
+@given(CORPORA)
+def test_corpus_mlu_of_trees_equals_that_of_derivations(trees):
+    counted = CountedCorpus([derivation(t) for t in trees])
+    assert corpus_mlu(Corpus(trees)) == corpus_mlu(counted)
+
+
+#: Any label a grammar file can hold: no whitespace, and not the arrow.
+_SYMBOLS = st.text(st.characters().filter(lambda c: not c.isspace()),
+                   min_size=1, max_size=5).filter(lambda s: s != "->")
+
+
+@st.composite
+def serializable_grammars(draw):
+    """A proper grammar over arbitrary labels, with arbitrary frequencies."""
+    symbols = draw(st.lists(_SYMBOLS, min_size=2, max_size=8, unique=True))
+    k = draw(st.integers(1, len(symbols) - 1))
+    nonterminals = symbols[:k]
+    rules = []
+    for lhs in nonterminals:
+        rhss = draw(st.lists(
+            st.lists(st.sampled_from(symbols), min_size=1, max_size=3).map(tuple),
+            min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(rhss),
+                                max_size=len(rhss)))
+        freqs = draw(st.lists(st.integers(0, 2**70), min_size=len(rhss),
+                              max_size=len(rhss)))
+        rules.extend(Rule(lhs, rhs, w / sum(weights), f)
+                     for rhs, w, f in zip(rhss, weights, freqs))
+    return Pcfg(draw(st.sampled_from(nonterminals)), rules)
+
+
+@SETTINGS
+@given(serializable_grammars())
+def test_grammar_file_round_trip(grammar):
+    back = loads(dumps(grammar))
+    assert back.root == grammar.root
+    assert [(r.lhs, r.rhs, r.freq) for r in back.rules] == [
+        (r.lhs, r.rhs, r.freq) for r in grammar.rules]
+    assert [r.prob.hex() for r in back.rules] == [r.prob.hex() for r in grammar.rules]
+
+
+@SETTINGS
+@given(CORPORA, st.data())
+def test_grammar_file_of_induced_grammar_takes_count_path(trees, data):
+    # An induced grammar read back from its file is still the relative-
+    # frequency grammar of its counts; move probability between two of a
+    # non-terminal's rules and it is not.
+    text = dumps(induce(Corpus(trees)))
+    assert count_totals(loads(text)) is not None
+    lines = text.splitlines()
+    rules = loads(text).rules
+    choices = [lhs for lhs in {r.lhs for r in rules}
+               if sum(r.lhs == lhs for r in rules) > 1]
+    if not choices:
+        return
+    lhs = data.draw(st.sampled_from(sorted(choices)))
+    first, second = [i for i, r in enumerate(rules) if r.lhs == lhs][:2]
+    shift = min(rules[first].prob, rules[second].prob) / 2
+    for i, delta in ((first, -shift), (second, shift)):
+        _, freq, rule = lines[i + 1].split("\t")
+        lines[i + 1] = f"{rules[i].prob + delta!r}\t{freq}\t{rule}"
+    edited = loads("\n".join(lines))
+    assert count_totals(edited) is None
