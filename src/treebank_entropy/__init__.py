@@ -15,6 +15,7 @@ from .analysis import (
 from .conllu import DepGraph, parse_conllu, read_conllu
 from .depconv import (
     ConversionConfig,
+    count_conllu,
     dep_to_tree,
     graphs_to_corpus,
     is_projective,

@@ -23,14 +23,13 @@ import numpy as np
 from . import analysis, depconv, estimators, grammar as gr
 from .conllu import read_conllu
 from .entropy import derivational_entropy, entropy_rate, grammar_mlu
-from .errors import InputError, NonProjectiveError, NumericalError, read_text
+from .errors import InputError, NumericalError, read_text
 from .estimators import SmootherKind
 from .trees import (
     DEFAULT_DROP_LABELS,
     CountedCorpus,
     corpus_mlu,
     count_bracketed,
-    derivation,
     write_bracketed,
 )
 
@@ -43,17 +42,10 @@ def _conversion_config(args):
 
 def _read_file(path, args) -> CountedCorpus:
     """The derivations of a file's sentences: all that the treebank
-    commands read.  Bracketed text is read without building trees."""
+    commands read.  Neither format builds trees."""
     if args.format == "conllu":
-        # Each tree is walked as soon as it is built, so no two are held.
-        config = _conversion_config(args)
-        derivations = []
-        skipped = 0
-        for graph in read_conllu(path):
-            try:
-                derivations.append(derivation(depconv.dep_to_tree(graph, config)))
-            except NonProjectiveError:
-                skipped += 1
+        derivations, skipped = depconv.count_conllu(
+            read_text(path), _conversion_config(args))
         if skipped:
             print(
                 f"{path}: skipped {skipped} non-projective sentence(s)",

@@ -6,16 +6,17 @@ word form), expanded into its left dependents, an anchor leaf marked with a
 variant every dependent is wrapped in a relation node ``<headLabel>/<REL>``.
 The dependency root hangs from a synthetic ``ROOT`` node.  For projective
 input the mapping is information-preserving and :func:`tree_to_dep` inverts
-it exactly.
+it exactly.  :func:`count_conllu` reads CoNLL-U text straight into the
+derivations of the converted trees, without building graphs or trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conllu import DepGraph
+from .conllu import DepGraph, parse_conllu
 from .errors import NonProjectiveError, StructuralError
-from .trees import Corpus, Tree
+from .trees import Corpus, Derivation, Tree
 
 ROOT_LABEL = "ROOT"
 ANCHOR_SUFFIX = "*"
@@ -31,25 +32,27 @@ class ConversionConfig:
     use_pos: bool = True
 
 
-def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
-    """Arcs (head, dependent) that violate projectivity.
+def _projections(heads: list[int]):
+    """The dependency tree that `heads` describes (1-based, 0 at the root,
+    every head in 0..n), walked once.
 
-    An arc is reported when some token inside its surface interval is not
-    dominated by the arc's head.  That happens only under a head whose
-    projection (the tokens it dominates) has a gap, and no projection has
-    one exactly when no arcs cross; so one pass over the projections' bounds
-    and sizes settles the common, projective case.
+    Returns each position's dependents in surface order (``deps[0]`` holds
+    the root), the tokens in left-to-right pre-order from the root, and the
+    bounds lo..hi and the size of each token's projection (the tokens it
+    dominates).  A token on a cycle is never reached, so `order` is then
+    shorter than `heads`.
     """
-    n = len(graph)
-    heads = graph.heads
-    deps = graph.dependents()
-    order = []  # pre-order: every projection is a contiguous run of it
-    stack = [graph.root]
+    n = len(heads)
+    deps = [[] for _ in range(n + 1)]
+    for dep, head in enumerate(heads, start=1):
+        deps[head].append(dep)
+    order = []  # every projection is a contiguous run of it
+    stack = deps[0][::-1]
     while stack:
         node = stack.pop()
         order.append(node)
-        stack.extend(deps[node])
-    lo = list(range(n + 1))  # bounds and size of each token's projection
+        stack.extend(deps[node][::-1])
+    lo = list(range(n + 1))
     hi = lo[:]
     size = [1] * (n + 1)
     for node in reversed(order):
@@ -60,9 +63,16 @@ def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
             if hi[node] > hi[head]:
                 hi[head] = hi[node]
             size[head] += size[node]
+    return deps, order, lo, hi, size
+
+
+def _crossing_arcs(heads: list[int], walk) -> list[tuple[int, int]]:
+    """:func:`crossing_arcs` of the tree `heads`, given its
+    :func:`_projections`."""
+    _, order, lo, hi, size = walk
     if all(h - l + 1 == s for l, h, s in zip(lo, hi, size)):
         return []
-    rank = [0] * (n + 1)
+    rank = [0] * len(lo)
     for i, node in enumerate(order):
         rank[node] = i
     bad = []
@@ -76,6 +86,18 @@ def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
     return bad
 
 
+def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
+    """Arcs (head, dependent) that violate projectivity.
+
+    An arc is reported when some token inside its surface interval is not
+    dominated by the arc's head.  That happens only under a head whose
+    projection has a gap, and no projection has one exactly when no arcs
+    cross; so one pass over the projections' bounds and sizes settles the
+    common, projective case.
+    """
+    return _crossing_arcs(graph.heads, _projections(graph.heads))
+
+
 def is_projective(graph: DepGraph) -> bool:
     """True iff no two dependency arcs cross in surface order."""
     return not crossing_arcs(graph)
@@ -87,7 +109,8 @@ def dep_to_tree(graph: DepGraph, config: ConversionConfig = ConversionConfig()) 
     Raises :class:`NonProjectiveError` (listing the crossing arcs) on
     non-projective input.
     """
-    bad = crossing_arcs(graph)
+    walk = _projections(graph.heads)
+    bad = _crossing_arcs(graph.heads, walk)
     if bad:
         ident = graph.sent_id or "dependency graph"
         raise NonProjectiveError(f"{ident} is not projective", crossing=bad)
@@ -96,14 +119,8 @@ def dep_to_tree(graph: DepGraph, config: ConversionConfig = ConversionConfig()) 
         form, pos = graph.tokens[idx - 1]
         return pos if config.use_pos else form
 
-    deps = graph.dependents()
+    deps, order, *_ = walk
     # Post-order construction keeps arbitrarily deep chains off the call stack.
-    order = []
-    stack = [graph.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(deps[node])
     built: dict[int, Tree] = {}
     for idx in reversed(order):
         label = node_label(idx)
@@ -114,7 +131,7 @@ def dep_to_tree(graph: DepGraph, config: ConversionConfig = ConversionConfig()) 
         for d in (d for d in deps[idx] if d > idx):
             children.append(_wrap(graph, config, idx, built[d], d))
         built[idx] = Tree(label, children)
-    return Tree(ROOT_LABEL, [built[graph.root]])
+    return Tree(ROOT_LABEL, [built[order[0]]])
 
 
 def _wrap(graph: DepGraph, config: ConversionConfig, head: int, sub: Tree, dep: int) -> Tree:
@@ -244,3 +261,76 @@ def graphs_to_corpus(
         except NonProjectiveError as err:
             skipped.append((idx, err))
     return Corpus(trees, source_id=source_id), skipped
+
+
+def count_conllu(text: str, config: ConversionConfig = ConversionConfig()):
+    """The derivations ``derivation(dep_to_tree(g, config))`` of the
+    projective graphs g that ``parse_conllu(text)`` returns, read in one
+    pass without building either; returns ``(derivations, skipped)``, the
+    second the number of non-projective sentences left out.
+
+    Each sentence's heads are walked once from the root
+    (:func:`_projections`).  The walk checks that they form a tree, tests
+    projectivity as :func:`crossing_arcs` does, and gives the rules in
+    pre-order.  Malformed text is handed to :func:`~.conllu.parse_conllu`,
+    so the error raised is its own.
+    """
+
+    def malformed():
+        parse_conllu(text)
+        raise AssertionError("the two CoNLL-U readers disagree on this text")
+
+    derivations = []
+    skipped = 0
+    labels, heads, rels = [], [], []
+    for line in [*text.splitlines(), ""]:  # the blank line closes the last sentence
+        if not line.strip():
+            if not heads:
+                continue
+            n = len(heads)
+            if heads.count(0) != 1 or min(heads) < 0 or max(heads) > n:
+                malformed()
+            walk = _projections(heads)
+            order = walk[1]
+            if len(order) != n:  # a cycle, whose tokens the walk never reaches
+                malformed()
+            if _crossing_arcs(heads, walk):
+                skipped += 1
+            else:
+                derivations.append(_derivation(labels, heads, rels, order, config.labeled))
+            labels, heads, rels = [], [], []
+        elif line[0] != "#":
+            try:
+                token_id, form, _, pos, _, _, head, rel, _, _ = line.split("\t")
+                if "-" in token_id or "." in token_id:
+                    continue  # multiword ranges and empty nodes carry no tree arcs
+                int(token_id)
+                heads.append(int(head))
+            except ValueError:  # not 10 columns, or a non-integer ID or HEAD
+                malformed()
+            labels.append(pos if config.use_pos else form)
+            rels.append(rel)
+    return derivations, skipped
+
+
+def _derivation(labels, heads, rels, order, labeled: bool) -> Derivation:
+    """The derivation of the converted tree of a projective graph, given its
+    tokens' labels, heads and relations and its pre-order."""
+    anchors = [label + ANCHOR_SUFFIX for label in labels]
+    if labeled:  # the relation node that stands for each token under its head
+        shown = [labels[h - 1] + RELATION_SEP + (rel or "dep")
+                 for h, rel in zip(heads, rels)]
+    else:
+        shown = labels
+    # Each node's children in surface order: its dependents and its anchor.
+    rhs = [[] for _ in range(len(heads) + 1)]
+    for i, head in enumerate(heads):
+        rhs[i + 1].append(anchors[i])
+        rhs[head].append(shown[i])
+    rules = [(ROOT_LABEL, (labels[order[0] - 1],))]
+    for node in order:
+        label = labels[node - 1]
+        if labeled and heads[node - 1]:
+            rules.append((shown[node - 1], (label,)))
+        rules.append((label, tuple(rhs[node])))
+    return Derivation(ROOT_LABEL, rules, anchors)

@@ -251,10 +251,13 @@ def _block_labels(n: int, rows: np.ndarray, cols: np.ndarray):
     return blocks, label, position
 
 
-def _sparse_radius(n: int, rows, cols, weights) -> float:
+def _sparse_radius(n: int, rows, cols, weights, blocks=None) -> float:
     """:func:`spectral_radius` of the n x n matrix with the positive
-    entries `weights` at (rows, cols), `rows` sorted."""
-    blocks, label, position = _block_labels(n, rows, cols)
+    entries `weights` at (rows, cols), `rows` sorted; `blocks` is the
+    pattern's :func:`_block_labels`, when known."""
+    if blocks is None:
+        blocks = _block_labels(n, rows, cols)
+    blocks, label, position = blocks
     # Edges inside a block, grouped by block.
     inside = np.flatnonzero(label[rows] == label[cols])
     inside = inside[np.argsort(label[rows[inside]], kind="stable")]
@@ -325,6 +328,7 @@ class CountTotals(NamedTuple):
     occurrences: np.ndarray  # f_A, in `Pcfg.nonterminals` order
     sentences: int  # N
     terminals: int  # T
+    blocks: tuple  # M's strongly connected blocks (`_block_labels`)
 
 
 def count_totals(grammar: Pcfg, arrays: _RuleArrays | None = None) -> CountTotals | None:
@@ -361,7 +365,8 @@ def count_totals(grammar: Pcfg, arrays: _RuleArrays | None = None) -> CountTotal
     roots[root] = 0
     if not sentences > 0 or roots.any():
         return None
-    blocks, label, _ = _block_labels(arrays.n, arrays.rows, arrays.cols)
+    found = _block_labels(arrays.n, arrays.rows, arrays.cols)
+    blocks, label, _ = found
     fed = np.zeros(len(blocks), dtype=bool)
     fed[label[root]] = True
     fed[label[arrays.cols[label[arrays.rows] != label[arrays.cols]]]] = True
@@ -371,10 +376,10 @@ def count_totals(grammar: Pcfg, arrays: _RuleArrays | None = None) -> CountTotal
             "no occurrence from outside: spectral radius 1, expected subtree "
             "measures diverge"
         )
-    return CountTotals(occurrences, int(sentences), int(freq @ arrays.emitted))
+    return CountTotals(occurrences, int(sentences), int(freq @ arrays.emitted), found)
 
 
-def root_values(grammar: Pcfg, entropies=None, arrays: _RuleArrays | None = None) -> np.ndarray:
+def root_values(grammar: Pcfg, entropies=None) -> np.ndarray:
     """The root row of (I - M)^-1 [local lengths | entropies]: the grammar's
     MLU, then its derivational entropy under each column of `entropies` (by
     default its own local entropies).
@@ -383,9 +388,13 @@ def root_values(grammar: Pcfg, entropies=None, arrays: _RuleArrays | None = None
     is T / N and each entropy sum_A f_A h_A / N, the sum correctly rounded.
     Any other grammar is solved (:func:`solve_system`).
     """
+    return _root_row(grammar, entropies, count_totals(grammar))
+
+
+def _root_row(grammar: Pcfg, entropies, totals: CountTotals | None) -> np.ndarray:
+    """:func:`root_values`, given the grammar's :func:`count_totals`."""
     if entropies is None:
         entropies = local_entropies(grammar)
-    totals = count_totals(grammar, arrays)
     if totals is None:
         x = solve_system(characteristic_matrix(grammar),
                          np.column_stack((local_lengths(grammar), entropies)))
@@ -422,12 +431,14 @@ class RateReport:
 def entropy_rate(grammar: Pcfg) -> RateReport:
     """Derivational entropy rate: bits of tree entropy per emitted symbol."""
     arrays = _rule_arrays(grammar)
+    totals = count_totals(grammar, arrays)
     # Either path certifies rho(M) < 1 or raises DivergentGrammarError; the
     # solve also rejects a negative or non-finite probability.
-    mlu, entropy = map(float, root_values(grammar, arrays=arrays))
+    mlu, entropy = map(float, _root_row(grammar, None, totals))
     if mlu <= 0.0:
         raise NumericalError(f"expected length {mlu} is not positive")
-    positive = arrays.weights > 0
+    positive = arrays.weights > 0  # all of them on the count path
     radius = _sparse_radius(arrays.n, arrays.rows[positive], arrays.cols[positive],
-                            arrays.weights[positive])
+                            arrays.weights[positive],
+                            None if totals is None else totals.blocks)
     return RateReport(entropy, mlu, entropy / mlu, radius)

@@ -72,19 +72,13 @@ def ml_entropy(table: FreqTable) -> float:
     return entropy_from_probs(counts / table.n)
 
 
-def gt_degenerate(table: FreqTable) -> bool:
-    """True when every observed type is a singleton (the Good-Turing
-    discount would wipe out all probability mass)."""
-    f1 = sum(1 for c in table.counts if c == 1)
-    return f1 == table.n
-
-
 def good_turing_probs(table: FreqTable) -> np.ndarray:
     """Good-Turing-discounted probabilities: ML estimates scaled by one
     minus the singleton share.
 
-    In the all-singletons case the discount factor is zero; the undiscounted
-    ML probabilities are returned instead (see :func:`gt_degenerate`).
+    In the all-singletons case the discount factor is zero, which would wipe
+    out all probability mass; the undiscounted ML probabilities are returned
+    instead.
     """
     counts = np.asarray(table.counts, dtype=np.float64)
     n = table.n

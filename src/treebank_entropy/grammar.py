@@ -135,19 +135,6 @@ class Pcfg:
                     f"probabilities of '{nt}' sum to 1{gap:+.3e}"
                 )
 
-    def unreachable_nonterminals(self) -> set[str]:
-        """Non-terminals not reachable from the root (reported, never fatal)."""
-        seen = {self.root}
-        agenda = [self.root]
-        while agenda:
-            nt = agenda.pop()
-            for rule in self._by_lhs[nt]:
-                for sym in rule.rhs:
-                    if sym in self.nt_index and sym not in seen:
-                        seen.add(sym)
-                        agenda.append(sym)
-        return set(self.nonterminals) - seen
-
 
 class RuleCounts:
     """Sufficient statistics of ML induction over a multiset of derivations.

@@ -4,7 +4,8 @@ Nothing here calls the closed-form entropy path it is meant to check: tree
 entropies come from explicit enumeration of derivations, spectral radii from
 the dense eigensolver, the expected-counts matrix and the expected terminals
 per expansion from a loop over the rules, projective graphs from direct interval splitting,
-crossing arcs from each head's projection as a set,
+crossing arcs from each head's projection as a set, the derivations of a
+CoNLL-U text from its graphs converted to trees and walked,
 cleaned trees from the original read pipeline, in which parsing, trace
 stripping, function-tag cutting and pre-terminalization each rebuild the tree
 in a pass of their own, sampled trees from the original sampler, which draws
@@ -21,10 +22,16 @@ import mpmath
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from treebank_entropy.conllu import DepGraph
-from treebank_entropy.errors import ParseError, SamplingDivergenceError, StructuralError
+from treebank_entropy.conllu import DepGraph, parse_conllu
+from treebank_entropy.depconv import ConversionConfig, dep_to_tree
+from treebank_entropy.errors import (
+    NonProjectiveError,
+    ParseError,
+    SamplingDivergenceError,
+    StructuralError,
+)
 from treebank_entropy.grammar import MAX_SAMPLE_RETRIES, Pcfg, Rule
-from treebank_entropy.trees import DEFAULT_DROP_LABELS, Tree
+from treebank_entropy.trees import DEFAULT_DROP_LABELS, Tree, derivation
 
 
 def enumerate_entropy(grammar, mass_tol=1e-10, max_pops=5_000_000):
@@ -210,6 +217,19 @@ def random_enumerable_pcfg(
     raise RuntimeError("failed to draw a suitable random grammar")
 
 
+def unreachable_nonterminals(grammar: Pcfg) -> set[str]:
+    """Non-terminals not reachable from the root."""
+    seen = {grammar.root}
+    agenda = [grammar.root]
+    while agenda:
+        for rule in grammar.rules_for(agenda.pop()):
+            for sym in rule.rhs:
+                if sym in grammar.nt_index and sym not in seen:
+                    seen.add(sym)
+                    agenda.append(sym)
+    return set(grammar.nonterminals) - seen
+
+
 _POS_TAGS = ("NN", "VB", "DT", "JJ", "RB", "PRP", "IN", "CC")
 _RELS = ("sub", "obj", "mod", "det", "cc", "adv")
 
@@ -287,6 +307,20 @@ def reference_crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
         if not set(range(lo, hi + 1)) <= spans[head]:
             bad.append((head, dep))
     return bad
+
+
+def reference_count_conllu(text: str, config: ConversionConfig):
+    """The derivations of the projective graphs of a CoNLL-U text and the
+    number of the others, through `parse_conllu`, `dep_to_tree` and
+    `derivation`."""
+    derivations = []
+    skipped = 0
+    for graph in parse_conllu(text):
+        try:
+            derivations.append(derivation(dep_to_tree(graph, config)))
+        except NonProjectiveError:
+            skipped += 1
+    return derivations, skipped
 
 
 def reference_read(

@@ -33,6 +33,25 @@ CONLLU = """\
 """
 
 
+#: A sentence whose arcs 3 -> 1 and 4 -> 2 cross.
+NON_PROJECTIVE = """\
+1\ta\t_\tA\t_\t_\t3\tx\t_\t_
+2\tb\t_\tB\t_\t_\t4\ty\t_\t_
+3\tc\t_\tC\t_\t_\t0\troot\t_\t_
+4\td\t_\tD\t_\t_\t3\tz\t_\t_
+"""
+
+TWO_ROOTS = """\
+1\ta\t_\tA\t_\t_\t0\troot\t_\t_
+2\tb\t_\tB\t_\t_\t0\troot\t_\t_
+"""
+
+CYCLE = """\
+1\ta\t_\tA\t_\t_\t2\tx\t_\t_
+2\tb\t_\tB\t_\t_\t1\ty\t_\t_
+3\tc\t_\tC\t_\t_\t0\troot\t_\t_
+"""
+
 @pytest.fixture
 def treebank(tmp_path):
     corpus = Sampler(GRAMMAR).sample_corpus(50, np.random.default_rng(7))
@@ -155,6 +174,37 @@ class TestConvert:
         captured = capsys.readouterr()
         assert "sentences\t2\n" in captured.out
         assert captured.err == f"{path}: skipped 1 non-projective sentence(s)\n"
+
+    @pytest.mark.parametrize("command, flags, expected", [
+        ("rate", [], "entropy\t2.0\nmlu\t2.5\nrate\t0.8\nspectral_radius\t0.0\n"),
+        ("rate", ["--unlabeled", "--use-form"],
+         "entropy\t1.0\nmlu\t2.5\nrate\t0.4\nspectral_radius\t0.0\n"),
+        ("site", [], "entropy_bits\t3.5097750043269373\nmethod\tsite-cwj\nsentences\t2\n"),
+        ("site", ["--unlabeled", "--use-form"],
+         "entropy_bits\t1.7548875021634687\nmethod\tsite-cwj\nsentences\t2\n"),
+    ])
+    def test_nonprojective_sentence_skipped_bytes(self, tmp_path, capsys,
+                                                  command, flags, expected):
+        path = tmp_path / "mixed.conllu"
+        path.write_text(CONLLU + "\n" + NON_PROJECTIVE, encoding="utf-8")
+        assert main([command, "--format", "conllu", *flags, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == f"{path}: skipped 1 non-projective sentence(s)\n"
+
+    @pytest.mark.parametrize("command", ["rate", "site", "induce"])
+    @pytest.mark.parametrize("malformed, message", [
+        (TWO_ROOTS + "\n" + CYCLE, "expected exactly one root, found 2"),
+        (CYCLE + "\n" + TWO_ROOTS, "cycle through token 1"),
+    ], ids=["two-roots-then-cycle", "cycle-then-two-roots"])
+    def test_malformed_sentence_exits_2(self, tmp_path, capsys, command,
+                                        malformed, message):
+        path = tmp_path / "malformed.conllu"
+        path.write_text(CONLLU + "\n" + malformed, encoding="utf-8")
+        assert main([command, "--format", "conllu", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sentence 3 (line 8): {message}\n"
 
     def test_conllu_pipeline_site(self, tmp_path, capsys):
         path = tmp_path / "sents.conllu"

@@ -4,19 +4,70 @@ import pytest
 from oracles import (
     random_dependency_graph,
     random_projective_graph,
+    reference_count_conllu,
     reference_crossing_arcs,
 )
-from treebank_entropy.conllu import DepGraph
+from treebank_entropy.conllu import DepGraph, parse_conllu
 from treebank_entropy.depconv import (
     ConversionConfig,
+    count_conllu,
     crossing_arcs,
     dep_to_tree,
     graphs_to_corpus,
     is_projective,
     tree_to_dep,
 )
-from treebank_entropy.errors import NonProjectiveError, StructuralError
+from treebank_entropy.errors import InputError, NonProjectiveError, StructuralError
 from treebank_entropy.trees import parse_bracketed
+
+
+CONFIGS = [
+    ConversionConfig(labeled=labeled, use_pos=use_pos)
+    for labeled in (True, False) for use_pos in (True, False)
+]
+
+
+def to_conllu(graphs) -> str:
+    """CoNLL-U text of `graphs`: word forms unlike their tags, some empty
+    relations (read as ``dep``), and comments, multiword ranges and empty
+    nodes, which carry no arcs."""
+    lines = []
+    for k, graph in enumerate(graphs):
+        lines.append(f"# sent_id = g{k}")
+        for i, ((_, pos), head, rel) in enumerate(
+            zip(graph.tokens, graph.heads, graph.labels), start=1
+        ):
+            if i % 5 == 1:
+                lines.append(f"{i}-{i + 1}\tab\t_\t_\t_\t_\t_\t_\t_\t_")
+            rel = "root" if head == 0 else "" if i % 4 == 3 else rel
+            form = f"{pos.lower()}{i % 3}"
+            lines.append(f"{i}\t{form}\t_\t{pos}\t_\t_\t{head}\t{rel}\t_\t_")
+            if i % 7 == 0:
+                lines.append(f"{i}.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def row(i, head):
+    return f"{i}\tw\t_\tX\t_\t_\t{head}\tdep\t_\t_"
+
+
+GOOD = "\n".join([row(1, 2), row(2, 0), row(3, 2)]) + "\n\n"
+
+#: One text per kind of anomaly, each after a good sentence and before another.
+MALFORMED = {
+    "too few columns": row(1, 0) + "\n2\tw\tX\n",
+    "too many columns": row(1, 0) + "\t_\n",
+    "non-integer ID": "x" + row(1, 0)[1:] + "\n",
+    "non-integer HEAD": row(1, "h") + "\n",
+    "no root": "\n".join([row(1, 2), row(2, 1)]) + "\n",
+    "two roots": "\n".join([row(1, 0), row(2, 0)]) + "\n",
+    "head out of range": "\n".join([row(1, 0), row(2, 3)]) + "\n",
+    # Indexed from the end, -2 would make token 2 the head: a tree.
+    "negative head": "\n".join([row(1, 0), row(2, 1), row(3, -2)]) + "\n",
+    "cycle": "\n".join([row(1, 2), row(2, 1), row(3, 0)]) + "\n",
+    "self-loop": "\n".join([row(1, 1), row(2, 0)]) + "\n",
+}
 
 
 def negation_sentence():
@@ -191,3 +242,39 @@ class TestBatchConversion:
         assert len(corpus) == 2
         assert [idx for idx, _ in skipped] == [1]
         assert isinstance(skipped[0][1], NonProjectiveError)
+
+
+class TestCountConllu:
+    def test_reads_like_the_tree_path(self):
+        rng = np.random.default_rng(41)
+        graphs = []
+        for _ in range(150):
+            n = int(rng.integers(1, 25))
+            graphs.append(random_projective_graph(rng, n))
+            graphs.append(random_dependency_graph(rng, n))
+        text = to_conllu(graphs)
+        for config in CONFIGS:
+            derivations, skipped = count_conllu(text, config)
+            assert (derivations, skipped) == reference_count_conllu(text, config)
+            assert len(derivations) > 150 and skipped > 100  # both kinds occur
+
+    def test_deep_chains(self):
+        n = 2000
+        for heads in ([0] + list(range(1, n)), list(range(2, n + 1)) + [0]):
+            labels = [None if h == 0 else "dep" for h in heads]
+            graph = DepGraph(tokens=[("NN", "NN")] * n, heads=heads, labels=labels)
+            text = to_conllu([graph])
+            for config in CONFIGS:
+                assert count_conllu(text, config) == reference_count_conllu(text, config)
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_malformed_raises_the_parse_conllu_error(self, kind):
+        text = GOOD + MALFORMED[kind] + "\n" + GOOD
+        with pytest.raises(InputError) as expected:
+            parse_conllu(text)
+        for config in CONFIGS:
+            with pytest.raises(InputError) as got:
+                count_conllu(text, config)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+            assert getattr(got.value, "line", None) == getattr(expected.value, "line", None)

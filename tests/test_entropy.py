@@ -10,6 +10,7 @@ from oracles import (
     random_enumerable_pcfg,
     reference_characteristic_matrix,
     reference_local_lengths,
+    unreachable_nonterminals,
 )
 from synthetic import scaffold_grammar
 from treebank_entropy.analysis import converge
@@ -212,7 +213,7 @@ class TestCertificate:
                 Rule("B", ("b",), 0.4, 1),
             ],
         )
-        assert grammar.unreachable_nonterminals() == {"B"}
+        assert unreachable_nonterminals(grammar) == {"B"}
         with pytest.raises(DivergentGrammarError):
             solve_system(characteristic_matrix(grammar), local_entropies(grammar))
 

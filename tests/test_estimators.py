@@ -16,7 +16,6 @@ from treebank_entropy.estimators import (
     cross_entropy,
     cwj_entropy,
     good_turing_probs,
-    gt_degenerate,
     ml_entropy,
     site,
     site_from_grammar,
@@ -44,6 +43,12 @@ def table(*counts):
 
 def corpus_of(*texts):
     return Corpus([parse_bracketed(t)[0] for t in texts])
+
+
+def gt_degenerate(table: FreqTable) -> bool:
+    """True when every observed type is a singleton, the case in which
+    `good_turing_probs` falls back to ML."""
+    return sum(1 for c in table.counts if c == 1) == table.n
 
 
 def ml_exact(corpus):

@@ -1,16 +1,19 @@
 """Seeded fuzzing of every reader: on any input, either a value comes back
 or an :class:`InputError` subclass is raised; nothing else may escape.  The
-counting reader must also agree with the tree reader on every input."""
+counting readers must also agree with the graph and tree readers on every
+input."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
+from oracles import reference_count_conllu
 from test_trees import READ_OPTIONS as ALL_READ_OPTIONS
 from test_trees import _outcome
 from treebank_entropy.conllu import parse_conllu, read_conllu
-from treebank_entropy.errors import InputError
+from treebank_entropy.depconv import ConversionConfig, count_conllu
+from treebank_entropy.errors import InputError, ParseError, StructuralError
 from treebank_entropy.grammar import dumps, induce, loads, read_grammar
 from treebank_entropy.trees import (
     DEFAULT_DROP_LABELS,
@@ -136,3 +139,19 @@ def test_counting_reader_reads_like_parse_bracketed(seed):
             if isinstance(expected, list):
                 expected = [derivation(t) for t in expected]
             assert _outcome(count_bracketed, text, options) == expected
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_counting_reader_reads_like_parse_conllu(seed):
+    def outcome(read, text, config):
+        try:
+            return read(text, config)
+        except (ParseError, StructuralError) as err:
+            return type(err), str(err), getattr(err, "line", None)
+
+    configs = [ConversionConfig(labeled, use_pos)
+               for labeled in (True, False) for use_pos in (True, False)]
+    for text in _texts(np.random.default_rng(seed), CONLLU, 400):
+        for config in configs:
+            expected = outcome(reference_count_conllu, text, config)
+            assert outcome(count_conllu, text, config) == expected

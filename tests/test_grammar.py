@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_enumerable_pcfg, reference_sample
+from oracles import random_enumerable_pcfg, reference_sample, unreachable_nonterminals
 from synthetic import scaffold_grammar
 from treebank_entropy.errors import (
     AlphabetClashError,
@@ -335,7 +335,7 @@ class TestPcfgValidation:
             "S",
             [Rule("S", ("a",), 1.0, 1), Rule("B", ("b",), 1.0, 1)],
         )
-        assert grammar.unreachable_nonterminals() == {"B"}
+        assert unreachable_nonterminals(grammar) == {"B"}
 
     def test_empty_rhs_rejected(self):
         with pytest.raises(StructuralError, match="empty"):
