@@ -21,11 +21,12 @@ rng = np.random.default_rng(7)
 
 print("ten draws:")
 for _ in range(10):
-    tree = sampler.sample(rng)
+    tree = sampler.sample_tree(rng)
     p = tree_probability(geometric, tree)
     print(f"  p = {p.prob:6.4f}  {write_bracketed(tree)}")
 
-lengths = [len(sampler.sample(rng).frontier()) for _ in range(50_000)]
+# A draw's derivation holds its frontier; no tree is needed to measure it.
+lengths = [sampler.sample(rng).terminals for _ in range(50_000)]
 print(f"\nmean frontier length over 50,000 draws: {np.mean(lengths):.3f}")
 print("closed form 1/(1-q) with q = 1/2:        2.000")
 
@@ -40,7 +41,7 @@ flat = Pcfg(
 )
 flat_sampler = Sampler(flat)
 counts = Counter(
-    flat_sampler.sample(rng).children[0].label for _ in range(30_000)
+    flat_sampler.sample(rng).leaves[0] for _ in range(30_000)
 )
 print("\nempirical vs assigned probabilities:")
 for sym, p in (("a", 0.5), ("b", 0.3), ("c", 0.2)):

@@ -9,7 +9,15 @@ get there orders of magnitude earlier.
 
 import numpy as np
 
-from treebank_entropy import Pcfg, Rule, Sampler, converge, derivational_entropy, induce
+from treebank_entropy import (
+    CountedCorpus,
+    Pcfg,
+    Rule,
+    Sampler,
+    converge,
+    derivational_entropy,
+    induce,
+)
 
 rng = np.random.default_rng(3)
 rules = []
@@ -29,7 +37,8 @@ for i in range(12):
 truth = Pcfg("X00", rules)
 print(f"true entropy: {derivational_entropy(truth):.3f} bits")
 
-corpus = Sampler(truth).sample_corpus(8000, np.random.default_rng(4))
+sampler, rng = Sampler(truth), np.random.default_rng(4)
+corpus = CountedCorpus([sampler.sample(rng) for _ in range(8000)])
 print(f"reference corpus: {len(corpus)} sentences "
       f"(induced copy has H = {derivational_entropy(induce(corpus)):.3f})\n")
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from treebank_entropy import (
+    CountedCorpus,
     Sampler,
     SmootherKind,
     corpus_mlu,
@@ -36,7 +37,7 @@ rng = np.random.default_rng(424242)
 sizes = synthetic.subcorpora_sizes(rng, 120)
 mlus, entropies, log_sizes = [], [], []
 for n in sizes:
-    corpus = sampler.sample_corpus(int(n), rng)
+    corpus = CountedCorpus([sampler.sample(rng) for _ in range(int(n))])
     mlus.append(corpus_mlu(corpus))
     entropies.append(site(corpus, SmootherKind.CWJ).value)
     log_sizes.append(math.log(int(n)))

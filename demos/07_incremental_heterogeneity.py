@@ -9,7 +9,7 @@ trees.
 
 import numpy as np
 
-from treebank_entropy import Pcfg, Rule, Sampler, incremental
+from treebank_entropy import CountedCorpus, Pcfg, Rule, Sampler, incremental
 
 PLAIN = Pcfg(
     "S", [Rule("S", ("a", "S"), 0.3, 3), Rule("S", ("a",), 0.7, 7)]
@@ -27,12 +27,19 @@ ORNATE = Pcfg(
 )
 
 rng = np.random.default_rng(6)
+
+
+def draw(grammar, size, source_id):
+    sampler = Sampler(grammar)
+    return CountedCorpus([sampler.sample(rng) for _ in range(size)], source_id)
+
+
 files = [
-    Sampler(PLAIN).sample_corpus(80, rng, source_id="plain-1"),
-    Sampler(PLAIN).sample_corpus(60, rng, source_id="plain-2"),
-    Sampler(ORNATE).sample_corpus(90, rng, source_id="ornate-1"),
-    Sampler(PLAIN).sample_corpus(70, rng, source_id="plain-3"),
-    Sampler(ORNATE).sample_corpus(50, rng, source_id="ornate-2"),
+    draw(PLAIN, 80, "plain-1"),
+    draw(PLAIN, 60, "plain-2"),
+    draw(ORNATE, 90, "ornate-1"),
+    draw(PLAIN, 70, "plain-3"),
+    draw(ORNATE, 50, "ornate-2"),
 ]
 
 print("original file order:")

@@ -81,7 +81,9 @@ class RegressionFit:
     with_intercept: bool
 
 
-def _corpus_estimates(corpus: Corpus, estimators) -> tuple[dict[str, float], Pcfg]:
+def _corpus_estimates(
+    corpus: Corpus | CountedCorpus, estimators
+) -> tuple[dict[str, float], Pcfg]:
     """All requested estimates of one sampled corpus, sharing one induction
     and one smoothing per smoother."""
     grammar = induce(corpus)
@@ -114,11 +116,12 @@ def converge(
     """Estimator accuracy as a function of sample size.
 
     A grammar is induced from `grammar_source`; for every replication and
-    size an artificial corpus of that many trees is sampled from it and each
-    estimator applied.  Rows aggregate the replications with normal 95%
-    confidence intervals.  Coverage rows report the percentage of the true
-    grammar's rules and non-terminals observed.  Each size and each
-    estimator is taken once, however often it is listed.
+    size an artificial corpus of that many sentences is sampled from it, as
+    derivations, and each estimator applied.  Rows aggregate the
+    replications with normal 95% confidence intervals.  Coverage rows
+    report the percentage of the true grammar's rules and non-terminals
+    observed.  Each size and each estimator is taken once, however often
+    it is listed.
     """
     sizes = sorted(set(sizes))
     estimators = tuple(dict.fromkeys(estimators))  # first occurrences, in order
@@ -139,7 +142,7 @@ def converge(
     for rep in range(replications):
         for size in sizes:
             rng = np.random.default_rng(np.random.SeedSequence((seed, rep, size)))
-            corpus = sampler.sample_corpus(size, rng)
+            corpus = CountedCorpus([sampler.sample(rng) for _ in range(size)])
             values, sample_grammar = _corpus_estimates(corpus, estimators)
             if coverage:
                 values.update(_coverage(sample_grammar, true_rules, true_nts))

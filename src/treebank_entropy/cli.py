@@ -167,7 +167,7 @@ def _cmd_sample(args):
     rng = np.random.default_rng(args.seed)
     with _out_handle(args) as handle:
         for _ in range(args.count):
-            tree = sampler.sample(rng)
+            tree = sampler.sample_tree(rng)
             if sampler.last_retries:
                 print(
                     f"draw retried {sampler.last_retries} time(s)",

@@ -11,6 +11,7 @@ the bias-corrected entropy estimators need the raw counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -243,12 +244,15 @@ def tree_probability(grammar: Pcfg, tree: Tree) -> TreeProbability:
 
 
 class Sampler:
-    """Repeated tree sampling from one grammar.
+    """Repeated sampling from one grammar.
 
     Expansion is leftmost; each non-terminal draws a rule from its own
-    distribution.  Draws exceeding the node budget are rejected and retried;
-    the retry count of the last draw is kept in `last_retries`.  Every draw
-    takes its randomness from the generator passed in.
+    distribution with one ``rng.random()``.  :meth:`sample` returns the
+    draw's :class:`Derivation`, which is all that rule counting reads, and
+    :meth:`sample_tree` builds the tree of the same draw.  Draws exceeding
+    the node budget are rejected and retried; the retry count of the last
+    draw is kept in `last_retries`.  Every draw takes its randomness from
+    the generator passed in.
     """
 
     def __init__(self, grammar: Pcfg, max_nodes: int = DEFAULT_MAX_NODES):
@@ -258,53 +262,70 @@ class Sampler:
         self.grammar = grammar
         self.max_nodes = max_nodes
         self.last_retries = 0
+        # Per non-terminal: the cumulative probabilities and, per rule, the
+        # (lhs, rhs) pair, its size and its rhs reversed for the agenda.
         self._tables = {}
         for nt in grammar.nonterminals:
             rules = grammar.rules_for(nt)
-            cum = np.cumsum([r.prob for r in rules])
-            self._tables[nt] = (cum, [r.rhs for r in rules])
+            cum = np.cumsum([r.prob for r in rules]).tolist()
+            picks = [((nt, r.rhs), len(r.rhs), r.rhs[::-1]) for r in rules]
+            self._tables[nt] = (cum, picks)
 
-    def sample(self, rng: np.random.Generator) -> Tree:
+    def sample(self, rng: np.random.Generator) -> Derivation:
         for retries in range(MAX_SAMPLE_RETRIES):
-            tree = self._try_sample(rng)
-            if tree is not None:
+            drawn = self._try_sample(rng)
+            if drawn is not None:
                 self.last_retries = retries
-                return tree
+                return drawn
         raise SamplingDivergenceError(
             f"draw exceeded {self.max_nodes} nodes {MAX_SAMPLE_RETRIES} times"
         )
 
-    def _try_sample(self, rng: np.random.Generator) -> Tree | None:
+    def _try_sample(self, rng: np.random.Generator) -> Derivation | None:
         tables = self._tables
-        root = Tree(self.grammar.root)
-        agenda = [root]
+        random = rng.random
+        max_nodes = self.max_nodes
+        root = self.grammar.root
+        rules = []
+        leaves = []
+        agenda = [root]  # terminals too, so leaves come out left to right
         nodes = 1
         while agenda:
-            node = agenda.pop()
-            cum, rhs_list = tables[node.label]
-            u = rng.random()
-            idx = int(np.searchsorted(cum, u, side="right"))
-            if idx >= len(rhs_list):  # guards cum[-1] rounding below 1.0
-                idx = len(rhs_list) - 1
-            rhs = rhs_list[idx]
-            nodes += len(rhs)
-            if nodes > self.max_nodes:
+            label = agenda.pop()
+            table = tables.get(label)
+            if table is None:
+                leaves.append(label)
+                continue
+            cum, picks = table
+            idx = bisect_right(cum, random())
+            if idx == len(picks):  # guards cum[-1] rounding below 1.0
+                idx -= 1
+            rule, size, reversed_rhs = picks[idx]
+            nodes += size
+            if nodes > max_nodes:
                 return None
+            rules.append(rule)
+            agenda.extend(reversed_rhs)
+        return Derivation(root, rules, leaves)
+
+    def sample_tree(self, rng: np.random.Generator) -> Tree:
+        """Draw one tree: :meth:`sample`'s draw, built in one pre-order pass."""
+        root, rules, _ = self.sample(rng)
+        tables = self._tables
+        tree = Tree(root)
+        agenda = [tree]  # internal nodes not yet expanded, leftmost last
+        for _, rhs in rules:
+            node = agenda.pop()
             node.children = children = tuple(map(Tree, rhs))
             agenda.extend(c for c in reversed(children) if c.label in tables)
-        return root
-
-    def sample_corpus(
-        self, size: int, rng: np.random.Generator, source_id: str = ""
-    ) -> Corpus:
-        return Corpus([self.sample(rng) for _ in range(size)], source_id=source_id)
+        return tree
 
 
 def sample(
     grammar: Pcfg, seed: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> Tree:
     """Draw one tree, deterministically for a given seed."""
-    return Sampler(grammar, max_nodes).sample(np.random.default_rng(seed))
+    return Sampler(grammar, max_nodes).sample_tree(np.random.default_rng(seed))
 
 
 def rule_freq_tables(grammar: Pcfg) -> dict[str, FreqTable]:

@@ -94,6 +94,10 @@ class Derivation(NamedTuple):
     def terminals(self) -> int:
         return len(self.leaves)
 
+    def node_count(self) -> int:
+        """Nodes of the tree: one per expansion plus one per leaf."""
+        return len(self.rules) + len(self.leaves)
+
 
 def derivation(tree: Tree) -> Derivation:
     """The derivation of a tree, walking it once."""
@@ -114,6 +118,9 @@ def derivation(tree: Tree) -> Derivation:
 #: One token per match: a parenthesis or a maximal run of other non-space
 #: characters.  ``\s`` and ``str.isspace`` agree on every code point.
 _TOKENS = re.compile(r"\(|\)|[^\s()]+")
+
+#: A character that would split or end a label when the text is read back.
+_UNSERIALIZABLE = re.compile(r"[\s()]")
 
 
 def parse_bracketed(
@@ -300,7 +307,7 @@ def write_bracketed(tree: Tree) -> str:
         if isinstance(item, str):
             out.append(item)
             continue
-        if not item.label or any(c in "() \t\n\r" for c in item.label):
+        if not item.label or _UNSERIALIZABLE.search(item.label):
             raise StructuralError(
                 f"label {item.label!r} is not serializable in bracketed form"
             )

@@ -8,9 +8,9 @@ crossing arcs from each head's projection as a set, the derivations of a
 CoNLL-U text from its graphs converted to trees and walked,
 cleaned trees from the original read pipeline, in which parsing, trace
 stripping, function-tag cutting and pre-terminalization each rebuild the tree
-in a pass of their own, sampled trees from the original sampler, which draws
-into ``[label, children]`` lists and freezes them into trees afterwards, and
-CWJ estimates from ``scipy.special.digamma`` and a tail summed in ``mpmath``.
+in a pass of their own, sampled trees from the original tree sampler, which
+builds every node as it draws, and CWJ estimates from
+``scipy.special.digamma`` and a tail summed in ``mpmath``.
 """
 
 from __future__ import annotations
@@ -494,50 +494,38 @@ def reference_preterminalize(tree: Tree) -> Tree:
 def reference_sample(grammar: Pcfg, rng: np.random.Generator, max_nodes: int):
     """One leftmost draw with node-budget rejection, as ``(tree, retries)``.
 
-    Each try expands mutable ``[label, children]`` pairs, one ``rng.random()``
-    per expansion, and the accepted draw is frozen into :class:`Tree` objects
-    in a pass of its own.
+    The tree sampler the package had before it drew derivations: each node
+    is a :class:`Tree` whose children are set when it is expanded, with one
+    ``rng.random()`` per expansion, picked by ``np.searchsorted`` on the
+    cumulative probabilities.
     """
     tables = {}
     for nt in grammar.nonterminals:
         rules = grammar.rules_for(nt)
-        tables[nt] = (np.cumsum([r.prob for r in rules]), [r.rhs for r in rules])
+        cum = np.cumsum([r.prob for r in rules])
+        tables[nt] = (cum, [r.rhs for r in rules])
 
     def try_sample():
-        root = [grammar.root, None]
+        root = Tree(grammar.root)
         agenda = [root]
         nodes = 1
         while agenda:
             node = agenda.pop()
-            cum, rhs_list = tables[node[0]]
-            idx = int(np.searchsorted(cum, rng.random(), side="right"))
-            idx = min(idx, len(rhs_list) - 1)
-            children = [[sym, None] for sym in rhs_list[idx]]
-            nodes += len(children)
+            cum, rhs_list = tables[node.label]
+            u = rng.random()
+            idx = int(np.searchsorted(cum, u, side="right"))
+            if idx >= len(rhs_list):  # guards cum[-1] rounding below 1.0
+                idx = len(rhs_list) - 1
+            rhs = rhs_list[idx]
+            nodes += len(rhs)
             if nodes > max_nodes:
                 return None
-            node[1] = children
-            for child in reversed(children):
-                if child[0] in tables:
-                    agenda.append(child)
+            node.children = children = tuple(map(Tree, rhs))
+            agenda.extend(c for c in reversed(children) if c.label in tables)
         return root
 
-    def freeze(root) -> Tree:
-        post = []
-        stack = [root]
-        while stack:
-            item = stack.pop()
-            post.append(item)
-            if item[1]:
-                stack.extend(item[1])
-        frozen = {}
-        for item in reversed(post):
-            label, children = item
-            frozen[id(item)] = Tree(label, [frozen[id(c)] for c in children or ()])
-        return frozen[id(root)]
-
     for retries in range(MAX_SAMPLE_RETRIES):
-        root = try_sample()
-        if root is not None:
-            return freeze(root), retries
+        tree = try_sample()
+        if tree is not None:
+            return tree, retries
     raise SamplingDivergenceError("node budget exceeded on every try")

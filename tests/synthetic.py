@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from treebank_entropy.grammar import Pcfg, Rule, Sampler, induce
+from treebank_entropy.trees import Corpus
 
 SCAFFOLD_SEED = 7006
 TRUTH_SAMPLE = 15_000
@@ -108,11 +109,22 @@ def scaffold_grammar(seed: int = SCAFFOLD_SEED) -> Pcfg:
     return Pcfg("S", rules)
 
 
+def sample_corpus(
+    sampler: Sampler, size: int, rng: np.random.Generator, source_id: str = ""
+) -> Corpus:
+    """`size` trees drawn one after another from `rng` by
+    :meth:`Sampler.sample_tree`."""
+    return Corpus([sampler.sample_tree(rng) for _ in range(size)], source_id)
+
+
 def reference_corpus(seed: int = SCAFFOLD_SEED):
     """Large scaffold sample that defines the reference grammar."""
     scaffold = scaffold_grammar(seed)
-    return Sampler(scaffold, max_nodes=10_000).sample_corpus(
-        TRUTH_SAMPLE, np.random.default_rng(seed + 1), source_id="reference"
+    return sample_corpus(
+        Sampler(scaffold, max_nodes=10_000),
+        TRUTH_SAMPLE,
+        np.random.default_rng(seed + 1),
+        source_id="reference",
     )
 
 

@@ -248,7 +248,7 @@ def test_criterion_6_proportionality(reference):
     sizes = synthetic.subcorpora_sizes(rng, 199)
     mlus, entropies, log_sizes = [], [], []
     for n in sizes:
-        corpus = sampler.sample_corpus(int(n), rng)
+        corpus = synthetic.sample_corpus(sampler, int(n), rng)
         mlus.append(corpus_mlu(corpus))
         entropies.append(
             site_from_grammar(induce(corpus), SmootherKind.CWJ)
@@ -326,7 +326,7 @@ def test_criterion_8_determinism(tmp_path, reference):
     """The convergence sweep writes byte-identical CSV for the same seed,
     run after run."""
     grammar, _ = reference
-    corpus = Sampler(grammar).sample_corpus(80, np.random.default_rng(5))
+    corpus = synthetic.sample_corpus(Sampler(grammar), 80, np.random.default_rng(5))
     bank = tmp_path / "bank.mrg"
     from treebank_entropy.trees import write_bracketed
 
@@ -357,7 +357,7 @@ def test_criterion_9_incremental_endpoint(reference):
     sampler = Sampler(grammar)
     rng = np.random.default_rng(31415)
     files = [
-        sampler.sample_corpus(int(n), rng, source_id=f"part{i}")
+        synthetic.sample_corpus(sampler, int(n), rng, source_id=f"part{i}")
         for i, n in enumerate((40, 25, 60, 10))
     ]
     original = incremental(files, order="original")

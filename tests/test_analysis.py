@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from synthetic import scaffold_grammar
+from oracles import reference_sample
+from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy import analysis, estimators, grammar
 from treebank_entropy.analysis import (
     DEFAULT_ESTIMATORS,
@@ -19,7 +20,13 @@ from treebank_entropy.errors import InputError
 from treebank_entropy.entropy import grammar_mlu
 from treebank_entropy.estimators import site
 from treebank_entropy.grammar import SYNTHETIC_ROOT, Pcfg, Rule, Sampler, induce
-from treebank_entropy.trees import Corpus, corpus_mlu, parse_bracketed
+from treebank_entropy.trees import (
+    Corpus,
+    CountedCorpus,
+    corpus_mlu,
+    derivation,
+    parse_bracketed,
+)
 
 
 def corpus_of(*texts):
@@ -27,7 +34,7 @@ def corpus_of(*texts):
 
 
 def sampled_corpus(grammar, size, seed):
-    return Sampler(grammar).sample_corpus(size, np.random.default_rng(seed))
+    return sample_corpus(Sampler(grammar), size, np.random.default_rng(seed))
 
 
 def spearman_size_check(residuals, log_n) -> tuple[float, float]:
@@ -165,7 +172,7 @@ class TestConverge:
         sampler = Sampler(scaffold_grammar())
         rng = np.random.default_rng(12)
         for size in (1, 3, 20, 200):
-            trees = sampler.sample_corpus(size, rng).sentences
+            trees = sample_corpus(sampler, size, rng).sentences
             if several_roots:
                 trees = trees + [c for t in trees for c in t.children if c.children]
             corpus = Corpus(trees)
@@ -174,6 +181,34 @@ class TestConverge:
             assert values["mc"] == pytest.approx(
                 estimators.cross_entropy(grammar, corpus), rel=1e-12
             )
+
+    @pytest.mark.parametrize("seed", [1, 7, 41])
+    def test_draws_derivations_equal_to_reference_trees(self, seed, monkeypatch):
+        # converge samples rule counts: no Tree is built on its path, and its
+        # rows are those of the same draws made as trees by the reference
+        # sampler.
+        source = CountedCorpus(
+            sampled_corpus(scaffold_grammar(), 60, 8).derivations()
+        )
+        sweep = dict(sizes=[1, 5, 30], replications=3, seed=seed)
+
+        class ReferenceSampler(Sampler):
+            def sample(self, rng):
+                tree, self.last_retries = reference_sample(
+                    self.grammar, rng, self.max_nodes
+                )
+                return derivation(tree)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "Sampler", ReferenceSampler)
+            expected = converge(source, **sweep)
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("converge built a Tree")
+
+        monkeypatch.setattr("treebank_entropy.grammar.Tree", no_tree)
+        monkeypatch.setattr("treebank_entropy.trees.Tree", no_tree)
+        assert converge(source, **sweep) == expected
 
 
 class TestIncremental:

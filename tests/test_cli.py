@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from synthetic import sample_corpus
 import treebank_entropy
 from treebank_entropy import trees
 from treebank_entropy.cli import build_parser, main
@@ -54,7 +55,7 @@ CYCLE = """\
 
 @pytest.fixture
 def treebank(tmp_path):
-    corpus = Sampler(GRAMMAR).sample_corpus(50, np.random.default_rng(7))
+    corpus = sample_corpus(Sampler(GRAMMAR), 50, np.random.default_rng(7))
     path = tmp_path / "bank.mrg"
     path.write_text(
         "\n".join(write_bracketed(t) for t in corpus.sentences), encoding="utf-8"
@@ -267,7 +268,7 @@ class TestSweeps:
 
     def test_incremental_orders(self, treebank, tmp_path, capsys):
         other = tmp_path / "bank2.mrg"
-        corpus = Sampler(GRAMMAR).sample_corpus(30, np.random.default_rng(8))
+        corpus = sample_corpus(Sampler(GRAMMAR), 30, np.random.default_rng(8))
         other.write_text(
             "\n".join(write_bracketed(t) for t in corpus.sentences),
             encoding="utf-8",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthetic import scaffold_grammar
+from synthetic import sample_corpus, scaffold_grammar
 from test_properties import CORPORA
 from treebank_entropy import entropy
 from treebank_entropy.cli import build_parser, main
@@ -66,7 +66,7 @@ def test_count_path_matches_solve_on_random_trees(trees):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 400))
 def test_count_path_matches_solve_on_sampled_corpora(seed, size):
     rng = np.random.default_rng(seed)
-    corpus = Sampler(scaffold_grammar()).sample_corpus(size, rng)
+    corpus = sample_corpus(Sampler(scaffold_grammar()), size, rng)
     assert_count_path_matches_solve(induce(corpus))
 
 
@@ -125,7 +125,7 @@ def test_cli_commands_build_no_matrix_and_solve_nothing(tmp_path, monkeypatch, c
     sampler = Sampler(GRAMMAR)
     files = [
         write(tmp_path / f"{name}.mrg", "\n".join(
-            write_bracketed(t) for t in sampler.sample_corpus(size, rng).sentences))
+            write_bracketed(t) for t in sample_corpus(sampler, size, rng).sentences))
         for name, size in (("a", 40), ("b", 25))
     ]
     grammar = str(tmp_path / "induced.txt")
@@ -201,7 +201,7 @@ def test_mutated_count_never_gives_a_wrong_value():
     # changed count that keeps the balance keeps the flow into every block
     # of M, so only a table that already had a closed block fails the
     # certificate (test_closed_block_fails_certificate).
-    corpus = Sampler(scaffold_grammar()).sample_corpus(60, np.random.default_rng(8))
+    corpus = sample_corpus(Sampler(scaffold_grammar()), 60, np.random.default_rng(8))
     grammar = induce(corpus)
     counts = {(r.lhs, r.rhs): r.freq for r in grammar.rules}
     for key in counts:
@@ -255,7 +255,7 @@ def test_frequencies_off_the_count_path(tmp_path, capsys, freq):
 
 
 def test_dumped_grammar_keeps_count_totals():
-    grammar = induce(Sampler(GRAMMAR).sample_corpus(30, np.random.default_rng(4)))
+    grammar = induce(sample_corpus(Sampler(GRAMMAR), 30, np.random.default_rng(4)))
     totals = count_totals(loads(dumps(grammar)))
     assert totals is not None
     assert totals.sentences == 30

@@ -12,7 +12,7 @@ from oracles import (
     reference_local_lengths,
     unreachable_nonterminals,
 )
-from synthetic import scaffold_grammar
+from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.analysis import converge
 from treebank_entropy.entropy import (
     characteristic_matrix,
@@ -84,7 +84,7 @@ class TestCharacteristicMatrix:
         # the radius `entropy_rate` takes from them is the dense matrix's.
         rng = np.random.default_rng(17)
         sampler = Sampler(scaffold_grammar())
-        grammars = [induce(sampler.sample_corpus(n, rng)) for n in (1, 10, 300)]
+        grammars = [induce(sample_corpus(sampler, n, rng)) for n in (1, 10, 300)]
         grammars += [random_enumerable_pcfg(rng)[0] for _ in range(5)]
         for grammar in grammars:
             assert np.array_equal(characteristic_matrix(grammar),
@@ -522,7 +522,7 @@ class TestStructuralInvariants:
         checked = 0
         while checked < 20:
             truth, _, _ = random_enumerable_pcfg(rng)
-            corpus = Sampler(truth).sample_corpus(int(rng.integers(5, 60)), rng)
+            corpus = sample_corpus(Sampler(truth), int(rng.integers(5, 60)), rng)
             if not any(not t.is_leaf for t in corpus.sentences):
                 continue
             learned = induce(corpus)
@@ -545,7 +545,7 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(25)
         sampler = Sampler(truth)
         estimates = [
-            derivational_entropy(induce(sampler.sample_corpus(10, rng)))
+            derivational_entropy(induce(sample_corpus(sampler, 10, rng)))
             for _ in range(100)
         ]
         assert np.mean(estimates) < true_h

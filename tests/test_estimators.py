@@ -6,7 +6,7 @@ import pytest
 from scipy.special import digamma
 
 from oracles import random_enumerable_pcfg, reference_cwj_entropy, reference_tail
-from synthetic import scaffold_grammar
+from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.entropy import derivational_entropy, entropy_from_probs
 from treebank_entropy.errors import EmptyInputError, OutOfGrammarError
 from treebank_entropy.estimators import (
@@ -246,7 +246,7 @@ class TestCwjAgainstScipyReference:
         sampler = Sampler(scaffold_grammar())
         rng = np.random.default_rng(21)
         for size in (1, 5, 50, 500):
-            grammar = induce(sampler.sample_corpus(size, rng))
+            grammar = induce(sample_corpus(sampler, size, rng))
             batched = smoothed_local_entropies(grammar, SmootherKind.CWJ)
             tables = rule_freq_tables(grammar)
             assert batched.tolist() == [
@@ -321,7 +321,7 @@ class TestSite:
         rng = np.random.default_rng(55)
         for _ in range(10):
             truth, _, _ = random_enumerable_pcfg(rng)
-            corpus = Sampler(truth).sample_corpus(int(rng.integers(5, 50)), rng)
+            corpus = sample_corpus(Sampler(truth), int(rng.integers(5, 50)), rng)
             if all(t.is_leaf for t in corpus.sentences):
                 continue
             grammar = induce(corpus)
@@ -342,7 +342,7 @@ class TestSite:
         )
         true_h = derivational_entropy(truth)
         rng = np.random.default_rng(50)
-        corpus = Sampler(truth).sample_corpus(4000, rng)
+        corpus = sample_corpus(Sampler(truth), 4000, rng)
         for smoother in SmootherKind:
             assert site(corpus, smoother).value == pytest.approx(
                 true_h, rel=0.05
@@ -358,7 +358,7 @@ class TestMonteCarlo:
         truth = Pcfg(
             "S", [Rule("S", ("a", "S"), 0.5, 1), Rule("S", ("a",), 0.5, 1)]
         )
-        corpus = Sampler(truth).sample_corpus(100_000, np.random.default_rng(9))
+        corpus = sample_corpus(Sampler(truth), 100_000, np.random.default_rng(9))
         value = cross_entropy(induce(corpus), corpus)
         assert value == pytest.approx(2.0, abs=0.02)
 
@@ -370,7 +370,7 @@ class TestMonteCarlo:
         rng = np.random.default_rng(66)
         for _ in range(10):
             truth, _, _ = random_enumerable_pcfg(rng)
-            corpus = Sampler(truth).sample_corpus(int(rng.integers(5, 60)), rng)
+            corpus = sample_corpus(Sampler(truth), int(rng.integers(5, 60)), rng)
             if all(t.is_leaf for t in corpus.sentences):
                 continue
             grammar = induce(corpus)

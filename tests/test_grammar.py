@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from oracles import random_enumerable_pcfg, reference_sample, unreachable_nonterminals
-from synthetic import scaffold_grammar
+from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.errors import (
     AlphabetClashError,
     InputError,
@@ -24,7 +26,7 @@ from treebank_entropy.grammar import (
     sample,
     tree_probability,
 )
-from treebank_entropy.trees import Corpus, Tree, parse_bracketed
+from treebank_entropy.trees import Corpus, Tree, derivation, parse_bracketed
 
 NEGATION_TREE = (
     "(S (NP-SBJ (PRP I)) (VP (VBP do) (RB n't)"
@@ -85,7 +87,7 @@ class TestInduce:
                 ],
             )
         )
-        grammar = induce(sampler.sample_corpus(500, rng))
+        grammar = induce(sample_corpus(sampler, 500, rng))
         grammar.validate(tol=1e-9)
 
     def test_consistency_probabilities_converge(self):
@@ -101,7 +103,7 @@ class TestInduce:
         sampler = Sampler(truth)
         errors = []
         for size in (100, 1000, 10000):
-            learned = induce(sampler.sample_corpus(size, rng))
+            learned = induce(sample_corpus(sampler, size, rng))
             worst = max(
                 abs(learned.lookup(r.lhs, r.rhs).prob - r.prob)
                 for r in truth.rules
@@ -175,9 +177,7 @@ class TestSampler:
         grammar = geometric(0.5)
         rng = np.random.default_rng(1)
         sampler = Sampler(grammar)
-        total = sum(
-            len(sampler.sample(rng).frontier()) for _ in range(100_000)
-        )
+        total = sum(sampler.sample(rng).terminals for _ in range(100_000))
         assert total / 100_000 == pytest.approx(2.0, abs=0.02)
 
     def test_distribution_matches_tree_probability(self):
@@ -194,7 +194,7 @@ class TestSampler:
         counts = {"a": 0, "b": 0, "c": 0}
         n = 100_000
         for _ in range(n):
-            counts[sampler.sample(rng).children[0].label] += 1
+            counts[sampler.sample(rng).leaves[0]] += 1
         chi2 = sum(
             (counts[sym] - n * p) ** 2 / (n * p)
             for sym, p in (("a", 0.5), ("b", 0.3), ("c", 0.2))
@@ -232,27 +232,82 @@ class TestSampler:
 
     @pytest.mark.parametrize(
         "case, max_nodes",
-        [("scaffold", 10_000), ("random", 10_000), ("binary", 12)],
+        [
+            ("scaffold", 10_000),
+            ("random", 10_000),
+            ("binary", 12),
+            ("synthetic-root", 10_000),
+            ("critical", 50),
+        ],
     )
     def test_draws_match_reference_sampler(self, case, max_nodes):
         if case == "scaffold":
             grammar = scaffold_grammar()
         elif case == "random":
             grammar, _, _ = random_enumerable_pcfg(np.random.default_rng(8))
-        else:
+        elif case == "binary":
             grammar = Pcfg(
                 "S", [Rule("S", ("S", "S"), 0.55, 11), Rule("S", ("a",), 0.45, 9)]
             )
+        elif case == "synthetic-root":
+            grammar = induce(corpus_of(
+                "(S (NP d n) (VP v (NP d n)))", "(S (S (VP v)) and (S (VP v)))",
+                "(NP (NP d n) (PP p (NP n)))", "(VP v)",
+            ))
+            assert grammar.root == SYNTHETIC_ROOT
+        else:
+            grammar = Pcfg(
+                "S", [Rule("S", ("S", "S"), 0.5, 1), Rule("S", ("a",), 0.5, 1)]
+            )
         sampler = Sampler(grammar, max_nodes=max_nodes)
-        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+        rng, ref_rng, tree_rng = (np.random.default_rng(13) for _ in range(3))
         retried = 0
         for _ in range(200):
             expected, retries = reference_sample(grammar, ref_rng, max_nodes)
-            assert sampler.sample(rng) == expected
+            assert sampler.sample(rng) == derivation(expected)
+            assert sampler.last_retries == retries
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert sampler.sample_tree(tree_rng) == expected
             assert sampler.last_retries == retries
             retried += retries
-        assert (retried > 0) == (case == "binary")
-        assert rng.random() == ref_rng.random()
+        assert (retried > 0) == (case in ("binary", "critical"))
+        assert tree_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_deep_tree_matches_reference_without_recursion(self):
+        grammar = Pcfg(
+            "S", [Rule("S", ("a", "S"), 0.9999, 1), Rule("S", ("a",), 0.0001, 1)]
+        )
+        expected, _ = reference_sample(grammar, np.random.default_rng(3), 100_000)
+        drawn = Sampler(grammar, max_nodes=100_000)
+        assert len(expected.frontier()) > sys.getrecursionlimit()
+        assert drawn.sample_tree(np.random.default_rng(3)) == expected
+        assert drawn.sample(np.random.default_rng(3)) == derivation(expected)
+
+    @pytest.mark.parametrize("u, picked", [(0.9999999999999999, 9), (0.1, 1)])
+    def test_pick_at_a_cumulative_bound(self, u, picked):
+        # Ten rules at 0.1 accumulate to 0.9999999999999999, the largest
+        # value rng.random() returns: a draw of it passes every bound and
+        # takes the last rule.  A draw equal to an inner bound takes the
+        # rule after it.
+        grammar = Pcfg("S", [Rule("S", (f"a{i}",), 0.1, 1) for i in range(10)])
+
+        class FixedDraw:
+            def random(self):
+                return u
+
+        assert np.cumsum([0.1] * 10)[-1] == 0.9999999999999999
+        drawn = Sampler(grammar).sample(FixedDraw())
+        assert drawn.rules == [("S", (f"a{picked}",))]
+        expected, _ = reference_sample(grammar, FixedDraw(), 10)
+        assert expected == Tree("S", [Tree(f"a{picked}")])
+        assert Sampler(grammar).sample_tree(FixedDraw()) == expected
+
+    def test_derivation_node_count_equals_tree_node_count(self):
+        sampler = Sampler(scaffold_grammar())
+        rng, tree_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(50):
+            drawn = sampler.sample(rng)
+            assert drawn.node_count() == sampler.sample_tree(tree_rng).node_count()
 
 
 class TestFreqTables:
@@ -301,7 +356,7 @@ class TestSerialization:
             ],
         )
         sampler = Sampler(truth)
-        grammar = induce(sampler.sample_corpus(200, rng))
+        grammar = induce(sample_corpus(sampler, 200, rng))
         restored = loads(dumps(grammar))
         assert restored.root == grammar.root
         assert restored.rules == grammar.rules

@@ -1,16 +1,20 @@
 """Property-based tests: rule counts add over corpora, the counting reader
 counts what the reference reader's trees hold, the incremental curve built
 from running counts ends where SITE of the merged corpus does, no scalar
-depends on the order of the non-terminals, and grammar files keep every
-label, probability and frequency."""
+depends on the order of the non-terminals, grammar files keep every
+label, probability and frequency, and bracketed text and the dependency
+conversion invert for arbitrary labels."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_read
+from oracles import random_projective_graph, reference_read
 from test_trees import READ_OPTIONS
 from treebank_entropy.analysis import incremental
+from treebank_entropy.conllu import DepGraph
+from treebank_entropy.depconv import ConversionConfig, dep_to_tree, tree_to_dep
 from treebank_entropy.entropy import count_totals, entropy_rate
 from treebank_entropy.errors import StructuralError
 from treebank_entropy.estimators import SmootherKind, site, site_from_grammar
@@ -30,6 +34,7 @@ from treebank_entropy.trees import (
     corpus_mlu,
     count_bracketed,
     derivation,
+    parse_bracketed,
     write_bracketed,
 )
 
@@ -229,3 +234,54 @@ def test_grammar_file_of_induced_grammar_takes_count_path(trees, data):
         lines[i + 1] = f"{rules[i].prob + delta!r}\t{freq}\t{rule}"
     edited = loads("\n".join(lines))
     assert count_totals(edited) is None
+
+
+@SETTINGS
+@given(LABELED_TREES)
+def test_bracketed_round_trip(tree):
+    assert parse_bracketed(write_bracketed(tree)) == [tree]
+
+
+def _any_node(children):
+    return st.builds(
+        Tree, st.text(max_size=3), st.lists(children, min_size=1, max_size=3)
+    )
+
+
+@SETTINGS
+@given(_any_node(
+    st.recursive(st.text(max_size=3).map(Tree), _any_node, max_leaves=8)
+))
+def test_bracketed_writer_rejects_what_does_not_read_back(tree):
+    # Any label at all: the writer refuses it, or the text reads back as the
+    # same tree.
+    try:
+        text = write_bracketed(tree)
+    except StructuralError:
+        return
+    assert parse_bracketed(text) == [tree]
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A random projective graph with arbitrary forms, tags and relations."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = random_projective_graph(rng, n)
+    forms, tags, rels = (
+        draw(st.lists(st.text(max_size=4), min_size=n, max_size=n)) for _ in range(3)
+    )
+    labels = [None if head == 0 else rel for head, rel in zip(shape.heads, rels)]
+    return DepGraph(list(zip(forms, tags)), shape.heads, labels)
+
+
+@SETTINGS
+@given(labeled_graphs(), st.booleans())
+def test_dependency_round_trip(graph, use_pos):
+    tree = dep_to_tree(graph, ConversionConfig(labeled=True, use_pos=use_pos))
+    # The tree keeps one label per token, so both slots come back as it.
+    kept = [pos if use_pos else form for form, pos in graph.tokens]
+    # An empty relation string is written as "dep", so it does not come back.
+    relations = [rel if rel != "" else "dep" for rel in graph.labels]
+    expected = DepGraph([(label, label) for label in kept], graph.heads, relations)
+    assert tree_to_dep(tree) == expected

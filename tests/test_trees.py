@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_read
-from synthetic import scaffold_grammar
+from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.errors import EmptyInputError, ParseError, StructuralError
 from treebank_entropy.grammar import Pcfg, Rule, Sampler
 from treebank_entropy.trees import (
@@ -108,7 +108,9 @@ class TestRoundTrip:
         grammar = Pcfg(
             "S", [Rule("S", ("a", "S"), 0.99, 99), Rule("S", ("a",), 0.01, 1)]
         )
-        tree = Sampler(grammar, max_nodes=100_000).sample(np.random.default_rng(3))
+        tree = Sampler(grammar, max_nodes=100_000).sample_tree(
+            np.random.default_rng(3)
+        )
         assert parse_bracketed(write_bracketed(tree))[0] == tree
 
 
@@ -117,6 +119,17 @@ class TestSerializationGuard:
         for label in ("has space", "pa(ren", ""):
             with pytest.raises(StructuralError, match="serializable"):
                 write_bracketed(Tree("S", [Tree(label, [Tree("x")])]))
+
+    def test_every_whitespace_character_rejected(self):
+        # Any code point that reading splits at would change the tree read
+        # back, on a leaf as much as on an internal node.
+        spaces = [chr(i) for i in range(0x110000) if chr(i).isspace()]
+        assert len(spaces) > 4
+        for space in spaces:
+            for tree in (Tree("S", [Tree(f"a{space}b")]),
+                         Tree(f"S{space}", [Tree("a")])):
+                with pytest.raises(StructuralError, match="serializable"):
+                    write_bracketed(tree)
 
 
 class TestPreterminalize:
@@ -189,7 +202,7 @@ class TestCorpusMlu:
         grammar = Pcfg(
             "S", [Rule("S", ("a", "S"), 0.5, 1), Rule("S", ("a",), 0.5, 1)]
         )
-        corpus = Sampler(grammar).sample_corpus(100, np.random.default_rng(42))
+        corpus = sample_corpus(Sampler(grammar), 100, np.random.default_rng(42))
         assert corpus_mlu(corpus) == pytest.approx(2.0, abs=0.45)
 
     def test_concatenation_is_weighted_mean(self):
@@ -198,7 +211,7 @@ class TestCorpusMlu:
             "S", [Rule("S", ("a", "S"), 0.4, 2), Rule("S", ("a",), 0.6, 3)]
         )
         sampler = Sampler(grammar)
-        parts = [sampler.sample_corpus(int(n), rng) for n in (3, 11, 6)]
+        parts = [sample_corpus(sampler, int(n), rng) for n in (3, 11, 6)]
         merged = Corpus([t for c in parts for t in c.sentences])
         weighted = sum(len(c) * corpus_mlu(c) for c in parts) / len(merged)
         assert corpus_mlu(merged) == pytest.approx(weighted, abs=1e-12)
@@ -278,8 +291,8 @@ class TestReaderMatchesReference:
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_scaffold_samples(self, seed):
-        corpus = Sampler(scaffold_grammar()).sample_corpus(
-            30, np.random.default_rng(seed)
+        corpus = sample_corpus(
+            Sampler(scaffold_grammar()), 30, np.random.default_rng(seed)
         )
         text = "\n".join(write_bracketed(t) for t in corpus.sentences)
         assert_reads_like_reference(text)
