@@ -97,7 +97,7 @@ def _corpus_estimates(
 
 
 def _coverage(sample_grammar: Pcfg, true_rules, true_nts) -> dict[str, float]:
-    rules = {(r.lhs, r.rhs) for r in sample_grammar.rules}
+    rules = set(sample_grammar.expansions)
     nts = set(sample_grammar.nonterminals)
     return {
         "coverage-rules": 100.0 * len(rules & true_rules) / len(true_rules),
@@ -134,7 +134,7 @@ def converge(
             raise InputError(f"unknown estimator id '{est}'")
     truth = induce(grammar_source)
     sampler = Sampler(truth)
-    true_rules = frozenset((r.lhs, r.rhs) for r in truth.rules)
+    true_rules = frozenset(truth.expansions)
     true_nts = frozenset(truth.nonterminals)
     series = estimators + (COVERAGE_SERIES if coverage else ())
 

@@ -2,7 +2,8 @@
 
 Only the columns needed downstream are kept: ID, FORM, UPOS, HEAD, DEPREL.
 Multiword-token ranges (``3-4``) and empty nodes (``5.1``) are skipped, as
-are comment lines.  Each sentence is validated to be a single-rooted tree.
+are comment lines.  Each sentence is validated to be a single-rooted tree,
+and every token but the root must have a DEPREL.
 """
 
 from __future__ import annotations
@@ -128,6 +129,8 @@ def parse_conllu(text: str) -> list[DepGraph]:
             raise ParseError(
                 f"non-integer HEAD {cols[_HEAD]!r}", line=line_no
             ) from None
+        if head and not cols[_DEPREL]:
+            raise ParseError("empty DEPREL of a non-root token", line=line_no)
         if sent_start_line is None:
             sent_start_line = line_no
         rows.append((cols[_FORM], cols[_UPOS], head, cols[_DEPREL]))

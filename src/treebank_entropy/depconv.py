@@ -107,7 +107,8 @@ def dep_to_tree(graph: DepGraph, config: ConversionConfig = ConversionConfig()) 
     """Convert a projective dependency graph to its derivation tree.
 
     Raises :class:`NonProjectiveError` (listing the crossing arcs) on
-    non-projective input.
+    non-projective input, and, in the labeled variant,
+    :class:`StructuralError` for a dependent whose relation is empty or None.
     """
     walk = _projections(graph.heads)
     bad = _crossing_arcs(graph.heads, walk)
@@ -139,7 +140,10 @@ def _wrap(graph: DepGraph, config: ConversionConfig, head: int, sub: Tree, dep: 
         return sub
     form, pos = graph.tokens[head - 1]
     head_label = pos if config.use_pos else form
-    rel = graph.labels[dep - 1] or "dep"
+    rel = graph.labels[dep - 1]
+    if not rel:
+        raise StructuralError(
+            f"{graph.sent_id or 'dependency graph'}: token {dep} has no relation")
     return Tree(head_label + RELATION_SEP + rel, [sub])
 
 
@@ -150,94 +154,49 @@ def tree_to_dep(tree: Tree) -> DepGraph:
     node label in both the form and POS slots.  Raises
     :class:`StructuralError` when the tree is not of conversion shape.
     """
-    if tree.is_leaf or tree.label != ROOT_LABEL or len(tree.children) != 1:
-        raise StructuralError("expected a ROOT node with exactly one child")
-
-    tokens: list[tuple[str, str]] = []
-    heads: list[int] = []
-    labels: list[str | None] = []
-
-    def expect_node(node: Tree) -> None:
-        if node.is_leaf:
-            raise StructuralError(f"unexpected leaf '{node.label}' as a node")
-        anchors = [
-            c for c in node.children
-            if c.is_leaf and c.label == node.label + ANCHOR_SUFFIX
-        ]
-        if len(anchors) != 1:
-            raise StructuralError(
-                f"node '{node.label}' must contain exactly one anchor leaf "
-                f"'{node.label}{ANCHOR_SUFFIX}'"
-            )
-
-    def _relation_child(parent: Tree, rel_node: Tree) -> Tree:
-        prefix = parent.label + RELATION_SEP
-        if not rel_node.label.startswith(prefix):
-            raise StructuralError(
-                f"expected relation node '{prefix}<rel>' under "
-                f"'{parent.label}', found '{rel_node.label}'"
-            )
-        if len(rel_node.children) != 1 or rel_node.children[0].is_leaf:
-            raise StructuralError(
-                f"relation node '{rel_node.label}' must wrap exactly one node"
-            )
-        return rel_node.children[0]
-
-    top = tree.children[0]
-    if top.is_leaf:
-        raise StructuralError("ROOT must dominate a dependency node")
-
-    # First pass, in frontier order: each node's anchor leaf fixes its
-    # surface position.  Explicit stack, so chain depth is unbounded.
+    if (tree.is_leaf or tree.label != ROOT_LABEL or len(tree.children) != 1
+            or tree.children[0].is_leaf):
+        raise StructuralError("expected a ROOT node over exactly one dependency node")
+    # One walk in frontier order, on an explicit stack so that chain depth is
+    # unbounded: each node's anchor leaf fixes its surface position.
     position: dict[int, int] = {}
-    counter = 0
-    stack = [top]
+    arcs = []  # (node, its head's node or None, the relation)
+    stack = [(tree.children[0], None, None)]
     while stack:
-        node = stack.pop()
-        expect_node(node)
-        for child in reversed(node.children):
-            if child.is_leaf:
-                if child.label != node.label + ANCHOR_SUFFIX:
-                    raise StructuralError(
-                        f"stray leaf '{child.label}' under node '{node.label}'"
-                    )
-            else:
-                stack.append(_relation_child(node, child))
-    # Frontier positions: depth-first left to right, so each relation
-    # subtree is exhausted before the anchor that follows it.
-    walk: list[tuple[str, Tree]] = [("expand", top)]
-    while walk:
-        kind, node = walk.pop()
-        if kind == "anchor":
-            counter += 1
-            position[id(node)] = counter
+        item = stack.pop()
+        if isinstance(item, Tree):  # the node whose anchor comes next
+            position[id(item)] = len(position) + 1
             continue
+        node, head, rel = item
+        anchor = node.label + ANCHOR_SUFFIX
+        leaves = [c.label for c in node.children if c.is_leaf]
+        if leaves.count(anchor) != 1:
+            raise StructuralError(
+                f"node '{node.label}' must contain exactly one anchor leaf '{anchor}'")
+        if len(leaves) > 1:
+            stray = next(label for label in leaves if label != anchor)
+            raise StructuralError(f"stray leaf '{stray}' under node '{node.label}'")
+        arcs.append((node, head, rel))
+        prefix = node.label + RELATION_SEP
         for child in reversed(node.children):
             if child.is_leaf:
-                walk.append(("anchor", node))
+                stack.append(node)
+            elif not child.label.startswith(prefix):
+                raise StructuralError(
+                    f"expected relation node '{prefix}<rel>' under "
+                    f"'{node.label}', found '{child.label}'"
+                )
+            elif len(child.children) != 1 or child.children[0].is_leaf:
+                raise StructuralError(
+                    f"relation node '{child.label}' must wrap exactly one node")
             else:
-                walk.append(("expand", child.children[0]))
-
-    n = counter
-    tokens = [("", "")] * n
-    heads = [0] * n
-    labels = [None] * n
-
-    # Second pass: record each node against its head's position.
-    emit_stack: list[tuple[Tree, int, str | None]] = [(top, 0, None)]
-    while emit_stack:
-        node, head_pos, rel = emit_stack.pop()
-        pos = position[id(node)]
-        tokens[pos - 1] = (node.label, node.label)
-        heads[pos - 1] = head_pos
-        labels[pos - 1] = rel
-        for child in node.children:
-            if child.is_leaf:
-                continue
-            sub = child.children[0]
-            rel_label = child.label[len(node.label) + len(RELATION_SEP):]
-            emit_stack.append((sub, pos, rel_label))
-
+                stack.append((child.children[0], node, child.label[len(prefix):]))
+    tokens, heads, labels = [None] * len(arcs), [0] * len(arcs), [None] * len(arcs)
+    for node, head, rel in arcs:
+        i = position[id(node)] - 1
+        tokens[i] = (node.label, node.label)
+        heads[i] = 0 if head is None else position[id(head)]
+        labels[i] = rel
     graph = DepGraph(tokens=tokens, heads=heads, labels=labels)
     graph.validate()
     return graph
@@ -308,6 +267,8 @@ def count_conllu(text: str, config: ConversionConfig = ConversionConfig()):
                 heads.append(int(head))
             except ValueError:  # not 10 columns, or a non-integer ID or HEAD
                 malformed()
+            if not rel and heads[-1]:
+                malformed()  # a relation node needs a relation
             labels.append(pos if config.use_pos else form)
             rels.append(rel)
     return derivations, skipped
@@ -318,8 +279,7 @@ def _derivation(labels, heads, rels, order, labeled: bool) -> Derivation:
     tokens' labels, heads and relations and its pre-order."""
     anchors = [label + ANCHOR_SUFFIX for label in labels]
     if labeled:  # the relation node that stands for each token under its head
-        shown = [labels[h - 1] + RELATION_SEP + (rel or "dep")
-                 for h, rel in zip(heads, rels)]
+        shown = [labels[h - 1] + RELATION_SEP + rel for h, rel in zip(heads, rels)]
     else:
         shown = labels
     # Each node's children in surface order: its dependents and its anchor.

@@ -20,7 +20,9 @@ emitted symbol.  No eigensolver runs, and two paths give that root row:
 
 The spectral radius that :func:`entropy_rate` reports is a Collatz-Wielandt
 upper bound, taken over the strongly connected blocks of M's non-zeros and
-iterated until it is tight (:func:`spectral_radius`).
+iterated until it is tight (:func:`spectral_radius`).  Everything is read
+from the grammar's arrays: M's non-zeros from the right-hand-side ids, each
+local entropy from its non-terminal's segment of the probabilities.
 """
 
 from __future__ import annotations
@@ -57,41 +59,23 @@ def entropy_from_probs(probs: np.ndarray) -> float:
     return float(0.0 - positive @ np.log2(positive))
 
 
-class _RuleArrays(NamedTuple):
-    """Rule i expands `lhs[i]` with probability `prob[i]` and emits
-    `emitted[i]` terminals; its right-hand side's non-terminal occurrences
-    are the k with `rule[k]` = i, each of non-terminal `child[k]`.  M has the
-    entries `weights`, summed in rule order, at (`rows`, `cols`), row-major."""
-
-    n: int
-    lhs: np.ndarray
-    prob: np.ndarray
-    emitted: np.ndarray
-    rule: np.ndarray
-    child: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
+def _children(grammar: Pcfg):
+    """The rule and the non-terminal of every non-terminal occurrence on a
+    right-hand side, in rule order, and the terminals each rule emits."""
+    lengths = np.diff(grammar.rhs_offsets)
+    rule = np.repeat(np.arange(lengths.size), lengths)
+    inner = grammar.rhs < len(grammar.nonterminals)
+    rule = rule[inner]
+    return rule, grammar.rhs[inner], lengths - np.bincount(rule, minlength=lengths.size)
 
 
-def _rule_arrays(grammar: Pcfg) -> _RuleArrays:
-    index = grammar.nt_index
-    rules = grammar.rules
-    n = len(index)
-    lengths = np.fromiter((len(r.rhs) for r in rules), np.intp, len(rules))
-    symbols = np.fromiter(
-        (index.get(s, -1) for r in rules for s in r.rhs), np.intp, int(lengths.sum())
-    )
-    inner = symbols >= 0
-    rule = np.repeat(np.arange(len(rules)), lengths)[inner]
-    child = symbols[inner]
-    lhs = np.fromiter((index[r.lhs] for r in rules), np.intp, len(rules))
-    prob = np.array([r.prob for r in rules], dtype=np.float64)
-    emitted = lengths - np.bincount(rule, minlength=len(rules))
-    keys, inverse = np.unique(lhs[rule] * n + child, return_inverse=True)
+def _entries(grammar: Pcfg, rule: np.ndarray, child: np.ndarray):
+    """M's non-zero pattern, row-major, and its entries: the probabilities of
+    each entry's occurrences (:func:`_children`), summed in rule order."""
+    n = len(grammar.nonterminals)
+    keys, inverse = np.unique(grammar.lhs[rule] * n + child, return_inverse=True)
     rows, cols = np.divmod(keys, n)
-    weights = np.bincount(inverse, prob[rule], minlength=keys.size)
-    return _RuleArrays(n, lhs, prob, emitted, rule, child, rows, cols, weights)
+    return rows, cols, np.bincount(inverse, grammar.prob[rule], minlength=keys.size)
 
 
 def characteristic_matrix(grammar: Pcfg) -> np.ndarray:
@@ -99,25 +83,22 @@ def characteristic_matrix(grammar: Pcfg) -> np.ndarray:
 
     Rows and columns follow `grammar.nonterminals` order.
     """
-    arrays = _rule_arrays(grammar)
-    matrix = np.zeros((arrays.n, arrays.n))
-    matrix[arrays.rows, arrays.cols] = arrays.weights
+    rows, cols, weights = _entries(grammar, *_children(grammar)[:2])
+    matrix = np.zeros((len(grammar.nonterminals),) * 2)
+    matrix[rows, cols] = weights
     return matrix
 
 
 def local_entropies(grammar: Pcfg) -> np.ndarray:
     """Entropy in bits of each non-terminal's rule-choice distribution."""
-    out = np.empty(len(grammar.nonterminals))
-    for i, nt in enumerate(grammar.nonterminals):
-        probs = np.array([r.prob for r in grammar.rules_for(nt)])
-        out[i] = entropy_from_probs(probs)
-    return out
+    return np.array([entropy_from_probs(p) for p in grammar.by_lhs(grammar.prob)])
 
 
 def local_lengths(grammar: Pcfg) -> np.ndarray:
     """Expected number of terminal symbols emitted per single expansion."""
-    arrays = _rule_arrays(grammar)
-    return np.bincount(arrays.lhs, arrays.prob * arrays.emitted, minlength=arrays.n)
+    _, _, emitted = _children(grammar)
+    return np.bincount(grammar.lhs, grammar.prob * emitted,
+                       minlength=len(grammar.nonterminals))
 
 
 def _finite_nonnegative_square(matrix) -> np.ndarray:
@@ -331,7 +312,7 @@ class CountTotals(NamedTuple):
     blocks: tuple  # M's strongly connected blocks (`_block_labels`)
 
 
-def count_totals(grammar: Pcfg, arrays: _RuleArrays | None = None) -> CountTotals | None:
+def count_totals(grammar: Pcfg, children=None, entries=None) -> CountTotals | None:
     """f_A, N and T of a grammar that is the relative-frequency grammar of
     its own rule frequencies, certified; None for any other grammar.
 
@@ -345,38 +326,43 @@ def count_totals(grammar: Pcfg, arrays: _RuleArrays | None = None) -> CountTotal
     each irreducible block, so its spectral radius is below one (Seneta,
     *Non-negative Matrices and Markov Chains*, Thm 1.6; cf. Chi 1999).  A
     block that receives none has radius one: :class:`DivergentGrammarError`.
+    `children` and `entries`, when given, are the grammar's
+    :func:`_children` and :func:`_entries`.
     """
-    if arrays is None:
-        arrays = _rule_arrays(grammar)
+    children = children or _children(grammar)
+    entries = entries or _entries(grammar, *children[:2])
+    rule, child, emitted = children
+    rows, cols, _ = entries
+    n = len(grammar.nonterminals)
     try:
-        freq = np.array([r.freq for r in grammar.rules], dtype=np.float64)
+        freq = grammar.freq.astype(np.float64)
     except OverflowError:
         return None
     # Every sum below is of integers smaller than this total, so exact.
     if not ((freq >= 1).all()
-            and freq.sum() + freq[arrays.rule].sum() + freq @ arrays.emitted < 2.0**53):
+            and freq.sum() + freq[rule].sum() + freq @ emitted < 2.0**53):
         return None
-    occurrences = np.bincount(arrays.lhs, freq, minlength=arrays.n)
-    if not (arrays.prob == freq / occurrences[arrays.lhs]).all():
+    occurrences = np.bincount(grammar.lhs, freq, minlength=n)
+    if not (grammar.prob == freq / occurrences[grammar.lhs]).all():
         return None
-    roots = occurrences - np.bincount(arrays.child, freq[arrays.rule], minlength=arrays.n)
+    roots = occurrences - np.bincount(child, freq[rule], minlength=n)
     root = grammar.nt_index[grammar.root]
     sentences = roots[root]
     roots[root] = 0
     if not sentences > 0 or roots.any():
         return None
-    found = _block_labels(arrays.n, arrays.rows, arrays.cols)
+    found = _block_labels(n, rows, cols)
     blocks, label, _ = found
     fed = np.zeros(len(blocks), dtype=bool)
     fed[label[root]] = True
-    fed[label[arrays.cols[label[arrays.rows] != label[arrays.cols]]]] = True
+    fed[label[cols[label[rows] != label[cols]]]] = True
     if not fed.all():
         raise DivergentGrammarError(
             f"{np.count_nonzero(~fed)} strongly connected block(s) of M receive "
             "no occurrence from outside: spectral radius 1, expected subtree "
             "measures diverge"
         )
-    return CountTotals(occurrences, int(sentences), int(freq @ arrays.emitted), found)
+    return CountTotals(occurrences, int(sentences), int(freq @ emitted), found)
 
 
 def root_values(grammar: Pcfg, entropies=None) -> np.ndarray:
@@ -430,15 +416,15 @@ class RateReport:
 
 def entropy_rate(grammar: Pcfg) -> RateReport:
     """Derivational entropy rate: bits of tree entropy per emitted symbol."""
-    arrays = _rule_arrays(grammar)
-    totals = count_totals(grammar, arrays)
+    children = _children(grammar)
+    rows, cols, weights = entries = _entries(grammar, *children[:2])
+    totals = count_totals(grammar, children, entries)
     # Either path certifies rho(M) < 1 or raises DivergentGrammarError; the
     # solve also rejects a negative or non-finite probability.
     mlu, entropy = map(float, _root_row(grammar, None, totals))
     if mlu <= 0.0:
         raise NumericalError(f"expected length {mlu} is not positive")
-    positive = arrays.weights > 0  # all of them on the count path
-    radius = _sparse_radius(arrays.n, arrays.rows[positive], arrays.cols[positive],
-                            arrays.weights[positive],
-                            None if totals is None else totals.blocks)
+    positive = weights > 0  # all of them on the count path
+    radius = _sparse_radius(len(grammar.nonterminals), rows[positive], cols[positive],
+                            weights[positive], None if totals is None else totals.blocks)
     return RateReport(entropy, mlu, entropy / mlu, radius)

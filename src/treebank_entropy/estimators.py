@@ -34,7 +34,8 @@ import numpy as np
 
 from .entropy import entropy_from_probs, root_values
 from .errors import EmptyInputError, OutOfGrammarError
-from .grammar import FreqTable, Pcfg, induce, rule_freq_tables, tree_probability
+from .grammar import (FreqTable, Pcfg, induce, observed_counts, rule_freq_tables,
+                      tree_probability)
 from .trees import Corpus, CountedCorpus
 
 _LN2 = math.log(2.0)
@@ -200,16 +201,21 @@ def cwj_entropy(table: FreqTable) -> float:
 
 
 def _cwj_entropies(tables: list[FreqTable]) -> np.ndarray:
-    """:func:`cwj_entropy` of each table, with one ψ evaluation for all.
-
-    Each table sums only its own slice, so its value does not depend on the
-    tables passed alongside it.
-    """
+    """:func:`cwj_entropy` of each table, with one ψ evaluation for all."""
     sizes = [len(t.counts) for t in tables]
     counts = np.fromiter(
         chain.from_iterable(t.counts for t in tables), np.int64, sum(sizes)
     )
-    starts = np.cumsum([0, *sizes[:-1]])
+    return _cwj_runs(counts, np.cumsum([0, *sizes]))
+
+
+def _cwj_runs(counts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """:func:`cwj_entropy` of each table ``counts[bounds[k]:bounds[k + 1]]``.
+
+    Each table sums only its own slice, so its value does not depend on the
+    tables passed alongside it.
+    """
+    starts, sizes = bounds[:-1], np.diff(bounds)
     n = np.add.reduceat(counts, starts)
     psi = _digamma(np.concatenate((counts, n)))
     psi_counts, psi_n = psi[:counts.size], psi[counts.size:]
@@ -238,12 +244,9 @@ _SMOOTHERS = {
 def smoothed_local_entropies(grammar: Pcfg, smoother: SmootherKind) -> np.ndarray:
     """Per-non-terminal local expansion entropies after bias correction."""
     smoother = SmootherKind(smoother)
-    tables = rule_freq_tables(grammar)
-    ordered = [tables[nt] for nt in grammar.nonterminals]
     if smoother is SmootherKind.CWJ:
-        return _cwj_entropies(ordered)
-    estimator = _SMOOTHERS[smoother]
-    return np.array([estimator(t) for t in ordered])
+        return _cwj_runs(*observed_counts(grammar))
+    return np.array([_SMOOTHERS[smoother](t) for t in rule_freq_tables(grammar).values()])
 
 
 def site_from_grammar(grammar: Pcfg, smoother: SmootherKind = SmootherKind.CWJ) -> float:

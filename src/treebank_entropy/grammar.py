@@ -6,14 +6,23 @@ remaining right-hand-side symbols, so the two alphabets are disjoint by
 construction.  Rule probabilities per left-hand side must sum to one.
 Frequencies observed during induction are kept alongside the probabilities;
 the bias-corrected entropy estimators need the raw counts.
+
+A :class:`Pcfg` interns each symbol once and keeps its rules as arrays (ids,
+right-hand sides in CSR form, probabilities, frequencies), each
+non-terminal's rules one segment of a stable sort.  :class:`RuleCounts`,
+:func:`loads` and ``Pcfg(root, rules)`` each intern in one pass; the entropy
+path, the estimators, the sampler and :func:`dumps` read the arrays, and
+:class:`Rule` objects are built only when `Pcfg.rules` is asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -28,7 +37,7 @@ from .errors import (
     StructuralError,
     read_text,
 )
-from .trees import Corpus, CountedCorpus, Derivation, Tree
+from .trees import Corpus, CountedCorpus, Derivation, Tree, derivation
 
 #: Synthetic start symbol used when the treebank has several root labels.
 SYNTHETIC_ROOT = "⊤ROOT⊤"
@@ -72,69 +81,109 @@ class TreeProbability(NamedTuple):
 
 
 class Pcfg:
-    """Immutable PCFG.
+    """Immutable PCFG, held as arrays over its symbols, each interned once.
 
-    `rules` keeps its given order; `nonterminals` lists symbols in
-    first-encounter order of their left-hand sides, which fixes the indexing
-    of the characteristic matrix.  No reported scalar may depend on that
-    order.
+    `symbols` lists the non-terminals (`nonterminals`, in first-encounter
+    order of their left-hand sides, which fixes the indexing of the
+    characteristic matrix), then the terminals in first-encounter order.
+    Rule i, with key ``expansions[i] = (lhs, rhs)``, rewrites symbol `lhs[i]`
+    as ``rhs[rhs_offsets[i]:rhs_offsets[i + 1]]`` with probability `prob[i]`
+    and frequency `freq[i]` (int64, or Python ints if one does not fit).
+    `order` sorts the rules stably by left-hand side, non-terminal k's being
+    ``order[starts[k]:starts[k + 1]]``.  `rules`, `rules_for`, `lookup` and
+    `terminals` are views built on first use.  No reported scalar may
+    depend on the order of the rules.
     """
 
     def __init__(self, root: str, rules: Iterable[Rule]):
-        self.root = root
-        self.rules = tuple(rules)
-        if not self.rules:
+        rules = tuple(rules)
+        self._intern(root, [(r.lhs, r.rhs) for r in rules],
+                     [r.prob for r in rules], [r.freq for r in rules])
+        self.rules = rules
+
+    @classmethod
+    def _of(cls, root: str, expansions: list, prob, freq) -> Pcfg:
+        grammar = cls.__new__(cls)
+        grammar._intern(root, expansions, prob, freq)
+        return grammar
+
+    def _intern(self, root, expansions, prob, freq) -> None:
+        if not expansions:
             raise StructuralError("a grammar needs at least one rule")
-        order: dict[str, int] = {}
-        by_lhs: dict[str, list[Rule]] = {}
-        for rule in self.rules:
-            if not rule.rhs:
-                raise StructuralError(f"rule '{rule.lhs} ->' has an empty rhs")
-            if rule.lhs not in order:
-                order[rule.lhs] = len(order)
-                by_lhs[rule.lhs] = []
-            by_lhs[rule.lhs].append(rule)
-        self.nonterminals: tuple[str, ...] = tuple(order)
-        self.nt_index: dict[str, int] = order
-        self._by_lhs = by_lhs
-        terminals = set()
-        for rule in self.rules:
-            for sym in rule.rhs:
-                if sym not in order:
-                    terminals.add(sym)
-        self.terminals: frozenset[str] = frozenset(terminals)
-        if root not in order:
+        lhs = [key[0] for key in expansions]
+        ids = {sym: i for i, sym in enumerate(dict.fromkeys(lhs))}
+        n = len(ids)
+        rhs = list(chain.from_iterable(key[1] for key in expansions))
+        for sym in dict.fromkeys(rhs):
+            ids.setdefault(sym, len(ids))
+        lengths = np.fromiter((len(key[1]) for key in expansions), np.intp, len(lhs))
+        if not lengths.all():
+            raise StructuralError(
+                f"rule '{lhs[int(np.argmin(lengths))]} ->' has an empty rhs")
+        if ids.get(root, n) >= n:
             raise StructuralError(f"root symbol '{root}' has no rules")
-        self._rule_index = {(r.lhs, r.rhs): r for r in self.rules}
-        if len(self._rule_index) != len(self.rules):
+        if len(set(expansions)) != len(expansions):
             raise StructuralError("duplicate rules (same lhs and rhs)")
+        self.root = root
+        self.symbols: tuple[str, ...] = tuple(ids)
+        self.nonterminals: tuple[str, ...] = self.symbols[:n]
+        self.nt_index: dict[str, int] = dict(zip(self.nonterminals, range(n)))
+        self.expansions: list[tuple[str, tuple[str, ...]]] = expansions
+        self.lhs = np.fromiter(map(ids.__getitem__, lhs), np.intp, len(lhs))
+        self.rhs_offsets = np.concatenate(([0], np.cumsum(lengths)))
+        self.rhs = np.fromiter(map(ids.__getitem__, rhs), np.intp, len(rhs))
+        try:
+            self.freq = np.array(freq, dtype=np.int64)
+        except OverflowError:  # kept exactly; such a grammar is solved
+            self.freq = np.array(freq, dtype=object)
+        if prob is None:  # each rule's relative frequency
+            prob = self.freq / np.bincount(self.lhs, self.freq, n)[self.lhs]
+        self.prob = np.array(prob, dtype=np.float64)
+        self.order = np.argsort(self.lhs, kind="stable")
+        self.starts = np.concatenate(([0], np.cumsum(np.bincount(self.lhs, minlength=n))))
+
+    def by_lhs(self, values) -> list[np.ndarray]:
+        """Each non-terminal's entries of the per-rule array `values`, in
+        rule order."""
+        return np.split(np.asarray(values)[self.order], self.starts[1:-1])
+
+    @functools.cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple(
+            Rule(lhs, rhs, prob, freq) for (lhs, rhs), prob, freq
+            in zip(self.expansions, self.prob.tolist(), self.freq.tolist())
+        )
+
+    @functools.cached_property
+    def terminals(self) -> frozenset[str]:
+        return frozenset(self.symbols[len(self.nonterminals):])
+
+    @functools.cached_property
+    def _rule_ids(self) -> dict[tuple[str, tuple[str, ...]], int]:
+        return dict(zip(self.expansions, range(len(self.expansions))))
 
     def rules_for(self, nonterminal: str) -> list[Rule]:
-        return self._by_lhs[nonterminal]
+        k = self.nt_index[nonterminal]
+        return [self.rules[i] for i in self.order[self.starts[k]:self.starts[k + 1]]]
 
     def lookup(self, lhs: str, rhs: tuple[str, ...]) -> Rule | None:
-        return self._rule_index.get((lhs, rhs))
+        i = self._rule_ids.get((lhs, rhs))
+        return None if i is None else self.rules[i]
 
     def __len__(self):
-        return len(self.rules)
-
-    def properness_gaps(self) -> dict[str, float]:
-        """Per-non-terminal signed deviation of the probability sum from one."""
-        return {
-            nt: math.fsum(r.prob for r in rules) - 1.0
-            for nt, rules in self._by_lhs.items()
-        }
+        return len(self.expansions)
 
     def validate(self, tol: float = PROPERNESS_TOL) -> None:
         """Raise unless the grammar is proper within `tol`."""
-        for rule in self.rules:
-            if not 0.0 <= rule.prob <= 1.0:
-                raise StructuralError(f"rule '{rule}' has probability {rule.prob}")
-        for nt, gap in self.properness_gaps().items():
+        bad = np.flatnonzero(~((self.prob >= 0.0) & (self.prob <= 1.0)))  # NaN too
+        if bad.size:
+            lhs, rhs = self.expansions[bad[0]]
+            raise StructuralError(f"rule '{lhs} -> {' '.join(rhs)}' has "
+                                  f"probability {float(self.prob[bad[0]])}")
+        for nt, probs in zip(self.nonterminals, self.by_lhs(self.prob)):
+            gap = math.fsum(probs.tolist()) - 1.0
             if abs(gap) > tol:
-                raise StructuralError(
-                    f"probabilities of '{nt}' sum to 1{gap:+.3e}"
-                )
+                raise StructuralError(f"probabilities of '{nt}' sum to 1{gap:+.3e}")
 
 
 class RuleCounts:
@@ -174,13 +223,7 @@ class RuleCounts:
                 "labels used both internally and as leaves: "
                 + ", ".join(sorted(clash)[:10])
             )
-        lhs_total: Counter[str] = Counter()
-        for (lhs, _), freq in self.rules.items():
-            lhs_total[lhs] += freq
-        rules = [
-            Rule(lhs, rhs, freq / lhs_total[lhs], freq)
-            for (lhs, rhs), freq in self.rules.items()
-        ]
+        expansions, freq = list(self.rules), list(self.rules.values())
         if len(self.roots) == 1:
             (root,) = self.roots
             if root not in internal_labels:
@@ -192,12 +235,9 @@ class RuleCounts:
                     f"reserved root symbol '{SYNTHETIC_ROOT}' occurs in the corpus"
                 )
             root = SYNTHETIC_ROOT
-            total = sum(self.roots.values())
-            rules.extend(
-                Rule(root, (label,), freq / total, freq)
-                for label, freq in self.roots.items()
-            )
-        return Pcfg(root, rules)
+            expansions.extend((root, (label,)) for label in self.roots)
+            freq.extend(self.roots.values())
+        return Pcfg._of(root, expansions, None, freq)
 
 
 def induce(corpus: Corpus | CountedCorpus) -> Pcfg:
@@ -221,25 +261,16 @@ def tree_probability(grammar: Pcfg, tree: Tree) -> TreeProbability:
     When the grammar carries a synthetic start symbol, the unary rule
     rewriting it as the tree's root label enters the product as well.
     """
-    log2 = 0.0
-    missing = []
-    if tree.label != grammar.root:
-        wrapper = grammar.lookup(grammar.root, (tree.label,))
-        if wrapper is None:
-            missing.append(f"{grammar.root} -> {tree.label}")
-        else:
-            log2 += math.log2(wrapper.prob)
-    for node in tree.iter_nodes():
-        if node.is_leaf:
-            continue
-        rule = grammar.lookup(node.label, tuple(c.label for c in node.children))
-        if rule is None:
-            missing.append(f"{node.label} -> "
-                           + " ".join(c.label for c in node.children))
-            continue
-        log2 += math.log2(rule.prob)
+    root, rules, _ = derivation(tree)
+    if root != grammar.root:
+        rules.insert(0, (grammar.root, (root,)))
+    ids = [grammar._rule_ids.get(key) for key in rules]
+    missing = [f"{lhs} -> {' '.join(rhs)}" for (lhs, rhs), i in zip(rules, ids) if i is None]
     if missing:
         raise OutOfGrammarError("tree uses unknown rules", rules=missing)
+    log2 = 0.0
+    for prob in grammar.prob[ids].tolist():
+        log2 += math.log2(prob)
     return TreeProbability(2.0 ** log2, log2)
 
 
@@ -264,12 +295,13 @@ class Sampler:
         self.last_retries = 0
         # Per non-terminal: the cumulative probabilities and, per rule, the
         # (lhs, rhs) pair, its size and its rhs reversed for the agenda.
-        self._tables = {}
-        for nt in grammar.nonterminals:
-            rules = grammar.rules_for(nt)
-            cum = np.cumsum([r.prob for r in rules]).tolist()
-            picks = [((nt, r.rhs), len(r.rhs), r.rhs[::-1]) for r in rules]
-            self._tables[nt] = (cum, picks)
+        picks = [(key, len(key[1]), key[1][::-1]) for key in grammar.expansions]
+        order, starts = grammar.order.tolist(), grammar.starts.tolist()
+        self._tables = {
+            nt: (np.cumsum(probs).tolist(), [picks[i] for i in order[a:b]])
+            for nt, probs, a, b in zip(grammar.nonterminals,
+                                       grammar.by_lhs(grammar.prob), starts, starts[1:])
+        }
 
     def sample(self, rng: np.random.Generator) -> Derivation:
         for retries in range(MAX_SAMPLE_RETRIES):
@@ -328,18 +360,25 @@ def sample(
     return Sampler(grammar, max_nodes).sample_tree(np.random.default_rng(seed))
 
 
+def observed_counts(grammar: Pcfg) -> tuple[np.ndarray, np.ndarray]:
+    """Observed expansion frequencies, each non-terminal's in rule order:
+    the frequencies sorted by left-hand side, and `Pcfg.starts`."""
+    low = grammar.freq < 1
+    if low.any():
+        raise StructuralError(
+            f"'{grammar.nonterminals[grammar.lhs[low].min()]}' has rules without "
+            "frequency counts; induce the grammar from a corpus to retain them"
+        )
+    return grammar.freq[grammar.order], grammar.starts
+
+
 def rule_freq_tables(grammar: Pcfg) -> dict[str, FreqTable]:
     """Observed expansion frequencies of every non-terminal, in rule order."""
-    tables = {}
-    for nt in grammar.nonterminals:
-        counts = tuple(r.freq for r in grammar.rules_for(nt))
-        if any(c < 1 for c in counts):
-            raise StructuralError(
-                f"'{nt}' has rules without frequency counts; induce the "
-                "grammar from a corpus to retain them"
-            )
-        tables[nt] = FreqTable(counts)
-    return tables
+    counts, bounds = observed_counts(grammar)
+    return {
+        nt: FreqTable(tuple(c.tolist()))
+        for nt, c in zip(grammar.nonterminals, np.split(counts, bounds[1:-1]))
+    }
 
 
 def dumps(grammar: Pcfg) -> str:
@@ -350,14 +389,14 @@ def dumps(grammar: Pcfg) -> str:
     output reproduces them bit-exactly.  Symbols must be whitespace-free and
     must not equal ``->``.
     """
-    for rule in grammar.rules:
-        for sym in (rule.lhs, *rule.rhs):
-            if sym == "->" or any(c.isspace() for c in sym):
-                raise StructuralError(f"symbol {sym!r} is not serializable")
+    for sym in grammar.symbols:
+        if sym == "->" or any(c.isspace() for c in sym):
+            raise StructuralError(f"symbol {sym!r} is not serializable")
     lines = [f"#root {grammar.root}"]
     lines.extend(
-        f"{rule.prob:.17g}\t{rule.freq}\t{rule.lhs} -> {' '.join(rule.rhs)}"
-        for rule in grammar.rules
+        f"{prob:.17g}\t{freq}\t{lhs} -> {' '.join(rhs)}"
+        for (lhs, rhs), prob, freq
+        in zip(grammar.expansions, grammar.prob.tolist(), grammar.freq.tolist())
     )
     return "\n".join(lines) + "\n"
 
@@ -365,17 +404,24 @@ def dumps(grammar: Pcfg) -> str:
 def loads(text: str) -> Pcfg:
     """Parse the serialization produced by :func:`dumps`.
 
-    The grammar is validated: a probability outside [0, 1] (NaN included)
-    or a non-terminal whose probabilities do not sum to one raises
-    :class:`StructuralError`.
+    Exactly one ``#root <symbol>`` header is read, other lines starting with
+    ``#`` are comments, and ``->`` is reserved for the arrow; anything else
+    raises :class:`ParseError` at its line.  The grammar is validated: a
+    probability outside [0, 1] (NaN included) or a non-terminal whose
+    probabilities do not sum to one raises :class:`StructuralError`.
     """
     root = None
-    rules = []
+    expansions, probs, freqs = [], [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#root"):
-            root = line[len("#root"):].strip()
+            header = line.split()
+            if header[0] != "#root" or len(header) != 2:
+                raise ParseError("expected '#root <symbol>'", line=line_no)
+            if root is not None:
+                raise ParseError("a second '#root' header", line=line_no)
+            root = header[1]
             continue
         if line.startswith("#"):
             continue
@@ -383,19 +429,20 @@ def loads(text: str) -> Pcfg:
         if len(fields) != 3:
             raise ParseError("expected prob<TAB>freq<TAB>rule", line=line_no)
         try:
-            prob = float(fields[0])
-            freq = int(fields[1])
+            probs.append(float(fields[0]))
+            freqs.append(int(fields[1]))
         except ValueError:
             raise ParseError(
                 f"bad numeric fields {fields[0]!r}, {fields[1]!r}", line=line_no
             ) from None
         symbols = fields[2].split()
-        if len(symbols) < 3 or symbols[1] != "->":
-            raise ParseError("expected 'lhs -> rhs...'", line=line_no)
-        rules.append(Rule(symbols[0], tuple(symbols[2:]), prob, freq))
+        if len(symbols) < 3 or symbols[1] != "->" or symbols.count("->") > 1:
+            raise ParseError("expected 'lhs -> rhs...', '->' only as the arrow",
+                             line=line_no)
+        expansions.append((symbols[0], tuple(symbols[2:])))
     if root is None:
         raise ParseError("missing '#root <symbol>' header")
-    grammar = Pcfg(root, rules)
+    grammar = Pcfg._of(root, expansions, probs, freqs)
     grammar.validate()
     return grammar
 

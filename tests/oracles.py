@@ -9,14 +9,19 @@ CoNLL-U text from its graphs converted to trees and walked,
 cleaned trees from the original read pipeline, in which parsing, trace
 stripping, function-tag cutting and pre-terminalization each rebuild the tree
 in a pass of their own, sampled trees from the original tree sampler, which
-builds every node as it draws, and CWJ estimates from
-``scipy.special.digamma`` and a tail summed in ``mpmath``.
+builds every node as it draws, CWJ estimates from
+``scipy.special.digamma`` and a tail summed in ``mpmath``, and grammars,
+with every array and value computed from them, from the implementation
+that kept each grammar as a list of :class:`Rule` objects and walked it
+(:class:`ReferencePcfg` and the functions after it).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -24,13 +29,35 @@ from scipy.special import digamma, gammaln
 
 from treebank_entropy.conllu import DepGraph, parse_conllu
 from treebank_entropy.depconv import ConversionConfig, dep_to_tree
+from treebank_entropy.entropy import (
+    CountTotals,
+    RateReport,
+    _block_labels,
+    _sparse_radius,
+    entropy_from_probs,
+    solve_system,
+)
 from treebank_entropy.errors import (
+    AlphabetClashError,
+    DivergentGrammarError,
+    EmptyInputError,
     NonProjectiveError,
+    NumericalError,
+    OutOfGrammarError,
     ParseError,
     SamplingDivergenceError,
     StructuralError,
 )
-from treebank_entropy.grammar import MAX_SAMPLE_RETRIES, Pcfg, Rule
+from treebank_entropy.estimators import _SMOOTHERS, SmootherKind, _cwj_entropies
+from treebank_entropy.grammar import (
+    MAX_SAMPLE_RETRIES,
+    PROPERNESS_TOL,
+    SYNTHETIC_ROOT,
+    FreqTable,
+    Pcfg,
+    Rule,
+    TreeProbability,
+)
 from treebank_entropy.trees import DEFAULT_DROP_LABELS, Tree, derivation
 
 
@@ -529,3 +556,317 @@ def reference_sample(grammar: Pcfg, rng: np.random.Generator, max_nodes: int):
         if tree is not None:
             return tree, retries
     raise SamplingDivergenceError("node budget exceeded on every try")
+
+
+class ReferencePcfg:
+    """A grammar as an ordered tuple of :class:`Rule` objects, indexed by
+    dictionaries: the representation every computation below walks."""
+
+    def __init__(self, root: str, rules):
+        self.root = root
+        self.rules = tuple(rules)
+        if not self.rules:
+            raise StructuralError("a grammar needs at least one rule")
+        order: dict[str, int] = {}
+        by_lhs: dict[str, list[Rule]] = {}
+        for rule in self.rules:
+            if not rule.rhs:
+                raise StructuralError(f"rule '{rule.lhs} ->' has an empty rhs")
+            if rule.lhs not in order:
+                order[rule.lhs] = len(order)
+                by_lhs[rule.lhs] = []
+            by_lhs[rule.lhs].append(rule)
+        self.nonterminals: tuple[str, ...] = tuple(order)
+        self.nt_index: dict[str, int] = order
+        self._by_lhs = by_lhs
+        terminals = set()
+        for rule in self.rules:
+            for sym in rule.rhs:
+                if sym not in order:
+                    terminals.add(sym)
+        self.terminals: frozenset[str] = frozenset(terminals)
+        if root not in order:
+            raise StructuralError(f"root symbol '{root}' has no rules")
+        self._rule_index = {(r.lhs, r.rhs): r for r in self.rules}
+        if len(self._rule_index) != len(self.rules):
+            raise StructuralError("duplicate rules (same lhs and rhs)")
+
+    def rules_for(self, nonterminal: str) -> list[Rule]:
+        return self._by_lhs[nonterminal]
+
+    def lookup(self, lhs: str, rhs: tuple[str, ...]) -> Rule | None:
+        return self._rule_index.get((lhs, rhs))
+
+    def properness_gaps(self) -> dict[str, float]:
+        return {
+            nt: math.fsum(r.prob for r in rules) - 1.0
+            for nt, rules in self._by_lhs.items()
+        }
+
+    def validate(self, tol: float = PROPERNESS_TOL) -> None:
+        for rule in self.rules:
+            if not 0.0 <= rule.prob <= 1.0:
+                raise StructuralError(f"rule '{rule}' has probability {rule.prob}")
+        for nt, gap in self.properness_gaps().items():
+            if abs(gap) > tol:
+                raise StructuralError(f"probabilities of '{nt}' sum to 1{gap:+.3e}")
+
+
+def reference_counts_grammar(counts) -> ReferencePcfg:
+    """The maximum-likelihood grammar of a :class:`RuleCounts`, one
+    :class:`Rule` per counted expansion."""
+    if not counts.roots:
+        raise EmptyInputError("cannot induce a grammar from an empty corpus")
+    internal_labels = {lhs for lhs, _ in counts.rules}
+    clash = internal_labels & counts.leaves
+    if clash:
+        raise AlphabetClashError(
+            "labels used both internally and as leaves: " + ", ".join(sorted(clash)[:10])
+        )
+    lhs_total: Counter[str] = Counter()
+    for (lhs, _), freq in counts.rules.items():
+        lhs_total[lhs] += freq
+    rules = [
+        Rule(lhs, rhs, freq / lhs_total[lhs], freq)
+        for (lhs, rhs), freq in counts.rules.items()
+    ]
+    if len(counts.roots) == 1:
+        (root,) = counts.roots
+        if root not in internal_labels:
+            raise StructuralError("corpus contains no internal nodes")
+    else:
+        if SYNTHETIC_ROOT in internal_labels or SYNTHETIC_ROOT in counts.leaves:
+            raise AlphabetClashError(
+                f"reserved root symbol '{SYNTHETIC_ROOT}' occurs in the corpus"
+            )
+        root = SYNTHETIC_ROOT
+        total = sum(counts.roots.values())
+        rules.extend(
+            Rule(root, (label,), freq / total, freq) for label, freq in counts.roots.items()
+        )
+    return ReferencePcfg(root, rules)
+
+
+def reference_dumps(grammar) -> str:
+    for rule in grammar.rules:
+        for sym in (rule.lhs, *rule.rhs):
+            if sym == "->" or any(c.isspace() for c in sym):
+                raise StructuralError(f"symbol {sym!r} is not serializable")
+    lines = [f"#root {grammar.root}"]
+    lines.extend(
+        f"{rule.prob:.17g}\t{rule.freq}\t{rule.lhs} -> {' '.join(rule.rhs)}"
+        for rule in grammar.rules
+    )
+    return "\n".join(lines) + "\n"
+
+
+def reference_loads(text: str) -> ReferencePcfg:
+    """A grammar file read line by line into :class:`Rule` objects."""
+    root = None
+    rules = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#root"):
+            root = line[len("#root"):].strip()
+            continue
+        if line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError("expected prob<TAB>freq<TAB>rule", line=line_no)
+        try:
+            prob = float(fields[0])
+            freq = int(fields[1])
+        except ValueError:
+            raise ParseError(
+                f"bad numeric fields {fields[0]!r}, {fields[1]!r}", line=line_no
+            ) from None
+        symbols = fields[2].split()
+        if len(symbols) < 3 or symbols[1] != "->":
+            raise ParseError("expected 'lhs -> rhs...'", line=line_no)
+        rules.append(Rule(symbols[0], tuple(symbols[2:]), prob, freq))
+    if root is None:
+        raise ParseError("missing '#root <symbol>' header")
+    grammar = ReferencePcfg(root, rules)
+    grammar.validate()
+    return grammar
+
+
+class ReferenceRuleArrays(NamedTuple):
+    """Rule i expands `lhs[i]` with probability `prob[i]` and emits
+    `emitted[i]` terminals; its right-hand side's non-terminal occurrences
+    are the k with `rule[k]` = i, each of non-terminal `child[k]`.  M has the
+    entries `weights`, summed in rule order, at (`rows`, `cols`), row-major."""
+
+    n: int
+    lhs: np.ndarray
+    prob: np.ndarray
+    emitted: np.ndarray
+    rule: np.ndarray
+    child: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+
+def reference_rule_arrays(grammar) -> ReferenceRuleArrays:
+    """The arrays of a grammar, walking its :class:`Rule` objects."""
+    index = grammar.nt_index
+    rules = grammar.rules
+    n = len(index)
+    lengths = np.fromiter((len(r.rhs) for r in rules), np.intp, len(rules))
+    symbols = np.fromiter(
+        (index.get(s, -1) for r in rules for s in r.rhs), np.intp, int(lengths.sum())
+    )
+    inner = symbols >= 0
+    rule = np.repeat(np.arange(len(rules)), lengths)[inner]
+    child = symbols[inner]
+    lhs = np.fromiter((index[r.lhs] for r in rules), np.intp, len(rules))
+    prob = np.array([r.prob for r in rules], dtype=np.float64)
+    emitted = lengths - np.bincount(rule, minlength=len(rules))
+    keys, inverse = np.unique(lhs[rule] * n + child, return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    weights = np.bincount(inverse, prob[rule], minlength=keys.size)
+    return ReferenceRuleArrays(n, lhs, prob, emitted, rule, child, rows, cols, weights)
+
+
+def reference_matrix(grammar) -> np.ndarray:
+    arrays = reference_rule_arrays(grammar)
+    matrix = np.zeros((arrays.n, arrays.n))
+    matrix[arrays.rows, arrays.cols] = arrays.weights
+    return matrix
+
+
+def reference_lengths(grammar) -> np.ndarray:
+    arrays = reference_rule_arrays(grammar)
+    return np.bincount(arrays.lhs, arrays.prob * arrays.emitted, minlength=arrays.n)
+
+
+def reference_local_entropies(grammar) -> np.ndarray:
+    """Each non-terminal's entropy, from a fresh array of its rules'
+    probabilities."""
+    out = np.empty(len(grammar.nonterminals))
+    for i, nt in enumerate(grammar.nonterminals):
+        probs = np.array([r.prob for r in grammar.rules_for(nt)])
+        out[i] = entropy_from_probs(probs)
+    return out
+
+
+def reference_rule_freq_tables(grammar) -> dict[str, FreqTable]:
+    tables = {}
+    for nt in grammar.nonterminals:
+        counts = tuple(r.freq for r in grammar.rules_for(nt))
+        if any(c < 1 for c in counts):
+            raise StructuralError(
+                f"'{nt}' has rules without frequency counts; induce the "
+                "grammar from a corpus to retain them"
+            )
+        tables[nt] = FreqTable(counts)
+    return tables
+
+
+def reference_smoothed_local_entropies(grammar, smoother) -> np.ndarray:
+    smoother = SmootherKind(smoother)
+    tables = reference_rule_freq_tables(grammar)
+    ordered = [tables[nt] for nt in grammar.nonterminals]
+    if smoother is SmootherKind.CWJ:
+        return _cwj_entropies(ordered)
+    estimator = _SMOOTHERS[smoother]
+    return np.array([estimator(t) for t in ordered])
+
+
+def reference_count_totals(grammar, arrays=None) -> CountTotals | None:
+    if arrays is None:
+        arrays = reference_rule_arrays(grammar)
+    try:
+        freq = np.array([r.freq for r in grammar.rules], dtype=np.float64)
+    except OverflowError:
+        return None
+    if not ((freq >= 1).all()
+            and freq.sum() + freq[arrays.rule].sum() + freq @ arrays.emitted < 2.0**53):
+        return None
+    occurrences = np.bincount(arrays.lhs, freq, minlength=arrays.n)
+    if not (arrays.prob == freq / occurrences[arrays.lhs]).all():
+        return None
+    roots = occurrences - np.bincount(arrays.child, freq[arrays.rule], minlength=arrays.n)
+    root = grammar.nt_index[grammar.root]
+    sentences = roots[root]
+    roots[root] = 0
+    if not sentences > 0 or roots.any():
+        return None
+    found = _block_labels(arrays.n, arrays.rows, arrays.cols)
+    blocks, label, _ = found
+    fed = np.zeros(len(blocks), dtype=bool)
+    fed[label[root]] = True
+    fed[label[arrays.cols[label[arrays.rows] != label[arrays.cols]]]] = True
+    if not fed.all():
+        raise DivergentGrammarError(
+            f"{np.count_nonzero(~fed)} strongly connected block(s) of M receive "
+            "no occurrence from outside: spectral radius 1, expected subtree "
+            "measures diverge"
+        )
+    return CountTotals(occurrences, int(sentences), int(freq @ arrays.emitted), found)
+
+
+def reference_root_row(grammar, entropies, totals) -> np.ndarray:
+    if entropies is None:
+        entropies = reference_local_entropies(grammar)
+    if totals is None:
+        x = solve_system(reference_matrix(grammar),
+                         np.column_stack((reference_lengths(grammar), entropies)))
+        return x[grammar.nt_index[grammar.root]]
+    n = totals.sentences
+    columns = np.asarray(entropies, dtype=np.float64).reshape(len(totals.occurrences), -1)
+    return np.array([
+        totals.terminals / n,
+        *(math.fsum(totals.occurrences * h) / n for h in columns.T),
+    ])
+
+
+def reference_entropy_rate(grammar) -> RateReport:
+    arrays = reference_rule_arrays(grammar)
+    totals = reference_count_totals(grammar, arrays)
+    mlu, entropy = map(float, reference_root_row(grammar, None, totals))
+    if mlu <= 0.0:
+        raise NumericalError(f"expected length {mlu} is not positive")
+    positive = arrays.weights > 0
+    radius = _sparse_radius(arrays.n, arrays.rows[positive], arrays.cols[positive],
+                            arrays.weights[positive],
+                            None if totals is None else totals.blocks)
+    return RateReport(entropy, mlu, entropy / mlu, radius)
+
+
+def reference_sampler_tables(grammar) -> dict:
+    """Per non-terminal, the sampler's cumulative probabilities and, per
+    rule, the (lhs, rhs) pair, its size and its rhs reversed."""
+    tables = {}
+    for nt in grammar.nonterminals:
+        rules = grammar.rules_for(nt)
+        cum = np.cumsum([r.prob for r in rules]).tolist()
+        picks = [((nt, r.rhs), len(r.rhs), r.rhs[::-1]) for r in rules]
+        tables[nt] = (cum, picks)
+    return tables
+
+
+def reference_tree_probability(grammar, tree):
+    """A tree's probability, looking up the :class:`Rule` of each node."""
+    log2 = 0.0
+    missing = []
+    if tree.label != grammar.root:
+        wrapper = grammar.lookup(grammar.root, (tree.label,))
+        if wrapper is None:
+            missing.append(f"{grammar.root} -> {tree.label}")
+        else:
+            log2 += math.log2(wrapper.prob)
+    for node in tree.iter_nodes():
+        if node.is_leaf:
+            continue
+        rule = grammar.lookup(node.label, tuple(c.label for c in node.children))
+        if rule is None:
+            missing.append(f"{node.label} -> " + " ".join(c.label for c in node.children))
+            continue
+        log2 += math.log2(rule.prob)
+    if missing:
+        raise OutOfGrammarError("tree uses unknown rules", rules=missing)
+    return TreeProbability(2.0 ** log2, log2)

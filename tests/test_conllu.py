@@ -52,6 +52,15 @@ class TestParseConllu:
         with pytest.raises(ParseError, match="HEAD"):
             parse_conllu(text)
 
+    def test_empty_relation_rejected_below_the_root(self):
+        text = block(row(1, "a", "X", 0, ""), row(2, "b", "X", 1, "dep")) + block(
+            row(1, "a", "X", 2, ""), row(2, "b", "X", 0, "root"))
+        with pytest.raises(ParseError, match="DEPREL") as err:
+            parse_conllu(text)
+        assert err.value.line == 4
+        (graph,) = parse_conllu(block(row(1, "a", "X", 0, ""), row(2, "b", "X", 1, "x")))
+        assert graph.labels == [None, "x"]
+
     def test_multiword_ranges_and_empty_nodes_skipped(self):
         text = block(
             "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_",

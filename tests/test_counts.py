@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treebank_entropy.grammar
+from oracles import random_projective_graph
 from synthetic import sample_corpus, scaffold_grammar
+from test_depconv import to_conllu
 from test_properties import CORPORA
 from treebank_entropy import entropy
 from treebank_entropy.cli import build_parser, main
@@ -148,6 +151,51 @@ def test_cli_commands_build_no_matrix_and_solve_nothing(tmp_path, monkeypatch, c
     from_treebank = capsys.readouterr().out
     assert main(["rate", "--grammar", grammar]) == 0
     assert capsys.readouterr().out == from_treebank
+
+
+def test_cli_count_paths_build_no_rule(tmp_path, monkeypatch, capsys):
+    # Every command that reads treebanks or a grammar file into numbers runs
+    # on the interned arrays: with Rule refusing to be built, each exits 0
+    # and prints what it prints with Rule at hand.
+    rng = np.random.default_rng(5)
+    sampler = Sampler(GRAMMAR)
+    ptb = [
+        write(tmp_path / f"{name}.mrg", "\n".join(
+            write_bracketed(t) for t in sample_corpus(sampler, size, rng).sentences))
+        for name, size in (("a", 30), ("b", 20))
+    ]
+    conllu = [
+        write(tmp_path / f"{name}.conllu", to_conllu(
+            [random_projective_graph(rng, int(rng.integers(1, 12))) for _ in range(size)]))
+        for name, size in (("c", 30), ("d", 20))
+    ]
+    commands = []
+    for files, options in ((ptb, ["--no-preterminalize"]), (conllu, ["--format", "conllu"]),
+                           (conllu, ["--format", "conllu", "--use-form", "--unlabeled"])):
+        grammar = str(tmp_path / f"induced{len(commands)}.txt")
+        commands += [
+            ["induce", "-o", grammar, *options, *files],
+            ["rate", *options, *files],
+            ["site", *options, *files],
+            ["report", *options, *files],
+            ["incremental", "--order", "shuffled", *options, *files],
+            ["converge", "--sizes", "2,7", "--replications", "2", *options, *files],
+            ["rate", "--grammar", grammar],
+            ["entropy", "--grammar", grammar],
+            ["mlu", "--grammar", grammar],
+        ]
+    printed = []
+    for argv in commands:
+        assert main(argv) == 0, argv
+        printed.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count path builds no Rule")
+
+    monkeypatch.setattr(treebank_entropy.grammar, "Rule", refuse)
+    for argv, out in zip(commands, printed):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
 
 
 PROBABILITY_ONLY = """\

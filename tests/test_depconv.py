@@ -28,9 +28,8 @@ CONFIGS = [
 
 
 def to_conllu(graphs) -> str:
-    """CoNLL-U text of `graphs`: word forms unlike their tags, some empty
-    relations (read as ``dep``), and comments, multiword ranges and empty
-    nodes, which carry no arcs."""
+    """CoNLL-U text of `graphs`: word forms unlike their tags, and comments,
+    multiword ranges and empty nodes, which carry no arcs."""
     lines = []
     for k, graph in enumerate(graphs):
         lines.append(f"# sent_id = g{k}")
@@ -39,7 +38,7 @@ def to_conllu(graphs) -> str:
         ):
             if i % 5 == 1:
                 lines.append(f"{i}-{i + 1}\tab\t_\t_\t_\t_\t_\t_\t_\t_")
-            rel = "root" if head == 0 else "" if i % 4 == 3 else rel
+            rel = "root" if head == 0 else rel
             form = f"{pos.lower()}{i % 3}"
             lines.append(f"{i}\t{form}\t_\t{pos}\t_\t_\t{head}\t{rel}\t_\t_")
             if i % 7 == 0:
@@ -67,6 +66,8 @@ MALFORMED = {
     "negative head": "\n".join([row(1, 0), row(2, 1), row(3, -2)]) + "\n",
     "cycle": "\n".join([row(1, 2), row(2, 1), row(3, 0)]) + "\n",
     "self-loop": "\n".join([row(1, 1), row(2, 0)]) + "\n",
+    # A relation node needs a relation; the root's DEPREL is not read.
+    "empty relation": "\n".join([row(1, 0).replace("dep", ""), row(2, 1).replace("dep", "")]) + "\n",
 }
 
 
@@ -181,6 +182,16 @@ class TestDepToTree:
             tree = dep_to_tree(graph, ConversionConfig(labeled=True))
             expected = [pos + "*" for _, pos in graph.tokens]
             assert tree.frontier() == expected
+
+
+    @pytest.mark.parametrize("rel", ["", None])
+    def test_missing_relation_rejected_when_labeled(self, rel):
+        graph = DepGraph(tokens=[("a", "A"), ("b", "B")], heads=[2, 0],
+                         labels=[rel, None], sent_id="s9")
+        with pytest.raises(StructuralError, match="s9: token 1 has no relation"):
+            dep_to_tree(graph, ConversionConfig(labeled=True))
+        # The unlabeled tree has no relation nodes.
+        assert dep_to_tree(graph, ConversionConfig(labeled=False)).label == "ROOT"
 
 
 class TestTreeToDep:

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import random_enumerable_pcfg, reference_sample, unreachable_nonterminals
 from synthetic import sample_corpus, scaffold_grammar
+from treebank_entropy.cli import main
 from treebank_entropy.errors import (
     AlphabetClashError,
     InputError,
@@ -373,6 +374,35 @@ class TestSerialization:
     def test_missing_root_rejected(self):
         with pytest.raises(ParseError, match="root"):
             loads("0.5\t1\tS -> a\n0.5\t1\tS -> b S\n")
+
+    @pytest.mark.parametrize("text, line", [
+        # A second header: the last one used to win.
+        ("#root S\n1\t1\tS -> a\n#root A\n1\t1\tA -> a\n", 3),
+        ("#root S\n#root S\n1\t1\tS -> a\n", 2),
+        # A header joined to its symbol, or without one.
+        ("#rootS\n1\t1\tS -> a\n", 1),
+        ("#root\n1\t1\tS -> a\n", 1),
+        ("#root S A\n1\t1\tS -> a\n", 1),
+        # The arrow as a symbol, which dumps refuses to write.
+        ("#root S\n0.5\t1\tS -> a\n0.5\t1\tS -> b -> c\n", 3),
+        ("#root S\n1\t1\tS -> ->\n", 2),
+        ("#root S\n1\t1\t-> -> a\n", 2),
+    ])
+    def test_only_what_dumps_writes_is_read(self, tmp_path, capsys, text, line):
+        with pytest.raises(ParseError) as err:
+            loads(text)
+        assert err.value.line == line
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["rate", "--grammar", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at line {line}" in captured.err
+
+    def test_header_and_comments_around_rules(self):
+        grammar = loads("# the root of\n\n1\t2\tS -> a\n#root  S \n# is S\n")
+        assert grammar.root == "S"
+        assert grammar.rules == (Rule("S", ("a",), 1.0, 2),)
 
 
 class TestPcfgValidation:
