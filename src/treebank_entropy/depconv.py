@@ -7,14 +7,15 @@ variant every dependent is wrapped in a relation node ``<headLabel>/<REL>``.
 The dependency root hangs from a synthetic ``ROOT`` node.  For projective
 input the mapping is information-preserving and :func:`tree_to_dep` inverts
 it exactly.  :func:`count_conllu` reads CoNLL-U text straight into the
-derivations of the converted trees, without building graphs or trees.
+derivations of the converted trees, without building graphs or trees; it
+shares its row reader and tree walk with :func:`~.conllu.parse_conllu`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conllu import DepGraph, parse_conllu
+from .conllu import DepGraph, _sentences, _tree_walk
 from .errors import NonProjectiveError, StructuralError
 from .trees import Corpus, Derivation, Tree
 
@@ -32,29 +33,12 @@ class ConversionConfig:
     use_pos: bool = True
 
 
-def _projections(heads: list[int]):
-    """The dependency tree that `heads` describes (1-based, 0 at the root,
-    every head in 0..n), walked once.
-
-    Returns each position's dependents in surface order (``deps[0]`` holds
-    the root), the tokens in left-to-right pre-order from the root, and the
-    bounds lo..hi and the size of each token's projection (the tokens it
-    dominates).  A token on a cycle is never reached, so `order` is then
-    shorter than `heads`.
-    """
-    n = len(heads)
-    deps = [[] for _ in range(n + 1)]
-    for dep, head in enumerate(heads, start=1):
-        deps[head].append(dep)
-    order = []  # every projection is a contiguous run of it
-    stack = deps[0][::-1]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(deps[node][::-1])
-    lo = list(range(n + 1))
+def _crossing_arcs(heads: list[int], order: list[int]) -> list[tuple[int, int]]:
+    """:func:`crossing_arcs` of the tree `heads`, given its pre-order from
+    :func:`~.conllu._tree_walk`."""
+    lo = list(range(len(heads) + 1))  # each projection's bounds and size
     hi = lo[:]
-    size = [1] * (n + 1)
+    size = [1] * len(lo)
     for node in reversed(order):
         head = heads[node - 1]
         if head:
@@ -63,13 +47,6 @@ def _projections(heads: list[int]):
             if hi[node] > hi[head]:
                 hi[head] = hi[node]
             size[head] += size[node]
-    return deps, order, lo, hi, size
-
-
-def _crossing_arcs(heads: list[int], walk) -> list[tuple[int, int]]:
-    """:func:`crossing_arcs` of the tree `heads`, given its
-    :func:`_projections`."""
-    _, order, lo, hi, size = walk
     if all(h - l + 1 == s for l, h, s in zip(lo, hi, size)):
         return []
     rank = [0] * len(lo)
@@ -93,9 +70,11 @@ def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
     dominated by the arc's head.  That happens only under a head whose
     projection has a gap, and no projection has one exactly when no arcs
     cross; so one pass over the projections' bounds and sizes settles the
-    common, projective case.
+    common, projective case.  Raises :class:`StructuralError` unless the
+    heads form a tree.
     """
-    return _crossing_arcs(graph.heads, _projections(graph.heads))
+    _, order = _tree_walk(graph.heads, graph.sent_id or "dependency graph")
+    return _crossing_arcs(graph.heads, order)
 
 
 def is_projective(graph: DepGraph) -> bool:
@@ -107,20 +86,20 @@ def dep_to_tree(graph: DepGraph, config: ConversionConfig = ConversionConfig()) 
     """Convert a projective dependency graph to its derivation tree.
 
     Raises :class:`NonProjectiveError` (listing the crossing arcs) on
-    non-projective input, and, in the labeled variant,
-    :class:`StructuralError` for a dependent whose relation is empty or None.
+    non-projective input, and :class:`StructuralError` for heads that do
+    not form a tree and, in the labeled variant, for a dependent whose
+    relation is empty or None.
     """
-    walk = _projections(graph.heads)
-    bad = _crossing_arcs(graph.heads, walk)
+    ident = graph.sent_id or "dependency graph"
+    deps, order = _tree_walk(graph.heads, ident)
+    bad = _crossing_arcs(graph.heads, order)
     if bad:
-        ident = graph.sent_id or "dependency graph"
         raise NonProjectiveError(f"{ident} is not projective", crossing=bad)
 
     def node_label(idx: int) -> str:
         form, pos = graph.tokens[idx - 1]
         return pos if config.use_pos else form
 
-    deps, order, *_ = walk
     # Post-order construction keeps arbitrarily deep chains off the call stack.
     built: dict[int, Tree] = {}
     for idx in reversed(order):
@@ -228,49 +207,21 @@ def count_conllu(text: str, config: ConversionConfig = ConversionConfig()):
     pass without building either; returns ``(derivations, skipped)``, the
     second the number of non-projective sentences left out.
 
-    Each sentence's heads are walked once from the root
-    (:func:`_projections`).  The walk checks that they form a tree, tests
-    projectivity as :func:`crossing_arcs` does, and gives the rules in
-    pre-order.  Malformed text is handed to :func:`~.conllu.parse_conllu`,
-    so the error raised is its own.
+    The sentences come from the reader that :func:`~.conllu.parse_conllu`
+    uses, so malformed text raises the same error.  Each sentence's heads
+    are walked once from the root (:func:`~.conllu._tree_walk`); the walk
+    checks that they form a tree and gives the rules in pre-order, and
+    projectivity is tested as :func:`crossing_arcs` does.
     """
-
-    def malformed():
-        parse_conllu(text)
-        raise AssertionError("the two CoNLL-U readers disagree on this text")
-
     derivations = []
     skipped = 0
-    labels, heads, rels = [], [], []
-    for line in [*text.splitlines(), ""]:  # the blank line closes the last sentence
-        if not line.strip():
-            if not heads:
-                continue
-            n = len(heads)
-            if heads.count(0) != 1 or min(heads) < 0 or max(heads) > n:
-                malformed()
-            walk = _projections(heads)
-            order = walk[1]
-            if len(order) != n:  # a cycle, whose tokens the walk never reaches
-                malformed()
-            if _crossing_arcs(heads, walk):
-                skipped += 1
-            else:
-                derivations.append(_derivation(labels, heads, rels, order, config.labeled))
-            labels, heads, rels = [], [], []
-        elif line[0] != "#":
-            try:
-                token_id, form, _, pos, _, _, head, rel, _, _ = line.split("\t")
-                if "-" in token_id or "." in token_id:
-                    continue  # multiword ranges and empty nodes carry no tree arcs
-                int(token_id)
-                heads.append(int(head))
-            except ValueError:  # not 10 columns, or a non-integer ID or HEAD
-                malformed()
-            if not rel and heads[-1]:
-                malformed()  # a relation node needs a relation
-            labels.append(pos if config.use_pos else form)
-            rels.append(rel)
+    for ident, forms, tags, heads, rels in _sentences(text):
+        _, order = _tree_walk(heads, ident)
+        if _crossing_arcs(heads, order):
+            skipped += 1
+        else:
+            labels = tags if config.use_pos else forms
+            derivations.append(_derivation(labels, heads, rels, order, config.labeled))
     return derivations, skipped
 
 

@@ -20,8 +20,10 @@ class InputError(TreebankEntropyError):
 class ParseError(InputError):
     """Syntactically malformed input text.
 
-    `offset` is the 1-based byte offset of the problem when known,
-    `line` the 1-based line number.
+    `offset` is the 1-based character offset of the problem in the decoded
+    text, with newlines normalized as :func:`read_text` gives them, when
+    known (for text that is not UTF-8, the offset of its first bad byte);
+    `line` is the 1-based line number.
     """
 
     def __init__(self, message, offset=None, line=None):

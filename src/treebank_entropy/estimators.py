@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .entropy import entropy_from_probs, root_values
-from .errors import EmptyInputError, OutOfGrammarError
+from .errors import EmptyInputError, InputError, OutOfGrammarError
 from .grammar import (FreqTable, Pcfg, induce, observed_counts, rule_freq_tables,
                       tree_probability)
 from .trees import Corpus, CountedCorpus
@@ -203,9 +203,7 @@ def cwj_entropy(table: FreqTable) -> float:
 def _cwj_entropies(tables: list[FreqTable]) -> np.ndarray:
     """:func:`cwj_entropy` of each table, with one ψ evaluation for all."""
     sizes = [len(t.counts) for t in tables]
-    counts = np.fromiter(
-        chain.from_iterable(t.counts for t in tables), np.int64, sum(sizes)
-    )
+    counts = list(chain.from_iterable(t.counts for t in tables))
     return _cwj_runs(counts, np.cumsum([0, *sizes]))
 
 
@@ -213,10 +211,19 @@ def _cwj_runs(counts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """:func:`cwj_entropy` of each table ``counts[bounds[k]:bounds[k + 1]]``.
 
     Each table sums only its own slice, so its value does not depend on the
-    tables passed alongside it.
+    tables passed alongside it.  The counts and their totals are taken as
+    int64, so a table whose total reaches 2**63 raises :class:`InputError`.
     """
     starts, sizes = bounds[:-1], np.diff(bounds)
-    n = np.add.reduceat(counts, starts)
+    try:
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.sum(dtype=np.float64) < 2.0**62:
+            n = np.add.reduceat(counts, starts)
+        else:  # totals in Python ints, which do not wrap
+            n = np.add.reduceat(counts.astype(object), starts).astype(np.int64)
+    except OverflowError:
+        raise InputError("CWJ needs each non-terminal's frequencies to total "
+                         "below the int64 limit, 2**63") from None
     psi = _digamma(np.concatenate((counts, n)))
     psi_counts, psi_n = psi[:counts.size], psi[counts.size:]
     weights = counts / np.repeat(n, sizes)

@@ -140,8 +140,8 @@ def parse_bracketed(
     omitted.  A top-level group that wraps exactly one subtree without a
     label of its own (the common treebank file convention ``( (S ...) )``)
     is unwrapped.  Raises :class:`ParseError` on unbalanced parentheses
-    (reporting the 1-based byte offset) and :class:`StructuralError` on
-    empty nodes; with `preterminalize`, a node mixing word and phrase
+    (reporting the 1-based character offset in `text`, not a byte offset)
+    and :class:`StructuralError` on empty nodes; with `preterminalize`, a node mixing word and phrase
     children raises :class:`StructuralError` once the whole text has parsed.
     """
     trees = []

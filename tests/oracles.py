@@ -4,8 +4,10 @@ Nothing here calls the closed-form entropy path it is meant to check: tree
 entropies come from explicit enumeration of derivations, spectral radii from
 the dense eigensolver, the expected-counts matrix and the expected terminals
 per expansion from a loop over the rules, projective graphs from direct interval splitting,
-crossing arcs from each head's projection as a set, the derivations of a
-CoNLL-U text from its graphs converted to trees and walked,
+crossing arcs from each head's projection as a set, CoNLL-U graphs from
+the original line-by-line reader, whose treeness check walks from every
+token to the root, the derivations of a CoNLL-U text from those graphs
+converted to trees and walked,
 cleaned trees from the original read pipeline, in which parsing, trace
 stripping, function-tag cutting and pre-terminalization each rebuild the tree
 in a pass of their own, sampled trees from the original tree sampler, which
@@ -27,7 +29,7 @@ import mpmath
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from treebank_entropy.conllu import DepGraph, parse_conllu
+from treebank_entropy.conllu import DepGraph
 from treebank_entropy.depconv import ConversionConfig, dep_to_tree
 from treebank_entropy.entropy import (
     CountTotals,
@@ -336,13 +338,118 @@ def reference_crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
     return bad
 
 
+def reference_validate(graph: DepGraph) -> None:
+    """The single-root and treeness checks of a graph, walking from every
+    token towards the root."""
+    n = len(graph.tokens)
+    ident = graph.sent_id or "dependency graph"
+    if not (len(graph.heads) == len(graph.labels) == n):
+        raise StructuralError(f"{ident}: field lengths disagree")
+    roots = [i for i, h in enumerate(graph.heads) if h == 0]
+    if len(roots) != 1:
+        raise StructuralError(
+            f"{ident}: expected exactly one root, found {len(roots)}"
+        )
+    for i, h in enumerate(graph.heads):
+        if not 0 <= h <= n:
+            raise StructuralError(
+                f"{ident}: head index {h} of token {i + 1} out of range"
+            )
+    # Walk from every token towards the root; a repeat means a cycle.
+    for start in range(1, n + 1):
+        seen = set()
+        node = start
+        while node != 0:
+            if node in seen:
+                raise StructuralError(f"{ident}: cycle through token {node}")
+            seen.add(node)
+            node = graph.heads[node - 1]
+
+
+def reference_parse_conllu(text: str) -> list[DepGraph]:
+    """CoNLL-U text read line by line into graphs, each checked by
+    :func:`reference_validate` when its sentence closes.
+
+    The original reader, with one change: a kept row's ID must be its
+    1-based position in the sentence.
+    """
+    graphs = []
+    rows: list[tuple[str, str, int, str]] = []
+    sent_id = ""
+    sent_start_line = None
+    n_sent = 0
+
+    def finish():
+        nonlocal rows, sent_id, sent_start_line, n_sent
+        if not rows:
+            sent_id = ""
+            sent_start_line = None
+            return
+        n_sent += 1
+        ident = sent_id or f"sentence {n_sent} (line {sent_start_line})"
+        graph = DepGraph(
+            tokens=[(form, pos) for form, pos, _, _ in rows],
+            heads=[head for _, _, head, _ in rows],
+            labels=[None if head == 0 else rel for _, _, head, rel in rows],
+            sent_id=ident,
+        )
+        reference_validate(graph)
+        graphs.append(graph)
+        rows = []
+        sent_id = ""
+        sent_start_line = None
+
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            finish()
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("sent_id"):
+                _, _, value = body.partition("=")
+                sent_id = value.strip()
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ParseError(
+                f"expected 10 tab-separated columns, got {len(cols)}",
+                line=line_no,
+            )
+        token_id = cols[0]
+        if "-" in token_id or "." in token_id:
+            continue  # multiword ranges and empty nodes carry no tree arcs
+        try:
+            position = int(token_id)
+        except ValueError:
+            raise ParseError(f"non-integer ID {token_id!r}", line=line_no) from None
+        if position != len(rows) + 1:
+            raise ParseError(
+                f"ID {token_id!r} out of sequence, expected {len(rows) + 1}",
+                line=line_no,
+            )
+        try:
+            head = int(cols[6])
+        except ValueError:
+            raise ParseError(
+                f"non-integer HEAD {cols[6]!r}", line=line_no
+            ) from None
+        if head and not cols[7]:
+            raise ParseError("empty DEPREL of a non-root token", line=line_no)
+        if sent_start_line is None:
+            sent_start_line = line_no
+        rows.append((cols[1], cols[3], head, cols[7]))
+    finish()
+    return graphs
+
+
 def reference_count_conllu(text: str, config: ConversionConfig):
     """The derivations of the projective graphs of a CoNLL-U text and the
-    number of the others, through `parse_conllu`, `dep_to_tree` and
-    `derivation`."""
+    number of the others, through `reference_parse_conllu`, `dep_to_tree`
+    and `derivation`."""
     derivations = []
     skipped = 0
-    for graph in parse_conllu(text):
+    for graph in reference_parse_conllu(text):
         try:
             derivations.append(derivation(dep_to_tree(graph, config)))
         except NonProjectiveError:

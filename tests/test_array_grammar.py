@@ -51,7 +51,8 @@ ODD_FREQS = (0, -3, 2**70, 10**400)
 
 def outcome(compute, *args):
     """What `compute` returns, or the type and message of what it raises
-    (CWJ takes its counts as int64, so a larger one overflows)."""
+    (ML and CAE take their counts as floats, so one beyond a float
+    overflows)."""
     try:
         return compute(*args)
     except (TreebankEntropyError, OverflowError) as err:
@@ -152,6 +153,8 @@ def assert_same(grammar: Pcfg, reference: ReferencePcfg, through_file=True):
             assert bits(got) == bits(want)
         else:
             assert got == want
+        if smoother is SmootherKind.CWJ:  # counts beyond int64 are an input error
+            assert not isinstance(got, tuple) or got[0] is not OverflowError
 
     # The count path, the rate and the radius.
     got, want = outcome(entropy.count_totals, grammar), outcome(

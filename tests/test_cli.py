@@ -207,6 +207,17 @@ class TestConvert:
         assert captured.out == ""
         assert captured.err == f"error: sentence 3 (line 8): {message}\n"
 
+    @pytest.mark.parametrize("command", ["rate", "site", "induce", "convert"])
+    def test_ids_out_of_sequence_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "skipped-id.conllu"
+        path.write_text(CONLLU + "\n" + CYCLE.replace("3\tc", "4\tc"), encoding="utf-8")
+        argv = [command, str(path)] if command == "convert" else [
+            command, "--format", "conllu", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ID '4' out of sequence, expected 3 at line 10\n"
+
     def test_conllu_pipeline_site(self, tmp_path, capsys):
         path = tmp_path / "sents.conllu"
         path.write_text(CONLLU, encoding="utf-8")

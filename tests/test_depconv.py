@@ -6,6 +6,7 @@ from oracles import (
     random_projective_graph,
     reference_count_conllu,
     reference_crossing_arcs,
+    reference_validate,
 )
 from treebank_entropy.conllu import DepGraph, parse_conllu
 from treebank_entropy.depconv import (
@@ -66,6 +67,9 @@ MALFORMED = {
     "negative head": "\n".join([row(1, 0), row(2, 1), row(3, -2)]) + "\n",
     "cycle": "\n".join([row(1, 2), row(2, 1), row(3, 0)]) + "\n",
     "self-loop": "\n".join([row(1, 1), row(2, 0)]) + "\n",
+    # Heads are read by row position, so IDs must follow the rows.
+    "ID skipped": "\n".join([row(1, 0), row(2, 1), row(4, 2)]) + "\n",
+    "IDs swapped": "\n".join([row(2, 0), row(1, 2)]) + "\n",
     # A relation node needs a relation; the root's DEPREL is not read.
     "empty relation": "\n".join([row(1, 0).replace("dep", ""), row(2, 1).replace("dep", "")]) + "\n",
 }
@@ -112,6 +116,18 @@ class TestProjectivity:
             labels=["x", None, "y"],
         )
         assert not is_projective(graph)
+
+    @pytest.mark.parametrize("heads", [[1], [2, 1], [0, 3, 2], [0, 5, 1], [0, -1]])
+    def test_non_tree_rejected_with_the_validate_message(self, heads):
+        graph = DepGraph(tokens=[("a", "A")] * len(heads), heads=heads,
+                         labels=[None if h == 0 else "x" for h in heads], sent_id="s3")
+        with pytest.raises(StructuralError) as expected:
+            reference_validate(graph)
+        for check in (crossing_arcs, is_projective, dep_to_tree, DepGraph.validate):
+            with pytest.raises(StructuralError) as got:
+                check(graph)
+            assert type(got.value) is StructuralError
+            assert str(got.value) == str(expected.value)
 
     def test_crossing_arcs_match_reference(self):
         rng = np.random.default_rng(31)

@@ -8,7 +8,7 @@ from scipy.special import digamma
 from oracles import random_enumerable_pcfg, reference_cwj_entropy, reference_tail
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.entropy import derivational_entropy, entropy_from_probs
-from treebank_entropy.errors import EmptyInputError, OutOfGrammarError
+from treebank_entropy.errors import EmptyInputError, InputError, OutOfGrammarError
 from treebank_entropy.estimators import (
     EstimateResult,
     SmootherKind,
@@ -198,6 +198,17 @@ class TestCwj:
         value = cwj_entropy(table(*counts))
         assert math.isfinite(value)
         assert value > ml_entropy(table(*counts))
+
+    @pytest.mark.parametrize("counts", [(2**70, 3), (2**62, 2**62, 5), (2**63 - 5, 5)])
+    def test_counts_beyond_int64_rejected(self, counts):
+        with pytest.raises(InputError, match="int64 limit"):
+            cwj_entropy(table(*counts))
+        grammar = Pcfg("S", [Rule("S", ("a", "S"), 0.5, counts[0]),
+                             *(Rule("S", ("a",) * k, 0.5, c)
+                               for k, c in enumerate(counts[1:], start=1))])
+        with pytest.raises(InputError, match="int64 limit"):
+            smoothed_local_entropies(grammar, SmootherKind.CWJ)
+        assert cwj_entropy(table(2**63 - 6, 5)) >= 0.0  # the largest total allowed
 
 
 class TestDigammaKernel:

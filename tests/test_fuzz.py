@@ -1,14 +1,14 @@
 """Seeded fuzzing of every reader: on any input, either a value comes back
 or an :class:`InputError` subclass is raised; nothing else may escape.  The
 counting readers must also agree with the graph and tree readers on every
-input."""
+input, and the CoNLL-U reader with the original one."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
-from oracles import reference_count_conllu
+from oracles import reference_count_conllu, reference_parse_conllu
 from test_trees import READ_OPTIONS as ALL_READ_OPTIONS
 from test_trees import _outcome
 from treebank_entropy.conllu import parse_conllu, read_conllu
@@ -141,17 +141,35 @@ def test_counting_reader_reads_like_parse_bracketed(seed):
             assert _outcome(count_bracketed, text, options) == expected
 
 
+def _conllu_outcome(read, text, *args):
+    """What `read` returns, or the error's type, message and line."""
+    try:
+        return read(text, *args)
+    except (ParseError, StructuralError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_parse_conllu_reads_like_the_reference(seed):
+    def outcome(read, text):
+        graphs = _conllu_outcome(read, text)
+        if isinstance(graphs, list):  # `DepGraph` equality leaves out sent_id
+            return [(g.tokens, g.heads, g.labels, g.sent_id) for g in graphs]
+        return graphs
+
+    kinds = set()
+    for text in _texts(np.random.default_rng(seed), CONLLU, 400):
+        expected = outcome(reference_parse_conllu, text)
+        assert outcome(parse_conllu, text) == expected
+        kinds.add(expected[0] if isinstance(expected, tuple) else list)
+    assert kinds == {list, ParseError, StructuralError}
+
+
 @pytest.mark.parametrize("seed", [5, 6])
 def test_counting_reader_reads_like_parse_conllu(seed):
-    def outcome(read, text, config):
-        try:
-            return read(text, config)
-        except (ParseError, StructuralError) as err:
-            return type(err), str(err), getattr(err, "line", None)
-
     configs = [ConversionConfig(labeled, use_pos)
                for labeled in (True, False) for use_pos in (True, False)]
     for text in _texts(np.random.default_rng(seed), CONLLU, 400):
         for config in configs:
-            expected = outcome(reference_count_conllu, text, config)
-            assert outcome(count_conllu, text, config) == expected
+            expected = _conllu_outcome(reference_count_conllu, text, config)
+            assert _conllu_outcome(count_conllu, text, config) == expected

@@ -55,6 +55,15 @@ class TestParseBracketed:
             parse_bracketed("((S (X x))")
         assert exc.value.offset == 11
 
+    def test_offset_counts_characters_not_bytes(self):
+        # 'é' is two bytes in UTF-8: the stray ')' is character 13, byte 15.
+        text = "(S (A éé) ) )"
+        for read in (parse_bracketed, count_bracketed):
+            with pytest.raises(ParseError) as exc:
+                read(text)
+            assert exc.value.offset == 13
+        assert text[12] == ")" and len(text[:13].encode("utf-8")) == 15
+
     def test_close_without_open(self):
         with pytest.raises(ParseError):
             parse_bracketed("(A a)) ")
