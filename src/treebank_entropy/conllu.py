@@ -43,10 +43,14 @@ class DepGraph:
 
     def validate(self) -> None:
         """Check the single-root and treeness invariants."""
+        self._walk()
+
+    def _walk(self):
+        """:func:`_tree_walk` of the heads, once the field lengths agree."""
         ident = self.sent_id or "dependency graph"
         if not (len(self.heads) == len(self.labels) == len(self.tokens)):
             raise StructuralError(f"{ident}: field lengths disagree")
-        _tree_walk(self.heads, ident)
+        return _tree_walk(self.heads, ident)
 
     def dependents(self) -> list[list[int]]:
         """For each 1-based head position, its dependents in surface order."""

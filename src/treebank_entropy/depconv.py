@@ -71,9 +71,9 @@ def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
     projection has a gap, and no projection has one exactly when no arcs
     cross; so one pass over the projections' bounds and sizes settles the
     common, projective case.  Raises :class:`StructuralError` unless the
-    heads form a tree.
+    graph passes :meth:`~.conllu.DepGraph.validate`.
     """
-    _, order = _tree_walk(graph.heads, graph.sent_id or "dependency graph")
+    _, order = graph._walk()
     return _crossing_arcs(graph.heads, order)
 
 
@@ -86,14 +86,14 @@ def dep_to_tree(graph: DepGraph, config: ConversionConfig = ConversionConfig()) 
     """Convert a projective dependency graph to its derivation tree.
 
     Raises :class:`NonProjectiveError` (listing the crossing arcs) on
-    non-projective input, and :class:`StructuralError` for heads that do
-    not form a tree and, in the labeled variant, for a dependent whose
-    relation is empty or None.
+    non-projective input, and :class:`StructuralError` for a graph that
+    fails :meth:`~.conllu.DepGraph.validate` and, in the labeled variant,
+    for a dependent whose relation is empty or None.
     """
-    ident = graph.sent_id or "dependency graph"
-    deps, order = _tree_walk(graph.heads, ident)
+    deps, order = graph._walk()
     bad = _crossing_arcs(graph.heads, order)
     if bad:
+        ident = graph.sent_id or "dependency graph"
         raise NonProjectiveError(f"{ident} is not projective", crossing=bad)
 
     def node_label(idx: int) -> str:

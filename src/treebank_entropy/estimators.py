@@ -33,9 +33,8 @@ from itertools import chain
 import numpy as np
 
 from .entropy import entropy_from_probs, root_values
-from .errors import EmptyInputError, InputError, OutOfGrammarError
-from .grammar import (FreqTable, Pcfg, induce, observed_counts, rule_freq_tables,
-                      tree_probability)
+from .errors import InputError
+from .grammar import FreqTable, Pcfg, induce, observed_counts, rule_freq_tables
 from .trees import Corpus, CountedCorpus
 
 _LN2 = math.log(2.0)
@@ -67,10 +66,22 @@ class EstimateResult:
     sample_size: int
 
 
+def _float_counts(table: FreqTable) -> tuple[np.ndarray, int]:
+    """The counts of `table` as floats, as ML and CAE take them, and their
+    total; raises :class:`InputError` if the total is beyond a float."""
+    n = table.n
+    try:
+        float(n)
+    except OverflowError:
+        raise InputError("ML and CAE need each non-terminal's frequencies to "
+                         "total below the float limit, about 1.8e308") from None
+    return np.asarray(table.counts, dtype=np.float64), n
+
+
 def ml_entropy(table: FreqTable) -> float:
     """Plug-in entropy in bits of the relative frequencies."""
-    counts = np.asarray(table.counts, dtype=np.float64)
-    return entropy_from_probs(counts / table.n)
+    counts, n = _float_counts(table)
+    return entropy_from_probs(counts / n)
 
 
 def good_turing_probs(table: FreqTable) -> np.ndarray:
@@ -81,8 +92,7 @@ def good_turing_probs(table: FreqTable) -> np.ndarray:
     out all probability mass; the undiscounted ML probabilities are returned
     instead.
     """
-    counts = np.asarray(table.counts, dtype=np.float64)
-    n = table.n
+    counts, n = _float_counts(table)
     ml = counts / n
     f1 = int(np.count_nonzero(counts == 1))
     if f1 == n:
@@ -269,27 +279,3 @@ def site(
     grammar = induce(corpus)
     value = site_from_grammar(grammar, smoother)
     return EstimateResult(value, f"site-{smoother.value}", len(corpus))
-
-
-def cross_entropy(grammar: Pcfg, test: Corpus) -> float:
-    """Cross-entropy in bits of `grammar` on the test trees.
-
-    Every occurrence in the test multiset counts once.  A test tree using a
-    rule absent from the grammar raises :class:`OutOfGrammarError` listing
-    the offending rules.
-    """
-    if not test.sentences:
-        raise EmptyInputError("empty test corpus")
-    total = 0.0
-    missing: list[str] = []
-    for tree in test.sentences:
-        try:
-            total += tree_probability(grammar, tree).log2
-        except OutOfGrammarError as err:
-            missing.extend(err.rules)
-    if missing:
-        raise OutOfGrammarError(
-            "test trees use rules absent from the training grammar",
-            rules=sorted(set(missing)),
-        )
-    return -total / len(test.sentences)

@@ -7,8 +7,10 @@ iterative; parsed trees can be arbitrarily deep.
 
 Every measure the package computes is a function of rule counts, so a tree
 is counted through its :class:`Derivation`: the root label, the expansions
-in pre-order and the frontier.  :func:`count_bracketed` reads bracketed text
-straight into derivations, without building a tree.
+in pre-order and the frontier.  Bracketed text has one reader, one token
+loop that cleans each node as it closes: :func:`count_bracketed` runs it
+straight into derivations, without building a tree, and
+:func:`parse_bracketed` runs it building the trees.
 """
 
 from __future__ import annotations
@@ -115,10 +117,6 @@ def derivation(tree: Tree) -> Derivation:
     return Derivation(tree.label, rules, leaves)
 
 
-#: One token per match: a parenthesis or a maximal run of other non-space
-#: characters.  ``\s`` and ``str.isspace`` agree on every code point.
-_TOKENS = re.compile(r"\(|\)|[^\s()]+")
-
 #: A character that would split or end a label when the text is read back.
 _UNSERIALIZABLE = re.compile(r"[\s()]")
 
@@ -141,41 +139,85 @@ def parse_bracketed(
     label of its own (the common treebank file convention ``( (S ...) )``)
     is unwrapped.  Raises :class:`ParseError` on unbalanced parentheses
     (reporting the 1-based character offset in `text`, not a byte offset)
-    and :class:`StructuralError` on empty nodes; with `preterminalize`, a node mixing word and phrase
-    children raises :class:`StructuralError` once the whole text has parsed.
+    and :class:`StructuralError` on empty nodes; with `preterminalize`, a
+    node mixing word and phrase children raises :class:`StructuralError`
+    once the whole text has parsed.  This is the one bracketed reader, with
+    trees built: :func:`count_bracketed` runs it without them.
     """
-    trees = []
-    # Open nodes: [label or None, kept children, offset of '(', words, phrases]
-    # where words and phrases count the node's children as written.
+    return _read(text, drop_labels, strip_tags, preterminalize, build=True)
+
+
+def count_bracketed(
+    text: str,
+    drop_labels=frozenset(),
+    strip_tags: bool = False,
+    preterminalize: bool = False,
+) -> list[Derivation]:
+    """The derivations of the trees ``parse_bracketed(text, ...)`` returns,
+    read by the same reader without building them; text that does not
+    parse raises the same error."""
+    return _read(text, drop_labels, strip_tags, preterminalize, build=False)
+
+
+def _read(text, drop_labels, strip_tags, preterminalize, build):
+    """Read bracketed `text` into trees with `build`, else into derivations.
+
+    The tokens are those of ``str.split`` once every parenthesis is spaced
+    out.  Each node applies the close rule of :func:`parse_bracketed` as it
+    closes, to a tree with `build` and to its label without; without, each
+    node reserves a slot for its rule when it opens and fills it when it
+    closes, so every sentence's rules come out in pre-order.  Offsets are
+    found only when raising, by counting parentheses in `text` again.
+    """
+    out = []
+    # Open nodes: [label or None, kept children, words, phrases, rule slot]
+    # where words and phrases count the node's children as written, and the
+    # kept children are trees with `build`, labels without.
     stack = []
+    slots = []  # the open sentence's rules, one slot per '(' so far
+    leaves = []  # the open sentence's frontier so far, unused with `build`
+    closed = 0  # the '(' of the sentences read so far, which all closed
+    word_leaves = not (build or preterminalize)
+    label_next = False  # the token after a '(' is its node's label
     mixed = None
-    for match in _TOKENS.finditer(text):
-        token = match.group()
+    for token in text.replace("(", " ( ").replace(")", " ) ").split():
         if token == "(":
-            stack.append([None, [], match.start(), 0, 0])
+            stack.append([None, [], 0, 0, len(slots)])
+            slots.append(None)
+            label_next = True
         elif not stack:
-            raise ParseError("expected '('", offset=match.start() + 1)
+            # The stray token is the first one after the last top-level ')'.
+            pos = _after(text, ")", closed)
+            while text[pos].isspace():
+                pos += 1
+            raise ParseError("expected '('", offset=pos + 1)
         elif token == ")":
-            label, kept, opened, words, phrases = stack.pop()
+            label_next = False
+            label, kept, words, phrases, slot = stack.pop()
             if label is None:
                 if stack or words + phrases != 1:
-                    raise StructuralError(
-                        f"node without a label at offset {opened + 1}"
-                    )
+                    offset = _after(text, "(", closed + slot + 1)
+                    raise StructuralError(f"node without a label at offset {offset}")
                 node = kept[0] if kept else None  # unwrap unlabeled top-level group
             elif not words + phrases:
-                raise StructuralError(
-                    f"node '{label}' has no children at offset {opened + 1}"
-                )
+                offset = _after(text, "(", closed + slot + 1)
+                raise StructuralError(f"node '{label}' has no children at offset {offset}")
             elif not kept or (not phrases and label in drop_labels):
                 node = None
+                if word_leaves:  # its words are the last leaves read
+                    del leaves[len(leaves) - words:]
             else:
                 if strip_tags:
                     label = _cut_function_tags(label)
                 if not (preterminalize and words):
-                    node = Tree(label, kept)
-                elif words == len(kept):
-                    node = Tree(label)  # the pre-terminal becomes a leaf
+                    if build:
+                        node = Tree(label, kept)
+                    else:
+                        slots[slot] = (label, tuple(kept))
+                        node = label
+                elif words == len(kept):  # the pre-terminal becomes a leaf
+                    leaves.append(label)
+                    node = Tree(label) if build else label
                 else:
                     # Raised once the text has parsed: a syntax error
                     # anywhere in the text takes precedence over it.
@@ -185,23 +227,41 @@ def parse_bracketed(
                     node = None
             if stack:
                 parent = stack[-1]
-                parent[4] += 1
+                parent[3] += 1
                 if node is not None:
                     parent[1].append(node)
-            elif node is not None:
-                trees.append(node)
+            else:
+                if node is not None:
+                    if not build:
+                        rules = [rule for rule in slots if rule is not None]
+                        node = Derivation(node, rules, leaves)
+                    out.append(node)
+                closed += len(slots)
+                slots = []
+                leaves = []
+        elif label_next:
+            stack[-1][0] = token
+            label_next = False
         else:
             top = stack[-1]
-            if top[0] is None and not top[3] + top[4]:
-                top[0] = token
-            else:
-                top[3] += 1
-                top[1].append(Tree(token))
+            top[2] += 1
+            top[1].append(Tree(token) if build else token)
+            if word_leaves:
+                leaves.append(token)
     if stack:
         raise ParseError("unbalanced", offset=len(text) + 1)
     if mixed is not None:
         raise mixed
-    return trees
+    return out
+
+
+def _after(text: str, char: str, count: int) -> int:
+    """The index just past the `count`-th `char` in `text` (0 for none),
+    which is the 1-based offset of that character."""
+    pos = 0
+    for _ in range(count):
+        pos = text.index(char, pos) + 1
+    return pos
 
 
 def _cut_function_tags(label: str) -> str:
@@ -212,85 +272,6 @@ def _cut_function_tags(label: str) -> str:
         if idx > 0:
             label = label[:idx]
     return label
-
-
-def count_bracketed(
-    text: str,
-    drop_labels=frozenset(),
-    strip_tags: bool = False,
-    preterminalize: bool = False,
-) -> list[Derivation]:
-    """The derivations of the trees ``parse_bracketed(text, ...)`` returns,
-    read without building them.
-
-    The tokens and the close rule are those of :func:`parse_bracketed`,
-    applied to labels instead of nodes.  Each node reserves a slot for its
-    rule when it opens and fills it when it closes, so every sentence's
-    rules come out in pre-order.  Malformed text is handed to
-    :func:`parse_bracketed`, so the error raised is its own.
-    """
-
-    def malformed():
-        parse_bracketed(text, drop_labels, strip_tags, preterminalize)
-        raise AssertionError("the two bracketed readers disagree on this text")
-
-    derivations = []
-    # Open nodes: [label or None, kept child labels, words, phrases, rule slot]
-    # where words and phrases count the node's children as written.
-    stack = []
-    slots = []  # the open sentence's rules, one slot per '(' so far
-    leaves = []  # the open sentence's frontier so far
-    # split() cuts at str.isspace, as \s in _TOKENS does: the same tokens.
-    for token in text.replace("(", " ( ").replace(")", " ) ").split():
-        if token == "(":
-            stack.append([None, [], 0, 0, len(slots)])
-            slots.append(None)
-        elif not stack:
-            malformed()
-        elif token == ")":
-            label, kept, words, phrases, slot = stack.pop()
-            if label is None:
-                if stack or words + phrases != 1:
-                    malformed()
-                label = kept[0] if kept else None  # unwrap unlabeled top-level group
-            elif not words + phrases:
-                malformed()
-            elif not kept or (not phrases and label in drop_labels):
-                label = None
-                if not preterminalize:  # its words are the last leaves read
-                    del leaves[len(leaves) - words:]
-            else:
-                if strip_tags:
-                    label = _cut_function_tags(label)
-                if not (preterminalize and words):
-                    slots[slot] = (label, tuple(kept))
-                elif words == len(kept):
-                    leaves.append(label)  # the pre-terminal becomes a leaf
-                else:
-                    malformed()  # mixes leaf and internal children
-            if stack:
-                parent = stack[-1]
-                parent[3] += 1
-                if label is not None:
-                    parent[1].append(label)
-            else:
-                if label is not None:
-                    rules = [rule for rule in slots if rule is not None]
-                    derivations.append(Derivation(label, rules, leaves))
-                slots = []
-                leaves = []
-        else:
-            top = stack[-1]
-            if top[0] is None and not top[2] + top[3]:
-                top[0] = token
-            else:
-                top[2] += 1
-                top[1].append(token)
-                if not preterminalize:
-                    leaves.append(token)
-    if stack:
-        malformed()
-    return derivations
 
 
 def write_bracketed(tree: Tree) -> str:

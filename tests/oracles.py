@@ -15,7 +15,9 @@ builds every node as it draws, CWJ estimates from
 ``scipy.special.digamma`` and a tail summed in ``mpmath``, and grammars,
 with every array and value computed from them, from the implementation
 that kept each grammar as a list of :class:`Rule` objects and walked it
-(:class:`ReferencePcfg` and the functions after it).
+(:class:`ReferencePcfg` and the functions after it).  The cross-entropy of a
+grammar on test trees (:func:`cross_entropy`) walks each tree through
+:func:`~treebank_entropy.grammar.tree_probability`.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ from treebank_entropy.grammar import (
     Pcfg,
     Rule,
     TreeProbability,
+    tree_probability,
 )
-from treebank_entropy.trees import DEFAULT_DROP_LABELS, Tree, derivation
+from treebank_entropy.trees import DEFAULT_DROP_LABELS, Corpus, Tree, derivation
 
 
 def enumerate_entropy(grammar, mass_tol=1e-10, max_pops=5_000_000):
@@ -977,3 +980,27 @@ def reference_tree_probability(grammar, tree):
     if missing:
         raise OutOfGrammarError("tree uses unknown rules", rules=missing)
     return TreeProbability(2.0 ** log2, log2)
+
+
+def cross_entropy(grammar: Pcfg, test: Corpus) -> float:
+    """Cross-entropy in bits of `grammar` on the test trees.
+
+    Every occurrence in the test multiset counts once.  A test tree using a
+    rule absent from the grammar raises :class:`OutOfGrammarError` listing
+    the offending rules.
+    """
+    if not test.sentences:
+        raise EmptyInputError("empty test corpus")
+    total = 0.0
+    missing: list[str] = []
+    for tree in test.sentences:
+        try:
+            total += tree_probability(grammar, tree).log2
+        except OutOfGrammarError as err:
+            missing.extend(err.rules)
+    if missing:
+        raise OutOfGrammarError(
+            "test trees use rules absent from the training grammar",
+            rules=sorted(set(missing)),
+        )
+    return -total / len(test.sentences)

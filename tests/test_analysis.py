@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import reference_sample
+from oracles import cross_entropy, reference_sample
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy import analysis, estimators, grammar
 from treebank_entropy.analysis import (
@@ -179,7 +179,7 @@ class TestConverge:
             values, grammar = analysis._corpus_estimates(corpus, ("mc",))
             assert (grammar.root == SYNTHETIC_ROOT) == several_roots
             assert values["mc"] == pytest.approx(
-                estimators.cross_entropy(grammar, corpus), rel=1e-12
+                cross_entropy(grammar, corpus), rel=1e-12
             )
 
     @pytest.mark.parametrize("seed", [1, 7, 41])

@@ -51,8 +51,8 @@ ODD_FREQS = (0, -3, 2**70, 10**400)
 
 def outcome(compute, *args):
     """What `compute` returns, or the type and message of what it raises
-    (ML and CAE take their counts as floats, so one beyond a float
-    overflows)."""
+    (an `OverflowError` too, which `assert_same` rules out for every
+    smoother)."""
     try:
         return compute(*args)
     except (TreebankEntropyError, OverflowError) as err:
@@ -153,8 +153,8 @@ def assert_same(grammar: Pcfg, reference: ReferencePcfg, through_file=True):
             assert bits(got) == bits(want)
         else:
             assert got == want
-        if smoother is SmootherKind.CWJ:  # counts beyond int64 are an input error
-            assert not isinstance(got, tuple) or got[0] is not OverflowError
+        # Counts beyond int64 (CWJ) or beyond a float (ML, CAE) are an input error.
+        assert not isinstance(got, tuple) or got[0] is not OverflowError
 
     # The count path, the rate and the radius.
     got, want = outcome(entropy.count_totals, grammar), outcome(

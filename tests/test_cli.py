@@ -612,6 +612,11 @@ def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
         if name.split(".")[0] == "treebank_entropy":
             if getattr(module, "parse_bracketed", None) is real:
                 monkeypatch.setattr(module, "parse_bracketed", spy)
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a command built a Tree")
+
+    monkeypatch.setattr("treebank_entropy.trees.Tree", no_tree)
     first, second = tmp_path / "a.mrg", tmp_path / "b.mrg"
     first.write_text(PTB, encoding="utf-8")
     second.write_text(PTB.split("\n", 1)[1], encoding="utf-8")
@@ -627,6 +632,6 @@ def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
     assert calls == []
     bad = tmp_path / "bad.mrg"
     bad.write_text("(S (NN x)", encoding="utf-8")
-    assert main(["site", str(bad)]) == 2  # malformed text goes to the tree reader
-    assert calls == ["(S (NN x)"]
+    assert main(["site", str(bad)]) == 2  # the counting reader raises the error itself
+    assert calls == []
     assert "unbalanced" in capsys.readouterr().err

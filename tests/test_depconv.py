@@ -129,6 +129,21 @@ class TestProjectivity:
             assert type(got.value) is StructuralError
             assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("tokens, heads, labels", [
+        ([("a", "A")], [0, 1], [None, "x"]),
+        ([("a", "A"), ("b", "B")], [0, 1], [None]),
+        ([("a", "A"), ("b", "B")], [0], [None]),
+    ])
+    def test_field_lengths_checked_with_the_validate_message(self, tokens, heads, labels):
+        graph = DepGraph(tokens=tokens, heads=heads, labels=labels)
+        with pytest.raises(StructuralError, match="field lengths disagree") as expected:
+            reference_validate(graph)
+        for check in (crossing_arcs, is_projective, dep_to_tree, DepGraph.validate):
+            with pytest.raises(StructuralError) as got:
+                check(graph)
+            assert type(got.value) is StructuralError
+            assert str(got.value) == str(expected.value)
+
     def test_crossing_arcs_match_reference(self):
         rng = np.random.default_rng(31)
         crossing = 0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from oracles import random_enumerable_pcfg, reference_cwj_entropy, reference_tail
+from oracles import (cross_entropy, random_enumerable_pcfg, reference_cwj_entropy,
+                     reference_tail)
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.entropy import derivational_entropy, entropy_from_probs
 from treebank_entropy.errors import EmptyInputError, InputError, OutOfGrammarError
@@ -13,7 +14,6 @@ from treebank_entropy.estimators import (
     EstimateResult,
     SmootherKind,
     cae_entropy,
-    cross_entropy,
     cwj_entropy,
     good_turing_probs,
     ml_entropy,

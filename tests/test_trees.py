@@ -3,12 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import reference_read
+from oracles import reference_parse_bracketed, reference_read
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.errors import EmptyInputError, ParseError, StructuralError
 from treebank_entropy.grammar import Pcfg, Rule, Sampler
 from treebank_entropy.trees import (
-    _TOKENS,
     DEFAULT_DROP_LABELS,
     Corpus,
     Tree,
@@ -341,6 +340,14 @@ class TestReaderMatchesReference:
             "(A (B b) (C))",
             "(NP (DT the) dog) (A a",
             "",
+            # Offsets count characters, and whitespace as str.isspace does.
+            "(S é字)　\x85((A a) (B b))",
+            "(S　é (\x85(A 字)))",
+            "(S é　字 (A\x85))",
+            "(字 é)\x85(S　(A a) (B))",
+            "(S é字)　\x85 x (A a)",
+            "(S (A é)　字)\x85)",
+            "(S é　字\x85",
         ],
     )
     def test_malformed(self, text):
@@ -367,9 +374,12 @@ class TestCountBracketed:
             derivation(Tree("NN"))
         ]
 
-    def test_split_tokenizes_like_the_regex(self):
-        # Every code point between two letters: a whitespace character
-        # separates them for both tokenizers, any other one for neither.
-        text = "a".join(map(chr, range(0x110000)))
-        split = text.replace("(", " ( ").replace(")", " ) ").split()
-        assert split == _TOKENS.findall(text)
+    def test_split_tokenizes_like_the_reference(self):
+        # Every code point but the parentheses between two letters: a
+        # whitespace character separates them for both readers, any other
+        # one for neither.
+        points = (chr(c) for c in range(0x110000) if chr(c) not in "()")
+        text = "(S a" + "a".join(points) + "a)"
+        expected = reference_parse_bracketed(text)
+        assert parse_bracketed(text) == expected
+        assert count_bracketed(text) == [derivation(t) for t in expected]
