@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
-from .entropy import root_values
 from .errors import EmptyInputError, InputError
-from .estimators import SmootherKind, site, site_from_grammar, smoothed_local_entropies
-from .grammar import Pcfg, RuleCounts, Sampler, induce
+from .estimators import SmootherKind, site, site_from_grammar, site_rows
+from .grammar import RuleCounts, Sampler, induce
 from .trees import Corpus, CountedCorpus, corpus_mlu
 
 #: Sweep sizes spanning 1 to 15,000 sentences, evenly spaced in log scale.
@@ -81,28 +82,16 @@ class RegressionFit:
     with_intercept: bool
 
 
-def _corpus_estimates(
-    corpus: Corpus | CountedCorpus, estimators
-) -> tuple[dict[str, float], Pcfg]:
-    """All requested estimates of one sampled corpus, sharing one induction
-    and one smoothing per smoother."""
-    grammar = induce(corpus)
-    smoothers = list(dict.fromkeys(_SMOOTHER_OF[est] for est in estimators))
-    by_smoother = {}
-    if smoothers:
-        entropies = [smoothed_local_entropies(grammar, s) for s in smoothers]
-        values = root_values(grammar, np.column_stack(entropies))[1:]
-        by_smoother = dict(zip(smoothers, map(float, values)))
-    return {est: by_smoother[_SMOOTHER_OF[est]] for est in estimators}, grammar
+#: Uniforms drawn at a time for a sweep task's sampler.
+_UNIFORM_BATCH = 512
 
 
-def _coverage(sample_grammar: Pcfg, true_rules, true_nts) -> dict[str, float]:
-    rules = set(sample_grammar.expansions)
-    nts = set(sample_grammar.nonterminals)
-    return {
-        "coverage-rules": 100.0 * len(rules & true_rules) / len(true_rules),
-        "coverage-nonterminals": 100.0 * len(nts & true_nts) / len(true_nts),
-    }
+def _uniforms(rng: np.random.Generator) -> SimpleNamespace:
+    """A stand-in for `rng` in :meth:`~.grammar.Sampler.sample` whose
+    ``random()`` hands out ``rng.random(_UNIFORM_BATCH)`` one double at a
+    time: the doubles that as many scalar draws give, in the same order."""
+    batches = iter(lambda: rng.random(_UNIFORM_BATCH).tolist(), None)
+    return SimpleNamespace(random=chain.from_iterable(batches).__next__)
 
 
 def converge(
@@ -117,7 +106,9 @@ def converge(
 
     A grammar is induced from `grammar_source`; for every replication and
     size an artificial corpus of that many sentences is sampled from it, as
-    derivations, and each estimator applied.  Rows aggregate the
+    derivations, and each estimator applied.  A task's corpus is one row of
+    counts over the true grammar's rules, and each replication's rows are
+    estimated together (:func:`~.estimators.site_rows`).  Rows aggregate the
     replications with normal 95% confidence intervals.  Coverage rows
     report the percentage of the true grammar's rules and non-terminals
     observed.  Each size and each estimator is taken once, however often
@@ -134,24 +125,33 @@ def converge(
             raise InputError(f"unknown estimator id '{est}'")
     truth = induce(grammar_source)
     sampler = Sampler(truth)
-    true_rules = frozenset(truth.expansions)
-    true_nts = frozenset(truth.nonterminals)
+    rule_ids = truth._rule_ids
+    smoothers = list(dict.fromkeys(_SMOOTHER_OF[est] for est in estimators))
+    columns = [smoothers.index(_SMOOTHER_OF[est]) for est in estimators]
     series = estimators + (COVERAGE_SERIES if coverage else ())
 
-    by_task = {}
+    by_rep = []
     for rep in range(replications):
-        for size in sizes:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, rep, size)))
-            corpus = CountedCorpus([sampler.sample(rng) for _ in range(size)])
-            values, sample_grammar = _corpus_estimates(corpus, estimators)
-            if coverage:
-                values.update(_coverage(sample_grammar, true_rules, true_nts))
-            by_task[rep, size] = values
+        counts = np.empty((len(sizes), len(truth)), dtype=np.int64)
+        for i, size in enumerate(sizes):
+            draws = _uniforms(np.random.default_rng(np.random.SeedSequence((seed, rep, size))))
+            rules = chain.from_iterable(sampler.sample(draws).rules for _ in range(size))
+            counts[i] = np.bincount(np.fromiter(map(rule_ids.__getitem__, rules), np.intp),
+                                    minlength=len(truth))
+        values = site_rows(truth, counts, smoothers)[:, columns]
+        if coverage:
+            seen = np.add.reduceat(counts[:, truth.order], truth.starts[:-1], axis=1)
+            values = np.column_stack((
+                values,
+                100.0 * np.count_nonzero(counts, axis=1) / len(truth),
+                100.0 * np.count_nonzero(seen, axis=1) / len(truth.nonterminals),
+            ))
+        by_rep.append(values)
+    by_task = np.stack(by_rep, axis=-1)  # size, series, replication
 
     rows = []
-    for size in sizes:
-        for est in series:
-            values = np.array([by_task[rep, size][est] for rep in range(replications)])
+    for size, by_series in zip(sizes, by_task):
+        for est, values in zip(series, by_series):
             mean = float(np.mean(values))
             if replications > 1:
                 half = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(replications)

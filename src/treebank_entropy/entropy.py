@@ -51,12 +51,55 @@ RADIUS_TOL = 1e-14
 POWER_STEPS = 1000
 
 
+def segment_sums(terms: np.ndarray, bounds: np.ndarray, keep: np.ndarray,
+                 low=0.0) -> np.ndarray:
+    """Sum of each segment ``bounds[k]:bounds[k + 1]`` over the entries that
+    `keep` marks, one term (plus its `low` part) each; 0.0 for none.
+
+    With sigma a power of two above (size + 2) max|term|, the high parts
+    (sigma + term) - sigma and their sum are exact, and the rest is small
+    (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): a segment's sum
+    is within about one rounding of the exact sum, whatever its length, and
+    does not depend on the segments beside it.
+    """
+    kept = np.concatenate(([0], np.cumsum(keep)))[bounds]
+    full = np.flatnonzero(kept[1:] > kept[:-1])
+    sums = np.zeros(len(bounds) - 1)
+    if full.size:
+        starts, sizes = kept[full], np.diff(kept)[full]
+        top = np.frexp(np.maximum.reduceat(np.abs(terms), starts))[1]
+        sigma = np.repeat(np.ldexp(1.0, top + np.frexp(sizes + 2.0)[1]), sizes)
+        high = (sigma + terms) - sigma
+        sums[full] = np.add.reduceat(high, starts) + np.add.reduceat(
+            terms - high + low, starts)
+    return sums
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """a * b as x + y exactly, x the rounded product: Dekker (1971) splits
+    each factor into halves of 26 bits, whose products are exact."""
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
+    a1, b1 = ca - (ca - a), cb - (cb - b)
+    a2, b2 = a - a1, b - b1
+    x = a * b
+    return x, a2 * b2 - (((x - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def entropy_runs(probs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Plug-in entropy in bits of each segment ``probs[bounds[k]:bounds[k +
+    1]]``, with the 0 log 0 = 0 convention: the products p log2 p taken
+    exactly and summed by :func:`segment_sums`."""
+    keep = probs > 0.0
+    positive = probs[keep]
+    terms, low = _two_product(positive, np.log2(positive))
+    # 0.0 - 0.0 is +0.0, where negation would give -0.0.
+    return 0.0 - segment_sums(terms, bounds, keep, low)
+
+
 def entropy_from_probs(probs: np.ndarray) -> float:
     """Plug-in entropy in bits, with the 0 log 0 = 0 convention."""
-    probs = np.asarray(probs, dtype=np.float64)
-    positive = probs[probs > 0.0]
-    # 0.0 - 0.0 is +0.0, where negation would give -0.0.
-    return float(0.0 - positive @ np.log2(positive))
+    probs = np.asarray(probs, dtype=np.float64).ravel()
+    return float(entropy_runs(probs, np.array([0, probs.size]))[0])
 
 
 def _children(grammar: Pcfg):
@@ -91,7 +134,7 @@ def characteristic_matrix(grammar: Pcfg) -> np.ndarray:
 
 def local_entropies(grammar: Pcfg) -> np.ndarray:
     """Entropy in bits of each non-terminal's rule-choice distribution."""
-    return np.array([entropy_from_probs(p) for p in grammar.by_lhs(grammar.prob)])
+    return entropy_runs(grammar.prob[grammar.order], grammar.starts)
 
 
 def local_lengths(grammar: Pcfg) -> np.ndarray:
@@ -317,17 +360,9 @@ def count_totals(grammar: Pcfg, children=None, entries=None) -> CountTotals | No
     its own rule frequencies, certified; None for any other grammar.
 
     Every probability must be the float f_r / f_A that
-    :func:`~.grammar.induce` computes, and roots_A = f_A - (occurrences of A
-    on right-hand sides) must be zero except at the root, where it is N > 0.
-    Then z = f / N solves z^T (I - M) = e_root^T.  I - M is non-singular when
-    every strongly connected block of M receives an occurrence from outside
-    itself (the root, or a child of a rule whose left-hand side lies
-    elsewhere): with z > 0, z^T M <= z^T then holds strictly somewhere on
-    each irreducible block, so its spectral radius is below one (Seneta,
-    *Non-negative Matrices and Markov Chains*, Thm 1.6; cf. Chi 1999).  A
-    block that receives none has radius one: :class:`DivergentGrammarError`.
-    `children` and `entries`, when given, are the grammar's
-    :func:`_children` and :func:`_entries`.
+    :func:`~.grammar.induce` computes, and the counts must pass
+    :func:`certify_counts`.  `children` and `entries`, when given, are the
+    grammar's :func:`_children` and :func:`_entries`.
     """
     children = children or _children(grammar)
     entries = entries or _entries(grammar, *children[:2])
@@ -345,24 +380,48 @@ def count_totals(grammar: Pcfg, children=None, entries=None) -> CountTotals | No
     occurrences = np.bincount(grammar.lhs, freq, minlength=n)
     if not (grammar.prob == freq / occurrences[grammar.lhs]).all():
         return None
-    roots = occurrences - np.bincount(child, freq[rule], minlength=n)
-    root = grammar.nt_index[grammar.root]
-    sentences = roots[root]
-    roots[root] = 0
-    if not sentences > 0 or roots.any():
+    certified = certify_counts(occurrences, np.bincount(child, freq[rule], minlength=n),
+                               np.array([grammar.nt_index[grammar.root]]), rows, cols)
+    if certified is None:
         return None
-    found = _block_labels(n, rows, cols)
+    sentences, found = certified
+    return CountTotals(occurrences, int(sentences[0]), int(freq @ emitted), found)
+
+
+def certify_counts(occurrences, inflow, roots, rows, cols):
+    """N per root, and the strongly connected blocks (:func:`_block_labels`)
+    of M's pattern, edges `rows` (sorted) -> `cols`, if the counts are those
+    of whole trees and certify a spectral radius below one; None if they are
+    not.  Several grammars' vertices may lie side by side, one root each.
+
+    The roots identity: f_A - `inflow`_A, the occurrences of A less those on
+    right-hand sides, must be zero except at the roots, where it is N > 0.
+    Then z = f / N solves z^T (I - M) = e_root^T.  I - M is non-singular when
+    every strongly connected block of M with occurrences receives one from
+    outside itself (the root, or a child of a rule whose left-hand side lies
+    elsewhere): with z > 0, z^T M <= z^T then holds strictly somewhere on
+    each irreducible block, so its spectral radius is below one (Seneta,
+    *Non-negative Matrices and Markov Chains*, Thm 1.6; cf. Chi 1999).  A
+    block that receives none has radius one: :class:`DivergentGrammarError`.
+    """
+    free = occurrences - inflow
+    sentences = free[roots]
+    free[roots] = 0
+    if not (sentences > 0).all() or free.any():
+        return None
+    found = _block_labels(len(occurrences), rows, cols)
     blocks, label, _ = found
     fed = np.zeros(len(blocks), dtype=bool)
-    fed[label[root]] = True
+    fed[label[roots]] = True
     fed[label[cols[label[rows] != label[cols]]]] = True
+    fed[label[occurrences == 0]] = True  # nothing to feed
     if not fed.all():
         raise DivergentGrammarError(
             f"{np.count_nonzero(~fed)} strongly connected block(s) of M receive "
             "no occurrence from outside: spectral radius 1, expected subtree "
             "measures diverge"
         )
-    return CountTotals(occurrences, int(sentences), int(freq @ emitted), found)
+    return sentences, found
 
 
 def root_values(grammar: Pcfg, entropies=None) -> np.ndarray:

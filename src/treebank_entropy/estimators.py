@@ -19,7 +19,9 @@ sum_A f_A h_A / N over its counts, with no M and no solve, the counts
 certifying the spectral radius (:func:`~.entropy.count_totals`); a grammar
 whose probabilities are not its relative frequencies is solved.  With the
 plain ML smoother the composition reproduces the exact entropy of the
-induced grammar bit for bit.
+induced grammar bit for bit.  Each smoother is one kernel over tables laid
+side by side, a table's value not depending on its neighbours, so a sweep
+smooths the tables of all its samples in one call (:func:`site_rows`).
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from itertools import chain
 
 import numpy as np
 
-from .entropy import entropy_from_probs, root_values
-from .errors import InputError
-from .grammar import FreqTable, Pcfg, induce, observed_counts, rule_freq_tables
+from .entropy import _children, certify_counts, entropy_runs, root_values, segment_sums
+from .errors import InputError, NumericalError
+from .grammar import FreqTable, Pcfg, induce, observed_counts
 from .trees import Corpus, CountedCorpus
 
 _LN2 = math.log(2.0)
@@ -45,10 +47,8 @@ _TAIL_NODES = 80
 _TAIL_CUT = 40.0
 
 #: Integer arguments from which digamma uses its asymptotic series; below
-#: it, an exact table of harmonic numbers.
+#: it, a table of harmonic numbers less Euler's constant.
 _DIGAMMA_ASYMPTOTIC_FROM = 16
-#: Euler's constant to 40 digits.
-_EULER_GAMMA = "0.5772156649015328606065120900824024310422"
 
 
 class SmootherKind(str, enum.Enum):
@@ -66,22 +66,46 @@ class EstimateResult:
     sample_size: int
 
 
-def _float_counts(table: FreqTable) -> tuple[np.ndarray, int]:
-    """The counts of `table` as floats, as ML and CAE take them, and their
-    total; raises :class:`InputError` if the total is beyond a float."""
-    n = table.n
+def _one_table(table: FreqTable) -> tuple[np.ndarray, np.ndarray]:
+    """`table` as the counts and bounds that the segment kernels take."""
+    return np.array(table.counts), np.array([0, len(table.counts)])
+
+
+def _totals(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each segment's total, exactly: int64, or Python ints where int64
+    would wrap."""
+    if counts.dtype != object and counts.sum(dtype=np.float64) < 2.0**62:
+        return np.add.reduceat(counts, starts)
+    return np.add.reduceat(counts.astype(object), starts)
+
+
+def _relative(counts: np.ndarray, bounds: np.ndarray):
+    """Each count over its table's total, and that total as a float, as ML
+    and CAE take them; :class:`InputError` if a total is beyond a float."""
     try:
-        float(n)
+        n = np.repeat(_totals(counts, bounds[:-1]).astype(np.float64), np.diff(bounds))
     except OverflowError:
         raise InputError("ML and CAE need each non-terminal's frequencies to "
                          "total below the float limit, about 1.8e308") from None
-    return np.asarray(table.counts, dtype=np.float64), n
+    return counts.astype(np.float64) / n, n
+
+
+def _ml_runs(counts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """:func:`ml_entropy` of each table ``counts[bounds[k]:bounds[k + 1]]``."""
+    return entropy_runs(_relative(counts, bounds)[0], bounds)
 
 
 def ml_entropy(table: FreqTable) -> float:
     """Plug-in entropy in bits of the relative frequencies."""
-    counts, n = _float_counts(table)
-    return entropy_from_probs(counts / n)
+    return float(_ml_runs(*_one_table(table))[0])
+
+
+def _good_turing(counts: np.ndarray, bounds: np.ndarray):
+    """:func:`good_turing_probs` of each table ``counts[bounds[k]:bounds[k +
+    1]]``, and each table's total as a float."""
+    ml, n = _relative(counts, bounds)
+    f1 = np.repeat(np.add.reduceat(counts == 1, bounds[:-1]), np.diff(bounds))
+    return np.where(f1 == n, ml, (1.0 - f1 / n) * ml), n
 
 
 def good_turing_probs(table: FreqTable) -> np.ndarray:
@@ -92,12 +116,21 @@ def good_turing_probs(table: FreqTable) -> np.ndarray:
     out all probability mass; the undiscounted ML probabilities are returned
     instead.
     """
-    counts, n = _float_counts(table)
-    ml = counts / n
-    f1 = int(np.count_nonzero(counts == 1))
-    if f1 == n:
-        return ml
-    return (1.0 - f1 / n) * ml
+    return _good_turing(*_one_table(table))[0]
+
+
+def _cae_runs(counts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """:func:`cae_entropy` of each table ``counts[bounds[k]:bounds[k + 1]]``.
+
+    The coverage 1 - (1 - p)**n is taken as -expm1(n log1p(-p)), which
+    stays positive for the smallest p and finite for the largest n.
+    """
+    probs, n = _good_turing(counts, bounds)
+    keep = (probs > 0.0) & (probs < 1.0)  # a type seen every time adds 0
+    p = probs[keep]
+    with np.errstate(over="ignore"):  # n log1p(-p) = -inf: coverage 1
+        coverage = -np.expm1(n[keep] * np.log1p(-p))
+    return 0.0 - segment_sums(p * np.log2(p) / coverage, bounds, keep)
 
 
 def cae_entropy(table: FreqTable) -> float:
@@ -107,11 +140,7 @@ def cae_entropy(table: FreqTable) -> float:
     the type appearing at least once in a sample of size n, compensating for
     types that were never observed.
     """
-    probs = good_turing_probs(table)
-    n = table.n
-    coverage = 1.0 - np.power(1.0 - probs, n)
-    terms = np.where(probs < 1.0, -probs * np.log2(np.maximum(probs, 1e-300)), 0.0)
-    return float(np.sum(terms / coverage))
+    return float(_cae_runs(*_one_table(table))[0])
 
 
 @functools.cache
@@ -160,20 +189,15 @@ def _tail_sums(u: np.ndarray, offset: np.ndarray) -> np.ndarray:
     return u * half * np.sum(integrand * weights, axis=1)
 
 
-@functools.cache
-def _digamma_table() -> np.ndarray:
-    """ψ(n) = H(n-1) - γ for 1 <= n < 16, correctly rounded (index n)."""
-    from fractions import Fraction  # imported here: only CWJ needs it
-
-    gamma = Fraction(_EULER_GAMMA)
-    harmonic = Fraction(0)
-    table = [0.0]
-    for n in range(1, _DIGAMMA_ASYMPTOTIC_FROM):
-        table.append(float(harmonic - gamma))
-        harmonic += Fraction(1, n)
-    table = np.array(table)
-    table.flags.writeable = False  # one array, shared by every call
-    return table
+#: ψ(n) = H(n-1) - γ for 1 <= n < 16, correctly rounded (index n).
+_DIGAMMA_TABLE = np.array([
+    0.0, -0.5772156649015329, 0.42278433509846713, 0.9227843350984671,
+    1.2561176684318005, 1.5061176684318005, 1.7061176684318005,
+    1.8727843350984672, 2.01564147795561, 2.14064147795561, 2.251752589066721,
+    2.351752589066721, 2.442661679975812, 2.5259950133091453,
+    2.6029180902322224, 2.6743466616607936,
+])
+_DIGAMMA_TABLE.flags.writeable = False  # one array, shared by every call
 
 
 def _digamma(n: np.ndarray) -> np.ndarray:
@@ -190,7 +214,7 @@ def _digamma(n: np.ndarray) -> np.ndarray:
         1 / 240 - z * (1 / 132 - z * (691 / 32760))))))
     asymptotic = np.log(x) - 0.5 / x - series
     small = np.minimum(n, _DIGAMMA_ASYMPTOTIC_FROM - 1)
-    return np.where(n < _DIGAMMA_ASYMPTOTIC_FROM, _digamma_table()[small], asymptotic)
+    return np.where(n < _DIGAMMA_ASYMPTOTIC_FROM, _DIGAMMA_TABLE[small], asymptotic)
 
 
 def cwj_entropy(table: FreqTable) -> float:
@@ -207,7 +231,7 @@ def cwj_entropy(table: FreqTable) -> float:
     catastrophic cancellation; the series is summed as an integral
     (:func:`_tail_sums`).
     """
-    return float(_cwj_entropies([table])[0])
+    return float(_cwj_runs(*_one_table(table))[0])
 
 
 def _cwj_entropies(tables: list[FreqTable]) -> np.ndarray:
@@ -227,17 +251,14 @@ def _cwj_runs(counts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     starts, sizes = bounds[:-1], np.diff(bounds)
     try:
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.sum(dtype=np.float64) < 2.0**62:
-            n = np.add.reduceat(counts, starts)
-        else:  # totals in Python ints, which do not wrap
-            n = np.add.reduceat(counts.astype(object), starts).astype(np.int64)
+        n = _totals(counts, starts).astype(np.int64)
     except OverflowError:
         raise InputError("CWJ needs each non-terminal's frequencies to total "
                          "below the int64 limit, 2**63") from None
     psi = _digamma(np.concatenate((counts, n)))
     psi_counts, psi_n = psi[:counts.size], psi[counts.size:]
     weights = counts / np.repeat(n, sizes)
-    nats = np.add.reduceat(weights * (np.repeat(psi_n, sizes) - psi_counts), starts)
+    nats = segment_sums(weights * (np.repeat(psi_n, sizes) - psi_counts), bounds, counts > 0)
     f1 = np.add.reduceat(counts == 1, starts)
     f2 = np.add.reduceat(counts == 2, starts)
     singletons = np.flatnonzero(f1)  # only these tables have an unseen tail
@@ -251,7 +272,15 @@ def _cwj_runs(counts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return nats / _LN2
 
 
-#: Smoothers applied table by table; CWJ runs over all tables at once.
+#: Each smoother as a kernel over the tables ``counts[bounds[k]:bounds[k +
+#: 1]]`` of positive counts; a table's value does not depend on the others.
+_RUNS = {
+    SmootherKind.ML: _ml_runs,
+    SmootherKind.CAE: _cae_runs,
+    SmootherKind.CWJ: _cwj_runs,
+}
+
+#: The ML and CAE smoothers of one table: their kernels on one segment.
 _SMOOTHERS = {
     SmootherKind.ML: ml_entropy,
     SmootherKind.CAE: cae_entropy,
@@ -260,10 +289,45 @@ _SMOOTHERS = {
 
 def smoothed_local_entropies(grammar: Pcfg, smoother: SmootherKind) -> np.ndarray:
     """Per-non-terminal local expansion entropies after bias correction."""
-    smoother = SmootherKind(smoother)
-    if smoother is SmootherKind.CWJ:
-        return _cwj_runs(*observed_counts(grammar))
-    return np.array([_SMOOTHERS[smoother](t) for t in rule_freq_tables(grammar).values()])
+    return _RUNS[SmootherKind(smoother)](*observed_counts(grammar))
+
+
+def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
+    """SITE under each of `smoothers` (the columns) of each row of `counts`,
+    the counts of `grammar`'s rules in trees drawn from it: the value of the
+    grammar induced from those trees, with none built.
+
+    The rows are certified together (:func:`~.entropy.certify_counts`), and
+    counts not of whole trees raise :class:`NumericalError`.  f_A are the
+    segment sums of a row in `Pcfg.order`, each smoother runs once over the
+    positive counts of every row, and a row's value is sum_A f_A h_A / N,
+    as :func:`~.entropy.root_values` takes it.
+    """
+    tasks, width = counts.shape
+    n = len(grammar.nonterminals)
+    by_lhs = counts[:, grammar.order]
+    occurrences = np.add.reduceat(by_lhs, grammar.starts[:-1], axis=1)
+    rule, child, _ = _children(grammar)
+    task, k = np.nonzero(counts[:, rule])  # task t's non-terminal A is vertex t n + A
+    inflow = np.zeros(tasks * n, dtype=np.int64)
+    np.add.at(inflow, task * n + child[k], counts[task, rule[k]])
+    heads, tails = np.divmod(np.unique((task * n + grammar.lhs[rule[k]]) * n + child[k]), n)
+    certified = certify_counts(occurrences.ravel(), inflow, np.arange(tasks) * n
+                               + grammar.nt_index[grammar.root], heads, heads - heads % n + tails)
+    if certified is None:
+        raise NumericalError("rule counts that are not those of whole trees")
+    flat = by_lhs.ravel()
+    kept = np.flatnonzero(flat)
+    segment = kept // width * n + grammar.lhs[grammar.order][kept % width]
+    starts = np.flatnonzero(np.diff(segment, prepend=-1))
+    f, sentences = occurrences.astype(np.float64), certified[0].tolist()
+    values = np.empty((tasks, len(smoothers)))
+    for j, smoother in enumerate(smoothers):
+        h = np.zeros(tasks * n)
+        h[segment[starts]] = _RUNS[smoother](flat[kept], np.append(starts, kept.size))
+        values[:, j] = [math.fsum(row_f * row_h) / row_n for row_f, row_h, row_n
+                        in zip(f, h.reshape(tasks, n), sentences)]
+    return values
 
 
 def site_from_grammar(grammar: Pcfg, smoother: SmootherKind = SmootherKind.CWJ) -> float:

@@ -283,7 +283,7 @@ class Sampler:
     :meth:`sample_tree` builds the tree of the same draw.  Draws exceeding
     the node budget are rejected and retried; the retry count of the last
     draw is kept in `last_retries`.  Every draw takes its randomness from
-    the generator passed in.
+    the ``random()`` method of the generator passed in.
     """
 
     def __init__(self, grammar: Pcfg, max_nodes: int = DEFAULT_MAX_NODES):

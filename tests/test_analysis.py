@@ -18,7 +18,7 @@ from treebank_entropy.analysis import (
 )
 from treebank_entropy.errors import InputError
 from treebank_entropy.entropy import grammar_mlu
-from treebank_entropy.estimators import site
+from treebank_entropy.estimators import SmootherKind, site, site_from_grammar, site_rows
 from treebank_entropy.grammar import SYNTHETIC_ROOT, Pcfg, Rule, Sampler, induce
 from treebank_entropy.trees import (
     Corpus,
@@ -159,10 +159,19 @@ class TestConverge:
     def test_one_induction_per_task(self, monkeypatch):
         calls = count_inductions(monkeypatch)
         source = sampled_corpus(HIGH_ENTROPY, 40, 8)
+        built = []
+        for cls, method in ((grammar.Pcfg, "_intern"), (grammar.RuleCounts, "__init__"),
+                            (grammar.FreqTable, "__post_init__")):
+            def recording(self, *args, _real=getattr(cls, method), **kwargs):
+                built.append(type(self).__name__)
+                return _real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, method, recording)
         converge(source, sizes=[2, 5], replications=3,
                  estimators=DEFAULT_ESTIMATORS, seed=1)
-        # The truth grammar, then one sampled corpus per (replication, size).
-        assert calls == [40] + [2, 5] * 3
+        # The truth grammar only: each (replication, size) task is a row of
+        # rule counts over the truth's rules, with no grammar of its own.
+        assert calls == [40]
+        assert built == ["RuleCounts", "Pcfg"]
 
     @pytest.mark.parametrize("several_roots", [False, True])
     def test_mc_count_form_equals_tree_walk(self, several_roots):
@@ -176,11 +185,10 @@ class TestConverge:
             if several_roots:
                 trees = trees + [c for t in trees for c in t.children if c.children]
             corpus = Corpus(trees)
-            values, grammar = analysis._corpus_estimates(corpus, ("mc",))
+            grammar = induce(corpus)
             assert (grammar.root == SYNTHETIC_ROOT) == several_roots
-            assert values["mc"] == pytest.approx(
-                cross_entropy(grammar, corpus), rel=1e-12
-            )
+            (mc,) = site_rows(grammar, grammar.freq[None, :], [SmootherKind.ML])[0]
+            assert mc == pytest.approx(cross_entropy(grammar, corpus), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 7, 41])
     def test_draws_derivations_equal_to_reference_trees(self, seed, monkeypatch):
@@ -209,6 +217,70 @@ class TestConverge:
         monkeypatch.setattr("treebank_entropy.grammar.Tree", no_tree)
         monkeypatch.setattr("treebank_entropy.trees.Tree", no_tree)
         assert converge(source, **sweep) == expected
+
+    @pytest.mark.parametrize("several_roots", [False, True])
+    def test_count_rows_equal_per_task_grammars(self, several_roots, monkeypatch):
+        # Each row of a replication's count matrix gives what the grammar
+        # induced from that task's draws gives: SITE within 1e-12 relative,
+        # coverage exactly.
+        trees = sampled_corpus(scaffold_grammar(), 60, 8).sentences
+        if several_roots:
+            trees = trees + [c for t in trees[:20] for c in t.children if c.children]
+        source = Corpus(trees)
+        truth = induce(source)
+        assert (truth.root == SYNTHETIC_ROOT) == several_roots
+        sizes, replications = [1, 4, 30], 3
+        drawn, matrices = [], []
+
+        class RecordingSampler(Sampler):
+            def sample(self, rng):
+                drawn.append(super().sample(rng))
+                return drawn[-1]
+
+        def recording_site_rows(grammar, counts, smoothers):
+            values = site_rows(grammar, counts, smoothers)
+            matrices.append(values)
+            return values
+
+        monkeypatch.setattr(analysis, "Sampler", RecordingSampler)
+        monkeypatch.setattr(analysis, "site_rows", recording_site_rows)
+        estimators = ("ml", "site-cae", "site-cwj")
+        rows = converge(source, sizes=sizes, replications=replications,
+                        estimators=estimators, seed=5)
+        assert len(matrices) == replications
+        coverage = {}
+        for values in matrices:
+            assert values.shape == (len(sizes), len(estimators))
+            for size, row in zip(sizes, values):
+                task, drawn[:size] = drawn[:size], []
+                grammar = induce(CountedCorpus(task))
+                for value, est in zip(row, estimators):
+                    smoother = SmootherKind(est.split("-")[-1])
+                    assert value == pytest.approx(site_from_grammar(grammar, smoother),
+                                                  rel=1e-12, abs=0.0)
+                coverage.setdefault(size, []).append((
+                    100.0 * len(set(grammar.expansions)) / len(truth),
+                    100.0 * len(grammar.nonterminals) / len(truth.nonterminals),
+                ))
+        assert drawn == []
+        means = {(r.sample_size, r.estimator): r.mean for r in rows}
+        for size, pairs in coverage.items():
+            rules, nts = np.array(pairs).T
+            assert means[size, "coverage-rules"] == float(np.mean(rules))
+            assert means[size, "coverage-nonterminals"] == float(np.mean(nts))
+
+    @pytest.mark.parametrize("seed", [0, 3, 41, 2024])
+    @pytest.mark.parametrize("batch", [1, 7, analysis._UNIFORM_BATCH])
+    def test_batched_uniforms_draw_the_scalar_derivations(self, seed, batch,
+                                                          monkeypatch):
+        # 400 sentences take about 4,000 uniforms: every batch size ends
+        # batches inside sentences.
+        monkeypatch.setattr(analysis, "_UNIFORM_BATCH", batch)
+        sampler = Sampler(scaffold_grammar())
+        scalar = np.random.default_rng(seed)
+        expected = [sampler.sample(scalar) for _ in range(400)]
+        draws = analysis._uniforms(np.random.default_rng(seed))
+        assert [sampler.sample(draws) for _ in range(400)] == expected
 
 
 class TestIncremental:

@@ -592,6 +592,36 @@ def test_site_commands_leave_scipy_unloaded(treebank, tmp_path):
     assert loaded == []
 
 
+def test_commands_leave_fractions_and_decimal_unloaded(treebank, tmp_path):
+    # The digamma table is written out as floats: no command imports
+    # `fractions`, or `decimal` through it.
+    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    bank = str(treebank)
+    commands = [
+        ["site", "--no-preterminalize", bank],
+        ["rate", "--no-preterminalize", bank],
+        ["converge", "--no-preterminalize", "--sizes", "2,5", "--replications", "2",
+         "-o", str(tmp_path / "rows.csv"), bank],
+    ]
+    code = (
+        "import json, sys\n"
+        "from treebank_entropy.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted({'fractions', 'decimal'} & set(sys.modules))]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []
+
+
 PTB = """\
 ( (S (NP-SBJ (DT the) (NN dog)) (VP (VBD ran) (-NONE- *T*-1))) )
 (S (NP (PRP it)) (VP (VBZ sleeps) (ADVP (RB here))))

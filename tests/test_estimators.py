@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.special import digamma
 from oracles import (cross_entropy, random_enumerable_pcfg, reference_cwj_entropy,
                      reference_tail)
 from synthetic import sample_corpus, scaffold_grammar
-from treebank_entropy.entropy import derivational_entropy, entropy_from_probs
+from treebank_entropy.entropy import derivational_entropy, entropy_from_probs, entropy_runs
 from treebank_entropy.errors import EmptyInputError, InputError, OutOfGrammarError
 from treebank_entropy.estimators import (
     EstimateResult,
@@ -20,6 +21,7 @@ from treebank_entropy.estimators import (
     site,
     site_from_grammar,
     smoothed_local_entropies,
+    _RUNS,
     _cwj_entropies,
     _digamma,
     _tail_sums,
@@ -104,6 +106,20 @@ class TestCae:
     def test_exceeds_ml_with_many_singletons(self):
         t = table(*([1] * 20))
         assert cae_entropy(t) > ml_entropy(t)
+
+    @pytest.mark.parametrize("counts", [(2**70, 3), (3, 2**70), (2**70, 1, 2)])
+    def test_huge_total_finite_without_warning(self, counts):
+        # (1 - p)**n rounds to 1 for p near 1e-21, so a coverage of
+        # 1 - (1 - p)**n would be 0; -expm1(n log1p(-p)) is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = cae_entropy(table(*counts))
+        n = sum(counts)
+        p = good_turing_probs(table(*counts))
+        p = p[p < 1.0]
+        terms = -p * np.log2(p) / -np.expm1(n * np.log1p(-p))
+        assert math.isfinite(value)
+        assert value == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
 class TestCwj:
@@ -263,6 +279,47 @@ class TestCwjAgainstScipyReference:
             assert batched.tolist() == [
                 cwj_entropy(tables[nt]) for nt in grammar.nonterminals
             ]
+
+
+def bit_strings(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSegmentKernels:
+    """Every smoother is one kernel over ``(counts, bounds)``: a table's value
+    does not depend on the tables summed beside it."""
+
+    @staticmethod
+    def tables():
+        rng = np.random.default_rng(29)
+        tables = []
+        for length in (1, 7, 8, 9, 16, 129, 300):
+            tables.append(rng.integers(1, 3, length))  # singletons, doubletons
+            tables.append(rng.integers(1, 1000, length))
+        tables.extend(np.array(c) for c in ([1], [9], [1, 1], [2, 2], [1] * 130))
+        return tables
+
+    @pytest.mark.parametrize("smoother", list(SmootherKind))
+    def test_tables_side_by_side_equal_each_alone(self, smoother):
+        one_table = {SmootherKind.ML: ml_entropy, SmootherKind.CAE: cae_entropy,
+                     SmootherKind.CWJ: cwj_entropy}[smoother]
+        tables = self.tables()
+        alone = [one_table(table(*t.tolist())) for t in tables]
+        for order in (tables, tables[::-1]):
+            bounds = np.cumsum([0, *map(len, order)])
+            together = _RUNS[smoother](np.concatenate(order), bounds)
+            want = alone if order is tables else alone[::-1]
+            assert bit_strings(together) == bit_strings(want)
+
+    def test_plug_in_entropy_side_by_side_equals_each_alone(self):
+        # Zero probabilities are left out, an all-zero segment included.
+        segments = [t / t.sum() for t in self.tables()]
+        segments[3][::2] = 0.0
+        segments.append(np.zeros(4))
+        bounds = np.cumsum([0, *map(len, segments)])
+        together = entropy_runs(np.concatenate(segments), bounds)
+        assert bit_strings(together) == bit_strings(map(entropy_from_probs, segments))
+        assert entropy_from_probs(np.zeros(4)) == 0.0
 
 
 class TestEstimatorOrdering:
