@@ -1,4 +1,6 @@
 import argparse
+import errno
+import gc
 import json
 import os
 import subprocess
@@ -75,6 +77,31 @@ def xy_csv(tmp_path):
     path = tmp_path / "xy.csv"
     path.write_text("x,y\n1.0,2.1\n2.0,3.9\n3.0,6.1\n", encoding="utf-8")
     return path
+
+
+def _child_env(**overrides):
+    """This environment with the package's source on PYTHONPATH; an
+    override of None removes the variable."""
+    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    for key, value in overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def _cli_process(argv, env=None, stdout=subprocess.PIPE):
+    """`python -m treebank_entropy.cli` as a child process."""
+    return subprocess.run(
+        [sys.executable, "-m", "treebank_entropy.cli", *map(str, argv)],
+        env=env or _child_env(), stdout=stdout, stderr=subprocess.PIPE,
+        timeout=120,
+    )
 
 
 class TestBasicCommands:
@@ -541,11 +568,7 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
+    env = _child_env()
     code = (
         "import sys, treebank_entropy.cli; "
         "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
@@ -560,11 +583,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_site_commands_leave_scipy_unloaded(treebank, tmp_path):
     # CWJ evaluates digamma with its own integer kernel: no SITE command
     # may load any part of scipy.
-    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
+    env = _child_env()
     other = tmp_path / "bank2.mrg"
     other.write_text(treebank.read_text(encoding="utf-8"), encoding="utf-8")
     bank, flag = str(treebank), "--no-preterminalize"
@@ -595,11 +614,7 @@ def test_site_commands_leave_scipy_unloaded(treebank, tmp_path):
 def test_commands_leave_fractions_and_decimal_unloaded(treebank, tmp_path):
     # The digamma table is written out as floats: no command imports
     # `fractions`, or `decimal` through it.
-    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
+    env = _child_env()
     bank = str(treebank)
     commands = [
         ["site", "--no-preterminalize", bank],
@@ -665,3 +680,195 @@ def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
     assert main(["site", str(bad)]) == 2  # the counting reader raises the error itself
     assert calls == []
     assert "unbalanced" in capsys.readouterr().err
+
+
+DIVERGENT = "#root S\n0.6\t0\tS -> S S\n0.4\t0\tS -> a\n"
+
+
+class TestProcessEntry:
+    """`python -m treebank_entropy.cli` runs `cli.run`, which must print and
+    exit as an in-process `main()` call does."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["site", "--no-preterminalize", "{bank}"], 0),
+            (["rate", "--no-preterminalize", "{bank}"], 0),
+            (["report", "--no-preterminalize", "{bank}", "{other}"], 0),
+            (["incremental", "--no-preterminalize", "--order", "shuffled",
+              "{bank}", "{other}"], 0),
+            (["converge", "--no-preterminalize", "--sizes", "2,5",
+              "--replications", "2", "{bank}"], 0),
+            (["sample", "--grammar", "{grammar}", "-n", "50"], 0),
+            (["induce", "--no-preterminalize", "-o", "{out}", "{bank}"], 0),
+            (["site", "{missing}"], 2),
+            (["site", "{bad}"], 2),
+            (["rate", "--grammar", "{divergent}"], 3),
+        ],
+        ids=["site", "rate", "report", "incremental", "converge", "sample",
+             "induce", "missing-file", "malformed", "divergent"],
+    )
+    def test_same_as_main(
+        self, treebank, grammar_file, tmp_path, capsysbinary, argv, code
+    ):
+        names = {
+            "bank": treebank, "grammar": grammar_file,
+            "other": tmp_path / "other.mrg", "bad": tmp_path / "bad.mrg",
+            "divergent": tmp_path / "divergent.txt",
+            "missing": tmp_path / "missing.mrg",
+        }
+        names["other"].write_bytes(treebank.read_bytes())
+        names["bad"].write_text("((S (X x))", encoding="utf-8")
+        names["divergent"].write_text(DIVERGENT, encoding="utf-8")
+        main_out, child_out = tmp_path / "main.out", tmp_path / "child.out"
+        assert main([a.format(out=main_out, **names) for a in argv]) == code
+        expected = capsysbinary.readouterr()
+        child = _cli_process([a.format(out=child_out, **names) for a in argv])
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, expected.out, expected.err)
+        assert b"Traceback" not in child.stderr
+        if code == 3:
+            assert child.stderr.startswith(b"numerical error: ")
+        if "{out}" in argv:
+            assert child_out.read_bytes() == main_out.read_bytes()
+
+    def test_usage_error_exits_2(self):
+        child = _cli_process(["site"])
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert child.stderr.startswith(b"usage: treebank-entropy site")
+
+    def test_collector_off_and_no_finalization(self):
+        # An atexit handler would print at finalization: `run` skips it.
+        code = (
+            "import atexit, gc\n"
+            "import treebank_entropy.cli as cli\n"
+            "atexit.register(print, 'finalized')\n"
+            "cli.main = lambda: print('collector', gc.isenabled()) or 4\n"
+            "cli.run()\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True,
+            timeout=120,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            4, b"collector False\n", b"")
+
+    def test_bug_keeps_its_traceback(self):
+        code = (
+            "import treebank_entropy.cli as cli\n"
+            "cli.main = lambda: 1 / 0\n"
+            "cli.run()\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True,
+            timeout=120,
+        )
+        assert child.returncode == 1
+        assert child.stderr.startswith(b"Traceback")
+        assert b"ZeroDivisionError" in child.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+class TestUnflushableStdout:
+    """A stdout that takes no more output is an input error (exit 2), with
+    or without Python's own stdout buffer."""
+
+    @staticmethod
+    def _expected(code):
+        return f"error: [Errno {code}] {os.strerror(code)}\n".encode()
+
+    def test_closed_pipe(self, treebank, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = _cli_process(
+                ["rate", "--no-preterminalize", treebank],
+                env=_child_env(PYTHONUNBUFFERED=unbuffered), stdout=write,
+            )
+        finally:
+            os.close(write)
+        assert child.returncode == 2
+        assert child.stderr == self._expected(errno.EPIPE)
+
+    def test_full_device(self, treebank, unbuffered):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            child = _cli_process(
+                ["rate", "--no-preterminalize", treebank],
+                env=_child_env(PYTHONUNBUFFERED=unbuffered), stdout=full,
+            )
+        assert child.returncode == 2
+        assert child.stderr == self._expected(errno.ENOSPC)
+
+
+class TestCollectorOff:
+    """`run` turns the cyclic collector off, so no command may leave more
+    cyclic garbage on a larger input: only its argument parser's."""
+
+    @staticmethod
+    def _unreachable(argv):
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+        finally:
+            gc.enable()
+        return gc.collect()
+
+    def _assert_fixed(self, small, large):
+        self._unreachable(small)  # a first call may import or cache
+        assert self._unreachable(small) == self._unreachable(large)
+
+    def test_site_one_file_against_four(self, tmp_path, capsys):
+        files = []
+        for seed in range(4):
+            corpus = sample_corpus(Sampler(GRAMMAR), 50, np.random.default_rng(seed))
+            path = tmp_path / f"bank{seed}.mrg"
+            path.write_text(
+                "\n".join(write_bracketed(t) for t in corpus.sentences),
+                encoding="utf-8",
+            )
+            files.append(str(path))
+        self._assert_fixed(
+            ["site", "--no-preterminalize", files[0]],
+            ["site", "--no-preterminalize", *files],
+        )
+
+    def test_converge_replications(self, treebank, capsys):
+        argv = ["converge", "--no-preterminalize", "--sizes", "2,5",
+                str(treebank), "--replications"]
+        self._assert_fixed([*argv, "2"], [*argv, "8"])
+
+    def test_conllu_rate_use_form(self, tmp_path, capsys):
+        small, large = tmp_path / "small.conllu", tmp_path / "large.conllu"
+        small.write_text(CONLLU, encoding="utf-8")
+        large.write_text(
+            "\n".join(CONLLU.replace("birds", f"birds{i}") for i in range(4)),
+            encoding="utf-8",
+        )
+        argv = ["rate", "--format", "conllu", "--use-form"]
+        self._assert_fixed([*argv, str(small)], [*argv, str(large)])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_collector_as_found(self, treebank, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in (
+                (["rate", "--no-preterminalize", str(treebank)], 0),
+                (["rate", str(treebank.with_suffix(".missing"))], 2),
+            ):
+                result = main(argv)
+                assert type(result) is int and result == code
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["scripts"] == {"treebank-entropy": "treebank_entropy.cli:run"}
