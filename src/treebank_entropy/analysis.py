@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import EmptyInputError, InputError
-from .estimators import SmootherKind, site, site_from_grammar, site_rows
-from .grammar import RuleCounts, Sampler, induce
+from .errors import EmptyInputError, InputError, StructuralError
+from .estimators import SmootherKind, site, site_rows
+from .grammar import Pcfg, Sampler, induce
 from .trees import Corpus, CountedCorpus, corpus_mlu
 
 #: Sweep sizes spanning 1 to 15,000 sentences, evenly spaced in log scale.
@@ -94,6 +94,13 @@ def _uniforms(rng: np.random.Generator) -> SimpleNamespace:
     return SimpleNamespace(random=chain.from_iterable(batches).__next__)
 
 
+def _count_row(grammar: Pcfg, rules) -> np.ndarray:
+    """The counts of `grammar`'s rules among the ``(lhs, rhs)`` keys
+    `rules`, as one int64 row."""
+    ids = np.fromiter(map(grammar._rule_ids.__getitem__, rules), np.intp)
+    return np.bincount(ids, minlength=len(grammar))
+
+
 def converge(
     grammar_source: Corpus | CountedCorpus,
     sizes=DEFAULT_SIZES,
@@ -125,7 +132,6 @@ def converge(
             raise InputError(f"unknown estimator id '{est}'")
     truth = induce(grammar_source)
     sampler = Sampler(truth)
-    rule_ids = truth._rule_ids
     smoothers = list(dict.fromkeys(_SMOOTHER_OF[est] for est in estimators))
     columns = [smoothers.index(_SMOOTHER_OF[est]) for est in estimators]
     series = estimators + (COVERAGE_SERIES if coverage else ())
@@ -135,9 +141,8 @@ def converge(
         counts = np.empty((len(sizes), len(truth)), dtype=np.int64)
         for i, size in enumerate(sizes):
             draws = _uniforms(np.random.default_rng(np.random.SeedSequence((seed, rep, size))))
-            rules = chain.from_iterable(sampler.sample(draws).rules for _ in range(size))
-            counts[i] = np.bincount(np.fromiter(map(rule_ids.__getitem__, rules), np.intp),
-                                    minlength=len(truth))
+            counts[i] = _count_row(truth, chain.from_iterable(
+                sampler.sample(draws).rules for _ in range(size)))
         values = site_rows(truth, counts, smoothers)[:, columns]
         if coverage:
             seen = np.add.reduceat(counts[:, truth.order], truth.starts[:-1], axis=1)
@@ -175,11 +180,15 @@ def incremental(
     ``order='shuffled'`` all sentences are pooled, permuted with a seeded
     generator, and re-cut into chunks matching the original file sizes.  The
     endpoint is order-independent because the estimate only depends on the
-    accumulated multiset of trees.  Each chunk's rule counts are added to
-    running totals, so every sentence is counted once.
+    accumulated multiset of trees.  One rule table is induced from all
+    chunks in step order, and each chunk is counted once, into a row over
+    its rules; the rows' running sums are the prefixes' counts, estimated in
+    one :func:`~.estimators.site_rows` call.  The first chunk is checked as
+    its own grammar would be; a later prefix fails only where the whole does.
     """
     if len(files) < 2:
         raise InputError("incremental analysis needs at least two files")
+    smoother = SmootherKind(smoother)
     if order == "original":
         parts = [
             (c.source_id or f"file{i + 1:02d}", c.derivations())
@@ -189,23 +198,25 @@ def incremental(
         pool = [d for c in files for d in c.derivations()]
         rng = np.random.default_rng(seed)
         permuted = [pool[i] for i in rng.permutation(len(pool))]
-        parts = []
-        start = 0
-        for i, c in enumerate(files):
-            chunk = permuted[start:start + len(c.sentences)]
-            start += len(c.sentences)
-            parts.append((f"chunk{i + 1:02d}", chunk))
+        ends = accumulate(len(c) for c in files)
+        parts = [(f"chunk{i + 1:02d}", permuted[end - len(c):end])
+                 for i, (c, end) in enumerate(zip(files, ends))]
     else:
         raise InputError(f"unknown order '{order}'")
-    points = []
-    counts = RuleCounts()
-    total = 0
-    for step, (label, sentences) in enumerate(parts, start=1):
-        counts.add(sentences)
-        total += len(sentences)
-        value = site_from_grammar(counts.grammar(), smoother)
-        points.append(IncrementalPoint(step, label, total, value))
-    return points
+    first = parts[0][1]
+    if not first:
+        raise EmptyInputError("cannot induce a grammar from an empty corpus")
+    if len({d.root for d in first}) == 1 and not any(d.rules for d in first):
+        raise StructuralError("corpus contains no internal nodes")
+    table = induce(CountedCorpus([d for _, chunk in parts for d in chunk]))
+    root = table.root  # a synthetic root rewrites as each tree's root label
+    rows = [_count_row(table, chain.from_iterable(
+        d.rules if d.root == root else [(root, (d.root,)), *d.rules] for d in chunk))
+        for _, chunk in parts]
+    values = site_rows(table, np.cumsum(rows, axis=0), [smoother])[:, 0].tolist()
+    totals = accumulate(len(chunk) for _, chunk in parts)
+    return [IncrementalPoint(step, label, total, value) for step, ((label, _), total, value)
+            in enumerate(zip(parts, totals, values), start=1)]
 
 
 def file_reports(

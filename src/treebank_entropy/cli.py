@@ -414,11 +414,15 @@ def run() -> NoReturn:
 
     The commands make no reference cycles that grow with their input, and
     nothing is left open or registered with `atexit` once `main()` returns.
-    An unflushable stdout is an input error (exit 2).  An exception that
-    escapes `main()` (argparse's exits too) takes the normal exit.
+    argparse's exits (`--help`, usage errors) take the same flush with their
+    own code; an unflushable stdout is an input error (exit 2).  Any other
+    exception that escapes `main()` takes the normal exit.
     """
     gc.disable()
-    code = main()
+    try:
+        code = main()
+    except SystemExit as stop:  # argparse's, with an int or None
+        code = stop.code or 0
     try:
         sys.stdout.flush()
     except OSError as err:

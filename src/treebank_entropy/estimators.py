@@ -30,7 +30,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -234,13 +233,6 @@ def cwj_entropy(table: FreqTable) -> float:
     return float(_cwj_runs(*_one_table(table))[0])
 
 
-def _cwj_entropies(tables: list[FreqTable]) -> np.ndarray:
-    """:func:`cwj_entropy` of each table, with one ψ evaluation for all."""
-    sizes = [len(t.counts) for t in tables]
-    counts = list(chain.from_iterable(t.counts for t in tables))
-    return _cwj_runs(counts, np.cumsum([0, *sizes]))
-
-
 def _cwj_runs(counts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """:func:`cwj_entropy` of each table ``counts[bounds[k]:bounds[k + 1]]``.
 
@@ -280,12 +272,6 @@ _RUNS = {
     SmootherKind.CWJ: _cwj_runs,
 }
 
-#: The ML and CAE smoothers of one table: their kernels on one segment.
-_SMOOTHERS = {
-    SmootherKind.ML: ml_entropy,
-    SmootherKind.CAE: cae_entropy,
-}
-
 
 def smoothed_local_entropies(grammar: Pcfg, smoother: SmootherKind) -> np.ndarray:
     """Per-non-terminal local expansion entropies after bias correction."""
@@ -294,8 +280,9 @@ def smoothed_local_entropies(grammar: Pcfg, smoother: SmootherKind) -> np.ndarra
 
 def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     """SITE under each of `smoothers` (the columns) of each row of `counts`,
-    the counts of `grammar`'s rules in trees drawn from it: the value of the
-    grammar induced from those trees, with none built.
+    the counts of `grammar`'s rules in a set of its trees (a sample drawn
+    from it, a prefix of its corpus): the value of the grammar induced from
+    those trees, with none built.
 
     The rows are certified together (:func:`~.entropy.certify_counts`), and
     counts not of whole trees raise :class:`NumericalError`.  f_A are the

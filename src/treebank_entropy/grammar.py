@@ -192,9 +192,9 @@ class RuleCounts:
     `rules` counts ``(lhs, rhs)`` expansions and `roots` root labels, each
     in first-encounter order (a :class:`Counter` keeps insertion order);
     `leaves` holds every label seen on a leaf, for the alphabet check.
-    Counts of a union of corpora are the sums of their counts, and adding
-    derivations in corpus order keeps the first-encounter order of the
-    union.  Trees are counted through :func:`~.trees.derivation`.
+    Counted in one pass, corpora keep each prefix's own first-encounter
+    order among its rules, so one table serves every prefix.  Trees are
+    counted through :func:`~.trees.derivation`.
     """
 
     __slots__ = ("rules", "roots", "leaves")
@@ -203,10 +203,6 @@ class RuleCounts:
         self.rules: Counter[tuple[str, tuple[str, ...]]] = Counter()
         self.roots: Counter[str] = Counter()
         self.leaves: set[str] = set()
-        self.add(derivations)
-
-    def add(self, derivations: Iterable[Derivation]) -> None:
-        """Count every expansion, root and leaf of `derivations`."""
         for root, rules, leaves in derivations:
             self.roots[root] += 1
             self.rules.update(rules)

@@ -52,7 +52,7 @@ from treebank_entropy.errors import (
     SamplingDivergenceError,
     StructuralError,
 )
-from treebank_entropy.estimators import _SMOOTHERS, SmootherKind, _cwj_entropies
+from treebank_entropy.estimators import SmootherKind, cae_entropy, cwj_entropy, ml_entropy
 from treebank_entropy.grammar import (
     MAX_SAMPLE_RETRIES,
     PROPERNESS_TOL,
@@ -879,11 +879,9 @@ def reference_rule_freq_tables(grammar) -> dict[str, FreqTable]:
 def reference_smoothed_local_entropies(grammar, smoother) -> np.ndarray:
     smoother = SmootherKind(smoother)
     tables = reference_rule_freq_tables(grammar)
-    ordered = [tables[nt] for nt in grammar.nonterminals]
-    if smoother is SmootherKind.CWJ:
-        return _cwj_entropies(ordered)
-    estimator = _SMOOTHERS[smoother]
-    return np.array([estimator(t) for t in ordered])
+    estimator = {SmootherKind.ML: ml_entropy, SmootherKind.CAE: cae_entropy,
+                 SmootherKind.CWJ: cwj_entropy}[smoother]
+    return np.array([estimator(tables[nt]) for nt in grammar.nonterminals])
 
 
 def reference_count_totals(grammar, arrays=None) -> CountTotals | None:

@@ -80,6 +80,18 @@ def count_inductions(monkeypatch) -> list[int]:
     return calls
 
 
+def record_builds(monkeypatch) -> list[str]:
+    """Record the class of every `Pcfg`, `RuleCounts` and `FreqTable` built."""
+    built = []
+    for cls, method in ((grammar.Pcfg, "_intern"), (grammar.RuleCounts, "__init__"),
+                        (grammar.FreqTable, "__post_init__")):
+        def recording(self, *args, _real=getattr(cls, method), **kwargs):
+            built.append(type(self).__name__)
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, method, recording)
+    return built
+
+
 class TestConverge:
     def test_default_sizes(self):
         assert DEFAULT_SIZES == (
@@ -159,13 +171,7 @@ class TestConverge:
     def test_one_induction_per_task(self, monkeypatch):
         calls = count_inductions(monkeypatch)
         source = sampled_corpus(HIGH_ENTROPY, 40, 8)
-        built = []
-        for cls, method in ((grammar.Pcfg, "_intern"), (grammar.RuleCounts, "__init__"),
-                            (grammar.FreqTable, "__post_init__")):
-            def recording(self, *args, _real=getattr(cls, method), **kwargs):
-                built.append(type(self).__name__)
-                return _real(self, *args, **kwargs)
-            monkeypatch.setattr(cls, method, recording)
+        built = record_builds(monkeypatch)
         converge(source, sizes=[2, 5], replications=3,
                  estimators=DEFAULT_ESTIMATORS, seed=1)
         # The truth grammar only: each (replication, size) task is a row of
@@ -306,19 +312,38 @@ class TestIncremental:
             p.cumulative_sentences for p in original
         ]
 
-    def test_points_equal_site_of_each_prefix(self, monkeypatch):
-        files = [
-            sampled_corpus(LOW_ENTROPY, 30, 31),
-            sampled_corpus(HIGH_ENTROPY, 50, 32),
-            sampled_corpus(LOW_ENTROPY, 20, 33),
-        ]
+    @pytest.mark.parametrize("several_roots", [False, True],
+                             ids=["one_root", "several_roots"])
+    @pytest.mark.parametrize("smoother", list(SmootherKind), ids=lambda s: s.value)
+    @pytest.mark.parametrize("order", ["original", "shuffled"])
+    def test_points_equal_site_of_each_prefix(self, order, smoother, several_roots,
+                                              monkeypatch):
+        # Every point has the bits of SITE of its prefix's own grammar, though
+        # all come from one table induced from the whole input and the running
+        # sums of its count rows.  With several root labels the table's
+        # synthetic root is not every prefix's: in original order the first
+        # prefix has only S.
+        files = [sampled_corpus(scaffold_grammar(), size, seed)
+                 for size, seed in ((30, 31), (50, 32), (20, 33))]
+        if several_roots:
+            trees = files[1].sentences
+            files[1] = Corpus(trees + [c for t in trees[:10] for c in t.children
+                                       if c.children])
+        pool = [t for c in files for t in c.sentences]
         calls = count_inductions(monkeypatch)
-        points = incremental(files, order="original")
-        assert calls == []  # running counts: no corpus is re-induced
-        prefix = []
+        built = record_builds(monkeypatch)
+        points = incremental(files, order=order, seed=5, smoother=smoother)
+        # One table for all steps: no prefix is induced.
+        assert calls == [len(pool)]
+        assert built == ["RuleCounts", "Pcfg"]
+        if order == "shuffled":
+            pool = [pool[i] for i in np.random.default_rng(5).permutation(len(pool))]
+        assert induce(Corpus(pool)).root == (SYNTHETIC_ROOT if several_roots else "S")
+        start = 0
         for point, corpus in zip(points, files):
-            prefix.extend(corpus.sentences)
-            assert point.entropy == site(Corpus(list(prefix))).value
+            start += len(corpus)
+            assert point.cumulative_sentences == start
+            assert point.entropy == site(Corpus(pool[:start]), smoother).value
 
     def test_heterogeneous_original_order_non_monotone(self):
         files = [

@@ -802,6 +802,53 @@ class TestUnflushableStdout:
         assert child.returncode == 2
         assert child.stderr == self._expected(errno.ENOSPC)
 
+    def test_help_to_full_device(self, unbuffered):
+        # argparse's exit takes the same flush.  Unbuffered, argparse itself
+        # drops its failed write, and nothing is left to flush.
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            child = _cli_process(
+                ["--help"], env=_child_env(PYTHONUNBUFFERED=unbuffered), stdout=full,
+            )
+        if unbuffered:
+            assert (child.returncode, child.stderr) == (0, b"")
+        else:
+            assert child.returncode == 2
+            assert child.stderr == self._expected(errno.ENOSPC)
+
+
+class TestIncrementalInputs:
+    """`incremental` fails where the grammar of its first prefix would, with
+    the same message, though it induces only the whole input's."""
+
+    TWO_TREES = "(S (NP a) (VP b))\n(S (NP c))\n"
+
+    @staticmethod
+    def _run(tmp_path, capsys, *texts):
+        paths = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"part{i}.mrg"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        code = main(["incremental", *paths])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("first, message", [
+        ("", "cannot induce a grammar from an empty corpus"),
+        ("(NN dog)\n", "corpus contains no internal nodes"),  # a bare leaf
+    ], ids=["empty", "bare_leaf"])
+    def test_first_file_errors(self, tmp_path, capsys, first, message):
+        code, out = self._run(tmp_path, capsys, first, self.TWO_TREES)
+        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+
+    def test_empty_middle_file_repeats_the_previous_value(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, capsys, self.TWO_TREES, "", self.TWO_TREES)
+        assert code == 0
+        rows = [line.split(",") for line in out.out.splitlines()[2:]]
+        assert [row[2] for row in rows] == ["2", "2", "4"]
+        assert rows[1][3] == rows[0][3] != rows[2][3]
+
 
 class TestCollectorOff:
     """`run` turns the cyclic collector off, so no command may leave more
