@@ -61,7 +61,6 @@ from .grammar import (
     Sampler,
     induce,
     read_grammar,
-    rule_freq_tables,
     sample,
     tree_probability,
     write_grammar,

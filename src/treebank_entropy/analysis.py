@@ -145,7 +145,8 @@ def converge(
                 sampler.sample(draws).rules for _ in range(size)))
         values = site_rows(truth, counts, smoothers)[:, columns]
         if coverage:
-            seen = np.add.reduceat(counts[:, truth.order], truth.starts[:-1], axis=1)
+            seen = np.add.reduceat(np.take(counts, truth.order, axis=1),
+                                   truth.starts[:-1], axis=1)
             values = np.column_stack((
                 values,
                 100.0 * np.count_nonzero(counts, axis=1) / len(truth),

@@ -36,11 +36,6 @@ class DepGraph:
     def __len__(self):
         return len(self.tokens)
 
-    @property
-    def root(self) -> int:
-        """1-based index of the root token."""
-        return self.heads.index(0) + 1
-
     def validate(self) -> None:
         """Check the single-root and treeness invariants."""
         self._walk()
@@ -51,13 +46,6 @@ class DepGraph:
         if not (len(self.heads) == len(self.labels) == len(self.tokens)):
             raise StructuralError(f"{ident}: field lengths disagree")
         return _tree_walk(self.heads, ident)
-
-    def dependents(self) -> list[list[int]]:
-        """For each 1-based head position, its dependents in surface order."""
-        out: list[list[int]] = [[] for _ in range(len(self.tokens) + 1)]
-        for i, h in enumerate(self.heads, start=1):
-            out[h].append(i)
-        return out
 
 
 def _tree_walk(heads: list[int], ident: str):

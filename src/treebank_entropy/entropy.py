@@ -11,8 +11,10 @@ emitted symbol.  No eigensolver runs, and two paths give that root row:
 
 * A relative-frequency grammar (an induced one, or a file that ``induce``
   wrote) needs no M: the root row of (I - M)^-1 is f / N, f_A the
-  occurrences of A in the N counted trees, and its counts certify the
-  spectral radius below one in integers (:func:`count_totals`).
+  occurrences of A in the N counted trees (:func:`count_totals`).  Its
+  counts certify the spectral radius below one in integers, as any one row
+  of rule counts of whole trees does for the rules it uses
+  (:func:`certify_counts`, which SITE's rows go through too).
 * Any other grammar is solved: one factorization of I - M solves
   [1 | l | h], and c = (I - M)^-1 1 must be positive with (I - M) c
   positive with margin, which certifies the spectral radius below one
@@ -355,20 +357,16 @@ class CountTotals(NamedTuple):
     blocks: tuple  # M's strongly connected blocks (`_block_labels`)
 
 
-def count_totals(grammar: Pcfg, children=None, entries=None) -> CountTotals | None:
+def count_totals(grammar: Pcfg, children=None) -> CountTotals | None:
     """f_A, N and T of a grammar that is the relative-frequency grammar of
     its own rule frequencies, certified; None for any other grammar.
 
     Every probability must be the float f_r / f_A that
-    :func:`~.grammar.induce` computes, and the counts must pass
-    :func:`certify_counts`.  `children` and `entries`, when given, are the
-    grammar's :func:`_children` and :func:`_entries`.
+    :func:`~.grammar.induce` computes, and the frequencies must pass
+    :func:`certify_counts`.  `children`, when given, is the grammar's
+    :func:`_children`.
     """
-    children = children or _children(grammar)
-    entries = entries or _entries(grammar, *children[:2])
-    rule, child, emitted = children
-    rows, cols, _ = entries
-    n = len(grammar.nonterminals)
+    rule, _, emitted = children or _children(grammar)
     try:
         freq = grammar.freq.astype(np.float64)
     except OverflowError:
@@ -377,25 +375,25 @@ def count_totals(grammar: Pcfg, children=None, entries=None) -> CountTotals | No
     if not ((freq >= 1).all()
             and freq.sum() + freq[rule].sum() + freq @ emitted < 2.0**53):
         return None
-    occurrences = np.bincount(grammar.lhs, freq, minlength=n)
+    occurrences = np.bincount(grammar.lhs, freq, minlength=len(grammar.nonterminals))
     if not (grammar.prob == freq / occurrences[grammar.lhs]).all():
         return None
-    certified = certify_counts(occurrences, np.bincount(child, freq[rule], minlength=n),
-                               np.array([grammar.nt_index[grammar.root]]), rows, cols)
+    certified = certify_counts(grammar, grammar.freq)
     if certified is None:
         return None
     sentences, found = certified
-    return CountTotals(occurrences, int(sentences[0]), int(freq @ emitted), found)
+    return CountTotals(occurrences, sentences, int(freq @ emitted), found)
 
 
-def certify_counts(occurrences, inflow, roots, rows, cols):
-    """N per root, and the strongly connected blocks (:func:`_block_labels`)
-    of M's pattern, edges `rows` (sorted) -> `cols`, if the counts are those
-    of whole trees and certify a spectral radius below one; None if they are
-    not.  Several grammars' vertices may lie side by side, one root each.
+def certify_counts(grammar: Pcfg, counts: np.ndarray):
+    """N, and the strongly connected blocks (:func:`_block_labels`) of the
+    pattern of M over the rules with a positive count, if `counts` (one
+    int64 count per rule of `grammar`) are the rule counts of N whole trees
+    from the grammar's root and certify a spectral radius below one; None
+    if they are not the counts of whole trees.
 
-    The roots identity: f_A - `inflow`_A, the occurrences of A less those on
-    right-hand sides, must be zero except at the roots, where it is N > 0.
+    The roots identity: f_A - i_A, the occurrences of A less those on
+    right-hand sides, must be zero except at the root, where it is N > 0.
     Then z = f / N solves z^T (I - M) = e_root^T.  I - M is non-singular when
     every strongly connected block of M with occurrences receives one from
     outside itself (the root, or a child of a rule whose left-hand side lies
@@ -403,16 +401,26 @@ def certify_counts(occurrences, inflow, roots, rows, cols):
     each irreducible block, so its spectral radius is below one (Seneta,
     *Non-negative Matrices and Markov Chains*, Thm 1.6; cf. Chi 1999).  A
     block that receives none has radius one: :class:`DivergentGrammarError`.
+    Each sum is taken in int64.
     """
-    free = occurrences - inflow
-    sentences = free[roots]
-    free[roots] = 0
-    if not (sentences > 0).all() or free.any():
+    n = len(grammar.nonterminals)
+    rule, child, _ = _children(grammar)
+    used = counts[rule] > 0
+    rule, child = rule[used], child[used]
+    occurrences = np.zeros(n, dtype=np.int64)
+    np.add.at(occurrences, grammar.lhs, counts)
+    free = occurrences.copy()
+    np.subtract.at(free, child, counts[rule])
+    root = grammar.nt_index[grammar.root]
+    sentences = int(free[root])
+    free[root] = 0
+    if sentences <= 0 or free.any():
         return None
-    found = _block_labels(len(occurrences), rows, cols)
+    rows, cols, _ = _entries(grammar, rule, child)
+    found = _block_labels(n, rows, cols)
     blocks, label, _ = found
     fed = np.zeros(len(blocks), dtype=bool)
-    fed[label[roots]] = True
+    fed[label[root]] = True
     fed[label[cols[label[rows] != label[cols]]]] = True
     fed[label[occurrences == 0]] = True  # nothing to feed
     if not fed.all():
@@ -424,32 +432,26 @@ def certify_counts(occurrences, inflow, roots, rows, cols):
     return sentences, found
 
 
-def root_values(grammar: Pcfg, entropies=None) -> np.ndarray:
-    """The root row of (I - M)^-1 [local lengths | entropies]: the grammar's
-    MLU, then its derivational entropy under each column of `entropies` (by
-    default its own local entropies).
+def root_values(grammar: Pcfg) -> np.ndarray:
+    """The root row of (I - M)^-1 [local lengths | local entropies]: the
+    grammar's MLU and its derivational entropy.
 
     A relative-frequency grammar (:func:`count_totals`) needs no M: the MLU
-    is T / N and each entropy sum_A f_A h_A / N, the sum correctly rounded.
+    is T / N and the entropy sum_A f_A h_A / N, the sum correctly rounded.
     Any other grammar is solved (:func:`solve_system`).
     """
-    return _root_row(grammar, entropies, count_totals(grammar))
+    return _root_row(grammar, count_totals(grammar))
 
 
-def _root_row(grammar: Pcfg, entropies, totals: CountTotals | None) -> np.ndarray:
+def _root_row(grammar: Pcfg, totals: CountTotals | None) -> np.ndarray:
     """:func:`root_values`, given the grammar's :func:`count_totals`."""
-    if entropies is None:
-        entropies = local_entropies(grammar)
+    entropies = local_entropies(grammar)
     if totals is None:
         x = solve_system(characteristic_matrix(grammar),
                          np.column_stack((local_lengths(grammar), entropies)))
         return x[grammar.nt_index[grammar.root]]
     n = totals.sentences
-    columns = np.asarray(entropies, dtype=np.float64).reshape(len(totals.occurrences), -1)
-    return np.array([
-        totals.terminals / n,
-        *(math.fsum(totals.occurrences * h) / n for h in columns.T),
-    ])
+    return np.array([totals.terminals / n, math.fsum(totals.occurrences * entropies) / n])
 
 
 def derivational_entropy(grammar: Pcfg) -> float:
@@ -476,11 +478,11 @@ class RateReport:
 def entropy_rate(grammar: Pcfg) -> RateReport:
     """Derivational entropy rate: bits of tree entropy per emitted symbol."""
     children = _children(grammar)
-    rows, cols, weights = entries = _entries(grammar, *children[:2])
-    totals = count_totals(grammar, children, entries)
+    rows, cols, weights = _entries(grammar, *children[:2])
+    totals = count_totals(grammar, children)
     # Either path certifies rho(M) < 1 or raises DivergentGrammarError; the
     # solve also rejects a negative or non-finite probability.
-    mlu, entropy = map(float, _root_row(grammar, None, totals))
+    mlu, entropy = map(float, _root_row(grammar, totals))
     if mlu <= 0.0:
         raise NumericalError(f"expected length {mlu} is not positive")
     positive = weights > 0  # all of them on the count path

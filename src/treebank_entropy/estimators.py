@@ -14,14 +14,17 @@ keeps its spectral radius below one), while the vector of local expansion
 entropies is replaced component-wise by a bias-corrected estimate computed
 from each non-terminal's observed expansion frequencies.  The smoothed
 induced treebank entropy (SITE) is the root component of (I - M)^-1 applied
-to that vector: for an induced grammar, or a file written from one, that is
-sum_A f_A h_A / N over its counts, with no M and no solve, the counts
-certifying the spectral radius (:func:`~.entropy.count_totals`); a grammar
-whose probabilities are not its relative frequencies is solved.  With the
-plain ML smoother the composition reproduces the exact entropy of the
-induced grammar bit for bit.  Each smoother is one kernel over tables laid
-side by side, a table's value not depending on its neighbours, so a sweep
-smooths the tables of all its samples in one call (:func:`site_rows`).
+to that vector, which for the rule counts of whole trees is sum_A f_A h_A /
+N, with no M and no solve, the counts certifying the spectral radius
+(:func:`~.entropy.certify_counts`).  SITE is therefore a function of rule
+counts alone, and one function computes it from rows of counts over one
+grammar (:func:`site_rows`): :func:`site` gives it the one row of the
+grammar induced from a corpus, a sweep one row per sample and an
+incremental run one row per prefix.  With the plain ML smoother it
+reproduces the exact entropy of the induced grammar bit for bit.  Each
+smoother is one kernel over tables laid side by side, a table's value not
+depending on its neighbours, so the tables of all rows are smoothed in one
+call.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _children, certify_counts, entropy_runs, root_values, segment_sums
-from .errors import InputError, NumericalError
-from .grammar import FreqTable, Pcfg, induce, observed_counts
+from .entropy import certify_counts, entropy_runs, segment_sums
+from .errors import DivergentGrammarError, InputError, NumericalError
+from .grammar import FreqTable, Pcfg, induce
 from .trees import Corpus, CountedCorpus
 
 _LN2 = math.log(2.0)
@@ -273,41 +276,35 @@ _RUNS = {
 }
 
 
-def smoothed_local_entropies(grammar: Pcfg, smoother: SmootherKind) -> np.ndarray:
-    """Per-non-terminal local expansion entropies after bias correction."""
-    return _RUNS[SmootherKind(smoother)](*observed_counts(grammar))
-
-
 def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     """SITE under each of `smoothers` (the columns) of each row of `counts`,
-    the counts of `grammar`'s rules in a set of its trees (a sample drawn
-    from it, a prefix of its corpus): the value of the grammar induced from
-    those trees, with none built.
+    the int64 counts of `grammar`'s rules in a set of its trees (a corpus, a
+    sample drawn from the grammar, a prefix of its corpus): the value of the
+    grammar induced from those trees, with none built.
 
-    The rows are certified together (:func:`~.entropy.certify_counts`), and
-    counts not of whole trees raise :class:`NumericalError`.  f_A are the
-    segment sums of a row in `Pcfg.order`, each smoother runs once over the
-    positive counts of every row, and a row's value is sum_A f_A h_A / N,
-    as :func:`~.entropy.root_values` takes it.
+    Each row is certified on its own (:func:`~.entropy.certify_counts`);
+    counts not of whole trees raise :class:`NumericalError`, and an error
+    names its row.  f_A are the segment sums of a row in `Pcfg.order`, each
+    smoother runs once over the positive counts of every row, and a row's
+    value is sum_A f_A h_A / N, the sum correctly rounded.
     """
     tasks, width = counts.shape
     n = len(grammar.nonterminals)
-    by_lhs = counts[:, grammar.order]
-    occurrences = np.add.reduceat(by_lhs, grammar.starts[:-1], axis=1)
-    rule, child, _ = _children(grammar)
-    task, k = np.nonzero(counts[:, rule])  # task t's non-terminal A is vertex t n + A
-    inflow = np.zeros(tasks * n, dtype=np.int64)
-    np.add.at(inflow, task * n + child[k], counts[task, rule[k]])
-    heads, tails = np.divmod(np.unique((task * n + grammar.lhs[rule[k]]) * n + child[k]), n)
-    certified = certify_counts(occurrences.ravel(), inflow, np.arange(tasks) * n
-                               + grammar.nt_index[grammar.root], heads, heads - heads % n + tails)
-    if certified is None:
-        raise NumericalError("rule counts that are not those of whole trees")
+    sentences = []
+    for t, row in enumerate(counts):
+        try:
+            certified = certify_counts(grammar, row)
+        except DivergentGrammarError as err:
+            raise DivergentGrammarError(f"row {t}: {err}") from None
+        if certified is None:
+            raise NumericalError(f"row {t}: rule counts that are not those of whole trees")
+        sentences.append(certified[0])
+    by_lhs = np.take(counts, grammar.order, axis=1)  # C order: ravel() is a view
+    f = np.add.reduceat(by_lhs, grammar.starts[:-1], axis=1).astype(np.float64)
     flat = by_lhs.ravel()
     kept = np.flatnonzero(flat)
     segment = kept // width * n + grammar.lhs[grammar.order][kept % width]
     starts = np.flatnonzero(np.diff(segment, prepend=-1))
-    f, sentences = occurrences.astype(np.float64), certified[0].tolist()
     values = np.empty((tasks, len(smoothers)))
     for j, smoother in enumerate(smoothers):
         h = np.zeros(tasks * n)
@@ -317,16 +314,12 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     return values
 
 
-def site_from_grammar(grammar: Pcfg, smoother: SmootherKind = SmootherKind.CWJ) -> float:
-    """SITE value of an induced grammar (frequency counts required)."""
-    return float(root_values(grammar, smoothed_local_entropies(grammar, smoother))[1])
-
-
 def site(
     corpus: Corpus | CountedCorpus, smoother: SmootherKind = SmootherKind.CWJ
 ) -> EstimateResult:
-    """Smoothed induced treebank entropy of a corpus, in bits."""
+    """Smoothed induced treebank entropy of a corpus, in bits: the one row
+    of the induced grammar's own frequencies (:func:`site_rows`)."""
     smoother = SmootherKind(smoother)
-    grammar = induce(corpus)
-    value = site_from_grammar(grammar, smoother)
+    table = induce(corpus)
+    value = float(site_rows(table, table.freq[None], [smoother])[0, 0])
     return EstimateResult(value, f"site-{smoother.value}", len(corpus))

@@ -356,27 +356,6 @@ def sample(
     return Sampler(grammar, max_nodes).sample_tree(np.random.default_rng(seed))
 
 
-def observed_counts(grammar: Pcfg) -> tuple[np.ndarray, np.ndarray]:
-    """Observed expansion frequencies, each non-terminal's in rule order:
-    the frequencies sorted by left-hand side, and `Pcfg.starts`."""
-    low = grammar.freq < 1
-    if low.any():
-        raise StructuralError(
-            f"'{grammar.nonterminals[grammar.lhs[low].min()]}' has rules without "
-            "frequency counts; induce the grammar from a corpus to retain them"
-        )
-    return grammar.freq[grammar.order], grammar.starts
-
-
-def rule_freq_tables(grammar: Pcfg) -> dict[str, FreqTable]:
-    """Observed expansion frequencies of every non-terminal, in rule order."""
-    counts, bounds = observed_counts(grammar)
-    return {
-        nt: FreqTable(tuple(c.tolist()))
-        for nt, c in zip(grammar.nonterminals, np.split(counts, bounds[1:-1]))
-    }
-
-
 def dumps(grammar: Pcfg) -> str:
     """Serialize to text: a ``#root`` header plus one rule per line
     ``prob<TAB>freq<TAB>lhs -> rhs1 rhs2 ...``.

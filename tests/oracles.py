@@ -313,15 +313,24 @@ def random_dependency_graph(rng: np.random.Generator, n: int) -> DepGraph:
     return DepGraph(tokens=[(t, t) for t in tags], heads=heads, labels=labels)
 
 
+def dependents(graph: DepGraph) -> list[list[int]]:
+    """For each 1-based head position, its dependents in surface order;
+    position 0 holds the root."""
+    out: list[list[int]] = [[] for _ in range(len(graph.tokens) + 1)]
+    for i, h in enumerate(graph.heads, start=1):
+        out[h].append(i)
+    return out
+
+
 def reference_crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
     """Arcs (head, dependent) with a token inside their surface interval
     that the head does not dominate, checked against each head's
     projection as a set."""
     n = len(graph)
     spans = [set() for _ in range(n + 1)]
-    deps = graph.dependents()
+    deps = dependents(graph)
     order = []
-    stack = [graph.root]
+    stack = list(deps[0])
     while stack:
         node = stack.pop()
         order.append(node)
@@ -930,6 +939,13 @@ def reference_root_row(grammar, entropies, totals) -> np.ndarray:
         totals.terminals / n,
         *(math.fsum(totals.occurrences * h) / n for h in columns.T),
     ])
+
+
+def reference_site(grammar, smoother) -> float:
+    """SITE of a grammar's frequencies: each non-terminal's table smoothed
+    on its own, then the root row."""
+    entropies = reference_smoothed_local_entropies(grammar, smoother)
+    return float(reference_root_row(grammar, entropies, reference_count_totals(grammar))[1])
 
 
 def reference_entropy_rate(grammar) -> RateReport:

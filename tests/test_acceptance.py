@@ -27,7 +27,6 @@ from treebank_entropy.estimators import (
     cwj_entropy,
     ml_entropy,
     site,
-    site_from_grammar,
 )
 from treebank_entropy.grammar import FreqTable, Pcfg, Rule, Sampler, induce
 from treebank_entropy.trees import Corpus, corpus_mlu, read_bracketed
@@ -250,9 +249,7 @@ def test_criterion_6_proportionality(reference):
     for n in sizes:
         corpus = synthetic.sample_corpus(sampler, int(n), rng)
         mlus.append(corpus_mlu(corpus))
-        entropies.append(
-            site_from_grammar(induce(corpus), SmootherKind.CWJ)
-        )
+        entropies.append(site(corpus, SmootherKind.CWJ).value)
         log_sizes.append(math.log(int(n)))
     mlus = np.array(mlus)
     entropies = np.array(entropies)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import cross_entropy, reference_sample
+from oracles import cross_entropy, reference_sample, reference_site
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy import analysis, estimators, grammar
 from treebank_entropy.analysis import (
@@ -18,7 +18,7 @@ from treebank_entropy.analysis import (
 )
 from treebank_entropy.errors import InputError
 from treebank_entropy.entropy import grammar_mlu
-from treebank_entropy.estimators import SmootherKind, site, site_from_grammar, site_rows
+from treebank_entropy.estimators import SmootherKind, site, site_rows
 from treebank_entropy.grammar import SYNTHETIC_ROOT, Pcfg, Rule, Sampler, induce
 from treebank_entropy.trees import (
     Corpus,
@@ -262,7 +262,7 @@ class TestConverge:
                 grammar = induce(CountedCorpus(task))
                 for value, est in zip(row, estimators):
                     smoother = SmootherKind(est.split("-")[-1])
-                    assert value == pytest.approx(site_from_grammar(grammar, smoother),
+                    assert value == pytest.approx(reference_site(grammar, smoother),
                                                   rel=1e-12, abs=0.0)
                 coverage.setdefault(size, []).append((
                     100.0 * len(set(grammar.expansions)) / len(truth),

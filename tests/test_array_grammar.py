@@ -19,6 +19,7 @@ from oracles import (
     reference_loads,
     reference_local_entropies,
     reference_matrix,
+    reference_root_row,
     reference_rule_arrays,
     reference_rule_freq_tables,
     reference_sampler_tables,
@@ -28,7 +29,7 @@ from oracles import (
 from test_properties import CORPORA, _SYMBOLS
 from treebank_entropy import entropy
 from treebank_entropy.errors import TreebankEntropyError
-from treebank_entropy.estimators import SmootherKind, smoothed_local_entropies
+from treebank_entropy.estimators import _RUNS, SmootherKind, site_rows
 from treebank_entropy.grammar import (
     SYNTHETIC_ROOT,
     Pcfg,
@@ -37,7 +38,6 @@ from treebank_entropy.grammar import (
     Sampler,
     dumps,
     loads,
-    rule_freq_tables,
     tree_probability,
 )
 from treebank_entropy.trees import derivation
@@ -143,18 +143,25 @@ def assert_same(grammar: Pcfg, reference: ReferencePcfg, through_file=True):
     assert bits(entropy.local_entropies(grammar)) == bits(
         reference_local_entropies(reference))
 
-    # The frequency tables and every smoother's estimate.
-    assert outcome(rule_freq_tables, grammar) == outcome(
-        reference_rule_freq_tables, reference)
+    # Every smoother's kernel over the frequency tables, where each count is
+    # positive, and SITE where the frequencies are the counts of whole trees.
+    tables = outcome(reference_rule_freq_tables, reference)
+    totals = outcome(reference_count_totals, reference)
     for smoother in SmootherKind:
-        got = outcome(smoothed_local_entropies, grammar, smoother)
         want = outcome(reference_smoothed_local_entropies, reference, smoother)
-        if isinstance(want, np.ndarray):
-            assert bits(got) == bits(want)
-        else:
-            assert got == want
-        # Counts beyond int64 (CWJ) or beyond a float (ML, CAE) are an input error.
-        assert not isinstance(got, tuple) or got[0] is not OverflowError
+        if isinstance(tables, dict):
+            got = outcome(_RUNS[smoother], grammar.freq[grammar.order], grammar.starts)
+            if isinstance(want, np.ndarray):
+                assert bits(got) == bits(want)
+            else:
+                assert got == want
+            # Counts beyond int64 (CWJ) or beyond a float (ML, CAE) are an input error.
+            assert not isinstance(got, tuple) or got[0] is not OverflowError
+        if isinstance(totals, entropy.CountTotals):
+            got = site_rows(grammar, grammar.freq[None], [smoother])[0]
+            assert float_bits(got) == float_bits([reference_root_row(reference, want, totals)[1]])
+        elif totals is not None:  # a block of M that nothing feeds
+            assert outcome(site_rows, grammar, grammar.freq[None], [smoother])[0] is totals[0]
 
     # The count path, the rate and the radius.
     got, want = outcome(entropy.count_totals, grammar), outcome(

