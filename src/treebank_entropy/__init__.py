@@ -16,6 +16,7 @@ from .conllu import DepGraph, parse_conllu, read_conllu
 from .depconv import (
     ConversionConfig,
     count_conllu,
+    counted_conllu,
     dep_to_tree,
     graphs_to_corpus,
     is_projective,
@@ -69,9 +70,11 @@ from .trees import (
     Corpus,
     CountedCorpus,
     Derivation,
+    RuleTable,
     Tree,
     corpus_mlu,
     count_bracketed,
+    counted_bracketed,
     derivation,
     parse_bracketed,
     read_bracketed,

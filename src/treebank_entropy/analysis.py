@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import EmptyInputError, InputError, StructuralError
 from .estimators import SmootherKind, site, site_rows
-from .grammar import Pcfg, Sampler, induce
-from .trees import Corpus, CountedCorpus, corpus_mlu
+from .grammar import Pcfg, Sampler, _induce, induce
+from .trees import Corpus, CountedCorpus, RuleTable, corpus_mlu, counted, merge
 
 #: Sweep sizes spanning 1 to 15,000 sentences, evenly spaced in log scale.
 DEFAULT_SIZES = (
@@ -181,43 +181,50 @@ def incremental(
     ``order='shuffled'`` all sentences are pooled, permuted with a seeded
     generator, and re-cut into chunks matching the original file sizes.  The
     endpoint is order-independent because the estimate only depends on the
-    accumulated multiset of trees.  One rule table is induced from all
-    chunks in step order, and each chunk is counted once, into a row over
-    its rules; the rows' running sums are the prefixes' counts, estimated in
-    one :func:`~.estimators.site_rows` call.  The first chunk is checked as
-    its own grammar would be; a later prefix fails only where the whole does.
+    accumulated multiset of trees.  One rule table is induced from the
+    pooled rule ids in step order, and each chunk's ids are counted with
+    one ``bincount`` into a row over its rules; the rows' running sums are
+    the prefixes' counts, estimated in one :func:`~.estimators.site_rows`
+    call.  The first chunk is checked as its own grammar would be; a later
+    prefix fails only where the whole does.
     """
     if len(files) < 2:
         raise InputError("incremental analysis needs at least two files")
     smoother = SmootherKind(smoother)
-    if order == "original":
-        parts = [
-            (c.source_id or f"file{i + 1:02d}", c.derivations())
-            for i, c in enumerate(files)
-        ]
-    elif order == "shuffled":
-        pool = [d for c in files for d in c.derivations()]
-        rng = np.random.default_rng(seed)
-        permuted = [pool[i] for i in rng.permutation(len(pool))]
-        ends = accumulate(len(c) for c in files)
-        parts = [(f"chunk{i + 1:02d}", permuted[end - len(c):end])
-                 for i, (c, end) in enumerate(zip(files, ends))]
-    else:
+    if order not in ("original", "shuffled"):
         raise InputError(f"unknown order '{order}'")
-    first = parts[0][1]
-    if not first:
+    table = RuleTable()
+    pool = merge([counted(c, table) for c in files])
+    sizes = [len(c) for c in files]
+    ids, lengths, roots = pool.ids, np.diff(pool.offsets), pool.roots
+    if order == "original":
+        labels = [c.source_id or f"file{i + 1:02d}" for i, c in enumerate(files)]
+    else:
+        labels = [f"chunk{i + 1:02d}" for i in range(len(files))]
+        permutation = np.random.default_rng(seed).permutation(len(pool))
+        ends = pool.offsets[permutation + 1]
+        lengths = lengths[permutation]
+        ids = ids[np.arange(ids.size) + np.repeat(ends - np.cumsum(lengths), lengths)]
+        roots = [roots[i] for i in permutation.tolist()]
+    if not sizes[0]:
         raise EmptyInputError("cannot induce a grammar from an empty corpus")
-    if len({d.root for d in first}) == 1 and not any(d.rules for d in first):
+    if len(set(roots[:sizes[0]])) == 1 and not lengths[:sizes[0]].any():
         raise StructuralError("corpus contains no internal nodes")
-    table = induce(CountedCorpus([d for _, chunk in parts for d in chunk]))
-    root = table.root  # a synthetic root rewrites as each tree's root label
-    rows = [_count_row(table, chain.from_iterable(
-        d.rules if d.root == root else [(root, (d.root,)), *d.rules] for d in chunk))
-        for _, chunk in parts]
-    values = site_rows(table, np.cumsum(rows, axis=0), [smoother])[:, 0].tolist()
-    totals = accumulate(len(chunk) for _, chunk in parts)
-    return [IncrementalPoint(step, label, total, value) for step, ((label, _), total, value)
-            in enumerate(zip(parts, totals, values), start=1)]
+    grammar, used = _induce(pool.table, ids, roots, pool.leaves)
+    width = len(grammar)
+    rule_of = np.empty(len(pool.table), np.int64)
+    rule_of[used] = np.arange(used.size)
+    chunk = np.repeat(np.arange(len(files)), sizes)  # of each sentence
+    keys = np.repeat(chunk, lengths) * width + rule_of[ids]
+    if width > used.size:  # a synthetic root rewrites as each tree's root label
+        root_rule = {rhs[0]: i for i, (_, rhs)
+                     in enumerate(grammar.expansions[used.size:], used.size)}
+        keys = np.append(keys, chunk * width + [root_rule[r] for r in roots])
+    rows = np.bincount(keys, minlength=len(files) * width).reshape(len(files), width)
+    np.cumsum(rows, axis=0, out=rows)  # each prefix's counts
+    values = site_rows(grammar, rows, [smoother])[:, 0].tolist()
+    return [IncrementalPoint(step, label, total, value) for step, (label, total, value)
+            in enumerate(zip(labels, accumulate(sizes), values), start=1)]
 
 
 def file_reports(
@@ -226,7 +233,7 @@ def file_reports(
     """Per-file sentence count, MLU, treebank entropy, and log size."""
     reports = []
     for i, corpus in enumerate(files):
-        if not corpus.sentences:
+        if not len(corpus):
             raise EmptyInputError(f"file {corpus.source_id or i + 1} is empty")
         estimate = site(corpus, smoother)
         reports.append(

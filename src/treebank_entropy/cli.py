@@ -31,8 +31,10 @@ from .estimators import SmootherKind
 from .trees import (
     DEFAULT_DROP_LABELS,
     CountedCorpus,
+    RuleTable,
     corpus_mlu,
-    count_bracketed,
+    counted_bracketed,
+    merge,
     write_bracketed,
 )
 
@@ -43,36 +45,36 @@ def _conversion_config(args):
     )
 
 
-def _read_file(path, args) -> CountedCorpus:
-    """The derivations of a file's sentences: all that the treebank
-    commands read.  Neither format builds trees."""
+def _read_file(path, args, table: RuleTable) -> CountedCorpus:
+    """The rule counts of a file's sentences, interned into `table`: all
+    that the treebank commands read.  Neither format builds trees."""
     if args.format == "conllu":
-        derivations, skipped = depconv.count_conllu(
-            read_text(path), _conversion_config(args))
+        corpus, skipped = depconv.counted_conllu(
+            read_text(path), _conversion_config(args), table, str(path))
         if skipped:
             print(
                 f"{path}: skipped {skipped} non-projective sentence(s)",
                 file=sys.stderr,
             )
-        return CountedCorpus(derivations, source_id=str(path))
+        return corpus
     drop = frozenset(args.drop_label) if args.drop_label else DEFAULT_DROP_LABELS
-    derivations = count_bracketed(
-        read_text(path), drop_labels=drop, strip_tags=args.strip_tags,
-        preterminalize=args.preterminalize,
+    return counted_bracketed(
+        read_text(path), table, drop_labels=drop, strip_tags=args.strip_tags,
+        preterminalize=args.preterminalize, source_id=str(path),
     )
-    return CountedCorpus(derivations, source_id=str(path))
 
 
 def _read_files(paths, args) -> list[CountedCorpus]:
-    corpora = [_read_file(p, args) for p in paths]
-    if not any(c.sentences for c in corpora):
+    """Every file's counts, over one shared table."""
+    table = RuleTable()
+    corpora = [_read_file(p, args, table) for p in paths]
+    if not any(len(c) for c in corpora):
         raise InputError("no sentences found in input")
     return corpora
 
 
 def _merge(corpora) -> CountedCorpus:
-    derivations = [d for c in corpora for d in c.sentences]
-    return CountedCorpus(derivations, source_id=";".join(c.source_id for c in corpora))
+    return merge(corpora, ";".join(c.source_id for c in corpora))
 
 
 def _load_grammar(args) -> gr.Pcfg:

@@ -7,7 +7,7 @@ sentence.  Each sentence is checked to be a single-rooted tree, and every
 token but the root must have a DEPREL.  One reader (:func:`_sentences`)
 gives the rows of every sentence, and one walk (:func:`_tree_walk`) checks
 treeness, for :func:`parse_conllu` here and for
-:func:`~.depconv.count_conllu`, which reads text into derivations.
+:func:`~.depconv.counted_conllu`, which reads text into rule counts.
 """
 
 from __future__ import annotations

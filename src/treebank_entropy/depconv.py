@@ -6,9 +6,11 @@ word form), expanded into its left dependents, an anchor leaf marked with a
 variant every dependent is wrapped in a relation node ``<headLabel>/<REL>``.
 The dependency root hangs from a synthetic ``ROOT`` node.  For projective
 input the mapping is information-preserving and :func:`tree_to_dep` inverts
-it exactly.  :func:`count_conllu` reads CoNLL-U text straight into the
-derivations of the converted trees, without building graphs or trees; it
-shares its row reader and tree walk with :func:`~.conllu.parse_conllu`.
+it exactly.  :func:`counted_conllu` reads CoNLL-U text straight into the
+interned rule ids of the converted trees (a :class:`~.trees.CountedCorpus`),
+without building graphs or trees; it shares its row reader and tree walk
+with :func:`~.conllu.parse_conllu`, and :func:`count_conllu` gives its
+reading as derivations.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from .conllu import DepGraph, _sentences, _tree_walk
 from .errors import NonProjectiveError, StructuralError
-from .trees import Corpus, Derivation, Tree
+from .trees import Corpus, CountedCorpus, RuleTable, Tree
 
 ROOT_LABEL = "ROOT"
 ANCHOR_SUFFIX = "*"
@@ -201,34 +203,58 @@ def graphs_to_corpus(
     return Corpus(trees, source_id=source_id), skipped
 
 
-def count_conllu(text: str, config: ConversionConfig = ConversionConfig()):
-    """The derivations ``derivation(dep_to_tree(g, config))`` of the
-    projective graphs g that ``parse_conllu(text)`` returns, read in one
-    pass without building either; returns ``(derivations, skipped)``, the
-    second the number of non-projective sentences left out.
+def counted_conllu(
+    text: str,
+    config: ConversionConfig = ConversionConfig(),
+    table: RuleTable | None = None,
+    source_id: str = "",
+) -> tuple[CountedCorpus, int]:
+    """The converted trees ``dep_to_tree(g, config)`` of the projective
+    graphs g that ``parse_conllu(text)`` returns, read in one pass without
+    building either, as a :class:`~.trees.CountedCorpus` over `table` (a
+    new one if None); returns ``(corpus, skipped)``, the second the number
+    of non-projective sentences left out.
 
     The sentences come from the reader that :func:`~.conllu.parse_conllu`
     uses, so malformed text raises the same error.  Each sentence's heads
     are walked once from the root (:func:`~.conllu._tree_walk`); the walk
-    checks that they form a tree and gives the rules in pre-order, and
-    projectivity is tested as :func:`crossing_arcs` does.
+    checks that they form a tree and gives the rules in pre-order, each
+    interned as it is made, and projectivity is tested as
+    :func:`crossing_arcs` does.
     """
-    derivations = []
+    table = RuleTable() if table is None else table
+    ids, offsets, leaves, leaf_offsets = [], [0], [], [0]
     skipped = 0
     for ident, forms, tags, heads, rels in _sentences(text):
         _, order = _tree_walk(heads, ident)
         if _crossing_arcs(heads, order):
             skipped += 1
-        else:
-            labels = tags if config.use_pos else forms
-            derivations.append(_derivation(labels, heads, rels, order, config.labeled))
-    return derivations, skipped
+            continue
+        labels = tags if config.use_pos else forms
+        anchors = [label + ANCHOR_SUFFIX for label in labels]
+        ids.extend(table.intern(
+            _rules(labels, anchors, heads, rels, order, config.labeled)))
+        offsets.append(len(ids))
+        leaves.extend(anchors)
+        leaf_offsets.append(len(leaves))
+    roots = [ROOT_LABEL] * (len(offsets) - 1)
+    corpus = CountedCorpus._of(table, roots, ids, offsets, leaves, leaf_offsets, source_id)
+    return corpus, skipped
 
 
-def _derivation(labels, heads, rels, order, labeled: bool) -> Derivation:
-    """The derivation of the converted tree of a projective graph, given its
-    tokens' labels, heads and relations and its pre-order."""
-    anchors = [label + ANCHOR_SUFFIX for label in labels]
+def count_conllu(text: str, config: ConversionConfig = ConversionConfig()):
+    """The derivations ``derivation(dep_to_tree(g, config))`` of the
+    projective graphs g that ``parse_conllu(text)`` returns, and the number
+    of the others: :func:`counted_conllu`'s reading, one
+    :class:`~.trees.Derivation` per sentence."""
+    corpus, skipped = counted_conllu(text, config)
+    return corpus.derivations(), skipped
+
+
+def _rules(labels, anchors, heads, rels, order, labeled: bool) -> list:
+    """The rules, in pre-order, of the converted tree of a projective graph,
+    given its tokens' labels, anchors, heads and relations and its
+    pre-order."""
     if labeled:  # the relation node that stands for each token under its head
         shown = [labels[h - 1] + RELATION_SEP + rel for h, rel in zip(heads, rels)]
     else:
@@ -244,4 +270,4 @@ def _derivation(labels, heads, rels, order, labeled: bool) -> Derivation:
         if labeled and heads[node - 1]:
             rules.append((shown[node - 1], (label,)))
         rules.append((label, tuple(rhs[node])))
-    return Derivation(ROOT_LABEL, rules, anchors)
+    return rules

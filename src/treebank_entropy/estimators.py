@@ -23,8 +23,8 @@ grammar induced from a corpus, a sweep one row per sample and an
 incremental run one row per prefix.  With the plain ML smoother it
 reproduces the exact entropy of the induced grammar bit for bit.  Each
 smoother is one kernel over tables laid side by side, a table's value not
-depending on its neighbours, so the tables of all rows are smoothed in one
-call.
+depending on its neighbours, so the tables of a block of rows are smoothed
+in one call.
 """
 
 from __future__ import annotations
@@ -276,6 +276,11 @@ _RUNS = {
 }
 
 
+#: Rows of counts that :func:`site_rows` smooths at a time, which bounds
+#: its temporaries by a block's non-zeros, not all rows'.
+_BLOCK_ROWS = 4
+
+
 def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     """SITE under each of `smoothers` (the columns) of each row of `counts`,
     the int64 counts of `grammar`'s rules in a set of its trees (a corpus, a
@@ -285,11 +290,11 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     Each row is certified on its own (:func:`~.entropy.certify_counts`);
     counts not of whole trees raise :class:`NumericalError`, and an error
     names its row.  f_A are the segment sums of a row in `Pcfg.order`, each
-    smoother runs once over the positive counts of every row, and a row's
-    value is sum_A f_A h_A / N, the sum correctly rounded.
+    smoother runs over the positive counts of _BLOCK_ROWS rows at a time,
+    and a row's value is sum_A f_A h_A / N, the sum correctly rounded.  No
+    value depends on the rows beside it, so the blocks give the bits one
+    call per row would.
     """
-    tasks, width = counts.shape
-    n = len(grammar.nonterminals)
     sentences = []
     for t, row in enumerate(counts):
         try:
@@ -299,6 +304,19 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
         if certified is None:
             raise NumericalError(f"row {t}: rule counts that are not those of whole trees")
         sentences.append(certified[0])
+    values = np.empty((len(counts), len(smoothers)))
+    for start in range(0, len(counts), _BLOCK_ROWS):
+        end = start + _BLOCK_ROWS
+        values[start:end] = _site_block(grammar, counts[start:end], smoothers,
+                                        sentences[start:end])
+    return values
+
+
+def _site_block(grammar: Pcfg, counts: np.ndarray, smoothers, sentences) -> np.ndarray:
+    """:func:`site_rows` of the certified rows `counts`, the counts of
+    `sentences` trees each, smoothed together."""
+    tasks, width = counts.shape
+    n = len(grammar.nonterminals)
     by_lhs = np.take(counts, grammar.order, axis=1)  # C order: ravel() is a view
     f = np.add.reduceat(by_lhs, grammar.starts[:-1], axis=1).astype(np.float64)
     flat = by_lhs.ravel()

@@ -9,10 +9,12 @@ the bias-corrected entropy estimators need the raw counts.
 
 A :class:`Pcfg` interns each symbol once and keeps its rules as arrays (ids,
 right-hand sides in CSR form, probabilities, frequencies), each
-non-terminal's rules one segment of a stable sort.  :class:`RuleCounts`,
-:func:`loads` and ``Pcfg(root, rules)`` each intern in one pass; the entropy
-path, the estimators, the sampler and :func:`dumps` read the arrays, and
-:class:`Rule` objects are built only when `Pcfg.rules` is asked for.
+non-terminal's rules one segment of a stable sort.  :func:`induce` counts
+the rule ids that a reader interned (:class:`~.trees.CountedCorpus`) with
+one ``bincount``; it, :func:`loads` and ``Pcfg(root, rules)`` each intern
+the symbols in one pass.  The entropy path, the estimators, the sampler and
+:func:`dumps` read the arrays, and :class:`Rule` objects are built only
+when `Pcfg.rules` is asked for.
 """
 
 from __future__ import annotations
@@ -37,7 +39,15 @@ from .errors import (
     StructuralError,
     read_text,
 )
-from .trees import Corpus, CountedCorpus, Derivation, Tree, derivation
+from .trees import (
+    Corpus,
+    CountedCorpus,
+    Derivation,
+    RuleTable,
+    Tree,
+    counted,
+    derivation,
+)
 
 #: Synthetic start symbol used when the treebank has several root labels.
 SYNTHETIC_ROOT = "⊤ROOT⊤"
@@ -111,12 +121,13 @@ class Pcfg:
         if not expansions:
             raise StructuralError("a grammar needs at least one rule")
         lhs = [key[0] for key in expansions]
+        rhss = [key[1] for key in expansions]
         ids = {sym: i for i, sym in enumerate(dict.fromkeys(lhs))}
         n = len(ids)
-        rhs = list(chain.from_iterable(key[1] for key in expansions))
+        rhs = list(chain.from_iterable(rhss))
         for sym in dict.fromkeys(rhs):
             ids.setdefault(sym, len(ids))
-        lengths = np.fromiter((len(key[1]) for key in expansions), np.intp, len(lhs))
+        lengths = np.fromiter(map(len, rhss), np.intp, len(lhs))
         if not lengths.all():
             raise StructuralError(
                 f"rule '{lhs[int(np.argmin(lengths))]} ->' has an empty rhs")
@@ -186,66 +197,61 @@ class Pcfg:
                 raise StructuralError(f"probabilities of '{nt}' sum to 1{gap:+.3e}")
 
 
-class RuleCounts:
-    """Sufficient statistics of ML induction over a multiset of derivations.
-
-    `rules` counts ``(lhs, rhs)`` expansions and `roots` root labels, each
-    in first-encounter order (a :class:`Counter` keeps insertion order);
-    `leaves` holds every label seen on a leaf, for the alphabet check.
-    Counted in one pass, corpora keep each prefix's own first-encounter
-    order among its rules, so one table serves every prefix.  Trees are
-    counted through :func:`~.trees.derivation`.
-    """
-
-    __slots__ = ("rules", "roots", "leaves")
-
-    def __init__(self, derivations: Iterable[Derivation] = ()):
-        self.rules: Counter[tuple[str, tuple[str, ...]]] = Counter()
-        self.roots: Counter[str] = Counter()
-        self.leaves: set[str] = set()
-        for root, rules, leaves in derivations:
-            self.roots[root] += 1
-            self.rules.update(rules)
-            self.leaves.update(leaves)
-
-    def grammar(self) -> Pcfg:
-        """The maximum-likelihood grammar of the counted trees."""
-        if not self.roots:
-            raise EmptyInputError("cannot induce a grammar from an empty corpus")
-        internal_labels = {lhs for lhs, _ in self.rules}
-        clash = internal_labels & self.leaves
-        if clash:
-            raise AlphabetClashError(
-                "labels used both internally and as leaves: "
-                + ", ".join(sorted(clash)[:10])
-            )
-        expansions, freq = list(self.rules), list(self.rules.values())
-        if len(self.roots) == 1:
-            (root,) = self.roots
-            if root not in internal_labels:
-                # Corpus of bare single-leaf trees has no expansions to learn.
-                raise StructuralError("corpus contains no internal nodes")
-        else:
-            if SYNTHETIC_ROOT in internal_labels or SYNTHETIC_ROOT in self.leaves:
-                raise AlphabetClashError(
-                    f"reserved root symbol '{SYNTHETIC_ROOT}' occurs in the corpus"
-                )
-            root = SYNTHETIC_ROOT
-            expansions.extend((root, (label,)) for label in self.roots)
-            freq.extend(self.roots.values())
-        return Pcfg._of(root, expansions, None, freq)
-
-
 def induce(corpus: Corpus | CountedCorpus) -> Pcfg:
     """Maximum-likelihood induction: one rule per distinct expansion,
     probability equal to its relative frequency among the left-hand side's
     expansions.
 
+    The rules come in the order of their first occurrence in the corpus.
     When the trees disagree on the root label a synthetic start symbol is
-    added with one rule per observed root.  A symbol appearing both as an
-    internal and as a leaf label raises :class:`AlphabetClashError`.
+    added, after them, with one rule per observed root.  A symbol appearing
+    both as an internal and as a leaf label raises
+    :class:`AlphabetClashError`.  A tree corpus is counted first
+    (:func:`~.trees.counted`).
     """
-    return RuleCounts(corpus.derivations()).grammar()
+    corpus = counted(corpus)
+    return _induce(corpus.table, corpus.ids, corpus.roots, corpus.leaves)[0]
+
+
+def _induce(table: RuleTable, ids: np.ndarray, roots: list[str], leaves):
+    """The grammar :func:`induce` gives for the sentences with root labels
+    `roots`, their rules the stream `ids` of `table`'s ids and their leaf
+    labels `leaves`; and the table ids of its rules, in rule order (the
+    synthetic root's rules, last, are not in the table).
+
+    Counting is one ``bincount``, and the rules' order is that of their
+    first index in `ids`, so one table serves every file, prefix and
+    permutation of a corpus.
+    """
+    if not roots:
+        raise EmptyInputError("cannot induce a grammar from an empty corpus")
+    first = np.full(len(table), ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    used = np.argsort(first)[:np.count_nonzero(first < ids.size)]
+    keys = table.keys()
+    expansions = [keys[i] for i in used.tolist()]
+    freq = np.bincount(ids, minlength=len(table))[used]
+    internal_labels = {lhs for lhs, _ in expansions}
+    if not internal_labels.isdisjoint(leaves):
+        raise AlphabetClashError(
+            "labels used both internally and as leaves: "
+            + ", ".join(sorted(internal_labels.intersection(leaves))[:10])
+        )
+    root_counts = Counter(roots)
+    if len(root_counts) == 1:
+        (root,) = root_counts
+        if root not in internal_labels:
+            # Corpus of bare single-leaf trees has no expansions to learn.
+            raise StructuralError("corpus contains no internal nodes")
+    else:
+        if SYNTHETIC_ROOT in internal_labels or SYNTHETIC_ROOT in leaves:
+            raise AlphabetClashError(
+                f"reserved root symbol '{SYNTHETIC_ROOT}' occurs in the corpus"
+            )
+        root = SYNTHETIC_ROOT
+        expansions.extend((root, (label,)) for label in root_counts)
+        freq = np.append(freq, list(root_counts.values()))
+    return Pcfg._of(root, expansions, None, freq), used
 
 
 def tree_probability(grammar: Pcfg, tree: Tree) -> TreeProbability:

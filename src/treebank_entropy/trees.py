@@ -5,19 +5,25 @@ non-terminal labels, leaves carry terminal labels, and the left-to-right
 sequence of leaves (the frontier) is the surface string.  All traversals are
 iterative; parsed trees can be arbitrarily deep.
 
-Every measure the package computes is a function of rule counts, so a tree
-is counted through its :class:`Derivation`: the root label, the expansions
-in pre-order and the frontier.  Bracketed text has one reader, one token
-loop that cleans each node as it closes: :func:`count_bracketed` runs it
-straight into derivations, without building a tree, and
-:func:`parse_bracketed` runs it building the trees.
+Every measure the package computes is a function of rule counts, so a
+corpus is counted into a :class:`CountedCorpus`: each rule key ``(lhs,
+rhs)`` is interned once in a :class:`RuleTable` as it is read, and every
+sentence becomes its rule ids in pre-order, its root label and its
+frontier.  Bracketed text has one reader, one token loop that cleans each
+node as it closes: :func:`counted_bracketed` runs it straight into rule ids,
+without building a tree, and :func:`parse_bracketed` runs it building the
+trees.  :func:`count_bracketed` gives the same reading as one
+:class:`Derivation` per sentence.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EmptyInputError, ParseError, StructuralError, read_text
 
@@ -117,6 +123,30 @@ def derivation(tree: Tree) -> Derivation:
     return Derivation(tree.label, rules, leaves)
 
 
+class RuleTable:
+    """Rule keys ``(lhs, rhs)``, each interned once: `ids` maps each key to
+    its id, the number of keys interned before it.  The corpora of one
+    command share one table, so their ids agree."""
+
+    __slots__ = ("ids",)
+
+    def __init__(self):
+        self.ids: dict[tuple[str, tuple[str, ...]], int] = {}
+
+    def __len__(self):
+        return len(self.ids)
+
+    def intern(self, keys: list[tuple[str, tuple[str, ...]]]) -> list[int]:
+        """The ids of `keys`, the new ones interned in order."""
+        ids = self.ids
+        setdefault = ids.setdefault
+        return [setdefault(key, len(ids)) for key in keys]
+
+    def keys(self) -> list[tuple[str, tuple[str, ...]]]:
+        """Every key, indexed by its id."""
+        return list(self.ids)
+
+
 #: A character that would split or end a label when the text is read back.
 _UNSERIALIZABLE = re.compile(r"[\s()]")
 
@@ -142,9 +172,25 @@ def parse_bracketed(
     and :class:`StructuralError` on empty nodes; with `preterminalize`, a
     node mixing word and phrase children raises :class:`StructuralError`
     once the whole text has parsed.  This is the one bracketed reader, with
-    trees built: :func:`count_bracketed` runs it without them.
+    trees built: :func:`counted_bracketed` runs it without them.
     """
-    return _read(text, drop_labels, strip_tags, preterminalize, build=True)
+    return _read(text, drop_labels, strip_tags, preterminalize, None)
+
+
+def counted_bracketed(
+    text: str,
+    table: RuleTable | None = None,
+    drop_labels=frozenset(),
+    strip_tags: bool = False,
+    preterminalize: bool = False,
+    source_id: str = "",
+) -> CountedCorpus:
+    """The trees ``parse_bracketed(text, ...)`` returns, read by the same
+    reader without building them, as a :class:`CountedCorpus` over `table`
+    (a new one if None); text that does not parse raises the same error."""
+    table = RuleTable() if table is None else table
+    roots, *arrays = _read(text, drop_labels, strip_tags, preterminalize, table)
+    return CountedCorpus._of(table, roots, *arrays, source_id=source_id)
 
 
 def count_bracketed(
@@ -153,38 +199,93 @@ def count_bracketed(
     strip_tags: bool = False,
     preterminalize: bool = False,
 ) -> list[Derivation]:
-    """The derivations of the trees ``parse_bracketed(text, ...)`` returns,
-    read by the same reader without building them; text that does not
-    parse raises the same error."""
-    return _read(text, drop_labels, strip_tags, preterminalize, build=False)
+    """The derivations of the trees ``parse_bracketed(text, ...)`` returns:
+    :func:`counted_bracketed`'s reading, one :class:`Derivation` per
+    sentence."""
+    return counted_bracketed(text, None, drop_labels, strip_tags,
+                             preterminalize).derivations()
 
 
-def _read(text, drop_labels, strip_tags, preterminalize, build):
-    """Read bracketed `text` into trees with `build`, else into derivations.
+def _read(text, drop_labels, strip_tags, preterminalize, table):
+    """Read bracketed `text` into trees if `table` is None, else into the
+    rule ids of `table` that a :class:`CountedCorpus` holds: ``(roots, ids,
+    offsets, leaves, leaf_offsets)``.
 
     The tokens are those of ``str.split`` once every parenthesis is spaced
     out.  Each node applies the close rule of :func:`parse_bracketed` as it
-    closes, to a tree with `build` and to its label without; without, each
-    node reserves a slot for its rule when it opens and fills it when it
-    closes, so every sentence's rules come out in pre-order.  Offsets are
-    found only when raising, by counting parentheses in `text` again.
+    closes, to a tree when building and to its label when counting; when
+    counting, each node reserves a slot for its rule when it opens and
+    fills it with the rule's id (interned in `table`) when it closes, so
+    every sentence's rules come out in pre-order.  A pre-terminal, the most
+    common node, is closed without being pushed.  Offsets are found only
+    when raising, by counting parentheses in `text` again.
     """
-    out = []
+    build = table is None
+    out = []  # the kept trees with `build`, their root labels without
     # Open nodes: [label or None, kept children, words, phrases, rule slot]
     # where words and phrases count the node's children as written, and the
     # kept children are trees with `build`, labels without.
     stack = []
-    slots = []  # the open sentence's rules, one slot per '(' so far
-    leaves = []  # the open sentence's frontier so far, unused with `build`
+    slots = []  # the open sentence's rule ids, one slot per '(' so far
+    rule_ids = None if build else table.ids
+    ids, offsets, leaves, leaf_offsets = [], [0], [], [0]  # unused with `build`
     closed = 0  # the '(' of the sentences read so far, which all closed
     word_leaves = not (build or preterminalize)
     label_next = False  # the token after a '(' is its node's label
     mixed = None
+    # A '(' under an open node waits off the stack: `pending` is its rule
+    # slot, and `tag` and `word` are the tokens read after it.  Read as
+    # "( tag word )" it closes as a pre-terminal, by the close rule below,
+    # without entering the stack; any other token first pushes it as read
+    # so far.
+    pending = tag = word = None
     for token in text.replace("(", " ( ").replace(")", " ) ").split():
+        if pending is not None:
+            if token == "(" or token == ")":
+                if token == ")" and word is not None:
+                    if tag in drop_labels:
+                        node = None
+                    else:
+                        if strip_tags:
+                            tag = _cut_function_tags(tag)
+                        if preterminalize:
+                            leaves.append(tag)
+                            node = Tree(tag) if build else tag
+                        elif build:
+                            node = Tree(tag, (Tree(word),))
+                        else:
+                            key = (tag, (word,))
+                            slots[pending] = rule_ids.setdefault(key, len(rule_ids))
+                            leaves.append(word)
+                            node = tag
+                    parent = stack[-1]
+                    parent[3] += 1
+                    if node is not None:
+                        parent[1].append(node)
+                    pending = tag = word = None
+                    continue
+            elif tag is None:
+                tag = token
+                continue
+            elif word is None:
+                word = token
+                continue
+            kept = []
+            if word is not None:
+                kept.append(Tree(word) if build else word)
+                if word_leaves:
+                    leaves.append(word)
+            stack.append([tag, kept, len(kept), 0, pending])
+            pending = tag = word = None
+            label_next = False
         if token == "(":
-            stack.append([None, [], 0, 0, len(slots)])
+            if stack:  # it waits for its tag and word
+                pending = len(slots)
+                label_next = False
+            else:
+                stack.append([None, [], 0, 0, len(slots)])
+                label_next = True
             slots.append(None)
-            label_next = True
         elif not stack:
             # The stray token is the first one after the last top-level ')'.
             pos = _after(text, ")", closed)
@@ -213,7 +314,8 @@ def _read(text, drop_labels, strip_tags, preterminalize, build):
                     if build:
                         node = Tree(label, kept)
                     else:
-                        slots[slot] = (label, tuple(kept))
+                        key = (label, tuple(kept))
+                        slots[slot] = rule_ids.setdefault(key, len(rule_ids))
                         node = label
                 elif words == len(kept):  # the pre-terminal becomes a leaf
                     leaves.append(label)
@@ -232,13 +334,13 @@ def _read(text, drop_labels, strip_tags, preterminalize, build):
                     parent[1].append(node)
             else:
                 if node is not None:
-                    if not build:
-                        rules = [rule for rule in slots if rule is not None]
-                        node = Derivation(node, rules, leaves)
                     out.append(node)
+                    if not build:
+                        ids.extend([rule for rule in slots if rule is not None])
+                        offsets.append(len(ids))
+                        leaf_offsets.append(len(leaves))
                 closed += len(slots)
                 slots = []
-                leaves = []
         elif label_next:
             stack[-1][0] = token
             label_next = False
@@ -252,7 +354,7 @@ def _read(text, drop_labels, strip_tags, preterminalize, build):
         raise ParseError("unbalanced", offset=len(text) + 1)
     if mixed is not None:
         raise mixed
-    return out
+    return out if build else (out, ids, offsets, leaves, leaf_offsets)
 
 
 def _after(text: str, char: str, count: int) -> int:
@@ -317,32 +419,105 @@ class Corpus:
         return [derivation(t) for t in self.sentences]
 
 
-@dataclass
 class CountedCorpus:
-    """The derivations of a list of sentences plus provenance: what
-    :func:`count_bracketed` reads.  It stands in for a :class:`Corpus`
-    wherever only rule counts, sentence counts and frontier lengths are
-    read."""
+    """The rule counts of a list of sentences plus provenance: what the
+    counting readers (:func:`counted_bracketed`,
+    :func:`~.depconv.counted_conllu`) return.  It stands in for a
+    :class:`Corpus` wherever only rule counts, sentence counts and frontier
+    lengths are read.
 
-    sentences: list[Derivation]
-    source_id: str = ""
+    Every sentence's rules are ids into `table` in pre-order, all in one
+    int64 stream `ids`, sentence k's being ``ids[offsets[k]:offsets[k +
+    1]]``; `roots` holds each sentence's root label, and `leaves` every
+    frontier one after another, sentence k's being
+    ``leaves[leaf_offsets[k]:leaf_offsets[k + 1]]``.  ``CountedCorpus(
+    derivations)`` interns a list of :class:`Derivation` into `table` (a new
+    one if None), and :meth:`derivations` gives them back.
+    """
+
+    def __init__(self, sentences=(), source_id: str = "",
+                 table: RuleTable | None = None):
+        table = RuleTable() if table is None else table
+        roots, ids, offsets, leaves, leaf_offsets = [], [], [0], [], [0]
+        for root, rules, frontier in sentences:
+            roots.append(root)
+            ids.extend(table.intern(rules))
+            offsets.append(len(ids))
+            leaves.extend(frontier)
+            leaf_offsets.append(len(leaves))
+        self._set(table, roots, ids, offsets, leaves, leaf_offsets, source_id)
+
+    @classmethod
+    def _of(cls, table, roots, ids, offsets, leaves, leaf_offsets,
+            source_id: str = "") -> CountedCorpus:
+        corpus = cls.__new__(cls)
+        corpus._set(table, roots, ids, offsets, leaves, leaf_offsets, source_id)
+        return corpus
+
+    def _set(self, table, roots, ids, offsets, leaves, leaf_offsets, source_id):
+        self.table = table
+        self.roots: list[str] = roots
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.leaves: list[str] = leaves
+        self.leaf_offsets = np.asarray(leaf_offsets, dtype=np.int64)
+        self.source_id = source_id
 
     def __len__(self):
-        return len(self.sentences)
+        return len(self.roots)
 
     def derivations(self) -> list[Derivation]:
-        return self.sentences
+        keys = self.table.keys()
+        rules = [keys[i] for i in self.ids.tolist()]
+        cuts, leaf_cuts = self.offsets.tolist(), self.leaf_offsets.tolist()
+        return [Derivation(root, rules[a:b], self.leaves[c:d]) for root, a, b, c, d
+                in zip(self.roots, cuts, cuts[1:], leaf_cuts, leaf_cuts[1:])]
+
+    @property
+    def sentences(self) -> list[Derivation]:
+        return self.derivations()
+
+
+def counted(corpus: Corpus | CountedCorpus,
+            table: RuleTable | None = None) -> CountedCorpus:
+    """`corpus` itself if it is counted, else its trees' derivations
+    interned into `table`."""
+    if isinstance(corpus, CountedCorpus):
+        return corpus
+    return CountedCorpus(corpus.derivations(), corpus.source_id, table)
+
+
+def merge(corpora: list[CountedCorpus], source_id: str = "") -> CountedCorpus:
+    """The sentences of `corpora` one after another, over their one table,
+    or over a new table that their ids are mapped into if they have
+    several."""
+    table = corpora[0].table
+    if any(c.table is not table for c in corpora):
+        table = RuleTable()
+    ids = [c.ids if c.table is table else
+           np.array(table.intern(c.table.keys()), np.int64)[c.ids]
+           for c in corpora]
+    return CountedCorpus._of(
+        table, list(chain.from_iterable(c.roots for c in corpora)), np.concatenate(ids),
+        _joined([c.offsets for c in corpora]),
+        list(chain.from_iterable(c.leaves for c in corpora)),
+        _joined([c.leaf_offsets for c in corpora]), source_id)
+
+
+def _joined(offsets: list[np.ndarray]) -> np.ndarray:
+    """The offsets of CSR arrays laid one after another."""
+    return np.concatenate(([0], np.cumsum(np.concatenate([np.diff(o) for o in offsets]))))
 
 
 def corpus_mlu(corpus: Corpus | CountedCorpus) -> float:
     """Mean frontier length in tokens per sentence."""
-    if not corpus.sentences:
+    if not len(corpus):
         raise EmptyInputError("MLU is undefined for an empty corpus")
     if isinstance(corpus, CountedCorpus):
-        total = sum(d.terminals for d in corpus.sentences)
+        total = len(corpus.leaves)
     else:
         total = sum(len(t.frontier()) for t in corpus.sentences)
-    return total / len(corpus.sentences)
+    return total / len(corpus)
 
 
 def read_bracketed(

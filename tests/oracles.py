@@ -15,7 +15,8 @@ builds every node as it draws, CWJ estimates from
 ``scipy.special.digamma`` and a tail summed in ``mpmath``, and grammars,
 with every array and value computed from them, from the implementation
 that kept each grammar as a list of :class:`Rule` objects and walked it
-(:class:`ReferencePcfg` and the functions after it).  The cross-entropy of a
+(:class:`ReferencePcfg` and the functions after it), rule counts from a
+:class:`Counter` of ``(lhs, rhs)`` keys (:class:`RuleCounts`).  The cross-entropy of a
 grammar on test trees (:func:`cross_entropy`) walks each tree through
 :func:`~treebank_entropy.grammar.tree_probability`.
 """
@@ -731,7 +732,26 @@ class ReferencePcfg:
                 raise StructuralError(f"probabilities of '{nt}' sum to 1{gap:+.3e}")
 
 
-def reference_counts_grammar(counts) -> ReferencePcfg:
+class RuleCounts:
+    """The rule counts of a multiset of derivations, as induction counted
+    them before the readers interned rule ids: `rules` counts ``(lhs,
+    rhs)`` expansions and `roots` root labels, each in first-encounter order
+    (a :class:`Counter` keeps insertion order); `leaves` holds every label
+    seen on a leaf."""
+
+    __slots__ = ("rules", "roots", "leaves")
+
+    def __init__(self, derivations=()):
+        self.rules: Counter[tuple[str, tuple[str, ...]]] = Counter()
+        self.roots: Counter[str] = Counter()
+        self.leaves: set[str] = set()
+        for root, rules, leaves in derivations:
+            self.roots[root] += 1
+            self.rules.update(rules)
+            self.leaves.update(leaves)
+
+
+def reference_counts_grammar(counts: RuleCounts) -> ReferencePcfg:
     """The maximum-likelihood grammar of a :class:`RuleCounts`, one
     :class:`Rule` per counted expansion."""
     if not counts.roots:

@@ -6,7 +6,7 @@ from scipy import stats
 
 from oracles import cross_entropy, reference_sample, reference_site
 from synthetic import sample_corpus, scaffold_grammar
-from treebank_entropy import analysis, estimators, grammar
+from treebank_entropy import analysis, grammar, trees
 from treebank_entropy.analysis import (
     DEFAULT_ESTIMATORS,
     DEFAULT_SIZES,
@@ -67,23 +67,24 @@ HIGH_ENTROPY = Pcfg(
 
 
 def count_inductions(monkeypatch) -> list[int]:
-    """Record the corpus size of every `induce` call, by any module."""
+    """Record the sentence count of every induction, by any module: `induce`
+    and `incremental` both count through `grammar._induce`."""
     calls = []
-    real = grammar.induce
+    real = grammar._induce
 
-    def counting(corpus):
-        calls.append(len(corpus))
-        return real(corpus)
+    def counting(table, ids, roots, leaves):
+        calls.append(len(roots))
+        return real(table, ids, roots, leaves)
 
-    for module in (grammar, analysis, estimators):
-        monkeypatch.setattr(module, "induce", counting)
+    for module in (grammar, analysis):
+        monkeypatch.setattr(module, "_induce", counting)
     return calls
 
 
 def record_builds(monkeypatch) -> list[str]:
-    """Record the class of every `Pcfg`, `RuleCounts` and `FreqTable` built."""
+    """Record the class of every `Pcfg`, `RuleTable` and `FreqTable` built."""
     built = []
-    for cls, method in ((grammar.Pcfg, "_intern"), (grammar.RuleCounts, "__init__"),
+    for cls, method in ((grammar.Pcfg, "_intern"), (trees.RuleTable, "__init__"),
                         (grammar.FreqTable, "__post_init__")):
         def recording(self, *args, _real=getattr(cls, method), **kwargs):
             built.append(type(self).__name__)
@@ -176,8 +177,9 @@ class TestConverge:
                  estimators=DEFAULT_ESTIMATORS, seed=1)
         # The truth grammar only: each (replication, size) task is a row of
         # rule counts over the truth's rules, with no grammar of its own.
+        # One rule table interns the source, and one grammar counts it.
         assert calls == [40]
-        assert built == ["RuleCounts", "Pcfg"]
+        assert built == ["RuleTable", "Pcfg"]
 
     @pytest.mark.parametrize("several_roots", [False, True])
     def test_mc_count_form_equals_tree_walk(self, several_roots):
@@ -333,9 +335,10 @@ class TestIncremental:
         calls = count_inductions(monkeypatch)
         built = record_builds(monkeypatch)
         points = incremental(files, order=order, seed=5, smoother=smoother)
-        # One table for all steps: no prefix is induced.
+        # One table for all steps: no prefix is induced, and all files are
+        # interned into one rule table.
         assert calls == [len(pool)]
-        assert built == ["RuleCounts", "Pcfg"]
+        assert built == ["RuleTable", "Pcfg"]
         if order == "shuffled":
             pool = [pool[i] for i in np.random.default_rng(5).permutation(len(pool))]
         assert induce(Corpus(pool)).root == (SYNTHETIC_ROOT if several_roots else "S")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ReferencePcfg,
+    RuleCounts,
     reference_count_totals,
     reference_counts_grammar,
     reference_dumps,
@@ -34,13 +35,13 @@ from treebank_entropy.grammar import (
     SYNTHETIC_ROOT,
     Pcfg,
     Rule,
-    RuleCounts,
     Sampler,
     dumps,
+    induce,
     loads,
     tree_probability,
 )
-from treebank_entropy.trees import derivation
+from treebank_entropy.trees import Corpus, derivation
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -219,8 +220,8 @@ def test_grammar_of_rules_equals_reference(spec):
 @given(CORPORA, CORPORA)
 def test_grammar_of_counts_equals_reference(trees, others):
     # Several root labels give a synthetic root.
-    counts = RuleCounts(derivation(t) for t in trees)
-    grammar, reference = counts.grammar(), reference_counts_grammar(counts)
+    grammar = induce(Corpus(trees))
+    reference = reference_counts_grammar(RuleCounts(derivation(t) for t in trees))
     assert_same(grammar, reference)
     for tree in trees + others:  # the others may use rules it lacks
         got = outcome(tree_probability, grammar, tree)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_projective_graph, reference_read
+from oracles import RuleCounts, random_projective_graph, reference_read
 from test_trees import READ_OPTIONS
 from treebank_entropy.analysis import incremental
 from treebank_entropy.conllu import DepGraph
@@ -22,7 +22,6 @@ from treebank_entropy.grammar import (
     SYNTHETIC_ROOT,
     Pcfg,
     Rule,
-    RuleCounts,
     dumps,
     induce,
     loads,
