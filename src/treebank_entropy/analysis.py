@@ -8,9 +8,9 @@ task's result does not depend on which tasks ran before it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ _SMOOTHER_OF = {
 }
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     sample_size: int
     estimator: str
     mean: float
@@ -52,8 +51,7 @@ class ConvergenceRow:
     replications: int
 
 
-@dataclass(frozen=True)
-class FileReport:
+class FileReport(NamedTuple):
     file_id: str
     sentences: int
     mlu: float
@@ -61,16 +59,14 @@ class FileReport:
     log_n: float
 
 
-@dataclass(frozen=True)
-class IncrementalPoint:
+class IncrementalPoint(NamedTuple):
     step: int
     label: str
     cumulative_sentences: int
     entropy: float
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     slope: float
     slope_stderr: float
     slope_t: float
@@ -92,6 +88,12 @@ def _uniforms(rng: np.random.Generator) -> SimpleNamespace:
     time: the doubles that as many scalar draws give, in the same order."""
     batches = iter(lambda: rng.random(_UNIFORM_BATCH).tolist(), None)
     return SimpleNamespace(random=chain.from_iterable(batches).__next__)
+
+
+def _check_seed(seed: int | None) -> None:
+    """Raise :class:`InputError` for a seed numpy's generators refuse."""
+    if seed is not None and seed < 0:
+        raise InputError(f"the seed must not be negative, not {seed}")
 
 
 def _count_row(grammar: Pcfg, rules) -> np.ndarray:
@@ -127,6 +129,7 @@ def converge(
         raise InputError("sample sizes must be positive")
     if replications < 1:
         raise InputError("the number of replications must be positive")
+    _check_seed(seed)
     for est in estimators:
         if est not in _SMOOTHER_OF:
             raise InputError(f"unknown estimator id '{est}'")
@@ -201,6 +204,7 @@ def incremental(
         labels = [c.source_id or f"file{i + 1:02d}" for i, c in enumerate(files)]
     else:
         labels = [f"chunk{i + 1:02d}" for i in range(len(files))]
+        _check_seed(seed)
         permutation = np.random.default_rng(seed).permutation(len(pool))
         ends = pool.offsets[permutation + 1]
         lengths = lengths[permutation]

@@ -12,35 +12,27 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import gc
 import io
 import json
 import math
 import os
 import sys
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-import numpy as np
-
-from . import analysis, depconv, estimators, grammar as gr
-from .conllu import read_conllu
-from .entropy import derivational_entropy, entropy_rate, grammar_mlu
 from .errors import InputError, NumericalError, read_text
-from .estimators import SmootherKind
-from .trees import (
-    DEFAULT_DROP_LABELS,
-    CountedCorpus,
-    RuleTable,
-    corpus_mlu,
-    counted_bracketed,
-    merge,
-    write_bracketed,
-)
+
+# The package modules, and numpy with them, are imported by the functions
+# that use them, so a process loads only what its subcommand runs.
+if TYPE_CHECKING:
+    from .grammar import Pcfg
+    from .trees import CountedCorpus, RuleTable
 
 
 def _conversion_config(args):
-    return depconv.ConversionConfig(
+    from .depconv import ConversionConfig
+
+    return ConversionConfig(
         labeled=not args.unlabeled, use_pos=not args.use_form
     )
 
@@ -48,8 +40,12 @@ def _conversion_config(args):
 def _read_file(path, args, table: RuleTable) -> CountedCorpus:
     """The rule counts of a file's sentences, interned into `table`: all
     that the treebank commands read.  Neither format builds trees."""
+    from .trees import DEFAULT_DROP_LABELS, counted_bracketed
+
     if args.format == "conllu":
-        corpus, skipped = depconv.counted_conllu(
+        from .depconv import counted_conllu
+
+        corpus, skipped = counted_conllu(
             read_text(path), _conversion_config(args), table, str(path))
         if skipped:
             print(
@@ -66,6 +62,8 @@ def _read_file(path, args, table: RuleTable) -> CountedCorpus:
 
 def _read_files(paths, args) -> list[CountedCorpus]:
     """Every file's counts, over one shared table."""
+    from .trees import RuleTable
+
     table = RuleTable()
     corpora = [_read_file(p, args, table) for p in paths]
     if not any(len(c) for c in corpora):
@@ -74,10 +72,14 @@ def _read_files(paths, args) -> list[CountedCorpus]:
 
 
 def _merge(corpora) -> CountedCorpus:
+    from .trees import merge
+
     return merge(corpora, ";".join(c.source_id for c in corpora))
 
 
-def _load_grammar(args) -> gr.Pcfg:
+def _load_grammar(args) -> Pcfg:
+    from .grammar import induce, read_grammar
+
     if args.grammar:
         reader_options = {
             "--format": args.format, "--drop-label": args.drop_label,
@@ -88,10 +90,10 @@ def _load_grammar(args) -> gr.Pcfg:
         unread = args.files + [k for k, given in reader_options.items() if given]
         if unread:
             raise InputError(f"--grammar leaves input unread: {' '.join(unread)}")
-        return gr.read_grammar(args.grammar)
+        return read_grammar(args.grammar)
     if not args.files:
         raise InputError("provide treebank files or --grammar")
-    return gr.induce(_merge(_read_files(args.files, args)))
+    return induce(_merge(_read_files(args.files, args)))
 
 
 @contextlib.contextmanager
@@ -129,31 +131,42 @@ def _print_scalar(args, payload: dict):
 
 
 def _cmd_induce(args):
-    g = gr.induce(_merge(_read_files(args.files, args)))
-    _write_text(args, gr.dumps(g))
+    from .grammar import dumps, induce
+
+    g = induce(_merge(_read_files(args.files, args)))
+    _write_text(args, dumps(g))
 
 
 def _cmd_entropy(args):
+    from .entropy import derivational_entropy
+
     g = _load_grammar(args)
     _print_scalar(args, {"entropy_bits": derivational_entropy(g)})
 
 
 def _cmd_mlu(args):
     if args.grammar:
+        from .entropy import grammar_mlu
+
         value = grammar_mlu(_load_grammar(args))
     else:
+        from .trees import corpus_mlu
+
         value = corpus_mlu(_merge(_read_files(args.files, args)))
     _print_scalar(args, {"mlu": value})
 
 
 def _cmd_rate(args):
-    report = entropy_rate(_load_grammar(args))
-    _print_scalar(args, dataclasses.asdict(report))
+    from .entropy import entropy_rate
+
+    _print_scalar(args, entropy_rate(_load_grammar(args))._asdict())
 
 
 def _cmd_site(args):
+    from .estimators import site
+
     corpus = _merge(_read_files(args.files, args))
-    result = estimators.site(corpus, SmootherKind(args.smoother))
+    result = site(corpus, args.smoother)
     _print_scalar(
         args,
         {
@@ -167,8 +180,15 @@ def _cmd_site(args):
 def _cmd_sample(args):
     if args.count < 0:
         raise InputError(f"--count must not be negative, not {args.count}")
-    g = gr.read_grammar(args.grammar)
-    sampler = gr.Sampler(g, max_nodes=args.max_nodes)
+    if args.seed < 0:
+        raise InputError(f"--seed must not be negative, not {args.seed}")
+    import numpy as np
+
+    from .grammar import Sampler, read_grammar
+    from .trees import write_bracketed
+
+    g = read_grammar(args.grammar)
+    sampler = Sampler(g, max_nodes=args.max_nodes)
     rng = np.random.default_rng(args.seed)
     with _out_handle(args) as handle:
         for _ in range(args.count):
@@ -182,11 +202,15 @@ def _cmd_sample(args):
 
 
 def _cmd_convert(args):
+    from .conllu import read_conllu
+    from .depconv import graphs_to_corpus
+    from .trees import write_bracketed
+
     config = _conversion_config(args)
     total_skipped = 0
     with _out_handle(args) as handle:
         for path in args.files:
-            corpus, skipped = depconv.graphs_to_corpus(
+            corpus, skipped = graphs_to_corpus(
                 read_conllu(path), config, source_id=str(path)
             )
             total_skipped += len(skipped)
@@ -199,9 +223,12 @@ def _cmd_convert(args):
 
 
 def _cmd_converge(args):
+    from . import analysis
+
     corpus = _merge(_read_files(args.files, args))
     try:
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = (analysis.DEFAULT_SIZES if args.sizes is None
+                 else [int(s) for s in args.sizes.split(",")])
     except ValueError:
         raise InputError(
             f"--sizes takes comma-separated integers, not {args.sizes!r}"
@@ -210,7 +237,8 @@ def _cmd_converge(args):
         corpus,
         sizes=sizes,
         replications=args.replications,
-        estimators=args.estimators.split(","),
+        estimators=(analysis.DEFAULT_ESTIMATORS if args.estimators is None
+                    else args.estimators.split(",")),
         seed=args.seed,
         coverage=not args.no_coverage,
     )
@@ -226,10 +254,12 @@ def _cmd_converge(args):
 
 
 def _cmd_incremental(args):
+    from .analysis import incremental
+
     corpora = _read_files(args.files, args)
-    points = analysis.incremental(
+    points = incremental(
         corpora, order=args.order, seed=args.seed,
-        smoother=SmootherKind(args.smoother),
+        smoother=args.smoother,
     )
     metadata = f"order={args.order}"
     if args.order == "shuffled":
@@ -246,10 +276,12 @@ def _cmd_incremental(args):
 
 
 def _cmd_report(args):
+    from .analysis import file_reports
+
     corpora = _read_files(args.files, args)
-    reports = analysis.file_reports(corpora, smoother=SmootherKind(args.smoother))
+    reports = file_reports(corpora, smoother=args.smoother)
     if args.json:
-        _write_json(args, [dataclasses.asdict(r) for r in reports])
+        _write_json(args, [r._asdict() for r in reports])
         return
     _write_rows(
         args,
@@ -279,6 +311,8 @@ def _column(rows, col, path) -> list[float]:
 
 
 def _cmd_fit(args):
+    from .analysis import fit
+
     rows = list(csv.DictReader(io.StringIO(read_text(args.csv), newline="")))
     if not rows:
         raise InputError(f"{args.csv} has no data rows")
@@ -287,11 +321,15 @@ def _cmd_fit(args):
             raise InputError(f"column '{col}' not found in {args.csv}")
     x = _column(rows, args.x, args.csv)
     y = _column(rows, args.y, args.csv)
-    result = analysis.fit(x, y, with_intercept=not args.no_intercept)
-    _write_json(args, dataclasses.asdict(result))
+    result = fit(x, y, with_intercept=not args.no_intercept)
+    _write_json(args, result._asdict())
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The parser imports no package module, so the library's values that it
+    # shows are written out: the `SmootherKind` values, the sampler's
+    # DEFAULT_MAX_NODES and analysis's DEFAULT_ESTIMATORS.  Unset, --sizes
+    # and --estimators take analysis's defaults.
     parser = argparse.ArgumentParser(
         prog="treebank-entropy",
         description="Grammar induction and derivational-entropy analysis of treebanks.",
@@ -331,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=0, help="random seed")
     smoother = argparse.ArgumentParser(add_help=False)
     smoother.add_argument(
-        "--smoother", choices=[k.value for k in SmootherKind], default="cwj",
+        "--smoother", choices=["ml", "cae", "cwj"], default="cwj",
         help="local-entropy smoother for SITE (default: cwj)",
     )
 
@@ -361,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sample", _cmd_sample, "sample trees from a grammar", output, seed)
     p.add_argument("--grammar", required=True)
     p.add_argument("--count", "-n", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=gr.DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=int, default=10_000)
 
     p = add("convert", _cmd_convert, "dependency graphs to trees", dependency, output)
     p.add_argument("files", nargs="+")
@@ -369,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("converge", _cmd_converge, "estimator convergence sweep",
             reader, output, seed)
     p.add_argument("files", nargs="+")
-    p.add_argument("--sizes", default=",".join(map(str, analysis.DEFAULT_SIZES)),
+    p.add_argument("--sizes",
                    help="comma-separated sample sizes (default: 1 to 15000)")
     p.add_argument("--replications", type=int, default=100)
-    p.add_argument("--estimators", default=",".join(analysis.DEFAULT_ESTIMATORS),
-                   help="comma-separated ids (default: %(default)s)")
+    p.add_argument("--estimators",
+                   help="comma-separated ids (default: ml,mc,site-cae,site-cwj)")
     p.add_argument("--no-coverage", action="store_true", help="omit coverage rows")
 
     p = add("incremental", _cmd_incremental, "cumulative entropy curve",

@@ -15,7 +15,7 @@ reading as derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conllu import DepGraph, _sentences, _tree_walk
 from .errors import NonProjectiveError, StructuralError
@@ -26,8 +26,7 @@ ANCHOR_SUFFIX = "*"
 RELATION_SEP = "/"
 
 
-@dataclass(frozen=True)
-class ConversionConfig:
+class ConversionConfig(NamedTuple):
     """`labeled` adds relation nodes; `use_pos` labels nodes by POS tag
     rather than word form."""
 

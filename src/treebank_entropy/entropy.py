@@ -30,7 +30,6 @@ local entropy from its non-terminal's segment of the probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -366,7 +365,8 @@ def count_totals(grammar: Pcfg, children=None) -> CountTotals | None:
     :func:`certify_counts`.  `children`, when given, is the grammar's
     :func:`_children`.
     """
-    rule, _, emitted = children or _children(grammar)
+    children = children or _children(grammar)
+    rule, _, emitted = children
     try:
         freq = grammar.freq.astype(np.float64)
     except OverflowError:
@@ -378,14 +378,14 @@ def count_totals(grammar: Pcfg, children=None) -> CountTotals | None:
     occurrences = np.bincount(grammar.lhs, freq, minlength=len(grammar.nonterminals))
     if not (grammar.prob == freq / occurrences[grammar.lhs]).all():
         return None
-    certified = certify_counts(grammar, grammar.freq)
+    certified = certify_counts(grammar, grammar.freq, children)
     if certified is None:
         return None
     sentences, found = certified
     return CountTotals(occurrences, sentences, int(freq @ emitted), found)
 
 
-def certify_counts(grammar: Pcfg, counts: np.ndarray):
+def certify_counts(grammar: Pcfg, counts: np.ndarray, children=None):
     """N, and the strongly connected blocks (:func:`_block_labels`) of the
     pattern of M over the rules with a positive count, if `counts` (one
     int64 count per rule of `grammar`) are the rule counts of N whole trees
@@ -401,10 +401,11 @@ def certify_counts(grammar: Pcfg, counts: np.ndarray):
     each irreducible block, so its spectral radius is below one (Seneta,
     *Non-negative Matrices and Markov Chains*, Thm 1.6; cf. Chi 1999).  A
     block that receives none has radius one: :class:`DivergentGrammarError`.
-    Each sum is taken in int64.
+    Each sum is taken in int64.  `children`, when given, is the grammar's
+    :func:`_children`.
     """
     n = len(grammar.nonterminals)
-    rule, child, _ = _children(grammar)
+    rule, child, _ = children or _children(grammar)
     used = counts[rule] > 0
     rule, child = rule[used], child[used]
     occurrences = np.zeros(n, dtype=np.int64)
@@ -465,8 +466,7 @@ def grammar_mlu(grammar: Pcfg) -> float:
     return float(root_values(grammar)[0])
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Entropy, expected length, their ratio, and the spectral radius."""
 
     entropy: float

@@ -32,11 +32,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import certify_counts, entropy_runs, segment_sums
+from .entropy import _children, certify_counts, entropy_runs, segment_sums
 from .errors import DivergentGrammarError, InputError, NumericalError
 from .grammar import FreqTable, Pcfg, induce
 from .trees import Corpus, CountedCorpus
@@ -61,8 +61,7 @@ class SmootherKind(str, enum.Enum):
     CWJ = "cwj"
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     value: float
     method: str
     sample_size: int
@@ -295,10 +294,11 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     value depends on the rows beside it, so the blocks give the bits one
     call per row would.
     """
+    children = _children(grammar)
     sentences = []
     for t, row in enumerate(counts):
         try:
-            certified = certify_counts(grammar, row)
+            certified = certify_counts(grammar, row, children)
         except DivergentGrammarError as err:
             raise DivergentGrammarError(f"row {t}: {err}") from None
         if certified is None:

@@ -23,7 +23,6 @@ import functools
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -59,8 +58,7 @@ DEFAULT_MAX_NODES = 10_000
 MAX_SAMPLE_RETRIES = 1000
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     lhs: str
     rhs: tuple[str, ...]
     prob: float
@@ -70,15 +68,19 @@ class Rule:
         return f"{self.lhs} -> {' '.join(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class FreqTable:
-    """Observed outcome frequencies of one discrete random variable."""
-
+class _Counts(NamedTuple):
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.counts or any(c < 1 for c in self.counts):
+
+class FreqTable(_Counts):
+    """Observed outcome frequencies of one discrete random variable."""
+
+    __slots__ = ()
+
+    def __new__(cls, counts: tuple[int, ...]):
+        if not counts or any(c < 1 for c in counts):
             raise StructuralError("a frequency table needs positive counts")
+        return super().__new__(cls, counts)
 
     @property
     def n(self) -> int:

@@ -19,7 +19,6 @@ trees.  :func:`count_bracketed` gives the same reading as one
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -405,12 +404,20 @@ def write_bracketed(tree: Tree) -> str:
     return "".join(out)
 
 
-@dataclass
 class Corpus:
     """A list of parsed sentences plus provenance."""
 
-    sentences: list[Tree]
-    source_id: str = ""
+    def __init__(self, sentences: list[Tree], source_id: str = ""):
+        self.sentences = sentences
+        self.source_id = source_id
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sentences, self.source_id) == (other.sentences, other.source_id)
+
+    def __repr__(self):
+        return f"Corpus(sentences={self.sentences!r}, source_id={self.source_id!r})"
 
     def __len__(self):
         return len(self.sentences)

@@ -85,9 +85,10 @@ def record_builds(monkeypatch) -> list[str]:
     """Record the class of every `Pcfg`, `RuleTable` and `FreqTable` built."""
     built = []
     for cls, method in ((grammar.Pcfg, "_intern"), (trees.RuleTable, "__init__"),
-                        (grammar.FreqTable, "__post_init__")):
-        def recording(self, *args, _real=getattr(cls, method), **kwargs):
-            built.append(type(self).__name__)
+                        (grammar.FreqTable, "__new__")):
+        def recording(self, *args, _real=getattr(cls, method), _name=cls.__name__,
+                      **kwargs):
+            built.append(_name)  # `__new__` takes the class, not an instance
             return _real(self, *args, **kwargs)
         monkeypatch.setattr(cls, method, recording)
     return built

@@ -12,9 +12,10 @@ import pytest
 
 from synthetic import sample_corpus
 import treebank_entropy
-from treebank_entropy import trees
+from treebank_entropy import analysis, trees
 from treebank_entropy.cli import build_parser, main
-from treebank_entropy.grammar import Pcfg, Rule, Sampler, write_grammar
+from treebank_entropy.estimators import SmootherKind
+from treebank_entropy.grammar import DEFAULT_MAX_NODES, Pcfg, Rule, Sampler, write_grammar
 from treebank_entropy.trees import write_bracketed
 
 GRAMMAR = Pcfg(
@@ -418,6 +419,20 @@ class TestOptions:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    def test_library_values_written_out(self):
+        (subparsers,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {
+            (name, a.dest): a for name, sub in subparsers.choices.items()
+            for a in sub._actions
+        }
+        assert options["site", "smoother"].choices == [k.value for k in SmootherKind]
+        assert options["sample", "max_nodes"].default == DEFAULT_MAX_NODES
+        shown = ",".join(analysis.DEFAULT_ESTIMATORS)
+        assert f"(default: {shown})" in subparsers.choices["converge"].format_help()
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -482,6 +497,23 @@ class TestExitCodes:
     )
     def test_sample_bad_numbers(self, grammar_file, capsys, option, value, reported):
         assert main(["sample", "--grammar", str(grammar_file), option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reported}\n"
+
+    @pytest.mark.parametrize(
+        "argv, reported",
+        [(["converge", "--no-preterminalize", "--sizes", "2", "--replications", "1",
+           "{bank}"], "the seed must not be negative, not -1"),
+         (["incremental", "--no-preterminalize", "--order", "shuffled", "{bank}",
+           "{bank}"], "the seed must not be negative, not -1"),
+         (["sample", "--grammar", "{grammar}"], "--seed must not be negative, not -1")],
+        ids=["converge", "incremental", "sample"],
+    )
+    def test_negative_seed(self, treebank, grammar_file, capsys, argv, reported):
+        paths = {"bank": treebank, "grammar": grammar_file}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main([argv[0], "--seed", "-1", *argv[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {reported}\n"
@@ -635,6 +667,42 @@ def test_commands_leave_fractions_and_decimal_unloaded(treebank, tmp_path):
     codes, loaded = json.loads(result.stdout.strip().splitlines()[-1])
     assert codes == [0, 0, 0]
     assert loaded == []
+
+
+def test_commands_load_only_their_modules(treebank, grammar_file, tmp_path):
+    # The CLI imports a package module where a subcommand runs it: a PTB or
+    # grammar-file command reads no CoNLL-U and builds no dataclass, and
+    # `site` and `rate` run no corpus experiment.
+    bank, flag = str(treebank), "--no-preterminalize"
+    commands = [
+        ["site", flag, bank],
+        ["rate", flag, bank],
+        ["rate", "--grammar", str(grammar_file)],
+        ["report", flag, bank, bank],
+        ["incremental", flag, "--order", "shuffled", bank, bank],
+        ["converge", flag, "--sizes", "2,5", "--replications", "2",
+         "-o", str(tmp_path / "rows.csv"), bank],
+    ]
+    code = (
+        "import json, sys\n"
+        "import treebank_entropy.cli\n"
+        "package = sorted(m for m in sys.modules if m.startswith('treebank_entropy.'))\n"
+        "watched = {'dataclasses', 'treebank_entropy.analysis',\n"
+        "           'treebank_entropy.conllu', 'treebank_entropy.depconv'}\n"
+        "codes, loaded = [], []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    codes.append(treebank_entropy.cli.main(argv))\n"
+        "    loaded.append(sorted(watched & set(sys.modules)))\n"
+        "print(json.dumps([package, codes, loaded]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=_child_env(),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    package, codes, loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert package == ["treebank_entropy.cli", "treebank_entropy.errors"]
+    assert codes == [0] * 6
+    assert loaded == [[]] * 3 + [["treebank_entropy.analysis"]] * 3
 
 
 PTB = """\
