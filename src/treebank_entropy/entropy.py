@@ -14,7 +14,10 @@ emitted symbol.  No eigensolver runs, and two paths give that root row:
   occurrences of A in the N counted trees (:func:`count_totals`).  Its
   counts certify the spectral radius below one in integers, as any one row
   of rule counts of whole trees does for the rules it uses
-  (:func:`certify_counts`, which SITE's rows go through too).
+  (:func:`certify_counts`, which SITE's rows go through too): each block
+  of M with occurrences is fed from outside exactly when the root reaches
+  every non-terminal with occurrences along the rules with a positive
+  count, as such a rule's left-hand side has occurrences.
 * Any other grammar is solved: one factorization of I - M solves
   [1 | l | h], and c = (I - M)^-1 1 must be positive with (I - M) c
   positive with margin, which certifies the spectral radius below one
@@ -264,25 +267,15 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return _sparse_radius(m.shape[0], rows, cols, m[rows, cols])
 
 
-def _block_labels(n: int, rows: np.ndarray, cols: np.ndarray):
-    """The strongly connected blocks of the pattern, and each vertex's
-    block and its position within it."""
+def _sparse_radius(n: int, rows, cols, weights) -> float:
+    """:func:`spectral_radius` of the n x n matrix with the positive
+    entries `weights` at (rows, cols), `rows` sorted."""
     blocks = _strong_components(n, rows, cols)
     label = np.empty(n, dtype=np.intp)
-    position = np.empty(n, dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)  # within its block
     for b, block in enumerate(blocks):
         label[block] = b
         position[block] = np.arange(len(block))
-    return blocks, label, position
-
-
-def _sparse_radius(n: int, rows, cols, weights, blocks=None) -> float:
-    """:func:`spectral_radius` of the n x n matrix with the positive
-    entries `weights` at (rows, cols), `rows` sorted; `blocks` is the
-    pattern's :func:`_block_labels`, when known."""
-    if blocks is None:
-        blocks = _block_labels(n, rows, cols)
-    blocks, label, position = blocks
     # Edges inside a block, grouped by block.
     inside = np.flatnonzero(label[rows] == label[cols])
     inside = inside[np.argsort(label[rows[inside]], kind="stable")]
@@ -353,7 +346,6 @@ class CountTotals(NamedTuple):
     occurrences: np.ndarray  # f_A, in `Pcfg.nonterminals` order
     sentences: int  # N
     terminals: int  # T
-    blocks: tuple  # M's strongly connected blocks (`_block_labels`)
 
 
 def count_totals(grammar: Pcfg, children=None) -> CountTotals | None:
@@ -362,7 +354,8 @@ def count_totals(grammar: Pcfg, children=None) -> CountTotals | None:
 
     Every probability must be the float f_r / f_A that
     :func:`~.grammar.induce` computes, and the frequencies must pass
-    :func:`certify_counts`.  `children`, when given, is the grammar's
+    :func:`certify_counts`: the roots identity, and every non-terminal
+    reached from the root.  `children`, when given, is the grammar's
     :func:`_children`.
     """
     children = children or _children(grammar)
@@ -378,34 +371,34 @@ def count_totals(grammar: Pcfg, children=None) -> CountTotals | None:
     occurrences = np.bincount(grammar.lhs, freq, minlength=len(grammar.nonterminals))
     if not (grammar.prob == freq / occurrences[grammar.lhs]).all():
         return None
-    certified = certify_counts(grammar, grammar.freq, children)
-    if certified is None:
+    sentences = certify_counts(grammar, grammar.freq, children)
+    if sentences is None:
         return None
-    sentences, found = certified
-    return CountTotals(occurrences, sentences, int(freq @ emitted), found)
+    return CountTotals(occurrences, sentences, int(freq @ emitted))
 
 
-def certify_counts(grammar: Pcfg, counts: np.ndarray, children=None):
-    """N, and the strongly connected blocks (:func:`_block_labels`) of the
-    pattern of M over the rules with a positive count, if `counts` (one
-    int64 count per rule of `grammar`) are the rule counts of N whole trees
-    from the grammar's root and certify a spectral radius below one; None
-    if they are not the counts of whole trees.
+def certify_counts(grammar: Pcfg, counts: np.ndarray, children) -> int | None:
+    """N, if `counts` (one int64 count per rule of `grammar`) are the rule
+    counts of N whole trees from the grammar's root and certify a spectral
+    radius below one; None if they are not the counts of whole trees.
 
-    The roots identity: f_A - i_A, the occurrences of A less those on
-    right-hand sides, must be zero except at the root, where it is N > 0.
-    Then z = f / N solves z^T (I - M) = e_root^T.  I - M is non-singular when
-    every strongly connected block of M with occurrences receives one from
-    outside itself (the root, or a child of a rule whose left-hand side lies
-    elsewhere): with z > 0, z^T M <= z^T then holds strictly somewhere on
-    each irreducible block, so its spectral radius is below one (Seneta,
-    *Non-negative Matrices and Markov Chains*, Thm 1.6; cf. Chi 1999).  A
-    block that receives none has radius one: :class:`DivergentGrammarError`.
-    Each sum is taken in int64.  `children`, when given, is the grammar's
-    :func:`_children`.
+    The roots identity: no count is negative, and f_A - i_A, the
+    occurrences of A less those on right-hand sides, is zero except at the
+    root, where it is N > 0.  Then z = f / N solves z^T (I - M) = e_root^T.
+    I - M is non-singular when every strongly connected block of M with
+    occurrences receives one from outside itself: with z > 0, z^T M <= z^T
+    then holds strictly somewhere on each irreducible block, so its spectral
+    radius is below one (Seneta, *Non-negative Matrices and Markov Chains*,
+    Thm 1.6; cf. Chi 1999).  A block that receives none has radius one:
+    :class:`DivergentGrammarError`.  The blocks are all fed exactly when the
+    root reaches every non-terminal with occurrences along the rules with a
+    positive count, whose left-hand sides have occurrences: a fed block's
+    feeding rule lies in an earlier block with occurrences, and these lead
+    back to the root's block.  So one depth-first search certifies.  Each
+    sum is taken in int64; `children` is the grammar's :func:`_children`.
     """
     n = len(grammar.nonterminals)
-    rule, child, _ = children or _children(grammar)
+    rule, child, _ = children
     used = counts[rule] > 0
     rule, child = rule[used], child[used]
     occurrences = np.zeros(n, dtype=np.int64)
@@ -415,22 +408,27 @@ def certify_counts(grammar: Pcfg, counts: np.ndarray, children=None):
     root = grammar.nt_index[grammar.root]
     sentences = int(free[root])
     free[root] = 0
-    if sentences <= 0 or free.any():
+    if sentences <= 0 or free.any() or (counts < 0).any():
         return None
-    rows, cols, _ = _entries(grammar, rule, child)
-    found = _block_labels(n, rows, cols)
-    blocks, label, _ = found
-    fed = np.zeros(len(blocks), dtype=bool)
-    fed[label[root]] = True
-    fed[label[cols[label[rows] != label[cols]]]] = True
-    fed[label[occurrences == 0]] = True  # nothing to feed
-    if not fed.all():
+    # The used (lhs -> child) edges by left-hand side, on an explicit stack.
+    parent = grammar.lhs[rule]
+    by_parent = np.argsort(parent)
+    starts = np.searchsorted(parent[by_parent], np.arange(n + 1)).tolist()
+    succ = child[by_parent].tolist()
+    reached, stack = bytearray(n), [root]
+    reached[root] = 1
+    while stack:
+        v = stack.pop()
+        for w in succ[starts[v]:starts[v + 1]]:
+            if not reached[w]:
+                reached[w] = 1
+                stack.append(w)
+    if occurrences[np.frombuffer(reached, dtype=np.uint8) == 0].any():
         raise DivergentGrammarError(
-            f"{np.count_nonzero(~fed)} strongly connected block(s) of M receive "
-            "no occurrence from outside: spectral radius 1, expected subtree "
-            "measures diverge"
+            "some strongly connected block(s) of M receive no occurrence from "
+            "outside: spectral radius 1, expected subtree measures diverge"
         )
-    return sentences, found
+    return sentences
 
 
 def root_values(grammar: Pcfg) -> np.ndarray:
@@ -487,5 +485,5 @@ def entropy_rate(grammar: Pcfg) -> RateReport:
         raise NumericalError(f"expected length {mlu} is not positive")
     positive = weights > 0  # all of them on the count path
     radius = _sparse_radius(len(grammar.nonterminals), rows[positive], cols[positive],
-                            weights[positive], None if totals is None else totals.blocks)
+                            weights[positive])
     return RateReport(entropy, mlu, entropy / mlu, radius)

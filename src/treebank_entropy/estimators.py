@@ -286,13 +286,14 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     sample drawn from the grammar, a prefix of its corpus): the value of the
     grammar induced from those trees, with none built.
 
-    Each row is certified on its own (:func:`~.entropy.certify_counts`);
-    counts not of whole trees raise :class:`NumericalError`, and an error
-    names its row.  f_A are the segment sums of a row in `Pcfg.order`, each
-    smoother runs over the positive counts of _BLOCK_ROWS rows at a time,
-    and a row's value is sum_A f_A h_A / N, the sum correctly rounded.  No
-    value depends on the rows beside it, so the blocks give the bits one
-    call per row would.
+    Each row is certified on its own (:func:`~.entropy.certify_counts`):
+    counts not of whole trees raise :class:`NumericalError`, a non-terminal
+    with occurrences that the root does not reach along the row's rules
+    :class:`DivergentGrammarError`, and an error names its row.  f_A are the
+    segment sums of a row in `Pcfg.order`, each smoother runs over the
+    positive counts of _BLOCK_ROWS rows at a time, and a row's value is
+    sum_A f_A h_A / N, the sum correctly rounded.  No value depends on the
+    rows beside it, so the blocks give the bits one call per row would.
     """
     children = _children(grammar)
     sentences = []
@@ -303,7 +304,7 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
             raise DivergentGrammarError(f"row {t}: {err}") from None
         if certified is None:
             raise NumericalError(f"row {t}: rule counts that are not those of whole trees")
-        sentences.append(certified[0])
+        sentences.append(certified)
     values = np.empty((len(counts), len(smoothers)))
     for start in range(0, len(counts), _BLOCK_ROWS):
         end = start + _BLOCK_ROWS

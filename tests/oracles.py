@@ -16,7 +16,10 @@ builds every node as it draws, CWJ estimates from
 with every array and value computed from them, from the implementation
 that kept each grammar as a list of :class:`Rule` objects and walked it
 (:class:`ReferencePcfg` and the functions after it), rule counts from a
-:class:`Counter` of ``(lhs, rhs)`` keys (:class:`RuleCounts`).  The cross-entropy of a
+:class:`Counter` of ``(lhs, rhs)`` keys (:class:`RuleCounts`), and the
+certificate of a row of counts from the strongly connected blocks of M, each
+tested for an occurrence from outside (:func:`reference_certify_counts`),
+where the package searches from the root.  The cross-entropy of a
 grammar on test trees (:func:`cross_entropy`) walks each tree through
 :func:`~treebank_entropy.grammar.tree_probability`.
 """
@@ -37,8 +40,8 @@ from treebank_entropy.depconv import ConversionConfig, dep_to_tree
 from treebank_entropy.entropy import (
     CountTotals,
     RateReport,
-    _block_labels,
     _sparse_radius,
+    _strong_components,
     entropy_from_probs,
     solve_system,
 )
@@ -913,6 +916,52 @@ def reference_smoothed_local_entropies(grammar, smoother) -> np.ndarray:
     return np.array([estimator(tables[nt]) for nt in grammar.nonterminals])
 
 
+def reference_block_labels(n: int, rows: np.ndarray, cols: np.ndarray):
+    """The strongly connected blocks of the pattern, and each vertex's
+    block and its position within it."""
+    blocks = _strong_components(n, rows, cols)
+    label = np.empty(n, dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)
+    for b, block in enumerate(blocks):
+        label[block] = b
+        position[block] = np.arange(len(block))
+    return blocks, label, position
+
+
+def reference_certify_counts(grammar, counts, arrays=None):
+    """N, if the int64 rule counts `counts` are those of N whole trees and
+    every strongly connected block of M's pattern over the rules with a
+    positive count that has occurrences receives one from outside itself;
+    None if they are not the counts of whole trees.  The blocks come from
+    Tarjan's search, and each is tested for a feeding edge."""
+    if arrays is None:
+        arrays = reference_rule_arrays(grammar)
+    n = arrays.n
+    used = counts[arrays.rule] > 0
+    rule, child = arrays.rule[used], arrays.child[used]
+    occurrences = np.zeros(n, dtype=np.int64)
+    np.add.at(occurrences, arrays.lhs, counts)
+    free = occurrences.copy()
+    np.subtract.at(free, child, counts[rule])
+    root = grammar.nt_index[grammar.root]
+    sentences = int(free[root])
+    free[root] = 0
+    if sentences <= 0 or free.any():
+        return None
+    rows, cols = np.divmod(np.unique(arrays.lhs[rule] * n + child), n)
+    blocks, label, _ = reference_block_labels(n, rows, cols)
+    fed = np.zeros(len(blocks), dtype=bool)
+    fed[label[root]] = True
+    fed[label[cols[label[rows] != label[cols]]]] = True
+    fed[label[occurrences == 0]] = True  # nothing to feed
+    if not fed.all():
+        raise DivergentGrammarError(
+            "some strongly connected block(s) of M receive no occurrence from "
+            "outside: spectral radius 1, expected subtree measures diverge"
+        )
+    return sentences
+
+
 def reference_count_totals(grammar, arrays=None) -> CountTotals | None:
     if arrays is None:
         arrays = reference_rule_arrays(grammar)
@@ -926,24 +975,10 @@ def reference_count_totals(grammar, arrays=None) -> CountTotals | None:
     occurrences = np.bincount(arrays.lhs, freq, minlength=arrays.n)
     if not (arrays.prob == freq / occurrences[arrays.lhs]).all():
         return None
-    roots = occurrences - np.bincount(arrays.child, freq[arrays.rule], minlength=arrays.n)
-    root = grammar.nt_index[grammar.root]
-    sentences = roots[root]
-    roots[root] = 0
-    if not sentences > 0 or roots.any():
+    sentences = reference_certify_counts(grammar, freq.astype(np.int64), arrays)
+    if sentences is None:
         return None
-    found = _block_labels(arrays.n, arrays.rows, arrays.cols)
-    blocks, label, _ = found
-    fed = np.zeros(len(blocks), dtype=bool)
-    fed[label[root]] = True
-    fed[label[arrays.cols[label[arrays.rows] != label[arrays.cols]]]] = True
-    if not fed.all():
-        raise DivergentGrammarError(
-            f"{np.count_nonzero(~fed)} strongly connected block(s) of M receive "
-            "no occurrence from outside: spectral radius 1, expected subtree "
-            "measures diverge"
-        )
-    return CountTotals(occurrences, int(sentences), int(freq @ arrays.emitted), found)
+    return CountTotals(occurrences, sentences, int(freq @ arrays.emitted))
 
 
 def reference_root_row(grammar, entropies, totals) -> np.ndarray:
@@ -976,8 +1011,7 @@ def reference_entropy_rate(grammar) -> RateReport:
         raise NumericalError(f"expected length {mlu} is not positive")
     positive = arrays.weights > 0
     radius = _sparse_radius(arrays.n, arrays.rows[positive], arrays.cols[positive],
-                            arrays.weights[positive],
-                            None if totals is None else totals.blocks)
+                            arrays.weights[positive])
     return RateReport(entropy, mlu, entropy / mlu, radius)
 
 

@@ -1,6 +1,7 @@
 """The count path: an induced grammar's MLU, entropies, rate and SITE from its
 rule counts, checked against the linear solve, and the integer certificate
-that lets it skip the solve, one row of counts at a time."""
+that lets it skip the solve, one row of counts at a time, checked against
+the certificate that tests each strongly connected block of M."""
 
 import sys
 from pathlib import Path
@@ -11,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treebank_entropy.grammar
-from oracles import random_projective_graph, reference_smoothed_local_entropies
+from oracles import (
+    random_projective_graph,
+    reference_certify_counts,
+    reference_rule_arrays,
+    reference_smoothed_local_entropies,
+)
 from synthetic import sample_corpus, scaffold_grammar
 from test_depconv import to_conllu
 from test_properties import CORPORA
@@ -92,10 +98,12 @@ def bench_inputs(tmp_path_factory):
     parse = build_parser().parse_args
     wide = parse(["site", "--format", "conllu", "--use-form", "--unlabeled", "x"])
     ptb = parse(["site", "x"])
+    sweep = _merge(_read_files([str(source.path)], ptb))
     return {
         "wide_grammar": induce(_merge(_read_files([str(bank.path)], wide))),
         "treebank_files": induce(_merge(_read_files([str(f.path) for f in files], ptb))),
-        "sweep": induce(_merge(_read_files([str(source.path)], ptb))),
+        "sweep": induce(sweep),
+        "sweep_source": sweep,
     }
 
 
@@ -121,19 +129,24 @@ def write(path, text):
     return str(path)
 
 
+def sampled_files(tmp_path, seed):
+    """Two PTB files of trees sampled from GRAMMAR."""
+    rng = np.random.default_rng(seed)
+    sampler = Sampler(GRAMMAR)
+    return [
+        write(tmp_path / f"{name}.mrg", "\n".join(
+            write_bracketed(t) for t in sample_corpus(sampler, size, rng).sentences))
+        for name, size in (("a", 40), ("b", 25))
+    ]
+
+
 def test_cli_commands_build_no_matrix_and_solve_nothing(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the count path builds no M and solves nothing")
 
     monkeypatch.setattr(entropy, "solve_system", refuse)
     monkeypatch.setattr(entropy, "characteristic_matrix", refuse)
-    rng = np.random.default_rng(3)
-    sampler = Sampler(GRAMMAR)
-    files = [
-        write(tmp_path / f"{name}.mrg", "\n".join(
-            write_bracketed(t) for t in sample_corpus(sampler, size, rng).sentences))
-        for name, size in (("a", 40), ("b", 25))
-    ]
+    files = sampled_files(tmp_path, 3)
     grammar = str(tmp_path / "induced.txt")
     options = ["--no-preterminalize"]
     for argv in (
@@ -154,6 +167,44 @@ def test_cli_commands_build_no_matrix_and_solve_nothing(tmp_path, monkeypatch, c
     from_treebank = capsys.readouterr().out
     assert main(["rate", "--grammar", grammar]) == 0
     assert capsys.readouterr().out == from_treebank
+
+
+def test_only_the_spectral_radius_computes_blocks(tmp_path, monkeypatch, capsys):
+    # The certificate is a search from the root: no command but rate runs
+    # Tarjan's search for M's strongly connected blocks, and rate runs it
+    # once, for the radius.
+    real = entropy._strong_components
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("the count path computes no block of M")
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    files = sampled_files(tmp_path, 3)
+    grammar = str(tmp_path / "induced.txt")
+    options = ["--no-preterminalize"]
+    monkeypatch.setattr(entropy, "_strong_components", refuse)
+    for argv in (
+        ["site", *options, *files],
+        ["report", *options, *files],
+        ["incremental", *options, *files],
+        ["converge", "--sizes", "2,7", "--replications", "2", *options, *files],
+        ["entropy", *options, *files],
+        ["mlu", *options, *files],
+        ["induce", "-o", grammar, *options, *files],
+        ["entropy", "--grammar", grammar],
+        ["mlu", "--grammar", grammar],
+    ):
+        assert main(argv) == 0, argv
+    monkeypatch.setattr(entropy, "_strong_components", count)
+    for argv in (["rate", *options, *files], ["rate", "--grammar", grammar]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 def test_cli_count_paths_build_no_rule(tmp_path, monkeypatch, capsys):
@@ -331,3 +382,103 @@ def test_site_rows_names_the_row_that_fails_its_certificate():
     for row, value in zip(good, values):
         one = site_rows(GRAMMAR, row[None], smoothers)[0]
         assert value.tobytes() == one.tobytes()
+
+
+#: The sample sizes of the benchmark's sweep workload (bench/run.py).
+SWEEP_SIZES = (1, 2, 3, 5, 7, 11, 17, 25, 37, 55, 82, 122, 1000)
+
+
+def verdict(certify, *args):
+    """What a certificate returns, or the type and message of what it raises."""
+    try:
+        return certify(*args)
+    except DivergentGrammarError as err:
+        return type(err), str(err)
+
+
+def certificate_verdicts(grammar, rows):
+    """The search certificate's verdict on each row, which must be the block
+    certificate's: N, None, or the error and its message."""
+    children = entropy._children(grammar)
+    arrays = reference_rule_arrays(grammar)
+    verdicts = []
+    for row in rows:
+        got = verdict(entropy.certify_counts, grammar, row, children)
+        assert got == verdict(reference_certify_counts, grammar, row, arrays)
+        verdicts.append(got)
+    return verdicts
+
+
+def test_certificate_matches_blocks_on_sweep_rows(bench_inputs, monkeypatch):
+    # The rows of the sweep workload's converge at seed 0, and each of them
+    # with one more count on a rule whose right-hand side holds its own
+    # left-hand side: a loop that the row may or may not reach.
+    import treebank_entropy.analysis as analysis
+
+    tables, rows = [], []
+
+    def capture(grammar, counts, smoothers):
+        tables.append(grammar)
+        rows.extend(counts)
+        return site_rows(grammar, counts, smoothers)
+
+    monkeypatch.setattr(analysis, "site_rows", capture)
+    analysis.converge(bench_inputs["sweep_source"], sizes=SWEEP_SIZES, replications=2,
+                      seed=0)
+    truth = tables[0]
+    rule, child, _ = entropy._children(truth)
+    loops = np.unique(rule[truth.lhs[rule] == child])
+    looped = []
+    for row in rows:
+        for r in loops:
+            looped.append(row.copy())
+            looped[-1][r] += 1
+    assert (len(rows), loops.size) == (2 * len(SWEEP_SIZES), 41)
+    verdicts = certificate_verdicts(truth, rows + looped)
+    assert all(type(v) is int for v in verdicts[:len(rows)])
+    assert {type(v) for v in verdicts[len(rows):]} == {int, tuple, type(None)}
+
+
+def test_certificate_matches_blocks_on_an_unreached_loop():
+    # A -> A B is a loop that nothing feeds, and it feeds B: two
+    # non-terminals go unreached, in one block that nothing feeds.
+    grammar = Pcfg("S", [Rule("S", ("a",), 0.5, 1), Rule("S", ("A",), 0.5, 1),
+                         Rule("A", ("A", "B"), 0.5, 1), Rule("A", ("c",), 0.5, 1),
+                         Rule("B", ("b",), 1.0, 1)])
+    unfed, fed = certificate_verdicts(grammar, np.array([[1, 0, 1, 0, 1], [0, 1, 1, 1, 1]]))
+    assert unfed[0] is DivergentGrammarError
+    assert fed == 1
+
+
+def chain_grammar(links):
+    """S -> a | b X1, X1 -> X1 X2 | b X2, Xi -> b Xi+1 and X<links> -> a."""
+    rules = [Rule("S", ("a",), 0.5, 1), Rule("S", ("b", "X1"), 0.5, 1),
+             Rule("X1", ("X1", "X2"), 0.5, 1)]
+    rules += [Rule(f"X{i}", ("b", f"X{i + 1}"), 0.5 if i == 1 else 1.0, 1)
+              for i in range(1, links)]
+    return Pcfg("S", [*rules, Rule(f"X{links}", ("a",), 1.0, 1)])
+
+
+@pytest.mark.parametrize("links", [2000, 20000])
+def test_certificate_matches_blocks_on_long_chains(links):
+    # The chain from the root, and the chain under an unfed loop at its
+    # head, X1 -> X1 X2, which leaves every link unreached.
+    grammar = chain_grammar(links)
+    reached = np.ones(len(grammar), dtype=np.int64)
+    reached[[0, 2]] = 0
+    unfed = np.ones(len(grammar), dtype=np.int64)
+    unfed[[1, 3]] = 0
+    got_reached, got_unfed = certificate_verdicts(grammar, [reached, unfed])
+    assert got_reached == 1
+    assert got_unfed[0] is DivergentGrammarError
+
+
+def test_negative_count_is_no_count_of_trees():
+    # The roots identity holds and B's block has no occurrences, so the
+    # block certificate passes this row; its negative count makes it no
+    # count of trees.
+    grammar = Pcfg("S", [Rule("S", ("a",), 1.0, 1), Rule("B", ("b",), 0.5, 1),
+                         Rule("B", ("A",), 0.5, 1), Rule("A", ("a",), 1.0, 1)])
+    row = np.array([1, -1, 1, 1])
+    assert reference_certify_counts(grammar, row) == 1
+    assert entropy.certify_counts(grammar, row, entropy._children(grammar)) is None
