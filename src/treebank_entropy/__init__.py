@@ -17,8 +17,8 @@ _EXPORTS_BY_MODULE = {
     ),
     "conllu": ("DepGraph", "parse_conllu", "read_conllu"),
     "depconv": (
-        "ConversionConfig", "count_conllu", "counted_conllu", "dep_to_tree",
-        "graphs_to_corpus", "is_projective", "tree_to_dep",
+        "ConversionConfig", "counted_conllu", "dep_to_tree", "graphs_to_corpus",
+        "is_projective", "tree_to_dep",
     ),
     "entropy": (
         "RateReport", "characteristic_matrix", "derivational_entropy",
@@ -41,8 +41,8 @@ _EXPORTS_BY_MODULE = {
     ),
     "trees": (
         "Corpus", "CountedCorpus", "Derivation", "RuleTable", "Tree",
-        "corpus_mlu", "count_bracketed", "counted_bracketed", "derivation",
-        "parse_bracketed", "read_bracketed", "write_bracketed",
+        "corpus_mlu", "counted_bracketed", "derivation", "parse_bracketed",
+        "read_bracketed", "write_bracketed",
     ),
 }
 

@@ -60,10 +60,33 @@ def _read_file(path, args, table: RuleTable) -> CountedCorpus:
     )
 
 
+#: The reader options that each format leaves unread.
+_UNREAD_BY_FORMAT = {
+    "ptb": {"--unlabeled", "--use-form"},
+    "conllu": {"--drop-label", "--strip-tags", "--no-preterminalize"},
+}
+
+
+def _reader_options(args) -> list[str]:
+    """The reader options given."""
+    given = {
+        "--format": args.format, "--drop-label": args.drop_label,
+        "--strip-tags": args.strip_tags, "--unlabeled": args.unlabeled,
+        "--no-preterminalize": not args.preterminalize,
+        "--use-form": args.use_form,
+    }
+    return [name for name, value in given.items() if value]
+
+
 def _read_files(paths, args) -> list[CountedCorpus]:
-    """Every file's counts, over one shared table."""
+    """Every file's counts, over one shared table; a reader option that the
+    format does not read is refused before any file is read."""
     from .trees import RuleTable
 
+    form = args.format or "ptb"
+    unread = [o for o in _reader_options(args) if o in _UNREAD_BY_FORMAT[form]]
+    if unread:
+        raise InputError(f"--format {form} leaves input unread: {' '.join(unread)}")
     table = RuleTable()
     corpora = [_read_file(p, args, table) for p in paths]
     if not any(len(c) for c in corpora):
@@ -81,13 +104,7 @@ def _load_grammar(args) -> Pcfg:
     from .grammar import induce, read_grammar
 
     if args.grammar:
-        reader_options = {
-            "--format": args.format, "--drop-label": args.drop_label,
-            "--strip-tags": args.strip_tags, "--unlabeled": args.unlabeled,
-            "--no-preterminalize": not args.preterminalize,
-            "--use-form": args.use_form,
-        }
-        unread = args.files + [k for k, given in reader_options.items() if given]
+        unread = args.files + _reader_options(args)
         if unread:
             raise InputError(f"--grammar leaves input unread: {' '.join(unread)}")
         return read_grammar(args.grammar)

@@ -9,8 +9,7 @@ input the mapping is information-preserving and :func:`tree_to_dep` inverts
 it exactly.  :func:`counted_conllu` reads CoNLL-U text straight into the
 interned rule ids of the converted trees (a :class:`~.trees.CountedCorpus`),
 without building graphs or trees; it shares its row reader and tree walk
-with :func:`~.conllu.parse_conllu`, and :func:`count_conllu` gives its
-reading as derivations.
+with :func:`~.conllu.parse_conllu`.
 """
 
 from __future__ import annotations
@@ -239,15 +238,6 @@ def counted_conllu(
     roots = [ROOT_LABEL] * (len(offsets) - 1)
     corpus = CountedCorpus._of(table, roots, ids, offsets, leaves, leaf_offsets, source_id)
     return corpus, skipped
-
-
-def count_conllu(text: str, config: ConversionConfig = ConversionConfig()):
-    """The derivations ``derivation(dep_to_tree(g, config))`` of the
-    projective graphs g that ``parse_conllu(text)`` returns, and the number
-    of the others: :func:`counted_conllu`'s reading, one
-    :class:`~.trees.Derivation` per sentence."""
-    corpus, skipped = counted_conllu(text, config)
-    return corpus.derivations(), skipped
 
 
 def _rules(labels, anchors, heads, rels, order, labeled: bool) -> list:

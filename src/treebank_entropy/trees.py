@@ -12,8 +12,7 @@ sentence becomes its rule ids in pre-order, its root label and its
 frontier.  Bracketed text has one reader, one token loop that cleans each
 node as it closes: :func:`counted_bracketed` runs it straight into rule ids,
 without building a tree, and :func:`parse_bracketed` runs it building the
-trees.  :func:`count_bracketed` gives the same reading as one
-:class:`Derivation` per sentence.
+trees.
 """
 
 from __future__ import annotations
@@ -190,19 +189,6 @@ def counted_bracketed(
     table = RuleTable() if table is None else table
     roots, *arrays = _read(text, drop_labels, strip_tags, preterminalize, table)
     return CountedCorpus._of(table, roots, *arrays, source_id=source_id)
-
-
-def count_bracketed(
-    text: str,
-    drop_labels=frozenset(),
-    strip_tags: bool = False,
-    preterminalize: bool = False,
-) -> list[Derivation]:
-    """The derivations of the trees ``parse_bracketed(text, ...)`` returns:
-    :func:`counted_bracketed`'s reading, one :class:`Derivation` per
-    sentence."""
-    return counted_bracketed(text, None, drop_labels, strip_tags,
-                             preterminalize).derivations()
 
 
 def _read(text, drop_labels, strip_tags, preterminalize, table):
@@ -422,9 +408,6 @@ class Corpus:
     def __len__(self):
         return len(self.sentences)
 
-    def derivations(self) -> list[Derivation]:
-        return [derivation(t) for t in self.sentences]
-
 
 class CountedCorpus:
     """The rule counts of a list of sentences plus provenance: what the
@@ -442,11 +425,11 @@ class CountedCorpus:
     one if None), and :meth:`derivations` gives them back.
     """
 
-    def __init__(self, sentences=(), source_id: str = "",
+    def __init__(self, derivations=(), source_id: str = "",
                  table: RuleTable | None = None):
         table = RuleTable() if table is None else table
         roots, ids, offsets, leaves, leaf_offsets = [], [], [0], [], [0]
-        for root, rules, frontier in sentences:
+        for root, rules, frontier in derivations:
             roots.append(root)
             ids.extend(table.intern(rules))
             offsets.append(len(ids))
@@ -480,10 +463,6 @@ class CountedCorpus:
         return [Derivation(root, rules[a:b], self.leaves[c:d]) for root, a, b, c, d
                 in zip(self.roots, cuts, cuts[1:], leaf_cuts, leaf_cuts[1:])]
 
-    @property
-    def sentences(self) -> list[Derivation]:
-        return self.derivations()
-
 
 def counted(corpus: Corpus | CountedCorpus,
             table: RuleTable | None = None) -> CountedCorpus:
@@ -491,7 +470,7 @@ def counted(corpus: Corpus | CountedCorpus,
     interned into `table`."""
     if isinstance(corpus, CountedCorpus):
         return corpus
-    return CountedCorpus(corpus.derivations(), corpus.source_id, table)
+    return CountedCorpus(map(derivation, corpus.sentences), corpus.source_id, table)
 
 
 def merge(corpora: list[CountedCorpus], source_id: str = "") -> CountedCorpus:

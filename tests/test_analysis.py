@@ -205,7 +205,7 @@ class TestConverge:
         # rows are those of the same draws made as trees by the reference
         # sampler.
         source = CountedCorpus(
-            sampled_corpus(scaffold_grammar(), 60, 8).derivations()
+            [derivation(t) for t in sampled_corpus(scaffold_grammar(), 60, 8).sentences]
         )
         sweep = dict(sizes=[1, 5, 30], replications=3, seed=seed)
 

@@ -548,6 +548,37 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "options, reported",
+        [(["--format", "conllu", "--drop-label", "X"],
+          "conllu leaves input unread: --drop-label"),
+         (["--format", "conllu", "--strip-tags"],
+          "conllu leaves input unread: --strip-tags"),
+         (["--format", "conllu", "--no-preterminalize"],
+          "conllu leaves input unread: --no-preterminalize"),
+         (["--no-preterminalize", "--strip-tags", "--format", "conllu",
+           "--drop-label", "X", "--use-form"],
+          "conllu leaves input unread: --drop-label --strip-tags --no-preterminalize"),
+         (["--unlabeled"], "ptb leaves input unread: --unlabeled"),
+         (["--use-form"], "ptb leaves input unread: --use-form"),
+         (["--use-form", "--format", "ptb", "--strip-tags", "--unlabeled"],
+          "ptb leaves input unread: --unlabeled --use-form")],
+        ids=["conllu-drop-label", "conllu-strip-tags", "conllu-no-preterminalize",
+             "conllu-all", "ptb-unlabeled", "ptb-use-form", "ptb-both"],
+    )
+    @pytest.mark.parametrize(
+        "command", ["induce", "entropy", "rate", "mlu", "site", "converge",
+                    "incremental", "report"],
+    )
+    def test_option_the_format_leaves_unread_rejected(
+        self, tmp_path, capsys, command, options, reported
+    ):
+        # The file does not exist: the options are refused before any read.
+        assert main([command, *options, str(tmp_path / "missing")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --format {reported}\n"
+
+    @pytest.mark.parametrize(
         "argv, data, offset",
         [
             (["entropy", "{path}"], b"(S (A a\xff))", 8),

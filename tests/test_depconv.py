@@ -11,7 +11,7 @@ from oracles import (
 from treebank_entropy.conllu import DepGraph, parse_conllu
 from treebank_entropy.depconv import (
     ConversionConfig,
-    count_conllu,
+    counted_conllu,
     crossing_arcs,
     dep_to_tree,
     graphs_to_corpus,
@@ -296,7 +296,8 @@ class TestCountConllu:
             graphs.append(random_dependency_graph(rng, n))
         text = to_conllu(graphs)
         for config in CONFIGS:
-            derivations, skipped = count_conllu(text, config)
+            corpus, skipped = counted_conllu(text, config)
+            derivations = corpus.derivations()
             assert (derivations, skipped) == reference_count_conllu(text, config)
             assert len(derivations) > 150 and skipped > 100  # both kinds occur
 
@@ -307,7 +308,9 @@ class TestCountConllu:
             graph = DepGraph(tokens=[("NN", "NN")] * n, heads=heads, labels=labels)
             text = to_conllu([graph])
             for config in CONFIGS:
-                assert count_conllu(text, config) == reference_count_conllu(text, config)
+                corpus, skipped = counted_conllu(text, config)
+                assert (corpus.derivations(), skipped) == reference_count_conllu(
+                    text, config)
 
     @pytest.mark.parametrize("kind", MALFORMED)
     def test_malformed_raises_the_parse_conllu_error(self, kind):
@@ -316,7 +319,7 @@ class TestCountConllu:
             parse_conllu(text)
         for config in CONFIGS:
             with pytest.raises(InputError) as got:
-                count_conllu(text, config)
+                counted_conllu(text, config)
             assert type(got.value) is type(expected.value)
             assert str(got.value) == str(expected.value)
             assert getattr(got.value, "line", None) == getattr(expected.value, "line", None)

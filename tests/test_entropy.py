@@ -236,19 +236,22 @@ class TestCertificate:
         [0.4, *(0.5 - 10.0**-k for k in range(2, 17)), math.nextafter(0.5, 0.0)],
     )
     def test_near_critical_binary_family(self, q):
-        # S -> S S (q) | a (1-q): H = h(q) / (1 - 2q) bits, MLU =
-        # (1 - q) / (1 - 2q) and rate h(q) / (1 - q), evaluated in 50-digit
-        # arithmetic at the float q.  Every q up to the largest double below
-        # 1/2 is resolved; the worst error measured is 1.5e-16 relative for
-        # H and MLU and 2.2e-16 for the rate, so one unit in the last place
-        # bounds all three.
+        # S -> S S (p) | a (r): H = h / (1 - 2p) bits, MLU = r / (1 - 2p)
+        # and rate h / r, with h = -(p log2 p + r log2 r), evaluated in
+        # 50-digit arithmetic at the probabilities the grammar stores: p = q
+        # and r = fl(1 - q), which is not the real 1 - q for seven of these
+        # q.  Every q up to the largest double below 1/2 is resolved; the
+        # worst error measured is 2.27e-16 relative (H at q = 0.49999999999,
+        # where 1 - q is exact), so one unit in the last place bounds all
+        # three.  Against the family's value at q itself, q = 0.49999999
+        # would be 1.94e-16 off, not 8.3e-17, from the rounding of 1 - q alone.
         with mpmath.workdps(50):
-            p = mpmath.mpf(q)
-            h = -(p * mpmath.log(p, 2) + (1 - p) * mpmath.log(1 - p, 2))
+            p, r = mpmath.mpf(q), mpmath.mpf(1 - q)
+            h = -(p * mpmath.log(p, 2) + r * mpmath.log(r, 2))
             closed = {
                 "entropy": h / (1 - 2 * p),
-                "mlu": (1 - p) / (1 - 2 * p),
-                "rate": h / (1 - p),
+                "mlu": r / (1 - 2 * p),
+                "rate": h / r,
             }
 
             def rel(value, name):

@@ -10,15 +10,14 @@ import pytest
 
 from oracles import reference_count_conllu, reference_parse_conllu
 from test_trees import READ_OPTIONS as ALL_READ_OPTIONS
-from test_trees import _outcome
+from test_trees import _derivations, _outcome
 from treebank_entropy.conllu import parse_conllu, read_conllu
-from treebank_entropy.depconv import ConversionConfig, count_conllu
+from treebank_entropy.depconv import ConversionConfig, counted_conllu
 from treebank_entropy.errors import InputError, ParseError, StructuralError
 from treebank_entropy.grammar import dumps, induce, loads, read_grammar
 from treebank_entropy.trees import (
     DEFAULT_DROP_LABELS,
     Corpus,
-    count_bracketed,
     derivation,
     parse_bracketed,
     read_bracketed,
@@ -138,7 +137,7 @@ def test_counting_reader_reads_like_parse_bracketed(seed):
             expected = _outcome(parse_bracketed, text, options)
             if isinstance(expected, list):
                 expected = [derivation(t) for t in expected]
-            assert _outcome(count_bracketed, text, options) == expected
+            assert _outcome(_derivations, text, options) == expected
 
 
 def _conllu_outcome(read, text, *args):
@@ -167,9 +166,13 @@ def test_parse_conllu_reads_like_the_reference(seed):
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_counting_reader_reads_like_parse_conllu(seed):
+    def derivations(text, config):
+        corpus, skipped = counted_conllu(text, config)
+        return corpus.derivations(), skipped
+
     configs = [ConversionConfig(labeled, use_pos)
                for labeled in (True, False) for use_pos in (True, False)]
     for text in _texts(np.random.default_rng(seed), CONLLU, 400):
         for config in configs:
             expected = _conllu_outcome(reference_count_conllu, text, config)
-            assert _conllu_outcome(count_conllu, text, config) == expected
+            assert _conllu_outcome(derivations, text, config) == expected

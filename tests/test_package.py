@@ -29,7 +29,7 @@ EXPORTED = {
     "analysis": ["DEFAULT_SIZES", "ConvergenceRow", "FileReport", "RegressionFit",
                  "converge", "file_reports", "fit", "incremental", "residualize"],
     "conllu": ["DepGraph", "parse_conllu", "read_conllu"],
-    "depconv": ["ConversionConfig", "count_conllu", "counted_conllu", "dep_to_tree",
+    "depconv": ["ConversionConfig", "counted_conllu", "dep_to_tree",
                 "graphs_to_corpus", "is_projective", "tree_to_dep"],
     "entropy": ["RateReport", "characteristic_matrix", "derivational_entropy",
                 "entropy_rate", "grammar_mlu", "local_entropies", "local_lengths",
@@ -43,7 +43,7 @@ EXPORTED = {
     "grammar": ["FreqTable", "Pcfg", "Rule", "Sampler", "induce", "read_grammar",
                 "sample", "tree_probability", "write_grammar"],
     "trees": ["Corpus", "CountedCorpus", "Derivation", "RuleTable", "Tree",
-              "corpus_mlu", "count_bracketed", "counted_bracketed", "derivation",
+              "corpus_mlu", "counted_bracketed", "derivation",
               "parse_bracketed", "read_bracketed", "write_bracketed"],
 }
 

@@ -31,7 +31,7 @@ from treebank_entropy.trees import (
     CountedCorpus,
     Tree,
     corpus_mlu,
-    count_bracketed,
+    counted_bracketed,
     derivation,
     parse_bracketed,
     write_bracketed,
@@ -102,9 +102,9 @@ def test_counting_reader_counts_reference_trees(sentences):
             trees = reference_read(text, **options)
         except StructuralError:  # a node mixing words and phrases
             with pytest.raises(StructuralError):
-                count_bracketed(text, **options)
+                counted_bracketed(text, **options)
             continue
-        derivations = count_bracketed(text, **options)
+        derivations = counted_bracketed(text, **options).derivations()
         got, want = RuleCounts(derivations), RuleCounts(map(derivation, trees))
         assert list(got.rules.items()) == list(want.rules.items())
         assert list(got.roots.items()) == list(want.roots.items())

@@ -12,7 +12,7 @@ from treebank_entropy.trees import (
     Corpus,
     Tree,
     corpus_mlu,
-    count_bracketed,
+    counted_bracketed,
     derivation,
     parse_bracketed,
     read_bracketed,
@@ -57,7 +57,7 @@ class TestParseBracketed:
     def test_offset_counts_characters_not_bytes(self):
         # 'é' is two bytes in UTF-8: the stray ')' is character 13, byte 15.
         text = "(S (A éé) ) )"
-        for read in (parse_bracketed, count_bracketed):
+        for read in (parse_bracketed, counted_bracketed):
             with pytest.raises(ParseError) as exc:
                 read(text)
             assert exc.value.offset == 13
@@ -242,6 +242,11 @@ def _outcome(read, text, options):
         return type(err), str(err), getattr(err, "offset", None)
 
 
+def _derivations(text, **options):
+    """The derivations of the sentences that :func:`counted_bracketed` reads."""
+    return counted_bracketed(text, **options).derivations()
+
+
 def assert_reads_like_reference(text):
     """Both readers agree with the reference: the tree reader on the trees,
     the counting reader on their derivations, and both on any error."""
@@ -250,7 +255,7 @@ def assert_reads_like_reference(text):
         assert _outcome(parse_bracketed, text, options) == expected, options
         if isinstance(expected, list):
             expected = [derivation(t) for t in expected]
-        assert _outcome(count_bracketed, text, options) == expected, options
+        assert _outcome(_derivations, text, options) == expected, options
 
 
 def random_ptb(rng, sentences):
@@ -362,15 +367,16 @@ class TestReaderMatchesReference:
 
 class TestCountBracketed:
     def test_derivation_in_pre_order(self):
-        (got,) = count_bracketed("( (S (NP (DT a) (NN b)) (VP (VB c) (-NONE- *))) )",
-                                 DEFAULT_DROP_LABELS, preterminalize=True)
+        (got,) = counted_bracketed("( (S (NP (DT a) (NN b)) (VP (VB c) (-NONE- *))) )",
+                                   drop_labels=DEFAULT_DROP_LABELS,
+                                   preterminalize=True).derivations()
         assert got.root == "S"
         assert got.rules == [("S", ("NP", "VP")), ("NP", ("DT", "NN")), ("VP", ("VB",))]
         assert got.leaves == ["DT", "NN", "VB"]
         assert got.terminals == 3
 
     def test_bare_preterminal_is_a_leaf_sentence(self):
-        assert count_bracketed("(NN x)", preterminalize=True) == [
+        assert counted_bracketed("(NN x)", preterminalize=True).derivations() == [
             derivation(Tree("NN"))
         ]
 
@@ -382,4 +388,4 @@ class TestCountBracketed:
         text = "(S a" + "a".join(points) + "a)"
         expected = reference_parse_bracketed(text)
         assert parse_bracketed(text) == expected
-        assert count_bracketed(text) == [derivation(t) for t in expected]
+        assert counted_bracketed(text).derivations() == [derivation(t) for t in expected]
