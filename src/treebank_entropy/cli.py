@@ -352,27 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grammar induction and derivational-entropy analysis of treebanks.",
     )
     # Option groups; each subcommand takes only the groups its _cmd_* reads.
+    # A reader command names the format that reads each reader option.
+    def dependency_options(group, suffix=""):
+        group.add_argument(
+            "--unlabeled", action="store_true",
+            help="omit relation nodes when converting dependencies" + suffix,
+        )
+        group.add_argument(
+            "--use-form", action="store_true",
+            help="label dependency nodes by word form instead of POS" + suffix,
+        )
+
     dependency = argparse.ArgumentParser(add_help=False)
-    dependency.add_argument(
-        "--unlabeled", action="store_true",
-        help="omit relation nodes when converting dependencies",
-    )
-    dependency.add_argument(
-        "--use-form", action="store_true",
-        help="label dependency nodes by word form instead of POS",
-    )
-    reader = argparse.ArgumentParser(add_help=False, parents=[dependency])
+    dependency_options(dependency)
+    reader = argparse.ArgumentParser(add_help=False)
+    dependency_options(reader, " (conllu only)")
     reader.add_argument(
         "--format", choices=("ptb", "conllu"),
         help="treebank file format (default: ptb)",
     )
     reader.add_argument(
         "--drop-label", action="append", default=None, metavar="LABEL",
-        help="pre-terminal labels to strip (default: -NONE-)",
+        help="pre-terminal labels to strip (default: -NONE-; ptb only)",
     )
     reader.add_argument(
         "--strip-tags", action="store_true",
-        help="cut -/= function-tag suffixes from internal labels",
+        help="cut -/= function-tag suffixes from internal labels (ptb only)",
     )
     reader.add_argument(
         "--no-preterminalize", dest="preterminalize", action="store_false",

@@ -6,8 +6,10 @@ are comment lines; every other row's ID must be its 1-based position in the
 sentence.  Each sentence is checked to be a single-rooted tree, and every
 token but the root must have a DEPREL.  One reader (:func:`_sentences`)
 gives the rows of every sentence, and one walk (:func:`_tree_walk`) checks
-treeness, for :func:`parse_conllu` here and for
-:func:`~.depconv.counted_conllu`, which reads text into rule counts.
+treeness, for :func:`parse_conllu` here.  :func:`~.depconv.counted_conllu`,
+which reads text into rule counts, scans regular text in whole-file numpy
+passes and uses this reader and walk only for text the scan does not cover
+or that does not form trees, so both raise the same errors.
 """
 
 from __future__ import annotations

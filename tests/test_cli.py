@@ -419,6 +419,35 @@ class TestOptions:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    #: Each reader option's help, naming the format that reads it.
+    READER_HELP = {
+        "--unlabeled": "omit relation nodes when converting dependencies (conllu only)",
+        "--use-form": "label dependency nodes by word form instead of POS (conllu only)",
+        "--drop-label": "pre-terminal labels to strip (default: -NONE-; ptb only)",
+        "--strip-tags": "cut -/= function-tag suffixes from internal labels (ptb only)",
+        "--no-preterminalize":
+            "keep word leaves instead of reducing to POS leaves (ptb only)",
+    }
+
+    @pytest.mark.parametrize(
+        "command", ["induce", "entropy", "rate", "mlu", "site", "converge",
+                    "incremental", "report", "convert"],
+    )
+    def test_reader_options_name_their_format(self, command):
+        (subparsers,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        helps = {
+            max(a.option_strings, key=len): a.help
+            for a in subparsers.choices[command]._actions if a.option_strings
+        }
+        if command == "convert":  # converts only dependencies
+            assert helps["--unlabeled"] == "omit relation nodes when converting dependencies"
+            assert helps["--use-form"] == "label dependency nodes by word form instead of POS"
+        else:
+            assert {o: helps[o] for o in self.READER_HELP} == self.READER_HELP
+
     def test_library_values_written_out(self):
         (subparsers,) = [
             a for a in build_parser()._actions

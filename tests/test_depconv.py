@@ -8,9 +8,11 @@ from oracles import (
     reference_crossing_arcs,
     reference_validate,
 )
+from treebank_entropy import conllu, depconv
 from treebank_entropy.conllu import DepGraph, parse_conllu
 from treebank_entropy.depconv import (
     ConversionConfig,
+    _scanned,
     counted_conllu,
     crossing_arcs,
     dep_to_tree,
@@ -19,7 +21,7 @@ from treebank_entropy.depconv import (
     tree_to_dep,
 )
 from treebank_entropy.errors import InputError, NonProjectiveError, StructuralError
-from treebank_entropy.trees import parse_bracketed
+from treebank_entropy.trees import CountedCorpus, RuleTable, parse_bracketed
 
 
 CONFIGS = [
@@ -323,3 +325,139 @@ class TestCountConllu:
             assert type(got.value) is type(expected.value)
             assert str(got.value) == str(expected.value)
             assert getattr(got.value, "line", None) == getattr(expected.value, "line", None)
+
+
+def ud(i, form, tag, head, rel, multiword=""):
+    """A CoNLL-U row; `multiword` gives the ID of a range or empty node."""
+    return f"{multiword or i}\t{form}\t_\t{tag}\t_\t_\t{head}\t{rel}\t_\t_"
+
+
+#: A regular UD-style text: comments (one with a tab), multiword ranges and
+#: empty nodes, non-ASCII forms and a non-projective second sentence.
+UD_TEXT = "\n".join([
+    "# newdoc id = d1",
+    "# sent_id = s1",
+    "# text = José vio al perro\tque ladró",
+    ud(1, "José", "PROPN", 2, "nsubj"),
+    ud(2, "vio", "VERB", 0, "root"),
+    ud(0, "al", "_", "_", "_", multiword="3-4"),
+    ud(3, "a", "ADP", 5, "case"),
+    ud(4, "el", "DET", 5, "det"),
+    ud(5, "perro", "NOUN", 2, "obj"),
+    ud(0, "ladró", "VERB", "_", "_", multiword="5.1"),
+    "",
+    "# sent_id = s2",
+    ud(1, "Über", "ADP", 3, "case"),
+    ud(2, "東京", "PROPN", 4, "nsubj"),
+    ud(3, "nacht", "NOUN", 4, "obl"),
+    ud(4, "läuft", "VERB", 0, "root"),
+    "",
+    "# sent_id = s3",
+    ud(1, "ça", "PRON", 2, "nsubj"),
+    ud(2, "marche", "VERB", 0, "root"),
+    ud(3, "…", "PUNCT", 2, "punct"),
+    "",
+    "",
+])
+
+
+def sentence(heads, forms=None, ids=None):
+    """Rows of one sentence over `heads`, then a blank line."""
+    forms = forms or [f"w{k % 3}" for k in range(len(heads))]
+    ids = ids or range(1, len(heads) + 1)
+    return "".join(ud(i, form, f"T{k % 2}", head, "dep" if head else "root") + "\n"
+                   for k, (i, form, head) in enumerate(zip(ids, forms, heads))) + "\n"
+
+
+CHAIN = sentence([0] + list(range(1, 10_000)))
+MALFORMED_ROW = ud(1, "w", "T", 0, "root") + "\tx\n\n"
+
+#: name -> (text, whether the whole-file scan reads it rather than the row
+#: reader of parse_conllu)
+HAND_CASES = {
+    "multiword ranges and empty nodes": (UD_TEXT, True),
+    "a sentence of only ranges and empty nodes": (
+        sentence([0]) + ud(0, "ab", "_", "_", "_", multiword="1-2") + "\n"
+        + ud(0, "x", "_", "_", "_", multiword="1.1") + "\n\n" + sentence([2, 0]), True),
+    "a whitespace-only separator": (sentence([0, 1])[:-1] + " \t\n" + sentence([2, 0]), False),
+    "carriage returns": (sentence([0, 1]).replace("\n", "\r\n") + sentence([0]), False),
+    "a carriage return in a comment": ("# a\rb\n" + sentence([0]), False),
+    "NUL ending a form": (sentence([0, 1, 1], forms=["a", "a\x00", "\x00"]), False),
+    "a lone surrogate": (sentence([0, 1], forms=["\ud800", "x"]), False),
+    "IDs and HEADs with leading zeros": (sentence(["02", 0, "002"], ids=["01", "2", "003"]), True),
+    "a plus sign": (sentence([0, "+1"], ids=[1, "+2"]), False),
+    "an underscore in a number": (
+        sentence([0] + [1] * 9 + ["1_0"], ids=[*range(1, 11), "1_1"]), False),
+    "a non-ASCII digit": (sentence([0, "١"], ids=["١", 2]), False),
+    "non-ASCII labels": (sentence([0, 1, 2], forms=["東京", "ça", "Ωmega"]), True),
+    "empty text": ("", True),
+    "a 10,000-token chain": (CHAIN, True),
+    "a 10,000-dependent star": (sentence([0] + [1] * 10_000), True),
+    "non-projective sentences between projective ones": (
+        sentence([0, 1]) + sentence([3, 4, 0, 3]) + sentence([2, 0, 2])
+        + sentence([0, 4, 1, 1]) + sentence([0]), True),
+    "two roots": (sentence([0, 0]), True),
+    "no root": (sentence([2, 1]), True),
+    "a head out of range": (sentence([0, 3]), True),
+    "a cycle": (sentence([0, 3, 2]), True),
+    "two roots, then a malformed row": (sentence([0, 0]) + MALFORMED_ROW, False),
+    "no root, then a malformed row": (sentence([2, 1]) + MALFORMED_ROW, False),
+    "a head out of range, then a malformed row": (sentence([0, 3]) + MALFORMED_ROW, False),
+    "a cycle, then a malformed row": (sentence([0, 3, 2]) + MALFORMED_ROW, False),
+    "a malformed row, then a cycle": (MALFORMED_ROW + sentence([0, 3, 2]), False),
+}
+
+
+def _counted_outcome(read, text, config, keys=()):
+    """What `read` gives for `text` over a table that holds `keys`: the
+    corpus's columns, the table's keys and the skipped count, or the
+    error's type, message and line."""
+    table = RuleTable()
+    table.intern(list(keys))
+    try:
+        corpus, skipped = read(text, config, table)
+    except InputError as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return (corpus.ids.tolist(), corpus.offsets.tolist(), corpus.leaves,
+            corpus.leaf_offsets.tolist(), corpus.roots, table.keys(), skipped)
+
+
+def _reference_counted(text, config, table):
+    derivations, skipped = reference_count_conllu(text, config)
+    return CountedCorpus(derivations, table=table), skipped
+
+
+class TestColumnarReader:
+    @pytest.mark.parametrize("config", CONFIGS, ids=str)
+    @pytest.mark.parametrize("case", HAND_CASES)
+    def test_reads_like_the_reference(self, case, config):
+        text, scanned = HAND_CASES[case]
+        assert (_scanned(text, config) is not None) == scanned
+        assert (_counted_outcome(counted_conllu, text, config)
+                == _counted_outcome(_reference_counted, text, config))
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=str)
+    def test_over_a_shared_table(self, config):
+        derivations, _ = reference_count_conllu(UD_TEXT + sentence([0, 1, 2, 3, 2]), config)
+        keys = [*dict.fromkeys(r for d in derivations[1:] for r in d.rules)][::-1]
+        keys.append(("X", ("y",)))
+        text = HAND_CASES["non-projective sentences between projective ones"][0] + UD_TEXT
+        got = _counted_outcome(counted_conllu, text, config, keys)
+        assert got == _counted_outcome(_reference_counted, text, config, keys)
+        assert got[-1] == 3 and len(got[5]) > len(keys)  # skipped, and new keys
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=str)
+    def test_regular_text_never_reaches_the_row_reader(self, config, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the row reader ran")
+
+        for module in (conllu, depconv):
+            monkeypatch.setattr(module, "_sentences", refuse)
+        with pytest.raises(AssertionError, match="row reader"):  # the patch holds
+            counted_conllu(HAND_CASES["carriage returns"][0], config)
+        corpus, skipped = counted_conllu(UD_TEXT, config)
+        assert (len(corpus), skipped) == (2, 1)
+        assert ("PROPN*" if config.use_pos else "José*") in corpus.leaves
+        for text in ("", "# a comment\n\n", ud(0, "ab", "_", "_", "_", multiword="1-2")):
+            corpus, skipped = counted_conllu(text, config)
+            assert (len(corpus), skipped) == (0, 0)
