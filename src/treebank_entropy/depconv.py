@@ -23,7 +23,7 @@ import numpy as np
 
 from .conllu import DepGraph, _sentences, _tree_walk
 from .errors import NonProjectiveError, StructuralError
-from .trees import Corpus, CountedCorpus, RuleTable, Tree
+from .trees import Corpus, CountedCorpus, RuleTable, Tree, _interned, _rule_ids
 
 ROOT_LABEL = "ROOT"
 ANCHOR_SUFFIX = "*"
@@ -342,39 +342,6 @@ def _numbers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return np.where(digits, values, -1), marked
 
 
-def _interned(data: bytes, starts: np.ndarray, ends: np.ndarray):
-    """The ids of the byte fields ``data[starts:ends]``, equal for equal
-    fields, and the fields decoded, indexed by id.
-
-    Fields of the same number of 8-byte words are padded with NUL (which
-    the text lacks) and told apart by ``np.unique``, word after word.  Each
-    group's bytes are gathered into its words through one flat index, not
-    a field-by-width matrix.
-    """
-    buf = np.frombuffer(data, np.uint8)
-    widths = ends - starts
-    words = np.maximum((widths + 7) >> 3, 1)
-    ids = np.empty(len(starts), np.int64)
-    names = []
-    for size in np.unique(words).tolist():
-        group = np.flatnonzero(words == size)
-        width = widths[group]
-        before = (np.cumsum(width) - width).astype(np.int32)  # where each field's bytes begin
-        step = np.arange(int(before[-1] + width[-1]), dtype=np.int32) - np.repeat(before, width)
-        cells = np.zeros((len(group), size), np.uint64)
-        cells.view(np.uint8).reshape(-1)[np.repeat(np.arange(len(group)) * 8 * size, width)
-                                         + step] = buf[np.repeat(starts[group], width) + step]
-        _, key = np.unique(cells[:, 0], return_inverse=True)
-        for column in cells.T[1:]:
-            _, part = np.unique(column, return_inverse=True)
-            _, key = np.unique(key * len(group) + part, return_inverse=True)
-        one = np.empty(key.max() + 1, np.int64)
-        one[key] = group  # a field of each id
-        ids[group] = key + len(names)
-        names += [data[a:b].decode() for a, b in zip(starts[one].tolist(), ends[one].tolist())]
-    return ids, names
-
-
 def _converted(columns: _Columns, labeled: bool, table: RuleTable):
     """The counts of the converted trees of the projective sentences of
     `columns` as a :class:`~.trees.CountedCorpus` holds them, ``(ids,
@@ -497,38 +464,3 @@ def _projective(child, dependent, begins, counts, depth, sentence, sentences, ro
     above = np.cumsum(np.bincount(bottom, minlength=len(lo)))[bottom] - 1 - depth[bottom]
     nodes[above + depth[nodes]] = nodes.copy()
     return kept, nodes
-
-
-def _rule_ids(lhs, symbols, starts, lengths, named, table: RuleTable) -> np.ndarray:
-    """The ids in `table` of the rules ``named[lhs[i]] -> named[symbols[
-    starts[i]:starts[i] + lengths[i]]]``, new ones interned in the order of
-    their first use.
-
-    ``np.unique`` finds the distinct rules of each length, as one int64 per
-    rule where the symbols fit, and only those become keys.
-    """
-    rule = np.empty(len(lhs), np.int64)
-    keys = []  # one per distinct rule
-    for length in np.unique(lengths).tolist():
-        at = np.flatnonzero(lengths == length)
-        row = np.empty((len(at), length + 1), np.int64)
-        row[:, 0] = lhs[at]
-        row[:, 1:] = symbols[starts[at, None] + np.arange(length)]
-        if len(named).bit_length() * (length + 1) < 64:
-            packed = np.ravel_multi_index(row.T, (len(named),) * (length + 1))
-        else:
-            packed = row.view(np.dtype((np.void, 8 * (length + 1)))).ravel()
-        _, inverse = np.unique(packed, return_inverse=True)
-        one = np.empty(inverse.max() + 1, np.int64)
-        one[inverse] = np.arange(len(at))  # a row of each distinct rule
-        rule[at] = inverse + len(keys)
-        cells = named[row[one]].T.tolist()
-        keys += zip(cells[0], zip(*cells[1:]))
-    first = np.full(len(keys), len(rule))
-    np.minimum.at(first, rule, np.arange(len(rule)))
-    used = np.zeros(len(rule), bool)
-    used[first] = True
-    order = rule[used]  # the distinct rules in the order of their first use
-    table_ids = np.empty(len(keys), np.int64)
-    table_ids[order] = table.intern([keys[i] for i in order.tolist()])
-    return table_ids[rule]

@@ -9,10 +9,11 @@ Every measure the package computes is a function of rule counts, so a
 corpus is counted into a :class:`CountedCorpus`: each rule key ``(lhs,
 rhs)`` is interned once in a :class:`RuleTable` as it is read, and every
 sentence becomes its rule ids in pre-order, its root label and its
-frontier.  Bracketed text has one reader, one token loop that cleans each
-node as it closes: :func:`counted_bracketed` runs it straight into rule ids,
-without building a tree, and :func:`parse_bracketed` runs it building the
-trees.
+frontier.  :func:`counted_bracketed` counts regular bracketed text in a
+columnar scan, whole-file array passes over its bytes that build no tree.
+:func:`parse_bracketed` builds the trees, in one token loop that cleans
+each node as it closes; it also reads the text that the scan leaves, and
+so gives every error.
 """
 
 from __future__ import annotations
@@ -169,10 +170,10 @@ def parse_bracketed(
     (reporting the 1-based character offset in `text`, not a byte offset)
     and :class:`StructuralError` on empty nodes; with `preterminalize`, a
     node mixing word and phrase children raises :class:`StructuralError`
-    once the whole text has parsed.  This is the one bracketed reader, with
-    trees built: :func:`counted_bracketed` runs it without them.
+    once the whole text has parsed.  This is the tree builder, and the
+    error path of :func:`counted_bracketed`.
     """
-    return _read(text, drop_labels, strip_tags, preterminalize, None)
+    return _read(text, drop_labels, strip_tags, preterminalize)
 
 
 def counted_bracketed(
@@ -183,43 +184,41 @@ def counted_bracketed(
     preterminalize: bool = False,
     source_id: str = "",
 ) -> CountedCorpus:
-    """The trees ``parse_bracketed(text, ...)`` returns, read by the same
-    reader without building them, as a :class:`CountedCorpus` over `table`
-    (a new one if None); text that does not parse raises the same error."""
+    """The trees ``parse_bracketed(text, ...)`` returns, as a
+    :class:`CountedCorpus` over `table` (a new one if None).
+
+    Regular text is counted by a columnar scan of its bytes
+    (:func:`_scanned`), which builds no tree.  Other text is read by the
+    tree builder of :func:`parse_bracketed` and its trees are counted, so
+    text that does not parse raises the same error at the same offset.
+    """
     table = RuleTable() if table is None else table
-    roots, *arrays = _read(text, drop_labels, strip_tags, preterminalize, table)
-    return CountedCorpus._of(table, roots, *arrays, source_id=source_id)
+    counts = _scanned(text, drop_labels, strip_tags, preterminalize, table)
+    if counts is None:
+        return counted(Corpus(_read(text, drop_labels, strip_tags, preterminalize),
+                              source_id), table)
+    return CountedCorpus._of(table, *counts, source_id=source_id)
 
 
-def _read(text, drop_labels, strip_tags, preterminalize, table):
-    """Read bracketed `text` into trees if `table` is None, else into the
-    rule ids of `table` that a :class:`CountedCorpus` holds: ``(roots, ids,
-    offsets, leaves, leaf_offsets)``.
+def _read(text, drop_labels, strip_tags, preterminalize):
+    """Read bracketed `text` into its kept trees.
 
     The tokens are those of ``str.split`` once every parenthesis is spaced
     out.  Each node applies the close rule of :func:`parse_bracketed` as it
-    closes, to a tree when building and to its label when counting; when
-    counting, each node reserves a slot for its rule when it opens and
-    fills it with the rule's id (interned in `table`) when it closes, so
-    every sentence's rules come out in pre-order.  A pre-terminal, the most
-    common node, is closed without being pushed.  Offsets are found only
-    when raising, by counting parentheses in `text` again.
+    closes; a pre-terminal, the most common node, is closed without being
+    pushed.  Offsets are found only when raising, by counting parentheses
+    in `text` again.
     """
-    build = table is None
-    out = []  # the kept trees with `build`, their root labels without
-    # Open nodes: [label or None, kept children, words, phrases, rule slot]
-    # where words and phrases count the node's children as written, and the
-    # kept children are trees with `build`, labels without.
+    out = []  # the kept trees
+    # Open nodes: [label or None, kept children, words, phrases, ordinal],
+    # where words and phrases count the node's children as written and
+    # ordinal counts the '(' before the node's own.
     stack = []
-    slots = []  # the open sentence's rule ids, one slot per '(' so far
-    rule_ids = None if build else table.ids
-    ids, offsets, leaves, leaf_offsets = [], [0], [], [0]  # unused with `build`
-    closed = 0  # the '(' of the sentences read so far, which all closed
-    word_leaves = not (build or preterminalize)
+    opened = 0  # the '(' read so far
     label_next = False  # the token after a '(' is its node's label
     mixed = None
-    # A '(' under an open node waits off the stack: `pending` is its rule
-    # slot, and `tag` and `word` are the tokens read after it.  Read as
+    # A '(' under an open node waits off the stack: `pending` is its
+    # ordinal, and `tag` and `word` are the tokens read after it.  Read as
     # "( tag word )" it closes as a pre-terminal, by the close rule below,
     # without entering the stack; any other token first pushes it as read
     # so far.
@@ -233,16 +232,7 @@ def _read(text, drop_labels, strip_tags, preterminalize, table):
                     else:
                         if strip_tags:
                             tag = _cut_function_tags(tag)
-                        if preterminalize:
-                            leaves.append(tag)
-                            node = Tree(tag) if build else tag
-                        elif build:
-                            node = Tree(tag, (Tree(word),))
-                        else:
-                            key = (tag, (word,))
-                            slots[pending] = rule_ids.setdefault(key, len(rule_ids))
-                            leaves.append(word)
-                            node = tag
+                        node = Tree(tag) if preterminalize else Tree(tag, (Tree(word),))
                     parent = stack[-1]
                     parent[3] += 1
                     if node is not None:
@@ -255,56 +245,44 @@ def _read(text, drop_labels, strip_tags, preterminalize, table):
             elif word is None:
                 word = token
                 continue
-            kept = []
-            if word is not None:
-                kept.append(Tree(word) if build else word)
-                if word_leaves:
-                    leaves.append(word)
+            kept = [] if word is None else [Tree(word)]
             stack.append([tag, kept, len(kept), 0, pending])
             pending = tag = word = None
             label_next = False
         if token == "(":
             if stack:  # it waits for its tag and word
-                pending = len(slots)
+                pending = opened
                 label_next = False
             else:
-                stack.append([None, [], 0, 0, len(slots)])
+                stack.append([None, [], 0, 0, opened])
                 label_next = True
-            slots.append(None)
+            opened += 1
         elif not stack:
             # The stray token is the first one after the last top-level ')'.
-            pos = _after(text, ")", closed)
+            pos = _after(text, ")", opened)
             while text[pos].isspace():
                 pos += 1
             raise ParseError("expected '('", offset=pos + 1)
         elif token == ")":
             label_next = False
-            label, kept, words, phrases, slot = stack.pop()
+            label, kept, words, phrases, ordinal = stack.pop()
             if label is None:
                 if stack or words + phrases != 1:
-                    offset = _after(text, "(", closed + slot + 1)
+                    offset = _after(text, "(", ordinal + 1)
                     raise StructuralError(f"node without a label at offset {offset}")
                 node = kept[0] if kept else None  # unwrap unlabeled top-level group
             elif not words + phrases:
-                offset = _after(text, "(", closed + slot + 1)
+                offset = _after(text, "(", ordinal + 1)
                 raise StructuralError(f"node '{label}' has no children at offset {offset}")
             elif not kept or (not phrases and label in drop_labels):
                 node = None
-                if word_leaves:  # its words are the last leaves read
-                    del leaves[len(leaves) - words:]
             else:
                 if strip_tags:
                     label = _cut_function_tags(label)
                 if not (preterminalize and words):
-                    if build:
-                        node = Tree(label, kept)
-                    else:
-                        key = (label, tuple(kept))
-                        slots[slot] = rule_ids.setdefault(key, len(rule_ids))
-                        node = label
+                    node = Tree(label, kept)
                 elif words == len(kept):  # the pre-terminal becomes a leaf
-                    leaves.append(label)
-                    node = Tree(label) if build else label
+                    node = Tree(label)
                 else:
                     # Raised once the text has parsed: a syntax error
                     # anywhere in the text takes precedence over it.
@@ -317,29 +295,261 @@ def _read(text, drop_labels, strip_tags, preterminalize, table):
                 parent[3] += 1
                 if node is not None:
                     parent[1].append(node)
-            else:
-                if node is not None:
-                    out.append(node)
-                    if not build:
-                        ids.extend([rule for rule in slots if rule is not None])
-                        offsets.append(len(ids))
-                        leaf_offsets.append(len(leaves))
-                closed += len(slots)
-                slots = []
+            elif node is not None:
+                out.append(node)
         elif label_next:
             stack[-1][0] = token
             label_next = False
         else:
             top = stack[-1]
             top[2] += 1
-            top[1].append(Tree(token) if build else token)
-            if word_leaves:
-                leaves.append(token)
+            top[1].append(Tree(token))
     if stack:
         raise ParseError("unbalanced", offset=len(text) + 1)
     if mixed is not None:
         raise mixed
-    return out if build else (out, ids, offsets, leaves, leaf_offsets)
+    return out
+
+
+#: The characters other than ASCII whitespace that ``str.split`` splits
+#: on, and NUL, which pads the fields that :func:`_interned` compares.
+_IRREGULAR = ("\x00\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+              "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+#: Each byte's token class: ASCII whitespace, part of an atom (a label or
+#: a word), '(' or ')'.
+_SPACE, _ATOM, _OPEN, _CLOSE = range(4)
+_KINDS = bytes(_SPACE if b in b" \t\n\v\f\r" else _OPEN if b == ord("(")
+               else _CLOSE if b == ord(")") else _ATOM for b in range(256))
+
+
+def _scanned(text, drop_labels, strip_tags, preterminalize, table):
+    """The counts of the trees ``parse_bracketed(text, ...)`` returns, as
+    a :class:`CountedCorpus` holds them, ``(roots, ids, offsets, leaves,
+    leaf_offsets)``, read in whole-file passes over the UTF-8 bytes of
+    `text`; or None, with `table` untouched, unless the text is regular.
+
+    Regular text splits into tokens at ASCII whitespace alone, and each of
+    its nodes is a pre-terminal ``(tag word)``, a phrase ``(label node
+    ...)`` or an unlabeled top-level group over one node.  One stable sort
+    of the parentheses on the depth before each lists the nodes level by
+    level and each node's children together, in order.  A node is kept
+    when its span holds a kept pre-terminal; labels are tested and cut once
+    per distinct label, and only the distinct rules become keys
+    (:func:`_rule_ids`).
+    """
+    if any(c in text for c in _IRREGULAR):
+        return None
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    kind = np.frombuffer(b" " + data.translate(_KINDS) + b" ", np.int8)
+    atom = kind == _ATOM
+    edges = (atom[1:] != atom[:-1]).nonzero()[0]
+    atom_starts, atom_ends = edges[0::2], edges[1::2]
+    # A token starts at each parenthesis and at the first byte of an atom.
+    tokens = kind[1:-1][(kind[1:-1] > atom[:-2]).nonzero()[0]]
+    if not len(tokens):
+        return [], [], [0], [], [0]
+
+    # The shape: balanced parentheses, each '(' followed by a label or, at
+    # the top, by a '(', and each atom a label or a pre-terminal's word.
+    parens = (tokens != _ATOM).nonzero()[0]
+    is_open = tokens[parens] == _OPEN
+    step = is_open * 2 - 1
+    depth = step.cumsum()
+    if not len(depth) or depth.min() < 0 or depth[-1]:
+        return None
+    depth -= step  # before each parenthesis
+    open_at = is_open.nonzero()[0]
+    opens = parens[open_at]  # node j's '(' is token opens[j]
+    level = depth[open_at]
+    # opens + 2 passes the end only for a '(' just before the last ')': refused.
+    first, second = tokens[opens + 1], tokens.take(opens + 2, mode="clip")
+    wrapper, labeled = first == _OPEN, first == _ATOM
+    pre = labeled & (second == _ATOM)
+    if ((wrapper & (level > 0)).any() or not (wrapper | labeled).all()
+            or (labeled & ~pre & (second != _OPEN)).any()
+            or (tokens[opens[pre] + 3] != _CLOSE).any()
+            or len(atom_starts) != np.count_nonzero(labeled) + np.count_nonzero(pre)):
+        return None
+
+    # Sorted on the depth before them, the parentheses give the '(' of the
+    # nodes at depth 0, then for each depth d > 0 and each node at depth
+    # d - 1 in turn, the '(' of its children and its own ')'.
+    order = depth.astype(np.min_scalar_type(depth.max())).argsort(kind="stable")
+    opened = is_open.cumsum()[order]
+    sorted_open = is_open[order]
+    by_level = opened[sorted_open.nonzero()[0]] - 1  # the nodes
+    closes = (~sorted_open).nonzero()[0]  # by_level[k]'s ')' is the k-th
+    end = np.empty(len(opens), np.int64)  # node j's subtree is nodes j to end[j] - 1
+    end[by_level] = opened[closes]
+    tops = (level == 0).nonzero()[0]  # a sentence each
+    groups = tops[wrapper[tops]]
+    if (end[groups] != end[groups + 1]).any():  # a group of several nodes
+        return None
+
+    # Labels, tested for dropping and cut once per distinct label.  An
+    # atom's index is its token's, less the parentheses before it.
+    labels = labeled.nonzero()[0]
+    label_atom = opens - open_at
+    label = np.zeros(len(opens), np.int64)
+    label[labels], names = _interned(data, atom_starts[label_atom[labels]],
+                                     atom_ends[label_atom[labels]])
+    kept_pre = pre & ~np.array([name in drop_labels for name in names], bool)[label]
+    if strip_tags:
+        cut = {}
+        label = np.array([cut.setdefault(_cut_function_tags(name), len(cut))
+                          for name in names], np.int64)[label]
+        names = list(cut)
+
+    # The kept nodes and sentences; the root of a kept sentence is its
+    # top node or the node that its group wraps.
+    pres_before = np.zeros(len(opens) + 1, np.int64)  # kept pre-terminals before each node
+    kept_pre.cumsum(out=pres_before[1:])
+    kept = pres_before[end] > pres_before[:-1]
+    node = labeled & kept
+    sentences = tops[kept[tops]]
+    leaf = (node & pre).nonzero()[0]
+    if preterminalize:
+        rule = (node & ~pre).nonzero()[0]
+        leaf_symbols = label[leaf]
+    else:
+        rule = node.nonzero()[0]
+        words, word_names = _interned(data, atom_starts[label_atom[leaf] + 1],
+                                      atom_ends[label_atom[leaf] + 1])
+        leaf_symbols = words + len(names)
+        names += word_names
+
+    # A phrase's right-hand side is the run of its kept children among the
+    # kept nodes level by level, and a pre-terminal's is its word, after
+    # them.  by_level[k]'s children are by_level[runs[k]:runs[k + 1]], and
+    # kept_before maps that run into the kept nodes, by_level[in_level].
+    in_level = node[by_level]
+    kept_before = np.zeros(len(opens) + 1, np.int64)
+    in_level.cumsum(out=kept_before[1:])
+    runs = np.empty(len(opens) + 1, np.int64)
+    runs[0] = len(tops)
+    runs[1:] = closes - np.arange(len(closes))
+    runs = kept_before[runs]
+    rank = np.empty(len(opens), np.int64)
+    rank[by_level] = np.arange(len(opens))
+    starts = runs[rank[rule]]
+    lengths = runs[rank[rule] + 1] - starts
+    if not preterminalize:
+        word_rule = pre[rule]
+        starts[word_rule] = kept_before[-1] + np.arange(len(leaf))
+        lengths[word_rule] = 1
+    named = np.array(names, dtype=object)
+    ids = _rule_ids(label[rule], np.concatenate([label[by_level[in_level]], leaf_symbols]),
+                    starts, lengths, named, table)
+    return (named[label[sentences + wrapper[sentences]]].tolist(), ids,
+            np.append(np.searchsorted(rule, sentences), len(rule)),
+            named[leaf_symbols].tolist(),
+            np.append(np.searchsorted(leaf, sentences), len(leaf)))
+
+
+#: The low 8k bits of a word, for k = 0 to 8.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _interned(data: bytes, starts: np.ndarray, ends: np.ndarray):
+    """The ids of the byte fields ``data[starts:ends]``, equal for equal
+    fields, and the fields decoded, indexed by id.
+
+    The fields of each number of 8-byte words are read as those words,
+    padded with NUL (which `data` must lack): each word is one unaligned
+    load from a view of the bytes.
+    """
+    padded = data + bytes(8)
+    windows = np.ndarray((len(data) + 1,), "<u8", padded, strides=(1,))
+    widths = ends - starts
+    words = (widths + 7) >> 3
+    ids = np.empty(len(starts), np.int64)
+    names = []
+    for size in np.bincount(words).nonzero()[0].tolist():
+        group = (words == size).nonzero()[0]
+        if size <= 1:
+            key = windows[starts[group]] & _MASKS[np.minimum(widths[group], 8)]
+        else:
+            step = 8 * np.arange(size)
+            cells = (windows[starts[group, None] + step]
+                     & _MASKS[np.clip(widths[group, None] - step, 0, 8)])
+            key = cells.view(np.dtype((np.void, 8 * size)))[:, 0]
+        one, inverse = _distinct(key)
+        ids[group] = inverse + len(names)
+        one = group[one]
+        names += [data[a:b].decode() for a, b in zip(starts[one].tolist(), ends[one].tolist())]
+    return ids, names
+
+
+def _rule_ids(lhs, symbols, starts, lengths, named, table: RuleTable) -> np.ndarray:
+    """The ids in `table` of the rules ``named[lhs[i]] -> named[symbols[
+    starts[i]:starts[i] + lengths[i]]]``, new ones interned in the order of
+    their first use.
+
+    Each rule is packed into int64 words, its lhs and then its symbols,
+    each its id + 1 so that 0 pads, and the rules of each number of words,
+    nearly all of them one, are told apart together.  Only the distinct
+    rules become keys, built a length at a time from one list of names.
+    """
+    if not len(lhs):
+        return np.empty(0, np.int64)
+    bits = len(named).bit_length()
+    per = 63 // bits  # symbols to a word
+    words = lengths // per + 1
+    rule = np.empty(len(lhs), np.int64)  # each rule's distinct id
+    firsts = []  # the first use of each distinct rule
+    for size in np.bincount(words).nonzero()[0].tolist():
+        at = (words == size).nonzero()[0]
+        if size == 1:  # each symbol shifted to its slot, and summed
+            span = lengths[at]
+            before = span.cumsum() - span
+            slot = np.arange(1, before[-1] + span[-1] + 1) - before.repeat(span)
+            cells = symbols[(starts[at] - 1).repeat(span) + slot] + 1
+            key = np.add.reduceat(cells << bits * slot, before) + lhs[at] + 1
+        else:
+            slot = np.arange(size * per)
+            cells = np.where(slot <= lengths[at, None],
+                             symbols.take(starts[at, None] + slot - 1, mode="clip") + 1, 0)
+            cells[:, 0] = lhs[at] + 1
+            cells = cells.reshape(len(at), size, per) << bits * np.arange(per)
+            key = cells.sum(2).view(np.dtype((np.void, 8 * size)))[:, 0]
+        first, inverse = _distinct(key)
+        rule[at] = inverse + sum(map(len, firsts))
+        firsts.append(at[first])
+    first = np.concatenate(firsts)
+    order = first.argsort()  # the distinct rules by first use
+    by_length = lengths[first[order]].argsort(kind="stable")
+    rows = first[order[by_length]]
+    span = lengths[rows]
+    before = span.cumsum() - span
+    names = named[symbols[(starts[rows] - before).repeat(span)
+                          + np.arange(before[-1] + span[-1])]].tolist()
+    heads = named[lhs[rows]].tolist()
+    keys = []
+    done = 0
+    for length, count in enumerate(np.bincount(span).tolist()):
+        if count:
+            block = names[before[done]:before[done] + length * count]
+            keys += zip(heads[done:done + count], zip(*[block[k::length] for k in range(length)]))
+            done += count
+    table_ids = np.empty(len(first), np.int64)
+    table_ids[order] = table.intern(list(map(keys.__getitem__, by_length.argsort().tolist())))
+    return table_ids[rule]
+
+
+def _distinct(keys):
+    """The first index of each distinct value of `keys`, and each value's id
+    (the rank of its value)."""
+    order = keys.argsort()
+    ranked = keys[order]
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    new[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(keys), np.int64)
+    inverse[order] = new.cumsum() - 1
+    return np.minimum.reduceat(order, new.nonzero()[0]), inverse
 
 
 def _after(text: str, char: str, count: int) -> int:

@@ -356,7 +356,11 @@ def reference_crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
 
 def reference_validate(graph: DepGraph) -> None:
     """The single-root and treeness checks of a graph, walking from every
-    token towards the root."""
+    token towards the root.
+
+    A walk stops at a token that an earlier walk has shown to reach the
+    root, so every arc is walked once.  A walk that meets a cycle touches
+    no such token, so it reports the cycle as a full walk would."""
     n = len(graph.tokens)
     ident = graph.sent_id or "dependency graph"
     if not (len(graph.heads) == len(graph.labels) == n):
@@ -372,14 +376,16 @@ def reference_validate(graph: DepGraph) -> None:
                 f"{ident}: head index {h} of token {i + 1} out of range"
             )
     # Walk from every token towards the root; a repeat means a cycle.
+    rooted = {0}
     for start in range(1, n + 1):
         seen = set()
         node = start
-        while node != 0:
+        while node not in rooted:
             if node in seen:
                 raise StructuralError(f"{ident}: cycle through token {node}")
             seen.add(node)
             node = graph.heads[node - 1]
+        rooted |= seen
 
 
 def reference_parse_conllu(text: str) -> list[DepGraph]:

@@ -789,6 +789,7 @@ def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
     def no_tree(*args, **kwargs):
         raise AssertionError("a command built a Tree")
 
+    tree = trees.Tree
     monkeypatch.setattr("treebank_entropy.trees.Tree", no_tree)
     first, second = tmp_path / "a.mrg", tmp_path / "b.mrg"
     first.write_text(PTB, encoding="utf-8")
@@ -803,11 +804,64 @@ def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
         ):
             assert main([argv[0], *options, *argv[1:]]) == 0, argv
     assert calls == []
+    # Malformed text is not regular: the tree builder behind the scan reads
+    # it and raises the error, and still no command calls parse_bracketed.
+    monkeypatch.setattr("treebank_entropy.trees.Tree", tree)
     bad = tmp_path / "bad.mrg"
     bad.write_text("(S (NN x)", encoding="utf-8")
-    assert main(["site", str(bad)]) == 2  # the counting reader raises the error itself
+    assert main(["site", str(bad)]) == 2
     assert calls == []
     assert "unbalanced" in capsys.readouterr().err
+
+
+#: A treebank of three files with traces, function tags and indices, and
+#: phrases (and a sentence) left empty once the traces are dropped.
+TRACED_FILES = [
+    "( (S (NP-SBJ-1 (DT the) (NN dog)) (VP=2 (VBD ran) (NP (-NONE- *T*-1)))) )\n"
+    "(S (NP-SBJ (PRP it)) (VP (VBZ sleeps) (ADVP-TMP (RB here))))\n",
+    "( (S (SBAR (-NONE- 0) (S (-NONE- *T*-2))) (NP-SBJ=3 (NNS birds)) (VP (VBP sing))) )\n"
+    "( (-NONE- *) )\n"
+    "(S-TPC=1 (NP (DT a) (JJ big) (NN cat))\n"
+    "  (VP (VBD sat) (PP-LOC (IN on) (NP (DT the) (NN mat)))))\n",
+    "( (S (NP-SBJ (NNP Mary)) (VP (VBD saw) (NP (PRP him)) (NP-TMP (-NONE- *U*)))) )\n"
+    "(NP (NN rain))\n(S (NP (-NONE- *)) (VP (VB go)))\n",
+]
+
+
+@pytest.mark.parametrize("options", [[], ["--no-preterminalize", "--strip-tags"]],
+                         ids=["default", "words-and-cut-tags"])
+def test_scan_and_tree_reader_give_the_same_commands(tmp_path, monkeypatch, capsys, options):
+    # Every PTB command gives the same bytes, exit code and -o file whether
+    # the columnar scan counts the files or the tree reader reads them.
+    files = []
+    for i, text in enumerate(TRACED_FILES):
+        files.append(tmp_path / f"wsj_{i:04d}.mrg")
+        files[-1].write_text(text, encoding="utf-8")
+    out = tmp_path / "out.txt"
+    commands = [
+        ["induce", "-o", str(out)], ["entropy"], ["mlu"], ["rate"], ["site"], ["report"],
+        ["incremental", "--order", "shuffled"],
+        ["converge", "--sizes", "2,5", "--replications", "2", "-o", str(out)],
+    ]
+
+    def run_all():
+        results = []
+        for command in commands:
+            code = main([*command, *options, *map(str, files)])
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((command[0], code, *capsys.readouterr(), written))
+        return results
+
+    def refuse(*args):
+        raise AssertionError("the tree reader ran")
+
+    monkeypatch.setattr(trees, "_read", refuse)
+    scanned = run_all()
+    monkeypatch.undo()
+    monkeypatch.setattr(trees, "_scanned", lambda *args: None)
+    assert run_all() == scanned
+    assert [code for _, code, *_ in scanned] == [0] * len(commands)
 
 
 DIVERGENT = "#root S\n0.6\t0\tS -> S S\n0.4\t0\tS -> a\n"

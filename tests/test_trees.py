@@ -6,10 +6,12 @@ import pytest
 from oracles import reference_parse_bracketed, reference_read
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.errors import EmptyInputError, ParseError, StructuralError
+from treebank_entropy import trees
 from treebank_entropy.grammar import Pcfg, Rule, Sampler
 from treebank_entropy.trees import (
     DEFAULT_DROP_LABELS,
     Corpus,
+    RuleTable,
     Tree,
     corpus_mlu,
     counted_bracketed,
@@ -389,3 +391,98 @@ class TestCountBracketed:
         expected = reference_parse_bracketed(text)
         assert parse_bracketed(text) == expected
         assert counted_bracketed(text).derivations() == [derivation(t) for t in expected]
+
+
+#: Each case's text, and whether the columnar scan counts it (True) or
+#: leaves it to the tree builder (False).
+HAND_CASES = {
+    "CRLF line ends and tabs": (
+        "( (S\r\n\t(NP-SBJ (DT the)\t(NN dog))\r\n\t(VP (VBD ran))) )\r\n", True),
+    "vertical tabs and form feeds": ("(S\v(NN a)\f(VB b))", True),
+    **{f"a {sep!r} separator": (f"(S (NN a) (VB b{sep}c))", False)
+       for sep in ("\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2028")},
+    "a NUL in a word": ("(S (NN a\x00b) (VB c))", False),
+    "a lone surrogate": ("(S (NN \ud800) (VB c))", False),
+    "non-ASCII labels and words": ("(NP (NNÉ café) (字 東京))\n(S (Ωmega ça))", True),
+    "non-ASCII labels, then a stray ')'": ("(NP (NNÉ café) (字 東京)) )", False),
+    "non-ASCII labels, then an empty node": ("(NP (NNÉ café) (字))", False),
+    "labels of 7 to 17 bytes": (
+        "(SBAR-TMP=12 (NP-SBJ-123 (NNPSXXXX word) (ABCDEFGHIJKLMNOP x)"
+        " (ABCDEFGHI y) (ABCDEFGHIJKLMNOPQ z) (ABCDEFGH w)))", True),
+    "labels that share their first 8 bytes": (
+        "(S (ABCDEFGH1 x) (ABCDEFGH2 x) (ABCDEFGH x) (ABCDEFGH1 x))", True),
+    "10,000 levels deep": ("(A " * 10_000 + "(B b)" + ")" * 10_000, True),
+    "a wrapped 10,000-level chain": ("( " + "(A " * 10_000 + "(B b)" + ")" * 10_001, True),
+    "a top-level pre-terminal": ("(NN dog)\n( (VB run) )", True),
+    "a dropped sentence": ("( (-NONE- *) )\n(S (NN x))", True),
+    "a top-level trace": ("(-NONE- *) (S (NN x))", True),
+    "a phrase with a drop label": ("(S (-NONE- (A a)) (B b))", True),
+    "phrases left empty": ("(S (NP-SBJ (-NONE- *)) (VP (VB go) (NP (-NONE- *T*-1))))", True),
+    "a wide flat phrase": ("(NP " + " ".join(f"(T{i % 13} w{i})" for i in range(40)) + ")", True),
+    "empty text": ("", True),
+    "whitespace only": (" \n\t\r\n", True),
+    "a group of two": ("( (A x) (B y) )", False),
+    "a group over a word": ("( (A x) y )", False),
+    "an inner unlabeled node": ("(S ((A x)))", False),
+    "a node with two words": ("(NN a b)", False),
+    "a word beside a phrase": ("(S (NP x) y)", False),
+    "a phrase beside a word": ("(S y (NP x))", False),
+    "an empty node": ("(S (A))", False),
+    "empty parentheses": ("(S ())", False),
+    "a stray word first": ("x (A a)", False),
+    "a stray word last": ("(A a) x", False),
+    "a stray ')'": ("(A a)) ", False),
+    "an unclosed node": ("(S (A a)", False),
+    "a lone ')'": (")", False),
+    "a word alone": ("word", False),
+}
+
+
+class TestColumnarReader:
+    @pytest.mark.parametrize("case", HAND_CASES)
+    def test_reads_like_the_reference(self, case):
+        text, scanned = HAND_CASES[case]
+        for options in READ_OPTIONS:
+            table = RuleTable()
+            counts = trees._scanned(text, options["drop_labels"], options["strip_tags"],
+                                    options["preterminalize"], table)
+            assert (counts is not None) == scanned, options
+            if counts is None:
+                assert not len(table)  # left untouched
+        assert_reads_like_reference(text)
+
+    def test_regular_text_never_reaches_the_tree_builder(self, monkeypatch):
+        text = "\n".join([
+            "( (S (NP-SBJ-1 (DT the) (NN dog)) (VP=2 (VBD ran) (NP (-NONE- *T*-1)))) )",
+            "( (-NONE- *) )",
+            "(S (SBAR (-NONE- 0) (S (-NONE- *T*-2))) (NP-SBJ=3 (NNS birds)) (VP (VBP sing)))",
+            "(NN rain)",
+        ])
+        expected = [[derivation(t) for t in reference_read(text, **options)]
+                    for options in READ_OPTIONS]
+
+        def refuse(*args):
+            raise AssertionError("the tree builder ran")
+
+        monkeypatch.setattr(trees, "_read", refuse)
+        with pytest.raises(AssertionError, match="tree builder"):  # the patch holds
+            counted_bracketed("(S (NP x) y)")
+        for options, derivations in zip(READ_OPTIONS, expected):
+            assert counted_bracketed(text, **options).derivations() == derivations, options
+
+    def test_drop_labels_are_tested_before_the_cut(self):
+        text = "(S (NN-SBJ a) (NN b) (VP=2 (NN c)))\n(S (NN-1 d))"
+        for strip_tags, preterminalize in itertools.product((False, True), repeat=2):
+            options = dict(drop_labels=frozenset({"NN", "VP"}), strip_tags=strip_tags,
+                           preterminalize=preterminalize)
+            assert trees._scanned(text, *options.values(), RuleTable()) is not None
+            assert _outcome(_derivations, text, options) == [
+                derivation(t) for t in reference_read(text, **options)]
+
+    def test_rules_join_the_table_in_pre_order(self):
+        table = RuleTable()
+        table.intern([("VP", ("VB",))])
+        counted_bracketed("(S (NP (DT a) (NN b)) (VP (VB c)))\n(S (VP (VB c)) (NP (NN d)))",
+                          table, preterminalize=True)
+        assert table.keys() == [("VP", ("VB",)), ("S", ("NP", "VP")), ("NP", ("DT", "NN")),
+                                ("S", ("VP", "NP")), ("NP", ("NN",))]
