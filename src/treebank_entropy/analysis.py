@@ -221,8 +221,8 @@ def incremental(
     chunk = np.repeat(np.arange(len(files)), sizes)  # of each sentence
     keys = np.repeat(chunk, lengths) * width + rule_of[ids]
     if width > used.size:  # a synthetic root rewrites as each tree's root label
-        root_rule = {rhs[0]: i for i, (_, rhs)
-                     in enumerate(grammar.expansions[used.size:], used.size)}
+        tops = grammar.rhs[grammar.rhs_offsets[used.size:width]].tolist()
+        root_rule = {grammar.symbols[k]: i for i, k in enumerate(tops, used.size)}
         keys = np.append(keys, chunk * width + [root_rule[r] for r in roots])
     rows = np.bincount(keys, minlength=len(files) * width).reshape(len(files), width)
     np.cumsum(rows, axis=0, out=rows)  # each prefix's counts

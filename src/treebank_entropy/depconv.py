@@ -23,7 +23,7 @@ import numpy as np
 
 from .conllu import DepGraph, _sentences, _tree_walk
 from .errors import NonProjectiveError, StructuralError
-from .trees import Corpus, CountedCorpus, RuleTable, Tree, _interned, _rule_ids
+from .trees import Corpus, CountedCorpus, RuleTable, Tree, _interned
 
 ROOT_LABEL = "ROOT"
 ANCHOR_SUFFIX = "*"
@@ -349,7 +349,7 @@ def _converted(columns: _Columns, labeled: bool, table: RuleTable):
     sentences; or None unless every sentence's heads form a tree.
 
     Each step is a few array operations over all sentences at once, and
-    only the distinct rules become ``(lhs, rhs)`` keys.  Token indices are
+    only the distinct rules are looked up in `table`.  Token indices are
     int32, and each step's temporaries are freed when it returns.
     """
     heads, offsets, labels, label_names, relations, relation_names = columns
@@ -391,7 +391,8 @@ def _converted(columns: _Columns, labeled: bool, table: RuleTable):
         present = np.stack([root[nodes], np.ones(len(nodes), bool)], 1).ravel()
         lhs, starts, lengths = lhs[present], starts[present], lengths[present]
     named = np.array(names, dtype=object)
-    ids = _rule_ids(lhs, symbols, starts, lengths, named, table)
+    interned = table.symbol_ids(names)
+    ids = table.rule_ids(interned[lhs], interned[symbols], starts, lengths)
     per_sentence = sizes[kept] + (sizes[kept] if labeled else 1)
     leaves = named[k + labels[kept[sentence]]].tolist()
     return (ids, np.concatenate(([0], np.cumsum(per_sentence))), leaves,

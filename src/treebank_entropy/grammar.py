@@ -9,12 +9,15 @@ the bias-corrected entropy estimators need the raw counts.
 
 A :class:`Pcfg` interns each symbol once and keeps its rules as arrays (ids,
 right-hand sides in CSR form, probabilities, frequencies), each
-non-terminal's rules one segment of a stable sort.  :func:`induce` counts
-the rule ids that a reader interned (:class:`~.trees.CountedCorpus`) with
-one ``bincount``; it, :func:`loads` and ``Pcfg(root, rules)`` each intern
-the symbols in one pass.  The entropy path, the estimators, the sampler and
-:func:`dumps` read the arrays, and :class:`Rule` objects are built only
-when `Pcfg.rules` is asked for.
+non-terminal's rules one segment of a stable sort.  One constructor
+(:meth:`Pcfg._of`) builds it from symbol ids and their names: :func:`induce`
+counts the rule ids that a reader interned (:class:`~.trees.CountedCorpus`)
+with one ``bincount`` and passes the table's symbol ids of those rules,
+:func:`loads` the ids of the symbols it scanned in whole-file array passes,
+and ``Pcfg(root, rules)`` those of a dictionary over the rules' strings.
+The entropy path, the estimators, the sampler and :func:`dumps` read the
+arrays; rule keys ``(lhs, rhs)`` and :class:`Rule` objects are built only
+when `Pcfg.expansions` or `Pcfg.rules` is asked for.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import functools
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -33,7 +35,6 @@ from .errors import (
     EmptyInputError,
     InputError,
     OutOfGrammarError,
-    ParseError,
     SamplingDivergenceError,
     StructuralError,
     read_text,
@@ -44,6 +45,8 @@ from .trees import (
     Derivation,
     RuleTable,
     Tree,
+    _distinct,
+    _packed,
     counted,
     derivation,
 )
@@ -97,54 +100,67 @@ class Pcfg:
 
     `symbols` lists the non-terminals (`nonterminals`, in first-encounter
     order of their left-hand sides, which fixes the indexing of the
-    characteristic matrix), then the terminals in first-encounter order.
-    Rule i, with key ``expansions[i] = (lhs, rhs)``, rewrites symbol `lhs[i]`
-    as ``rhs[rhs_offsets[i]:rhs_offsets[i + 1]]`` with probability `prob[i]`
+    characteristic matrix), then the terminals in first-encounter order on
+    the right-hand sides.  Rule i rewrites symbol `lhs[i]` as
+    ``rhs[rhs_offsets[i]:rhs_offsets[i + 1]]`` with probability `prob[i]`
     and frequency `freq[i]` (int64, or Python ints if one does not fit).
     `order` sorts the rules stably by left-hand side, non-terminal k's being
-    ``order[starts[k]:starts[k + 1]]``.  `rules`, `rules_for`, `lookup` and
-    `terminals` are views built on first use.  No reported scalar may
-    depend on the order of the rules.
+    ``order[starts[k]:starts[k + 1]]``.  `expansions` (each rule's key
+    ``(lhs, rhs)``), `rules`, `rules_for`, `lookup` and `terminals` are
+    views built on first use.  No reported scalar may depend on the order
+    of the rules.
     """
 
     def __init__(self, root: str, rules: Iterable[Rule]):
         rules = tuple(rules)
-        self._intern(root, [(r.lhs, r.rhs) for r in rules],
-                     [r.prob for r in rules], [r.freq for r in rules])
+        self._build(root, *_symbol_ids(rules), [r.prob for r in rules],
+                    [r.freq for r in rules])
         self.rules = rules
 
     @classmethod
-    def _of(cls, root: str, expansions: list, prob, freq) -> Pcfg:
+    def _of(cls, root: str, lhs, rhs_offsets, rhs, names, prob, freq) -> Pcfg:
+        """The grammar whose rule i rewrites ``names[lhs[i]]`` as the names
+        of ``rhs[rhs_offsets[i]:rhs_offsets[i + 1]]``, its probabilities
+        `prob` (None for each rule's relative frequency) and frequencies
+        `freq`; the names need not all be used."""
         grammar = cls.__new__(cls)
-        grammar._intern(root, expansions, prob, freq)
+        grammar._build(root, lhs, rhs_offsets, rhs, names, prob, freq)
         return grammar
 
-    def _intern(self, root, expansions, prob, freq) -> None:
-        if not expansions:
+    def _build(self, root, lhs, rhs_offsets, rhs, names, prob, freq) -> None:
+        if not len(lhs):
             raise StructuralError("a grammar needs at least one rule")
-        lhs = [key[0] for key in expansions]
-        rhss = [key[1] for key in expansions]
-        ids = {sym: i for i, sym in enumerate(dict.fromkeys(lhs))}
-        n = len(ids)
-        rhs = list(chain.from_iterable(rhss))
-        for sym in dict.fromkeys(rhs):
-            ids.setdefault(sym, len(ids))
-        lengths = np.fromiter(map(len, rhss), np.intp, len(lhs))
+        lengths = np.diff(rhs_offsets)
         if not lengths.all():
             raise StructuralError(
-                f"rule '{lhs[int(np.argmin(lengths))]} ->' has an empty rhs")
-        if ids.get(root, n) >= n:
-            raise StructuralError(f"root symbol '{root}' has no rules")
-        if len(set(expansions)) != len(expansions):
-            raise StructuralError("duplicate rules (same lhs and rhs)")
-        self.root = root
-        self.symbols: tuple[str, ...] = tuple(ids)
+                f"rule '{names[lhs[int(np.argmin(lengths))]]} ->' has an empty rhs")
+        # The non-terminals by first use as a left-hand side, then the
+        # other symbols by first use on a right-hand side.
+        unused = len(rhs)  # past every index of `lhs` and `rhs`: no rhs is empty
+        first = np.full(len(names), unused)
+        np.minimum.at(first, lhs, np.arange(len(lhs)))
+        nonterminals = (first < unused).nonzero()[0]
+        nonterminals = nonterminals[first[nonterminals].argsort()]
+        first[:] = unused
+        np.minimum.at(first, rhs, np.arange(len(rhs)))
+        first[nonterminals] = unused
+        terminals = (first < unused).nonzero()[0]
+        ordered = np.concatenate([nonterminals, terminals[first[terminals].argsort()]])
+        index = np.empty(len(names), np.intp)
+        index[ordered] = np.arange(len(ordered))
+        n = len(nonterminals)
+        self.symbols: tuple[str, ...] = tuple([names[i] for i in ordered.tolist()])
         self.nonterminals: tuple[str, ...] = self.symbols[:n]
         self.nt_index: dict[str, int] = dict(zip(self.nonterminals, range(n)))
-        self.expansions: list[tuple[str, tuple[str, ...]]] = expansions
-        self.lhs = np.fromiter(map(ids.__getitem__, lhs), np.intp, len(lhs))
-        self.rhs_offsets = np.concatenate(([0], np.cumsum(lengths)))
-        self.rhs = np.fromiter(map(ids.__getitem__, rhs), np.intp, len(rhs))
+        if root not in self.nt_index:
+            raise StructuralError(f"root symbol '{root}' has no rules")
+        self.root = root
+        self.lhs = index[lhs]
+        self.rhs_offsets = np.asarray(rhs_offsets, np.intp)
+        self.rhs = index[rhs]
+        if any(len(_distinct(key)[0]) < len(key) for _, key
+               in _packed(self.lhs, self.rhs, self.rhs_offsets, len(ordered).bit_length())):
+            raise StructuralError("duplicate rules (same lhs and rhs)")
         try:
             self.freq = np.array(freq, dtype=np.int64)
         except OverflowError:  # kept exactly; such a grammar is solved
@@ -152,13 +168,18 @@ class Pcfg:
         if prob is None:  # each rule's relative frequency
             prob = self.freq / np.bincount(self.lhs, self.freq, n)[self.lhs]
         self.prob = np.array(prob, dtype=np.float64)
-        self.order = np.argsort(self.lhs, kind="stable")
+        self.order = self.lhs.astype(np.min_scalar_type(n)).argsort(kind="stable")
         self.starts = np.concatenate(([0], np.cumsum(np.bincount(self.lhs, minlength=n))))
 
     def by_lhs(self, values) -> list[np.ndarray]:
         """Each non-terminal's entries of the per-rule array `values`, in
         rule order."""
         return np.split(np.asarray(values)[self.order], self.starts[1:-1])
+
+    @functools.cached_property
+    def expansions(self) -> list[tuple[str, tuple[str, ...]]]:
+        heads, bodies = self._texts(tuple)
+        return list(zip(heads, bodies))
 
     @functools.cached_property
     def rules(self) -> tuple[Rule, ...]:
@@ -173,7 +194,15 @@ class Pcfg:
 
     @functools.cached_property
     def _rule_ids(self) -> dict[tuple[str, tuple[str, ...]], int]:
-        return dict(zip(self.expansions, range(len(self.expansions))))
+        return dict(zip(self.expansions, range(len(self))))
+
+    def _texts(self, joined):
+        """Each rule's left-hand side, and `joined` of its right-hand
+        side's symbols."""
+        symbols, cuts = self.symbols, self.rhs_offsets.tolist()
+        names = [symbols[i] for i in self.rhs.tolist()]
+        return ([symbols[i] for i in self.lhs.tolist()],
+                [joined(names[a:b]) for a, b in zip(cuts, cuts[1:])])
 
     def rules_for(self, nonterminal: str) -> list[Rule]:
         k = self.nt_index[nonterminal]
@@ -184,19 +213,37 @@ class Pcfg:
         return None if i is None else self.rules[i]
 
     def __len__(self):
-        return len(self.expansions)
+        return len(self.lhs)
 
     def validate(self, tol: float = PROPERNESS_TOL) -> None:
-        """Raise unless the grammar is proper within `tol`."""
+        """Raise unless the grammar is proper within `tol`: the first
+        non-terminal whose probabilities' exact sum (``math.fsum``) is
+        further than `tol` from one.  Sums in floats decide every
+        non-terminal but those within their rounding bound of the
+        tolerance, which are summed exactly."""
         bad = np.flatnonzero(~((self.prob >= 0.0) & (self.prob <= 1.0)))  # NaN too
         if bad.size:
-            lhs, rhs = self.expansions[bad[0]]
-            raise StructuralError(f"rule '{lhs} -> {' '.join(rhs)}' has "
-                                  f"probability {float(self.prob[bad[0]])}")
-        for nt, probs in zip(self.nonterminals, self.by_lhs(self.prob)):
-            gap = math.fsum(probs.tolist()) - 1.0
-            if abs(gap) > tol:
-                raise StructuralError(f"probabilities of '{nt}' sum to 1{gap:+.3e}")
+            i = bad[0]
+            rhs = " ".join(self.symbols[j] for j in self.rhs[self.rhs_offsets[i]:
+                                                             self.rhs_offsets[i + 1]])
+            raise StructuralError(f"rule '{self.symbols[self.lhs[i]]} -> {rhs}' has "
+                                  f"probability {float(self.prob[i])}")
+        probs = self.prob[self.order]
+        sums = np.add.reduceat(probs, self.starts[:-1])
+        # A sum of k terms in [0, 1] is off by at most (k - 1) u times the
+        # sum, u = 2**-53; 2**-50 also covers the gap's own rounding.
+        slack = (np.diff(self.starts) + 1) * 2.0**-50 * (sums + 1.0)
+        gaps = np.abs(sums - 1.0)
+        close = np.flatnonzero(np.abs(gaps - tol) <= slack)
+        exact = [math.fsum(probs[self.starts[k]:self.starts[k + 1]].tolist()) - 1.0
+                 for k in close.tolist()]
+        over = gaps - tol > slack
+        over[close] = np.abs(exact) > tol
+        if over.any():
+            k = int(over.argmax())
+            gap = math.fsum(probs[self.starts[k]:self.starts[k + 1]].tolist()) - 1.0
+            raise StructuralError(
+                f"probabilities of '{self.nonterminals[k]}' sum to 1{gap:+.3e}")
 
 
 def induce(corpus: Corpus | CountedCorpus) -> Pcfg:
@@ -230,30 +277,41 @@ def _induce(table: RuleTable, ids: np.ndarray, roots: list[str], leaves):
     first = np.full(len(table), ids.size)
     np.minimum.at(first, ids, np.arange(ids.size))
     used = np.argsort(first)[:np.count_nonzero(first < ids.size)]
-    keys = table.keys()
-    expansions = [keys[i] for i in used.tolist()]
     freq = np.bincount(ids, minlength=len(table))[used]
-    internal_labels = {lhs for lhs, _ in expansions}
-    if not internal_labels.isdisjoint(leaves):
+    lhs, rhs_offsets, rhs = table.rows(used)
+    names, symbols = table.names, table.symbols
+    internal = np.zeros(len(names), bool)  # the ids of the internal labels
+    internal[lhs] = True
+    leaf_labels = set(leaves)
+    leaf = np.array([symbols[x] for x in leaf_labels if x in symbols], np.int64)
+    clash = leaf[internal[leaf]]
+    if clash.size:
         raise AlphabetClashError(
             "labels used both internally and as leaves: "
-            + ", ".join(sorted(internal_labels.intersection(leaves))[:10])
+            + ", ".join(sorted(names[i] for i in clash.tolist())[:10])
         )
     root_counts = Counter(roots)
     if len(root_counts) == 1:
         (root,) = root_counts
-        if root not in internal_labels:
+        if root not in symbols or not internal[symbols[root]]:
             # Corpus of bare single-leaf trees has no expansions to learn.
             raise StructuralError("corpus contains no internal nodes")
     else:
-        if SYNTHETIC_ROOT in internal_labels or SYNTHETIC_ROOT in leaves:
+        root = SYNTHETIC_ROOT
+        if root in leaf_labels or root in symbols and internal[symbols[root]]:
             raise AlphabetClashError(
                 f"reserved root symbol '{SYNTHETIC_ROOT}' occurs in the corpus"
             )
-        root = SYNTHETIC_ROOT
-        expansions.extend((root, (label,)) for label in root_counts)
+        # One rule per root label, which need not be a symbol of the table.
+        more = [x for x in (root, *root_counts) if x not in symbols]
+        extra = dict(zip(more, range(len(names), len(names) + len(more))))
+        names = names + more
+        top = [symbols[x] if x in symbols else extra[x] for x in (root, *root_counts)]
+        lhs = np.append(lhs, np.full(len(root_counts), top[0]))
+        rhs = np.append(rhs, top[1:])
+        rhs_offsets = np.append(rhs_offsets, rhs_offsets[-1] + np.arange(1, len(root_counts) + 1))
         freq = np.append(freq, list(root_counts.values()))
-    return Pcfg._of(root, expansions, None, freq), used
+    return Pcfg._of(root, lhs, rhs_offsets, rhs, names, None, freq), used
 
 
 def tree_probability(grammar: Pcfg, tree: Tree) -> TreeProbability:
@@ -369,17 +427,17 @@ def dumps(grammar: Pcfg) -> str:
     ``prob<TAB>freq<TAB>lhs -> rhs1 rhs2 ...``.
 
     Probabilities are printed with 17 significant digits, so parsing the
-    output reproduces them bit-exactly.  Symbols must be whitespace-free and
-    must not equal ``->``.
+    output reproduces them bit-exactly.  Symbols must be non-empty and
+    whitespace-free and must not equal ``->``.
     """
     for sym in grammar.symbols:
-        if sym == "->" or any(c.isspace() for c in sym):
+        if not sym or sym == "->" or any(c.isspace() for c in sym):
             raise StructuralError(f"symbol {sym!r} is not serializable")
     lines = [f"#root {grammar.root}"]
     lines.extend(
-        f"{prob:.17g}\t{freq}\t{lhs} -> {' '.join(rhs)}"
-        for (lhs, rhs), prob, freq
-        in zip(grammar.expansions, grammar.prob.tolist(), grammar.freq.tolist())
+        f"{prob:.17g}\t{freq}\t{lhs} -> {rhs}"
+        for lhs, rhs, prob, freq
+        in zip(*grammar._texts(" ".join), grammar.prob.tolist(), grammar.freq.tolist())
     )
     return "\n".join(lines) + "\n"
 
@@ -392,47 +450,35 @@ def loads(text: str) -> Pcfg:
     raises :class:`ParseError` at its line.  The grammar is validated: a
     probability outside [0, 1] (NaN included) or a non-terminal whose
     probabilities do not sum to one raises :class:`StructuralError`.
+
+    Text in the form that :func:`dumps` writes is read in whole-file array
+    passes (:func:`~.grammar_text.scanned`); any other text is read line by
+    line (:func:`~.grammar_text.lines`), which gives every
+    :class:`ParseError`.
     """
-    root = None
-    expansions, probs, freqs = [], [], []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#root"):
-            header = line.split()
-            if header[0] != "#root" or len(header) != 2:
-                raise ParseError("expected '#root <symbol>'", line=line_no)
-            if root is not None:
-                raise ParseError("a second '#root' header", line=line_no)
-            root = header[1]
-            continue
-        if line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError("expected prob<TAB>freq<TAB>rule", line=line_no)
-        try:
-            probs.append(float(fields[0]))
-            freqs.append(int(fields[1]))
-        except ValueError:
-            raise ParseError(
-                f"bad numeric fields {fields[0]!r}, {fields[1]!r}", line=line_no
-            ) from None
-        symbols = fields[2].split()
-        if len(symbols) < 3 or symbols[1] != "->" or symbols.count("->") > 1:
-            raise ParseError("expected 'lhs -> rhs...', '->' only as the arrow",
-                             line=line_no)
-        expansions.append((symbols[0], tuple(symbols[2:])))
-    if root is None:
-        raise ParseError("missing '#root <symbol>' header")
-    grammar = Pcfg._of(root, expansions, probs, freqs)
+    from .grammar_text import lines, scanned  # only where a grammar file is read
+
+    parts = scanned(text)
+    grammar = Pcfg._of(*(lines(text) if parts is None else parts))
     grammar.validate()
     return grammar
 
 
+def _symbol_ids(expansions) -> tuple:
+    """The rule keys `expansions` as ``(lhs, rhs_offsets, rhs, names)``,
+    each symbol an index into `names`."""
+    ids = {}
+    lhs = [ids.setdefault(key[0], len(ids)) for key in expansions]
+    rhs = [ids.setdefault(sym, len(ids)) for key in expansions for sym in key[1]]
+    offsets = np.zeros(len(lhs) + 1, np.intp)
+    np.cumsum([len(key[1]) for key in expansions], out=offsets[1:])
+    return np.array(lhs, np.intp), offsets, np.array(rhs, np.intp), list(ids)
+
+
 def write_grammar(grammar: Pcfg, path) -> None:
+    text = dumps(grammar)  # a grammar it refuses leaves no file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(grammar))
+        handle.write(text)
 
 
 def read_grammar(path) -> Pcfg:

@@ -6,20 +6,21 @@ sequence of leaves (the frontier) is the surface string.  All traversals are
 iterative; parsed trees can be arbitrarily deep.
 
 Every measure the package computes is a function of rule counts, so a
-corpus is counted into a :class:`CountedCorpus`: each rule key ``(lhs,
-rhs)`` is interned once in a :class:`RuleTable` as it is read, and every
-sentence becomes its rule ids in pre-order, its root label and its
-frontier.  :func:`counted_bracketed` counts regular bracketed text in a
-columnar scan, whole-file array passes over its bytes that build no tree.
-:func:`parse_bracketed` builds the trees, in one token loop that cleans
-each node as it closes; it also reads the text that the scan leaves, and
-so gives every error.
+corpus is counted into a :class:`CountedCorpus`: each rule is interned once
+in a :class:`RuleTable`, as symbol ids, as it is read, and every sentence
+becomes its rule ids in pre-order, its root label and its frontier.  No
+rule becomes a string key on the way: a rule is found again by its symbol
+ids packed into int64 words (:func:`_packed`).  :func:`counted_bracketed`
+counts regular bracketed text in a columnar scan, whole-file array passes
+over its bytes that build no tree.  :func:`parse_bracketed` builds the
+trees, in one token loop that cleans each node as it closes; it also reads
+the text that the scan leaves, and so gives every error.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -108,8 +109,14 @@ class Derivation(NamedTuple):
 
 def derivation(tree: Tree) -> Derivation:
     """The derivation of a tree, walking it once."""
-    rules = []
-    leaves = []
+    rules, leaves = [], []
+    _walk(tree, rules, leaves)
+    return Derivation(tree.label, rules, leaves)
+
+
+def _walk(tree: Tree, rules: list, leaves: list) -> None:
+    """Append the ``(lhs, rhs)`` expansion of every internal node of `tree`
+    to `rules`, in pre-order, and its frontier to `leaves`."""
     stack = [tree]
     while stack:  # pre-order, left to right
         node = stack.pop()
@@ -119,31 +126,140 @@ def derivation(tree: Tree) -> Derivation:
             stack.extend(children[::-1])
         else:
             leaves.append(node.label)
-    return Derivation(tree.label, rules, leaves)
 
 
 class RuleTable:
-    """Rule keys ``(lhs, rhs)``, each interned once: `ids` maps each key to
-    its id, the number of keys interned before it.  The corpora of one
-    command share one table, so their ids agree."""
+    """Rules over interned symbols, each rule interned once.
 
-    __slots__ = ("ids",)
+    Symbol i is ``names[i]`` (`symbols` maps it back to i).  Rule r, whose
+    id is the number of rules interned before it, rewrites symbol
+    ``lhs[r]`` as the symbols ``rhs[rhs_offsets[r]:rhs_offsets[r + 1]]``;
+    it is found again by its packed key (:func:`_packed`).  The corpora of
+    one command share one table, so their ids agree.  :meth:`intern` and
+    :meth:`keys` are the string entry point and view, with rule keys
+    ``(lhs, rhs)``.
+    """
+
+    __slots__ = ("symbols", "names", "lhs", "rhs", "rhs_offsets", "_keys", "_bits", "_strings")
 
     def __init__(self):
-        self.ids: dict[tuple[str, tuple[str, ...]], int] = {}
+        self.symbols: dict[str, int] = {}
+        self.names: list[str] = []
+        self.lhs = np.empty(0, np.int64)
+        self.rhs = np.empty(0, np.int64)
+        self.rhs_offsets = np.zeros(1, np.int64)
+        self._keys = {}  # packed key -> rule id, at `_bits` bits a symbol; 0: not made
+        self._bits = 0
+        self._strings = {}  # (lhs, rhs) -> rule id, for the rules up to the last `intern`
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.lhs)
 
-    def intern(self, keys: list[tuple[str, tuple[str, ...]]]) -> list[int]:
-        """The ids of `keys`, the new ones interned in order."""
-        ids = self.ids
-        setdefault = ids.setdefault
-        return [setdefault(key, len(ids)) for key in keys]
+    def symbol_ids(self, names) -> np.ndarray:
+        """The ids of the symbols `names`, new ones interned in order."""
+        symbols, known = self.symbols, self.names
+        new = [name for name in dict.fromkeys(names) if name not in symbols]
+        symbols.update(zip(new, range(len(known), len(known) + len(new))))
+        known += new
+        return np.fromiter(map(symbols.__getitem__, names), np.int64, len(names))
+
+    def rule_ids(self, lhs, symbols, starts, lengths=None) -> np.ndarray:
+        """The ids of the rules ``lhs[i] -> symbols[starts[i]:starts[i] +
+        lengths[i]]``, over this table's symbol ids (`starts` CSR offsets
+        when `lengths` is None); new ones are interned in the order of their
+        first use.
+
+        Only the distinct rules, told apart by their packed keys, are looked
+        up by key.
+        """
+        if lengths is None:
+            starts, lengths = starts[:-1], np.diff(starts)
+        if not len(lhs):
+            return np.empty(0, np.int64)
+        bits = len(self.names).bit_length()
+        groups, firsts, keys = [], [], []  # each group's distinct ids; each first use, key
+        for at, key in _packed(lhs, symbols, starts, bits, lengths):
+            first, inverse = _distinct(key)
+            groups.append((at, inverse + sum(map(len, firsts))))
+            firsts.append(at[first])
+            keys.append(key[first])
+        firsts = np.concatenate(firsts)
+        empty = not len(self)
+        if empty:  # nothing to look up
+            found = np.full(len(firsts), -1)
+        else:
+            known = self._known(bits)
+            keys = list(chain.from_iterable(map(_hashable, keys)))
+            found = np.fromiter(map(known.get, keys, repeat(-1)), np.int64, len(keys))
+        new = (found < 0).nonzero()[0]
+        new = new[firsts[new].argsort()]
+        found[new] = np.arange(len(self), len(self) + len(new))
+        if empty:
+            self._bits = 0  # the keys are made when the table is next looked up
+        else:
+            known.update(zip(map(keys.__getitem__, new.tolist()), found[new].tolist()))
+        rows = firsts[new]
+        self.lhs = np.concatenate([self.lhs, lhs[rows]])
+        self.rhs = np.concatenate([self.rhs, symbols[_spans(starts[rows], lengths[rows])]])
+        self.rhs_offsets = np.concatenate([self.rhs_offsets,
+                                           self.rhs_offsets[-1] + lengths[rows].cumsum()])
+        ids = np.empty(len(lhs), np.int64)
+        for at, distinct in groups:
+            ids[at] = found[distinct]
+        return ids
+
+    def _known(self, bits: int) -> dict:
+        """The rule ids by packed key, at `bits` bits a symbol."""
+        if bits != self._bits:  # every key changes with the width of a symbol
+            self._keys.clear()
+            for at, key in _packed(self.lhs, self.rhs, self.rhs_offsets, bits):
+                self._keys.update(zip(_hashable(key), at.tolist()))
+            self._bits = bits
+        return self._keys
+
+    def rows(self, rules: np.ndarray):
+        """The rules `rules` as ``(lhs, rhs_offsets, rhs)``, over this
+        table's symbol ids."""
+        starts = self.rhs_offsets[rules]
+        lengths = self.rhs_offsets[rules + 1] - starts
+        offsets = np.zeros(len(rules) + 1, np.int64)
+        lengths.cumsum(out=offsets[1:])
+        return self.lhs[rules], offsets, self.rhs[_spans(starts, lengths)]
+
+    def intern(self, keys: list[tuple[str, tuple[str, ...]]]) -> np.ndarray:
+        """The ids of the rule keys `keys`, the new ones interned in order.
+
+        A dict of string keys holds every rule of the table once this has
+        run (the rules that :meth:`rule_ids` added since are named first),
+        so a key that it lacks is new.
+        """
+        known = self._strings
+        if len(known) < len(self):
+            known.update(zip(self.keys()[len(known):], range(len(known), len(self))))
+        before = len(known)
+        setdefault = known.setdefault
+        ids = np.array([setdefault(key, len(known)) for key in keys], np.int64)
+        fresh = list(islice(known, before, None))  # the new keys, by first use
+        if fresh:
+            lengths = np.array([len(rhs) for _, rhs in fresh], np.int64)
+            symbols = self.symbol_ids([sym for lhs, rhs in fresh for sym in (lhs, *rhs)])
+            heads = (lengths + 1).cumsum() - lengths - 1  # each lhs among the symbols
+            body = np.ones(len(symbols), bool)
+            body[heads] = False
+            self.lhs = np.concatenate([self.lhs, symbols[heads]])
+            self.rhs = np.concatenate([self.rhs, symbols[body]])
+            self.rhs_offsets = np.concatenate([self.rhs_offsets,
+                                               self.rhs_offsets[-1] + lengths.cumsum()])
+            self._bits = 0  # the packed keys are made when the table is next looked up
+        return ids
 
     def keys(self) -> list[tuple[str, tuple[str, ...]]]:
-        """Every key, indexed by its id."""
-        return list(self.ids)
+        """Every rule key ``(lhs, rhs)``, indexed by its id."""
+        names = self.names
+        heads = [names[i] for i in self.lhs.tolist()]
+        symbols = [names[i] for i in self.rhs.tolist()]
+        cuts = self.rhs_offsets.tolist()
+        return [(head, tuple(symbols[a:b])) for head, a, b in zip(heads, cuts, cuts[1:])]
 
 
 #: A character that would split or end a label when the text is read back.
@@ -334,8 +450,8 @@ def _scanned(text, drop_labels, strip_tags, preterminalize, table):
     of the parentheses on the depth before each lists the nodes level by
     level and each node's children together, in order.  A node is kept
     when its span holds a kept pre-terminal; labels are tested and cut once
-    per distinct label, and only the distinct rules become keys
-    (:func:`_rule_ids`).
+    per distinct label, and only the distinct rules are looked up in
+    `table` (:meth:`RuleTable.rule_ids`).
     """
     if any(c in text for c in _IRREGULAR):
         return None
@@ -441,8 +557,9 @@ def _scanned(text, drop_labels, strip_tags, preterminalize, table):
         starts[word_rule] = kept_before[-1] + np.arange(len(leaf))
         lengths[word_rule] = 1
     named = np.array(names, dtype=object)
-    ids = _rule_ids(label[rule], np.concatenate([label[by_level[in_level]], leaf_symbols]),
-                    starts, lengths, named, table)
+    interned = table.symbol_ids(names)
+    ids = table.rule_ids(interned[label[rule]], interned[np.concatenate(
+        [label[by_level[in_level]], leaf_symbols])], starts, lengths)
     return (named[label[sentences + wrapper[sentences]]].tolist(), ids,
             np.append(np.searchsorted(rule, sentences), len(rule)),
             named[leaf_symbols].tolist(),
@@ -473,9 +590,8 @@ def _interned(data: bytes, starts: np.ndarray, ends: np.ndarray):
             key = windows[starts[group]] & _MASKS[np.minimum(widths[group], 8)]
         else:
             step = 8 * np.arange(size)
-            cells = (windows[starts[group, None] + step]
-                     & _MASKS[np.clip(widths[group, None] - step, 0, 8)])
-            key = cells.view(np.dtype((np.void, 8 * size)))[:, 0]
+            key = (windows[starts[group, None] + step]
+                   & _MASKS[np.clip(widths[group, None] - step, 0, 8)])
         one, inverse = _distinct(key)
         ids[group] = inverse + len(names)
         one = group[one]
@@ -483,23 +599,22 @@ def _interned(data: bytes, starts: np.ndarray, ends: np.ndarray):
     return ids, names
 
 
-def _rule_ids(lhs, symbols, starts, lengths, named, table: RuleTable) -> np.ndarray:
-    """The ids in `table` of the rules ``named[lhs[i]] -> named[symbols[
-    starts[i]:starts[i] + lengths[i]]]``, new ones interned in the order of
-    their first use.
+def _packed(lhs, symbols, starts, bits: int, lengths=None):
+    """The rules ``lhs[i] -> symbols[starts[i]:starts[i] + lengths[i]]``
+    (`starts` CSR offsets when `lengths` is None), each symbol below
+    ``2**bits``, as groups ``(at, keys)``: the rules at
+    `at`, which pack into the same number of int64 words, and a key each,
+    equal exactly for equal rules.
 
-    Each rule is packed into int64 words, its lhs and then its symbols,
-    each its id + 1 so that 0 pads, and the rules of each number of words,
-    nearly all of them one, are told apart together.  Only the distinct
-    rules become keys, built a length at a time from one list of names.
+    A rule is packed into words, its lhs and then its symbols, each its id
+    + 1 so that 0 pads, ``63 // bits`` to a word; a key is the rule's one
+    word, or the row of its words.
     """
-    if not len(lhs):
-        return np.empty(0, np.int64)
-    bits = len(named).bit_length()
+    if lengths is None:
+        starts, lengths = starts[:-1], np.diff(starts)
     per = 63 // bits  # symbols to a word
     words = lengths // per + 1
-    rule = np.empty(len(lhs), np.int64)  # each rule's distinct id
-    firsts = []  # the first use of each distinct rule
+    groups = []
     for size in np.bincount(words).nonzero()[0].tolist():
         at = (words == size).nonzero()[0]
         if size == 1:  # each symbol shifted to its slot, and summed
@@ -507,46 +622,58 @@ def _rule_ids(lhs, symbols, starts, lengths, named, table: RuleTable) -> np.ndar
             before = span.cumsum() - span
             slot = np.arange(1, before[-1] + span[-1] + 1) - before.repeat(span)
             cells = symbols[(starts[at] - 1).repeat(span) + slot] + 1
-            key = np.add.reduceat(cells << bits * slot, before) + lhs[at] + 1
+            key = lhs[at] + 1
+            filled = span > 0
+            key[filled] += np.add.reduceat(cells << bits * slot, before[filled])
         else:
             slot = np.arange(size * per)
             cells = np.where(slot <= lengths[at, None],
                              symbols.take(starts[at, None] + slot - 1, mode="clip") + 1, 0)
             cells[:, 0] = lhs[at] + 1
             cells = cells.reshape(len(at), size, per) << bits * np.arange(per)
-            key = cells.sum(2).view(np.dtype((np.void, 8 * size)))[:, 0]
-        first, inverse = _distinct(key)
-        rule[at] = inverse + sum(map(len, firsts))
-        firsts.append(at[first])
-    first = np.concatenate(firsts)
-    order = first.argsort()  # the distinct rules by first use
-    by_length = lengths[first[order]].argsort(kind="stable")
-    rows = first[order[by_length]]
-    span = lengths[rows]
-    before = span.cumsum() - span
-    names = named[symbols[(starts[rows] - before).repeat(span)
-                          + np.arange(before[-1] + span[-1])]].tolist()
-    heads = named[lhs[rows]].tolist()
-    keys = []
-    done = 0
-    for length, count in enumerate(np.bincount(span).tolist()):
-        if count:
-            block = names[before[done]:before[done] + length * count]
-            keys += zip(heads[done:done + count], zip(*[block[k::length] for k in range(length)]))
-            done += count
-    table_ids = np.empty(len(first), np.int64)
-    table_ids[order] = table.intern(list(map(keys.__getitem__, by_length.argsort().tolist())))
-    return table_ids[rule]
+            key = cells.sum(2)
+        groups.append((at, key))
+    return groups
+
+
+def _hashable(keys: np.ndarray) -> list:
+    """The keys of :func:`_packed` as ints, or rows of words as bytes."""
+    if keys.ndim == 1:
+        return keys.tolist()
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0].tolist()
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i]`` to ``starts[i] + lengths[i] - 1`` of each
+    i, one after another."""
+    before = lengths.cumsum() - lengths
+    return (starts - before).repeat(lengths) + np.arange(lengths.sum())
+
+
+#: Odd multipliers that mix the words of a row of integers into one.
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                 0xD6E8FEB86659FD93], np.uint64)
 
 
 def _distinct(keys):
-    """The first index of each distinct value of `keys`, and each value's id
-    (the rank of its value)."""
-    order = keys.argsort()
+    """The first index of each distinct value of `keys`, or of each
+    distinct row where `keys` is 2-D, and each value's id (the rank of its
+    value, or of its row's hash).
+
+    Rows are told apart by a hash of their words, mixed by `_MIX`, unless
+    two rows share a hash, when they are sorted word by word.
+    """
+    if keys.ndim == 2:
+        mixed = keys.astype(np.uint64) * np.resize(_MIX, keys.shape[1])
+        first, inverse = _distinct(mixed.sum(1, dtype=np.uint64))
+        if (keys == keys[first[inverse]]).all():
+            return first, inverse
+    order = keys.argsort() if keys.ndim == 1 else np.lexsort(keys.T)
     ranked = keys[order]
     new = np.empty(len(keys), bool)
     new[:1] = True
-    new[1:] = ranked[1:] != ranked[:-1]
+    changed = ranked[1:] != ranked[:-1]
+    new[1:] = changed if keys.ndim == 1 else changed.any(1)
     inverse = np.empty(len(keys), np.int64)
     inverse[order] = new.cumsum() - 1
     return np.minimum.reduceat(order, new.nonzero()[0]), inverse
@@ -638,14 +765,14 @@ class CountedCorpus:
     def __init__(self, derivations=(), source_id: str = "",
                  table: RuleTable | None = None):
         table = RuleTable() if table is None else table
-        roots, ids, offsets, leaves, leaf_offsets = [], [], [0], [], [0]
+        roots, keys, offsets, leaves, leaf_offsets = [], [], [0], [], [0]
         for root, rules, frontier in derivations:
             roots.append(root)
-            ids.extend(table.intern(rules))
-            offsets.append(len(ids))
-            leaves.extend(frontier)
+            keys += rules
+            offsets.append(len(keys))
+            leaves += frontier
             leaf_offsets.append(len(leaves))
-        self._set(table, roots, ids, offsets, leaves, leaf_offsets, source_id)
+        self._set(table, roots, table.intern(keys), offsets, leaves, leaf_offsets, source_id)
 
     @classmethod
     def _of(cls, table, roots, ids, offsets, leaves, leaf_offsets,
@@ -677,10 +804,18 @@ class CountedCorpus:
 def counted(corpus: Corpus | CountedCorpus,
             table: RuleTable | None = None) -> CountedCorpus:
     """`corpus` itself if it is counted, else its trees' derivations
-    interned into `table`."""
+    interned into `table` (a new one if None), every tree walked once."""
     if isinstance(corpus, CountedCorpus):
         return corpus
-    return CountedCorpus(map(derivation, corpus.sentences), corpus.source_id, table)
+    table = RuleTable() if table is None else table
+    roots, keys, offsets, leaves, leaf_offsets = [], [], [0], [], [0]
+    for tree in corpus.sentences:
+        roots.append(tree.label)
+        _walk(tree, keys, leaves)
+        offsets.append(len(keys))
+        leaf_offsets.append(len(leaves))
+    return CountedCorpus._of(table, roots, table.intern(keys), offsets, leaves, leaf_offsets,
+                             corpus.source_id)
 
 
 def merge(corpora: list[CountedCorpus], source_id: str = "") -> CountedCorpus:
@@ -690,14 +825,19 @@ def merge(corpora: list[CountedCorpus], source_id: str = "") -> CountedCorpus:
     table = corpora[0].table
     if any(c.table is not table for c in corpora):
         table = RuleTable()
-    ids = [c.ids if c.table is table else
-           np.array(table.intern(c.table.keys()), np.int64)[c.ids]
-           for c in corpora]
+    ids = [c.ids if c.table is table else _moved(c.table, table)[c.ids] for c in corpora]
     return CountedCorpus._of(
         table, list(chain.from_iterable(c.roots for c in corpora)), np.concatenate(ids),
         _joined([c.offsets for c in corpora]),
         list(chain.from_iterable(c.leaves for c in corpora)),
         _joined([c.leaf_offsets for c in corpora]), source_id)
+
+
+def _moved(source: RuleTable, table: RuleTable) -> np.ndarray:
+    """The ids in `table` of the rules of `source`, by id, new ones
+    interned in order."""
+    symbols = table.symbol_ids(source.names)
+    return table.rule_ids(symbols[source.lhs], symbols[source.rhs], source.rhs_offsets)
 
 
 def _joined(offsets: list[np.ndarray]) -> np.ndarray:

@@ -15,7 +15,9 @@ builds every node as it draws, CWJ estimates from
 ``scipy.special.digamma`` and a tail summed in ``mpmath``, and grammars,
 with every array and value computed from them, from the implementation
 that kept each grammar as a list of :class:`Rule` objects and walked it
-(:class:`ReferencePcfg` and the functions after it), rule counts from a
+(:class:`ReferencePcfg` and the functions after it), a grammar's arrays
+from dictionaries keyed by symbol strings (:func:`reference_pcfg_arrays`),
+rule counts from a
 :class:`Counter` of ``(lhs, rhs)`` keys (:class:`RuleCounts`), and the
 certificate of a row of counts from the strongly connected blocks of M, each
 tested for an occurrence from outside (:func:`reference_certify_counts`),
@@ -839,6 +841,49 @@ def reference_loads(text: str) -> ReferencePcfg:
     grammar = ReferencePcfg(root, rules)
     grammar.validate()
     return grammar
+
+
+class ReferencePcfgArrays(NamedTuple):
+    """The arrays of a grammar as a :class:`~treebank_entropy.grammar.Pcfg`
+    holds them."""
+
+    symbols: tuple[str, ...]
+    lhs: np.ndarray
+    rhs_offsets: np.ndarray
+    rhs: np.ndarray
+    prob: np.ndarray
+    freq: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+
+def reference_pcfg_arrays(root: str, rules) -> ReferencePcfgArrays:
+    """The arrays of the grammar of `rules`, interned through dictionaries
+    keyed by symbol strings, one rule at a time: the non-terminals in the
+    order of their first left-hand side, then the terminals in the order of
+    their first right-hand-side use."""
+    rules = list(rules)
+    ids: dict[str, int] = {}
+    for rule in rules:
+        ids.setdefault(rule.lhs, len(ids))
+    n = len(ids)
+    for rule in rules:
+        for sym in rule.rhs:
+            ids.setdefault(sym, len(ids))
+    if ids.get(root, n) >= n:
+        raise StructuralError(f"root symbol '{root}' has no rules")
+    lhs = np.array([ids[r.lhs] for r in rules], np.intp)
+    lengths = [len(r.rhs) for r in rules]
+    try:
+        freq = np.array([r.freq for r in rules], np.int64)
+    except OverflowError:
+        freq = np.array([r.freq for r in rules], object)
+    order = np.array(sorted(range(len(rules)), key=lambda i: lhs[i]), np.intp)
+    return ReferencePcfgArrays(
+        tuple(ids), lhs, np.concatenate(([0], np.cumsum(lengths))).astype(np.intp),
+        np.array([ids[s] for r in rules for s in r.rhs], np.intp),
+        np.array([r.prob for r in rules], np.float64), freq, order,
+        np.concatenate(([0], np.cumsum(np.bincount(lhs, minlength=n)))).astype(np.intp))
 
 
 class ReferenceRuleArrays(NamedTuple):

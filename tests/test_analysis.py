@@ -84,7 +84,7 @@ def count_inductions(monkeypatch) -> list[int]:
 def record_builds(monkeypatch) -> list[str]:
     """Record the class of every `Pcfg`, `RuleTable` and `FreqTable` built."""
     built = []
-    for cls, method in ((grammar.Pcfg, "_intern"), (trees.RuleTable, "__init__"),
+    for cls, method in ((grammar.Pcfg, "_build"), (trees.RuleTable, "__init__"),
                         (grammar.FreqTable, "__new__")):
         def recording(self, *args, _real=getattr(cls, method), _name=cls.__name__,
                       **kwargs):

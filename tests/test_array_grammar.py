@@ -2,7 +2,8 @@
 and every value computed from it equals, bit for bit, what the
 implementation that kept a grammar as :class:`Rule` objects and walked them
 gives (``tests/oracles.py``), for grammars built from rules, from rule
-counts and from grammar files."""
+counts and from grammar files; and the arrays themselves equal those that
+interning the symbols' strings one rule at a time gives."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
     reference_loads,
     reference_local_entropies,
     reference_matrix,
+    reference_pcfg_arrays,
     reference_root_row,
     reference_rule_arrays,
     reference_rule_freq_tables,
@@ -41,7 +43,7 @@ from treebank_entropy.grammar import (
     loads,
     tree_probability,
 )
-from treebank_entropy.trees import Corpus, derivation
+from treebank_entropy.trees import Corpus, Tree, derivation
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -248,3 +250,67 @@ def test_frequencies_beyond_int64_kept_exactly(freqs):
     assert grammar.rules == tuple(rules)
     assert entropy.count_totals(grammar) is None
     assert_same(grammar, ReferencePcfg("S", rules))
+
+
+def assert_arrays(grammar: Pcfg, reference):
+    """`grammar`'s arrays are those of `reference`, bit for bit."""
+    assert grammar.symbols == reference.symbols
+    for name in ("lhs", "rhs_offsets", "rhs", "order", "starts"):
+        assert bits(getattr(grammar, name)) == bits(getattr(reference, name)), name
+    assert bits(grammar.prob) == bits(reference.prob)
+    assert grammar.freq.dtype == reference.freq.dtype
+    assert grammar.freq.tolist() == reference.freq.tolist()
+
+
+@SETTINGS
+@given(rule_lists())
+def test_arrays_of_rules_equal_string_keyed_reference(spec):
+    root, rules = spec
+    grammar = Pcfg(root, rules)
+    assert_arrays(grammar, reference_pcfg_arrays(root, rules))
+    loaded = outcome(loads, outcome(dumps, grammar))
+    if isinstance(loaded, Pcfg):  # a proper grammar, written and read back
+        assert_arrays(loaded, reference_pcfg_arrays(root, loaded.rules))
+        assert_arrays(loaded, reference_pcfg_arrays(root, rules))
+
+
+@SETTINGS
+@given(CORPORA)
+def test_arrays_of_counts_equal_string_keyed_reference(trees):
+    # Induced from a rule table, and read back from its file: the same
+    # arrays as the string-keyed grammar of the same rules.
+    grammar = induce(Corpus(trees))
+    reference = reference_pcfg_arrays(grammar.root, grammar.rules)
+    assert_arrays(grammar, reference)
+    assert_arrays(Pcfg(grammar.root, grammar.rules), reference)
+    text = outcome(dumps, grammar)
+    if isinstance(text, str):
+        assert_arrays(loads(text), reference)
+
+
+def test_arrays_of_a_synthetic_root_grammar():
+    # Root labels that are not in the table (bare leaves) and a synthetic
+    # root interned after the table's symbols.
+    trees = [Tree("X"), Tree("S", (Tree("A", (Tree("a"),)),)), Tree("Y")]
+    grammar = induce(Corpus(trees))
+    assert grammar.root == SYNTHETIC_ROOT
+    assert_arrays(grammar, reference_pcfg_arrays(grammar.root, grammar.rules))
+    assert grammar.symbols == ("S", "A", SYNTHETIC_ROOT, "a", "X", "Y")
+
+
+@pytest.mark.parametrize("trees", [
+    [Tree(SYNTHETIC_ROOT), Tree("S", (Tree("a"),))],
+    [Tree("X", (Tree(SYNTHETIC_ROOT),)), Tree("S", (Tree("a"),))],
+    [Tree(SYNTHETIC_ROOT, (Tree("b"),)), Tree("S", (Tree("a"),))],
+    [Tree("X"), Tree("X", (Tree("x"),))],
+    [Tree("X"), Tree("Y")],
+], ids=["bare-leaf", "leaf", "internal", "leaf-and-internal", "no-rules"])
+def test_induced_alphabet_checks_equal_reference(trees):
+    # Labels that are leaves only, bare single-leaf trees among them, are
+    # not symbols of the rule table.
+    got = outcome(induce, Corpus(trees))
+    want = outcome(reference_counts_grammar, RuleCounts(derivation(t) for t in trees))
+    if isinstance(want, ReferencePcfg):
+        assert_same(got, want)
+    else:
+        assert got == want

@@ -487,6 +487,19 @@ class TestExitCodes:
     def test_no_input(self):
         assert main(["entropy"]) == 2
 
+    def test_empty_symbol_not_written(self, tmp_path, capsys):
+        # An empty FORM becomes the empty symbol, which no grammar file can
+        # hold: "ROOT -> " would be refused when read back.
+        bank = tmp_path / "empty.conllu"
+        bank.write_text("1\t\tX\tNOUN\t_\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
+        out = tmp_path / "g.txt"
+        argv = ["induce", "--format", "conllu", "--use-form", "-o", str(out), str(bank)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: symbol '' is not serializable\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "probs",
         [("0.3", "0.3"), ("-0.5", "1.5"), ("nan", "0.5")],

@@ -46,6 +46,7 @@ from treebank_entropy.trees import (
     counted_bracketed,
     derivation,
     merge,
+    parse_bracketed,
     write_bracketed,
 )
 
@@ -174,6 +175,26 @@ class TestCountedCorpus:
         assert corpus.derivations() == derivations
         assert corpus.source_id == "x"
         assert_reading(corpus, derivations, [])
+
+    def test_table_interns_as_a_dict_of_keys(self):
+        # Empty, short and many-word right-hand sides, interned as strings
+        # and read from text into one table, while the symbols outgrow
+        # their packing width: the ids that a dict of the keys gives.
+        rng = np.random.default_rng(5)
+        table, reference = RuleTable(), {}
+        for vocab in (3, 40, 300, 3000):
+            keys = [(f"s{rng.integers(vocab)}",
+                     tuple(f"s{x}" for x in rng.integers(vocab, size=rng.integers(0, 30))))
+                    for _ in range(300)]
+            assert table.intern(keys).tolist() == [
+                reference.setdefault(key, len(reference)) for key in keys]
+            text = random_ptb(rng, 4)
+            read = counted_bracketed(text, table, DEFAULT_DROP_LABELS)
+            assert read.ids.tolist() == [
+                reference.setdefault(key, len(reference))
+                for tree in parse_bracketed(text, DEFAULT_DROP_LABELS)
+                for key in derivation(tree).rules]
+            assert table.keys() == list(reference)
 
     def test_merge_over_one_table_concatenates(self):
         table = RuleTable()

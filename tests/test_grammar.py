@@ -3,10 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import (random_enumerable_pcfg, reference_rule_freq_tables, reference_sample,
-                     unreachable_nonterminals)
+from oracles import (ReferencePcfg, random_enumerable_pcfg, reference_loads,
+                     reference_rule_freq_tables, reference_sample, unreachable_nonterminals)
 from synthetic import sample_corpus, scaffold_grammar
+from test_counted import _conllu_texts, _several_root_texts
+from treebank_entropy import grammar_text
 from treebank_entropy.cli import main
+from treebank_entropy.depconv import ConversionConfig, counted_conllu
 from treebank_entropy.errors import (
     AlphabetClashError,
     InputError,
@@ -27,7 +30,8 @@ from treebank_entropy.grammar import (
     sample,
     tree_probability,
 )
-from treebank_entropy.trees import Corpus, Tree, derivation, parse_bracketed
+from treebank_entropy.trees import (Corpus, RuleTable, Tree, counted_bracketed, derivation,
+                                    merge, parse_bracketed)
 
 NEGATION_TREE = (
     "(S (NP-SBJ (PRP I)) (VP (VBP do) (RB n't)"
@@ -399,6 +403,12 @@ class TestSerialization:
         assert captured.out == ""
         assert f"at line {line}" in captured.err
 
+    def test_empty_symbol_not_serializable(self):
+        # It was written as "S -> a " and read back as the rule S -> a.
+        grammar = Pcfg("S", [Rule("S", ("a", ""), 0.5, 1), Rule("S", ("b",), 0.5, 1)])
+        with pytest.raises(StructuralError, match="^symbol '' is not serializable$"):
+            dumps(grammar)
+
     def test_header_and_comments_around_rules(self):
         grammar = loads("# the root of\n\n1\t2\tS -> a\n#root  S \n# is S\n")
         assert grammar.root == "S"
@@ -410,6 +420,32 @@ class TestPcfgValidation:
         grammar = Pcfg("S", [Rule("S", ("a",), 0.6, 1), Rule("S", ("b",), 0.3, 1)])
         with pytest.raises(StructuralError, match="sum to 1"):
             grammar.validate()
+
+    def test_float_sums_do_not_decide_near_the_tolerance(self):
+        # Summed in floats, ten 0.1s fall 1.1e-16 short of one, but their
+        # exact sum is one; 0.5 + 0.5 absorbs a hundred 1e-16s, which the
+        # exact sum keeps (as 9.992e-15 above one, to the nearest double).
+        tenths = [Rule("S", (f"a{i}",), 0.1, 1) for i in range(10)]
+        assert sum([0.1] * 10) != 1.0
+        Pcfg("S", tenths).validate(tol=1e-17)
+        crumbs = [0.5, 0.5] + [1e-16] * 100
+        assert sum(crumbs) == 1.0
+        grammar = Pcfg("S", [Rule("S", (f"a{i}",), p, 1) for i, p in enumerate(crumbs)])
+        with pytest.raises(StructuralError, match=r"^probabilities of 'S' sum to 1\+9\.992e-15$"):
+            grammar.validate(tol=5e-15)
+
+    def test_first_improper_nonterminal_named(self):
+        # B is improper by its exact sum alone, C by its float sum too.
+        rules = [Rule("A", ("B",), 0.5, 1), Rule("A", ("C",), 0.5, 1),
+                 *(Rule("B", (f"b{i}",), p, 1) for i, p in enumerate([0.5, 0.5] + [1e-16] * 100)),
+                 Rule("C", ("c",), 0.5, 1), Rule("C", ("d",), 0.4, 1)]
+        for tol, name in ((5e-15, "B"), (1e-13, "C")):
+            with pytest.raises(StructuralError) as err:
+                Pcfg("A", rules).validate(tol)
+            assert str(err.value).startswith(f"probabilities of '{name}' sum to 1")
+            with pytest.raises(StructuralError) as want:
+                ReferencePcfg("A", rules).validate(tol)
+            assert str(err.value) == str(want.value)
 
     def test_duplicate_rule_rejected(self):
         with pytest.raises(StructuralError, match="duplicate"):
@@ -425,3 +461,157 @@ class TestPcfgValidation:
     def test_empty_rhs_rejected(self):
         with pytest.raises(StructuralError, match="empty"):
             Pcfg("S", [Rule("S", (), 1.0, 1)])
+
+
+def loaded_by_lines(text):
+    """What :func:`loads` gives when the line loop reads `text`."""
+    grammar = Pcfg._of(*grammar_text.lines(text))
+    grammar.validate()
+    return grammar
+
+
+def load_outcome(load, text):
+    """The grammar `load` reads from `text`, or the type, message and line
+    of what it raises."""
+    try:
+        return load(text)
+    except (ParseError, StructuralError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_loads_like_the_loop(text):
+    """The array scan, the line loop and the reference reader agree on
+    `text`: the same rules in the same order, bit-equal probabilities,
+    equal frequencies and the same symbol order, or the same error."""
+    got = load_outcome(loads, text)
+    want = load_outcome(loaded_by_lines, text)
+    if not isinstance(want, Pcfg):
+        assert got == want
+        return
+    assert isinstance(got, Pcfg), got
+    assert got.root == want.root
+    assert got.symbols == want.symbols
+    assert got.rules == want.rules
+    assert float_bits(got.prob) == float_bits(want.prob)
+    assert got.freq.dtype == want.freq.dtype and got.freq.tolist() == want.freq.tolist()
+    for name in ("lhs", "rhs_offsets", "rhs", "order", "starts"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    reference = load_outcome(reference_loads, text)
+    if isinstance(reference, ReferencePcfg):
+        assert got.rules == reference.rules
+        assert float_bits(got.prob) == float_bits([r.prob for r in reference.rules])
+        assert got.nonterminals == reference.nonterminals
+
+
+BASE = "#root S\n0.5\t1\tS -> a S\n0.5\t2\tS -> b\n"
+
+
+class TestScannedLoads:
+    """The array scan of a grammar file against the line loop it falls back
+    to, and against the reference reader."""
+
+    @pytest.mark.parametrize("text", [
+        # Characters that end a line or split a field for str, and NUL.
+        BASE.replace("a S", "a\x00b S"),
+        BASE.replace("\n", "\r\n"),
+        BASE.replace("S\n0.5", "S\r0.5"),
+        BASE.replace("a S", "a\vS"), BASE.replace("a S", "a\fS"),
+        *(BASE.replace("a S", f"a{c}S") for c in "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000"),
+        BASE.replace("-> b", "-> b\x85c"),
+        # A repeated, leading or trailing space, or a tab in the rule.
+        BASE.replace("S -> a", "S ->  a"), BASE.replace("S -> b", " S -> b"),
+        BASE.replace("-> b", "-> b "), BASE.replace("S -> b", "S ->\tb"),
+        " " + BASE, BASE.replace("0.5\t2", " 0.5\t2"), BASE.replace("\t2", "\t 2"),
+        BASE + "  \n", BASE + "\t\n", BASE.replace("#root S", "#root  S"),
+        BASE.replace("#root S", "#root\tS"), BASE.replace("#root S", "#root S "),
+        # Numbers that float() or int() reads but dumps does not write.
+        BASE.replace("\t2\t", "\t+2\t"), BASE.replace("0.5\t2", "+0.5\t2"),
+        BASE.replace("\t2\t", "\t1_0\t"), BASE.replace("0.5\t2", "0.5_0\t2"),
+        BASE.replace("\t2\t", "\t\u0663\t"), BASE.replace("0.5\t2", "\u0660.5\t2"),
+        # A frequency of more than 18 digits, within int64 or beyond it.
+        BASE.replace("\t2\t", "\t9223372036854775807\t"),
+        BASE.replace("\t2\t", "\t9223372036854775808\t"),
+        BASE.replace("\t2\t", "\t0000000000000000002\t"),
+        # Probabilities that float() reads as inf or nan, which validate
+        # refuses, or does not read.
+        BASE.replace("0.5\t2", "inf\t2"), BASE.replace("0.5\t2", "nan\t2"),
+        BASE.replace("0.5\t2", "0x1p-1\t2"),
+        # Text that does not encode, and no text.
+        BASE.replace("a S", "\ud800 S"), "",
+        # What the loop refuses.
+        BASE.replace("#root S", "#rootS"), BASE.replace("#root S", "#root"),
+        BASE.replace("#root S", "#root S A"), BASE + "#root S\n", BASE.replace("#root S\n", ""),
+        BASE.replace("#root S\n", "#rooted\n") + "#root S",
+        BASE.replace("-> b", "-> b -> c"), BASE.replace("-> b", "-> ->"),
+        BASE.replace("S -> b", "-> -> b"), BASE.replace("S -> b", "S ->"),
+        BASE.replace("S -> b", "S b"), BASE.replace("\t2\t", "\t2"),
+        BASE.replace("0.5\t2", "0.5\t2\t3"), BASE.replace("0.5\t2", "1e\t2"),
+        BASE.replace("\t2\t", "\t-\t"), BASE.replace("0.5\t2", "\t2"),
+    ])
+    def test_irregular_text_falls_back(self, text):
+        assert grammar_text.scanned(text) is None
+        assert_loads_like_the_loop(text)
+
+    @pytest.mark.parametrize("text", [
+        BASE, BASE[:-1],
+        # Signs, dots and exponents that dumps may write or a user may.
+        BASE.replace("0.5\t2", "-3\t2"), BASE.replace("0.5\t2", "-0\t2"),
+        BASE.replace("0.5\t1", "-0\t1").replace("0.5\t2", "1\t2"),
+        BASE.replace("0.5\t1", ".5\t1").replace("0.5\t2", "5.e-1\t2"),
+        BASE.replace("0.5\t1", "1E-3\t1").replace("0.5\t2", "0.999\t2"),
+        BASE.replace("\t2\t", "\t-3\t"), BASE.replace("\t2\t", "\t-0\t"),
+        BASE.replace("\t2\t", "\t007\t"), BASE.replace("0.5\t2", "0.5000000000000000000001\t2"),
+        BASE.replace("\t2\t", "\t999999999999999999\t"),
+        BASE.replace("\t2\t", "\t-999999999999999999\t"),
+        # Blank lines, comments, and the header after the rules.
+        "\n\n# a comment\t with  spaces\n" + BASE.replace("\n0.5\t2", "\n\n#\n0.5\t2") + "\n",
+        BASE.replace("#root S\n", "") + "# the root:\n#root S\n",
+        # What the constructor and validate refuse.
+        BASE.replace("#root S", "#root T"), BASE.replace("#root S", "#root a"),
+        BASE.replace("b\n", "a S\n"), BASE.replace("0.5\t2", "0.4\t2"),
+        BASE.replace("#root S", "#root ->"),
+        # Symbols that are not ASCII, and an arrow inside a symbol.
+        BASE.replace("a S", "\u22a4a\u00e9 S").replace("-> b", "-> ->b b->"),
+        BASE.replace("S", "\u22a4ROOT\u22a4"),
+    ])
+    def test_regular_text_is_scanned(self, text):
+        assert grammar_text.scanned(text) is not None
+        assert_loads_like_the_loop(text)
+
+    def test_random_probabilities_round_trip(self):
+        rng = np.random.default_rng(17)
+        rules = []
+        for k in range(200):
+            weights = rng.random(int(rng.integers(1, 9))) * 10.0 ** rng.integers(-8, 8)
+            probs = (weights / weights.sum()).tolist()
+            rules += [Rule(f"N{k}", (f"t{j}", f"N{(k + j) % 200}"), p, int(f))
+                      for j, (p, f) in enumerate(zip(probs, rng.integers(-5, 10**6, len(probs))))]
+        grammar = Pcfg("N0", rules)
+        text = dumps(grammar)
+        assert grammar_text.scanned(text) is not None
+        loaded = loads(text)
+        assert float_bits(loaded.prob) == float_bits(grammar.prob)
+        assert loaded.rules == grammar.rules
+        assert_loads_like_the_loop(text)
+
+    def test_dumps_output_never_falls_back(self, monkeypatch):
+        # Induced CoNLL-U and PTB grammars, the second under a synthetic root,
+        # read with the line loop disabled.
+        def forbidden(text):
+            raise AssertionError("dumps output read by the line loop")
+
+        table = RuleTable()
+        conllu = merge([counted_conllu(text, ConversionConfig(use_pos=False), table)[0]
+                        for text in _conllu_texts(3)])
+        ptb = merge([counted_bracketed(text, table) for text in _several_root_texts(3)])
+        grammars = [induce(conllu), induce(ptb)]
+        assert grammars[1].root == SYNTHETIC_ROOT
+        monkeypatch.setattr(grammar_text, "lines", forbidden)
+        for grammar in grammars:
+            loaded = loads(dumps(grammar))
+            assert loaded.rules == grammar.rules
+            assert loaded.symbols == grammar.symbols
