@@ -2,7 +2,9 @@
 
 Replication sweeps run their (replication, size) tasks one after another,
 each drawing from its own random stream derived from the master seed, so a
-task's result does not depend on which tasks ran before it.
+task's result does not depend on which tasks ran before it.  A task of at
+least `_BRANCH_FROM` sentences draws its rule counts as a branching process
+(:func:`_branched`); a smaller one samples sentence by sentence.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, InputError, StructuralError
+from .entropy import _children
+from .errors import EmptyInputError, InputError, SamplingDivergenceError, StructuralError
 from .estimators import SmootherKind, site, site_rows
-from .grammar import Pcfg, Sampler, _induce, induce
+from .grammar import DEFAULT_MAX_NODES, Pcfg, Sampler, _induce, induce
 from .trees import Corpus, CountedCorpus, RuleTable, corpus_mlu, counted, merge
 
 #: Sweep sizes spanning 1 to 15,000 sentences, evenly spaced in log scale.
@@ -103,6 +106,102 @@ def _count_row(grammar: Pcfg, rules) -> np.ndarray:
     return np.bincount(ids, minlength=len(grammar))
 
 
+#: Tasks of at least this many sentences draw their rule counts as a
+#: branching process; below it, sampling sentence by sentence costs less
+#: (the per-task costs on the benchmark's sweep source are in CHANGES.md).
+_BRANCH_FROM = 100
+
+#: Padding cells that a group of :class:`_Offspring` may hold before its
+#: narrower rows go to a group of their own: a ``multinomial`` call costs
+#: about as much as a few thousand empty cells.
+_PADDING = 4096
+
+
+class _Offspring(NamedTuple):
+    """A grammar's rules laid out for :func:`_branched`."""
+
+    # (non-terminals, probabilities, rules): each row of the 2-D arrays holds
+    # one non-terminal's rules in its last slots, len(grammar) in the others.
+    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    rule: np.ndarray  # the rule of each non-terminal occurrence on a right-hand side
+    child: np.ndarray  # the non-terminal of that occurrence
+    lengths: np.ndarray  # each rule's right-hand side length, and 0 for len(grammar)
+    root: int
+    nonterminals: int
+
+
+def _offspring(grammar: Pcfg) -> _Offspring:
+    """`grammar`'s rules, one padded row per non-terminal, in groups of
+    rows of about equal width.  A row's rules fill its last slots:
+    ``multinomial`` gives the last column one minus the sum of the others,
+    so the padding never gets a count.  The non-terminals are taken widest
+    first, and one of half the group's width or less starts a new group
+    once the group holds more than `_PADDING` cells, so the padding stays
+    below the rules' own cells plus `_PADDING` per group."""
+    order, starts, n = grammar.order, grammar.starts, len(grammar.nonterminals)
+    widths = np.diff(starts)
+    by_width = np.argsort(-widths, kind="stable")
+    cuts, top, rows = [], 0, 0
+    for i, width in enumerate(widths[by_width].tolist()):
+        if not cuts or (rows + 1) * top > _PADDING and 2 * width <= top:
+            cuts.append(i)
+            top, rows = width, 0
+        rows += 1
+    group, row = np.empty(n, np.intp), np.empty(n, np.intp)
+    group[by_width] = np.repeat(np.arange(len(cuts)), np.diff([*cuts, n]))
+    row[by_width] = np.arange(n) - np.array(cuts)[group[by_width]]
+    tops = widths[by_width[cuts]]
+    lhs = grammar.lhs[order]
+    column = np.arange(order.size) - starts[lhs] + tops[group[lhs]] - widths[lhs]
+    groups = []
+    for g, members in enumerate(np.split(by_width, cuts[1:])):
+        mine = group[lhs] == g
+        probs = np.zeros((members.size, tops[g]))
+        probs[row[lhs[mine]], column[mine]] = grammar.prob[order[mine]]
+        slots = np.full((members.size, tops[g]), len(grammar))
+        slots[row[lhs[mine]], column[mine]] = order[mine]
+        groups.append((members, probs, slots))
+    rule, child, _ = _children(grammar)
+    return _Offspring(groups, rule, child, np.append(np.diff(grammar.rhs_offsets), 0),
+                      grammar.nt_index[grammar.root], n)
+
+
+def _branched(offspring: _Offspring, size: int, rng: np.random.Generator,
+              max_nodes: int = DEFAULT_MAX_NODES) -> np.ndarray:
+    """The rule counts of `size` independent derivations, as one int64 row.
+
+    They are the total progeny, counted per rule, of a multi-type
+    Galton-Watson process started from `size` roots (Harris, *The Theory of
+    Branching Processes*, 1963): occurrences of a non-terminal are
+    exchangeable, so each round expands all pending ones together, one
+    ``multinomial`` per group over the rules of every non-terminal with
+    some pending, and their children are the next round's.  Counts are
+    summed in floats, exact below 2**53; past ``size * max_nodes`` nodes in
+    all raises :class:`SamplingDivergenceError`.
+    """
+    groups, rule, child, lengths, root, n = offspring
+    counts = np.zeros(lengths.size)
+    pending = np.zeros(n, np.int64)
+    pending[root] = size
+    nodes, budget = size, size * max_nodes
+    while pending.any():
+        drawn = np.zeros(lengths.size)
+        for members, probs, slots in groups:
+            waiting = pending[members]
+            live = waiting.nonzero()[0]
+            if live.size:
+                drawn += np.bincount(slots[live].ravel(),
+                                     rng.multinomial(waiting[live], probs[live]).ravel(),
+                                     minlength=lengths.size)
+        counts += drawn
+        nodes += drawn @ lengths
+        if nodes > budget:
+            raise SamplingDivergenceError(
+                f"{size} derivations drawn together exceeded {budget} nodes")
+        pending = np.bincount(child, drawn[rule], minlength=n).astype(np.int64)
+    return counts[:-1].astype(np.int64)
+
+
 def converge(
     grammar_source: Corpus | CountedCorpus,
     sizes=DEFAULT_SIZES,
@@ -114,10 +213,13 @@ def converge(
     """Estimator accuracy as a function of sample size.
 
     A grammar is induced from `grammar_source`; for every replication and
-    size an artificial corpus of that many sentences is sampled from it, as
-    derivations, and each estimator applied.  A task's corpus is one row of
-    counts over the true grammar's rules, and each replication's rows are
-    estimated together (:func:`~.estimators.site_rows`).  Rows aggregate the
+    size an artificial corpus of that many sentences is drawn from it and
+    each estimator applied.  A task's corpus is one row of counts over the
+    true grammar's rules: sampled derivation by derivation below
+    `_BRANCH_FROM` sentences, drawn as a branching process from there on
+    (:func:`_branched`).  Each replication's rows are estimated together
+    (:func:`~.estimators.site_rows`), which certifies each as the counts of
+    whole trees.  Rows aggregate the
     replications with normal 95% confidence intervals.  Coverage rows
     report the percentage of the true grammar's rules and non-terminals
     observed.  Each size and each estimator is taken once, however often
@@ -135,6 +237,7 @@ def converge(
             raise InputError(f"unknown estimator id '{est}'")
     truth = induce(grammar_source)
     sampler = Sampler(truth)
+    offspring = _offspring(truth) if sizes[-1] >= _BRANCH_FROM else None
     smoothers = list(dict.fromkeys(_SMOOTHER_OF[est] for est in estimators))
     columns = [smoothers.index(_SMOOTHER_OF[est]) for est in estimators]
     series = estimators + (COVERAGE_SERIES if coverage else ())
@@ -143,9 +246,13 @@ def converge(
     for rep in range(replications):
         counts = np.empty((len(sizes), len(truth)), dtype=np.int64)
         for i, size in enumerate(sizes):
-            draws = _uniforms(np.random.default_rng(np.random.SeedSequence((seed, rep, size))))
-            counts[i] = _count_row(truth, chain.from_iterable(
-                sampler.sample(draws).rules for _ in range(size)))
+            rng = np.random.default_rng(np.random.SeedSequence((seed, rep, size)))
+            if size < _BRANCH_FROM:
+                draws = _uniforms(rng)
+                counts[i] = _count_row(truth, chain.from_iterable(
+                    sampler.sample(draws).rules for _ in range(size)))
+            else:
+                counts[i] = _branched(offspring, size, rng)
         values = site_rows(truth, counts, smoothers)[:, columns]
         if coverage:
             seen = np.add.reduceat(np.take(counts, truth.order, axis=1),

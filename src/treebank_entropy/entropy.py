@@ -54,6 +54,11 @@ RADIUS_TOL = 1e-14
 #: Power steps on one irreducible block before Noda iteration takes over.
 POWER_STEPS = 1000
 
+#: The largest dense matrix built, in bytes: 1 GiB, n x n for n up to
+#: 11,585.  The solve and the Noda iteration each hold about three such
+#: matrices at once (M, its shifted copy and LAPACK's factor).
+DENSE_LIMIT_BYTES = 2**30
+
 
 def segment_sums(terms: np.ndarray, bounds: np.ndarray, keep: np.ndarray,
                  low=0.0) -> np.ndarray:
@@ -125,13 +130,24 @@ def _entries(grammar: Pcfg, rule: np.ndarray, child: np.ndarray):
     return rows, cols, np.bincount(inverse, grammar.prob[rule], minlength=keys.size)
 
 
+def _dense(n: int, what: str) -> np.ndarray:
+    """An n x n zero matrix; :class:`NumericalError` if it would take more
+    than DENSE_LIMIT_BYTES."""
+    if 8 * n * n > DENSE_LIMIT_BYTES:
+        most = math.isqrt(DENSE_LIMIT_BYTES // 8)
+        raise NumericalError(f"{what} needs a dense {n} x {n} matrix, above the bound "
+                             f"of {most} x {most} ({DENSE_LIMIT_BYTES / 2**30:g} GiB)")
+    return np.zeros((n, n))
+
+
 def characteristic_matrix(grammar: Pcfg) -> np.ndarray:
     """Expected non-terminal production counts per single expansion.
 
-    Rows and columns follow `grammar.nonterminals` order.
+    Rows and columns follow `grammar.nonterminals` order.  A matrix above
+    DENSE_LIMIT_BYTES raises :class:`NumericalError`.
     """
+    matrix = _dense(len(grammar.nonterminals), "the characteristic matrix")
     rows, cols, weights = _entries(grammar, *_children(grammar)[:2])
-    matrix = np.zeros((len(grammar.nonterminals),) * 2)
     matrix[rows, cols] = weights
     return matrix
 
@@ -213,7 +229,8 @@ def _perron_upper_bound(size: int, rows, cols, weights) -> float:
 
     Power iteration on B + I, then Noda iteration if POWER_STEPS leave the
     bracket open.  Every iterate x is positive, and the least upper end of
-    the brackets seen is returned."""
+    the brackets seen is returned.  Noda iteration on a block above
+    DENSE_LIMIT_BYTES raises :class:`NumericalError`."""
     x = np.ones(size)
     upper = np.inf
     for _ in range(POWER_STEPS):
@@ -228,7 +245,7 @@ def _perron_upper_bound(size: int, rows, cols, weights) -> float:
     # A small spectral gap: shifted inverse iteration (Noda 1971) at the
     # current upper bound converges quadratically, and the bound falls
     # monotonically until rounding stops it.
-    b = np.zeros((size, size))
+    b = _dense(size, "Noda iteration on a strongly connected block")
     b[rows, cols] = weights
     while True:
         try:
@@ -269,19 +286,26 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 def _sparse_radius(n: int, rows, cols, weights) -> float:
     """:func:`spectral_radius` of the n x n matrix with the positive
-    entries `weights` at (rows, cols), `rows` sorted."""
+    entries `weights` at (rows, cols), `rows` sorted.  A single vertex's
+    block has its diagonal entry as radius, so all of those are taken in
+    one step, and only larger blocks are iterated."""
     blocks = _strong_components(n, rows, cols)
-    label = np.empty(n, dtype=np.intp)
+    diagonal = np.zeros(n)
+    loop = rows == cols
+    diagonal[rows[loop]] = weights[loop]
+    singles = [block[0] for block in blocks if len(block) == 1]
+    radius = float(diagonal[singles].max()) if singles else 0.0
+    blocks = [block for block in blocks if len(block) > 1]
+    label = np.full(n, -1, dtype=np.intp)
     position = np.empty(n, dtype=np.intp)  # within its block
     for b, block in enumerate(blocks):
         label[block] = b
         position[block] = np.arange(len(block))
-    # Edges inside a block, grouped by block.
-    inside = np.flatnonzero(label[rows] == label[cols])
+    # Edges inside a larger block, grouped by block.
+    inside = np.flatnonzero((label[rows] == label[cols]) & (label[rows] >= 0))
     inside = inside[np.argsort(label[rows[inside]], kind="stable")]
     rows, cols, weights = rows[inside], cols[inside], weights[inside]
     bounds = np.searchsorted(label[rows], np.arange(len(blocks) + 1))
-    radius = 0.0
     for b, block in enumerate(blocks):
         part = slice(bounds[b], bounds[b + 1])
         radius = max(radius, _perron_upper_bound(

@@ -444,17 +444,21 @@ def _scanned(text, drop_labels, strip_tags, preterminalize, table):
     leaf_offsets)``, read in whole-file passes over the UTF-8 bytes of
     `text`; or None, with `table` untouched, unless the text is regular.
 
-    Regular text splits into tokens at ASCII whitespace alone, and each of
-    its nodes is a pre-terminal ``(tag word)``, a phrase ``(label node
-    ...)`` or an unlabeled top-level group over one node.  One stable sort
-    of the parentheses on the depth before each lists the nodes level by
-    level and each node's children together, in order.  A node is kept
-    when its span holds a kept pre-terminal; labels are tested and cut once
-    per distinct label, and only the distinct rules are looked up in
-    `table` (:meth:`RuleTable.rule_ids`).
+    Regular text holds no NUL, which pads the fields that :func:`_interned`
+    compares, and each of its nodes is a pre-terminal ``(tag word)``, a
+    phrase ``(label node ...)`` or an unlabeled top-level group over one
+    node; every other character that ``str.split`` splits on is read as an
+    ASCII space.  One stable sort of the parentheses on the depth before
+    each lists the nodes level by level and each node's children together,
+    in order.  A node is kept when its span holds a kept pre-terminal;
+    labels are tested and cut once per distinct label, and only the
+    distinct rules are looked up in `table` (:meth:`RuleTable.rule_ids`).
     """
-    if any(c in text for c in _IRREGULAR):
+    if "\x00" in text:
         return None
+    for space in _IRREGULAR[1:]:  # all but NUL
+        if space in text:
+            text = text.replace(space, " ")
     try:
         data = text.encode()
     except UnicodeEncodeError:  # a lone surrogate

@@ -2,7 +2,8 @@
 
 Nothing here calls the closed-form entropy path it is meant to check: tree
 entropies come from explicit enumeration of derivations, spectral radii from
-the dense eigensolver, the expected-counts matrix and the expected terminals
+the dense eigensolver or from every strongly connected block iterated,
+single vertices included (:func:`reference_sparse_radius`), the expected-counts matrix and the expected terminals
 per expansion from a loop over the rules, projective graphs from direct interval splitting,
 crossing arcs from each head's projection as a set, CoNLL-U graphs from
 the original line-by-line reader, whose treeness check walks from every
@@ -42,7 +43,7 @@ from treebank_entropy.depconv import ConversionConfig, dep_to_tree
 from treebank_entropy.entropy import (
     CountTotals,
     RateReport,
-    _sparse_radius,
+    _perron_upper_bound,
     _strong_components,
     entropy_from_probs,
     solve_system,
@@ -1061,9 +1062,32 @@ def reference_entropy_rate(grammar) -> RateReport:
     if mlu <= 0.0:
         raise NumericalError(f"expected length {mlu} is not positive")
     positive = arrays.weights > 0
-    radius = _sparse_radius(arrays.n, arrays.rows[positive], arrays.cols[positive],
-                            arrays.weights[positive])
+    radius = reference_sparse_radius(arrays.n, arrays.rows[positive],
+                                     arrays.cols[positive], arrays.weights[positive])
     return RateReport(entropy, mlu, entropy / mlu, radius)
+
+
+def reference_sparse_radius(n: int, rows, cols, weights) -> float:
+    """The spectral radius as the package took it before it read single
+    vertices' blocks off the diagonal: :func:`_perron_upper_bound` on every
+    strongly connected block, single vertices included."""
+    blocks = _strong_components(n, rows, cols)
+    label = np.empty(n, dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)  # within its block
+    for b, block in enumerate(blocks):
+        label[block] = b
+        position[block] = np.arange(len(block))
+    # Edges inside a block, grouped by block.
+    inside = np.flatnonzero(label[rows] == label[cols])
+    inside = inside[np.argsort(label[rows[inside]], kind="stable")]
+    rows, cols, weights = rows[inside], cols[inside], weights[inside]
+    bounds = np.searchsorted(label[rows], np.arange(len(blocks) + 1))
+    radius = 0.0
+    for b, block in enumerate(blocks):
+        part = slice(bounds[b], bounds[b + 1])
+        radius = max(radius, _perron_upper_bound(
+            len(block), position[rows[part]], position[cols[part]], weights[part]))
+    return radius
 
 
 def reference_sampler_tables(grammar) -> dict:

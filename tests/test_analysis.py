@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import stats
 
 from oracles import cross_entropy, reference_sample, reference_site
 from synthetic import sample_corpus, scaffold_grammar
-from treebank_entropy import analysis, grammar, trees
+from treebank_entropy import analysis, entropy, grammar, trees
 from treebank_entropy.analysis import (
     DEFAULT_ESTIMATORS,
     DEFAULT_SIZES,
@@ -16,7 +17,7 @@ from treebank_entropy.analysis import (
     incremental,
     residualize,
 )
-from treebank_entropy.errors import InputError
+from treebank_entropy.errors import InputError, SamplingDivergenceError
 from treebank_entropy.entropy import grammar_mlu
 from treebank_entropy.estimators import SmootherKind, site, site_rows
 from treebank_entropy.grammar import SYNTHETIC_ROOT, Pcfg, Rule, Sampler, induce
@@ -290,6 +291,162 @@ class TestConverge:
         expected = [sampler.sample(scalar) for _ in range(400)]
         draws = analysis._uniforms(np.random.default_rng(seed))
         assert [sampler.sample(draws) for _ in range(400)] == expected
+
+
+def sweep_truth():
+    """An induced truth with a synthetic root, its source and its sampler."""
+    trees_ = sampled_corpus(scaffold_grammar(), 80, 8).sentences
+    source = Corpus(trees_ + [c for t in trees_[:20] for c in t.children if c.children])
+    truth = induce(source)
+    assert truth.root == SYNTHETIC_ROOT
+    return source, truth
+
+
+def sampled_row(truth, sampler, seed, rep, size):
+    """A task's row drawn sentence by sentence, as every task was before
+    large tasks drew theirs as a branching process."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, rep, size)))
+    draws = analysis._uniforms(rng)
+    return analysis._count_row(truth, chain.from_iterable(
+        sampler.sample(draws).rules for _ in range(size)))
+
+
+def captured_rows(monkeypatch, source, **sweep):
+    """The count rows that `converge` estimates, by replication."""
+    matrices = []
+
+    def capture(grammar, counts, smoothers):
+        matrices.append(counts.copy())
+        return site_rows(grammar, counts, smoothers)
+
+    monkeypatch.setattr(analysis, "site_rows", capture)
+    rows = converge(source, **sweep)
+    monkeypatch.undo()
+    return rows, matrices
+
+
+class TestBranchedDraw:
+    def test_small_tasks_are_sampled_sentence_by_sentence(self, monkeypatch):
+        source, truth = sweep_truth()
+        sampler = Sampler(truth)
+        sizes = [1, 7, analysis._BRANCH_FROM - 1, analysis._BRANCH_FROM, 250]
+        _, matrices = captured_rows(monkeypatch, source, sizes=sizes, replications=3, seed=4)
+        for rep, counts in enumerate(matrices):
+            for size, row in zip(sizes, counts):
+                sampled = sampled_row(truth, sampler, 4, rep, size)
+                assert (row == sampled).all() == (size < analysis._BRANCH_FROM)
+
+    def test_branched_rows_are_counts_of_whole_trees(self, monkeypatch):
+        source, truth = sweep_truth()
+        sizes = [100, 122, 1000, 4509]
+        _, matrices = captured_rows(monkeypatch, source, sizes=sizes, replications=3, seed=9)
+        children = entropy._children(truth)
+        for counts in matrices:
+            assert counts.dtype == np.int64
+            for size, row in zip(sizes, counts):
+                assert entropy.certify_counts(truth, row, children) == size
+        monkeypatch.setattr(analysis, "_PADDING", 8)  # several groups
+        offspring = analysis._offspring(truth)
+        rng = np.random.default_rng(5)
+        for size in sizes:
+            row = analysis._branched(offspring, size, rng)
+            assert entropy.certify_counts(truth, row, children) == size
+
+    @pytest.mark.parametrize("padding", [analysis._PADDING, 8])
+    def test_rows_are_padded_in_groups(self, padding, monkeypatch):
+        # Each non-terminal's rules, right-aligned in one row of its group.
+        monkeypatch.setattr(analysis, "_PADDING", padding)
+        _, truth = sweep_truth()
+        groups = analysis._offspring(truth).groups
+        assert (len(groups) == 1) == (padding > 8)
+        members = np.concatenate([m for m, _, _ in groups])
+        assert sorted(members) == list(range(len(truth.nonterminals)))
+        cells = 0
+        for nts, probs, slots in groups:
+            cells += probs.size
+            for a, p, s in zip(nts, probs, slots):
+                mine = truth.order[truth.starts[a]:truth.starts[a + 1]]
+                assert s[-mine.size:].tolist() == mine.tolist()
+                assert (s[:-mine.size] == len(truth)).all() and not p[:-mine.size].any()
+                assert p[-mine.size:].tolist() == truth.prob[mine].tolist()
+        assert cells <= 2 * len(truth) + padding * len(groups)
+
+    @pytest.mark.parametrize("padding", [analysis._PADDING, 8])
+    def test_mean_counts_are_the_truths_expectation(self, padding, monkeypatch):
+        # For an induced truth, E[count_r] = n f_r / N exactly.
+        monkeypatch.setattr(analysis, "_PADDING", padding)
+        source, truth = sweep_truth()
+        offspring = analysis._offspring(truth)
+        size, draws = 150, 400
+        rng = np.random.default_rng(2024)
+        rows = np.array([analysis._branched(offspring, size, rng) for _ in range(draws)])
+        expected = size * truth.freq / len(source)
+        stderr = rows.std(axis=0, ddof=1) / math.sqrt(draws)
+        assert (np.abs(rows.mean(axis=0) - expected) <= 5 * stderr + 1e-9 * expected).all()
+        assert (stderr[truth.freq < len(source)] > 0).all()
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_moments_agree_with_the_sampler(self, seed):
+        # Per rule, the mean and the variance of 300 branched rows and 300
+        # rows sampled sentence by sentence agree within 5 standard errors.
+        _, truth = sweep_truth()
+        offspring, sampler = analysis._offspring(truth), Sampler(truth)
+        size, draws = 20, 300
+        rng = np.random.default_rng(seed)
+        branched = np.array([analysis._branched(offspring, size, rng) for _ in range(draws)])
+        sampled = np.array([sampled_row(truth, sampler, seed, rep, size)
+                            for rep in range(draws)])
+        moments = []
+        for rows in (branched, sampled):
+            centred = rows - rows.mean(axis=0)
+            var = (centred**2).mean(axis=0)
+            fourth = (centred**4).mean(axis=0)
+            moments.append((rows.mean(axis=0), var, var / draws, (fourth - var**2) / draws))
+        (m1, v1, se1, sv1), (m2, v2, se2, sv2) = moments
+        assert (np.abs(m1 - m2) <= 5 * np.sqrt(se1 + se2) + 1e-12).all()
+        assert (np.abs(v1 - v2) <= 5 * np.sqrt(sv1 + sv2) + 1e-12).all()
+        assert ((v1 > 0) == (v2 > 0)).all()
+
+    def test_rows_do_not_depend_on_the_other_tasks(self, monkeypatch):
+        source, truth = sweep_truth()
+        _, matrices = captured_rows(monkeypatch, source, sizes=[150, 1000, 5],
+                                    replications=3, seed=6)
+        offspring = analysis._offspring(truth)
+        tasks = [(rep, i, size) for rep in range(3) for i, size in enumerate([5, 150, 1000])]
+        for k in np.random.default_rng(0).permutation(len(tasks)):
+            rep, i, size = tasks[k]
+            if size < analysis._BRANCH_FROM:
+                continue
+            rng = np.random.default_rng(np.random.SeedSequence((6, rep, size)))
+            assert (analysis._branched(offspring, size, rng) == matrices[rep][i]).all()
+        once = captured_rows(monkeypatch, source, sizes=[1000, 150], replications=3, seed=6)
+        assert (np.stack(once[1]) == np.stack(matrices)[:, 1:]).all()
+
+    def test_sweep_csv_is_byte_identical(self, tmp_path):
+        from treebank_entropy.cli import main
+
+        source, _ = sweep_truth()
+        bank = tmp_path / "bank.mrg"
+        bank.write_text("\n".join(map(trees.write_bracketed, source.sentences)))
+        outputs = []
+        for sizes in ("5,150,1000", "1000,5,150,150"):
+            out = tmp_path / "sweep.csv"
+            argv = ["converge", "--no-preterminalize", "--sizes", sizes,
+                    "--replications", "3", "--seed", "8", "-o", str(out), str(bank)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_node_budget(self):
+        _, truth = sweep_truth()
+        offspring = analysis._offspring(truth)
+        with pytest.raises(SamplingDivergenceError, match="150 derivations drawn together "
+                           "exceeded 300 nodes"):
+            analysis._branched(offspring, 150, np.random.default_rng(1), max_nodes=2)
+        # A supercritical grammar grows without end.
+        binary = Pcfg("S", [Rule("S", ("S", "S"), 0.6), Rule("S", ("a",), 0.4)])
+        with pytest.raises(SamplingDivergenceError, match="exceeded 2000000 nodes"):
+            analysis._branched(analysis._offspring(binary), 200, np.random.default_rng(1))
 
 
 class TestIncremental:

@@ -10,10 +10,13 @@ from oracles import (
     random_enumerable_pcfg,
     reference_characteristic_matrix,
     reference_local_lengths,
+    reference_sparse_radius,
     unreachable_nonterminals,
 )
 from synthetic import sample_corpus, scaffold_grammar
+from treebank_entropy import entropy
 from treebank_entropy.analysis import converge
+from treebank_entropy.cli import main as cli_main
 from treebank_entropy.entropy import (
     characteristic_matrix,
     derivational_entropy,
@@ -417,6 +420,109 @@ class TestSpectralRadius:
 
     def test_defective_three_by_three(self):
         assert spectral_radius(JORDAN_3) == 0.9
+
+
+def _radius_cases():
+    """Reducible, periodic, Jordan-type and near-critical matrices, and
+    random sparse ones, with single-vertex blocks and self-loops."""
+    b = np.array([[0.2, 0.5], [0.3, 0.1]])
+    yield "reducible", np.block([[b, 0.4 * np.eye(2)], [np.zeros((2, 2)), b]])
+    yield "reducible with a larger single", np.diag([0.9, 0.0, 0.0]) + np.eye(3, k=1) * [
+        [0.0], [0.3], [0.0]] + np.eye(3, k=-1) * [[0.0], [0.0], [0.2]]
+    yield "two-cycle", np.array([[0.0, 0.8], [0.2, 0.0]])
+    yield "three-cycle", _weighted_cycle([0.9, 0.3, 0.6])
+    yield "200-cycle", _weighted_cycle(np.random.default_rng(8).uniform(0.5, 1.5, 200))
+    yield "Jordan 2", characteristic_matrix(DEFECTIVE)
+    yield "Jordan 3", np.array(JORDAN_3)
+    yield "chain", np.eye(300, k=1) * 0.5
+    for q in (0.49, 0.4999999, 0.49999999999):
+        yield f"near-critical binary {q}", characteristic_matrix(binary(q))
+        pair = np.array([[q, 0.5 - q / 2], [0.5 + q / 2, q]])
+        yield f"near-critical pair {q}", pair
+    rng = np.random.default_rng(11)
+    for k in range(20):
+        n = int(rng.integers(2, 60))
+        m = np.where(rng.random((n, n)) < 2.0 / n, rng.random((n, n)), 0.0)
+        if k % 2:
+            m = np.triu(m, k=-1)  # mostly single vertices
+        yield f"random {k}", m
+
+
+class TestSparseRadiusByBlocks:
+    @pytest.mark.parametrize("case, m", list(_radius_cases()),
+                             ids=[case for case, _ in _radius_cases()])
+    def test_bits_equal_every_block_iterated(self, case, m):
+        rows, cols = np.nonzero(m)
+        args = (m.shape[0], rows, cols, m[rows, cols])
+        got, want = entropy._sparse_radius(*args), reference_sparse_radius(*args)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_iterates_only_blocks_of_two_or_more(self, monkeypatch):
+        iterated, perron = [], entropy._perron_upper_bound
+
+        def recording(size, *args):
+            iterated.append(size)
+            return perron(size, *args)
+
+        monkeypatch.setattr(entropy, "_perron_upper_bound", recording)
+        m = np.triu(np.random.default_rng(6).random((6, 6)))
+        assert spectral_radius(m) == m.diagonal().max()
+        assert iterated == []
+        b = np.array([[0.2, 0.5], [0.3, 0.1]])
+        assert spectral_radius(np.block([[b, 0.4 * np.eye(2)], [np.zeros((2, 2)), b]])) > 0
+        assert spectral_radius(np.diag([0.1, 0.2, 0.3]) + np.eye(3, k=1)) == 0.3
+        assert iterated == [2, 2]
+
+
+def _probability_chain(links):
+    """S -> a X1, Xi -> b Xi+1 | a, X<links> -> a, given by probabilities
+    alone (no counts), so the entropy is solved."""
+    rules = [Rule("S", ("a", "X1"), 1.0)]
+    rules += [Rule(f"X{i}", sym, 0.5) for i in range(1, links)
+              for sym in (("b", f"X{i + 1}"), ("a",))]
+    return Pcfg("S", [*rules, Rule(f"X{links}", ("a",), 1.0)])
+
+
+class TestDenseBound:
+    def test_characteristic_matrix_past_the_bound_is_refused(self):
+        # 11,586 non-terminals: 8 n^2 bytes is just above 1 GiB, refused
+        # before anything is allocated.
+        grammar = _probability_chain(11_585)
+        assert len(grammar.nonterminals) == 11_586
+        assert 8 * 11_586**2 > entropy.DENSE_LIMIT_BYTES >= 8 * 11_585**2
+        with pytest.raises(NumericalError, match=r"11586 x 11586 matrix, above the "
+                           r"bound of 11585 x 11585 \(1 GiB\)"):
+            characteristic_matrix(grammar)
+
+    def test_solve_past_the_bound_exits_3(self, monkeypatch, tmp_path, capsys):
+        grammar = _probability_chain(4)  # 5 non-terminals
+        path = tmp_path / "chain.grammar"
+        path.write_text("#root S\n" + "".join(
+            f"{r.prob!r}\t0\t{r.lhs} -> {' '.join(r.rhs)}\n" for r in grammar.rules))
+        assert cli_main(["rate", "--grammar", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(entropy, "DENSE_LIMIT_BYTES", 8 * 5**2 - 1)
+        with pytest.raises(NumericalError, match="the characteristic matrix needs a "
+                           "dense 5 x 5 matrix"):
+            entropy_rate(grammar)
+        assert cli_main(["rate", "--grammar", str(path)]) == 3
+        assert "above the bound of 4 x 4" in capsys.readouterr().err
+
+    def test_noda_block_past_the_bound_is_refused(self, monkeypatch):
+        # The 200-cycle leaves the power steps' bracket open (see
+        # TestSpectralRadius), so its block would be built dense.
+        m = _weighted_cycle(np.random.default_rng(8).uniform(0.5, 1.5, 200))
+        monkeypatch.setattr(entropy, "DENSE_LIMIT_BYTES", 8 * 200**2)
+        radius = spectral_radius(m)
+        monkeypatch.setattr(entropy, "DENSE_LIMIT_BYTES", 8 * 200**2 - 1)
+        with pytest.raises(NumericalError, match="Noda iteration on a strongly connected "
+                           "block needs a dense 200 x 200 matrix"):
+            spectral_radius(m)
+        # A block the power steps close needs no dense matrix.
+        assert spectral_radius(_weighted_cycle([0.9, 0.3, 0.6])) == pytest.approx(
+            0.162 ** (1 / 3), rel=1e-12)
+        assert radius == pytest.approx(_eigvals_radius(m), rel=1e-12)
 
 
 class TestDerivationalEntropy:

@@ -86,6 +86,38 @@ def test_bare_import_loads_submodules_on_use():
     assert means == [0.0] * 4
 
 
+def test_commands_load_no_costly_lazy_numpy_module(tmp_path):
+    # numpy loads numpy.ma (14-19 ms, on a plain np.unique) and numpy.random
+    # on first use.  In original order, no command but the ones that draw
+    # random numbers (converge, sample, incremental --order shuffled) needs
+    # either.
+    a, b, grammar = tmp_path / "a.mrg", tmp_path / "b.mrg", tmp_path / "g.txt"
+    a.write_text("(S (NP (DT a) (NN b)) (VP (VB c)))\n(S (VP (VB d)))\n")
+    b.write_text("(S (NP (NN b)) (VP (VB c) (NP (DT a) (NN e))))\n")
+    files = [str(a), str(b)]
+    runs = [["site", *files], ["rate", *files], ["report", *files],
+            ["induce", "-o", str(grammar), *files], ["incremental", *files],
+            ["rate", "--grammar", str(grammar)],
+            ["incremental", "--order", "shuffled", "--seed", "3", *files]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from treebank_entropy.cli import main\n"
+        "loaded = []\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    loaded.append([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    assert loaded == [[]] * 6 + [["numpy.random"]]
+
+
 @pytest.mark.parametrize("record, shown", [
     (RateReport(1.5, 3.0, 0.5, 0.25),
      "RateReport(entropy=1.5, mlu=3.0, rate=0.5, spectral_radius=0.25)"),

@@ -401,6 +401,8 @@ HAND_CASES = {
     "vertical tabs and form feeds": ("(S\v(NN a)\f(VB b))", True),
     **{f"a {sep!r} separator": (f"(S (NN a) (VB b{sep}c))", False)
        for sep in ("\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2028")},
+    **{f"a {sep!r} space": (f"(S{sep}(NN a){sep}(VB{sep}b)){sep}", True)
+       for sep in ("\x1c", "\x85", "\xa0", "\u2028", "\u3000")},
     "a NUL in a word": ("(S (NN a\x00b) (VB c))", False),
     "a lone surrogate": ("(S (NN \ud800) (VB c))", False),
     "non-ASCII labels and words": ("(NP (NNÉ café) (字 東京))\n(S (Ωmega ça))", True),
@@ -469,6 +471,27 @@ class TestColumnarReader:
             counted_bracketed("(S (NP x) y)")
         for options, derivations in zip(READ_OPTIONS, expected):
             assert counted_bracketed(text, **options).derivations() == derivations, options
+
+    @pytest.mark.parametrize("space", trees._IRREGULAR[1:])
+    def test_unicode_spaces_are_scanned_as_spaces(self, space, monkeypatch):
+        # Every character but NUL that str.split splits on, wherever ASCII
+        # whitespace may stand, and as the only space in a file: the scan
+        # counts the text as the reference reads it, and builds no tree.
+        lines = ["( (S (NP-SBJ (DT the) (NN dog)) (VP (VBD ran) (-NONE- *))) )",
+                 "(S (NN a)\t(VP=1 (VB b)))", "(NN rain)"]
+        texts = ["\n".join(lines).replace(" ", space),
+                 space.join(lines).replace("(S ", f"(S{space}{space}"),
+                 space + "\n".join(lines) + space + "\n"]
+        expected = {(text, i): [derivation(t) for t in reference_read(text, **options)]
+                    for text in texts for i, options in enumerate(READ_OPTIONS)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(trees, "_read", refuse)
+        monkeypatch.setattr(trees, "Tree", refuse)
+        for (text, i), derivations in expected.items():
+            assert counted_bracketed(text, **READ_OPTIONS[i]).derivations() == derivations
 
     def test_drop_labels_are_tested_before_the_cut(self):
         text = "(S (NN-SBJ a) (NN b) (VP=2 (NN c)))\n(S (NN-1 d))"
