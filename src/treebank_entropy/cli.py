@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
 import io
-import json
 import math
 import os
 import sys
@@ -22,8 +20,9 @@ from typing import TYPE_CHECKING, NoReturn
 
 from .errors import InputError, NumericalError, read_text
 
-# The package modules, and numpy with them, are imported by the functions
-# that use them, so a process loads only what its subcommand runs.
+# The package modules, numpy with them, and json and csv are imported by
+# the functions that use them, so a process loads only what its subcommand
+# runs.
 if TYPE_CHECKING:
     from .grammar import Pcfg
     from .trees import CountedCorpus, RuleTable
@@ -128,10 +127,14 @@ def _write_text(args, text: str):
 
 
 def _write_json(args, payload):
+    import json
+
     _write_text(args, json.dumps(payload, ensure_ascii=False) + "\n")
 
 
 def _write_rows(args, header, rows, metadata=None):
+    import csv
+
     with _out_handle(args) as handle:
         if metadata:
             handle.write(f"# {metadata}\r\n")
@@ -328,6 +331,8 @@ def _column(rows, col, path) -> list[float]:
 
 
 def _cmd_fit(args):
+    import csv
+
     from .analysis import fit
 
     rows = list(csv.DictReader(io.StringIO(read_text(args.csv), newline="")))

@@ -17,13 +17,17 @@ which raise its errors.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .conllu import DepGraph, _sentences, _tree_walk
 from .errors import NonProjectiveError, StructuralError
 from .trees import Corpus, CountedCorpus, RuleTable, Tree, _interned
+
+# The row reader of .conllu, and dataclasses with it, is imported by the
+# functions that use it: regular text never reaches it.
+if TYPE_CHECKING:
+    from .conllu import DepGraph
 
 ROOT_LABEL = "ROOT"
 ANCHOR_SUFFIX = "*"
@@ -138,6 +142,8 @@ def tree_to_dep(tree: Tree) -> DepGraph:
     node label in both the form and POS slots.  Raises
     :class:`StructuralError` when the tree is not of conversion shape.
     """
+    from .conllu import DepGraph
+
     if (tree.is_leaf or tree.label != ROOT_LABEL or len(tree.children) != 1
             or tree.children[0].is_leaf):
         raise StructuralError("expected a ROOT node over exactly one dependency node")
@@ -255,6 +261,8 @@ def _walked(text: str, config: ConversionConfig) -> _Columns:
     """The columns of CoNLL-U `text` as the row reader of
     :func:`~.conllu.parse_conllu` gives them, every sentence walked as a
     tree first, so that malformed text raises that reader's error."""
+    from .conllu import _sentences, _tree_walk
+
     heads, offsets, labels, relations, label_ids, relation_ids = [], [0], [], [], {}, {}
     for ident, forms, tags, sentence_heads, rels in _sentences(text):
         _tree_walk(sentence_heads, ident)

@@ -14,10 +14,11 @@ emitted symbol.  No eigensolver runs, and two paths give that root row:
   occurrences of A in the N counted trees (:func:`count_totals`).  Its
   counts certify the spectral radius below one in integers, as any one row
   of rule counts of whole trees does for the rules it uses
-  (:func:`certify_counts`, which SITE's rows go through too): each block
-  of M with occurrences is fed from outside exactly when the root reaches
-  every non-terminal with occurrences along the rules with a positive
-  count, as such a rule's left-hand side has occurrences.
+  (:func:`certify_counts`; SITE's rows go through :func:`certified_rows`,
+  which searches them together): each block of M with occurrences is fed
+  from outside exactly when the root reaches every non-terminal with
+  occurrences along the rules with a positive count, as such a rule's
+  left-hand side has occurrences.
 * Any other grammar is solved: one factorization of I - M solves
   [1 | l | h], and c = (I - M)^-1 1 must be positive with (I - M) c
   positive with margin, which certifies the spectral radius below one
@@ -25,13 +26,16 @@ emitted symbol.  No eigensolver runs, and two paths give that root row:
 
 The spectral radius that :func:`entropy_rate` reports is a Collatz-Wielandt
 upper bound, taken over the strongly connected blocks of M's non-zeros and
-iterated until it is tight (:func:`spectral_radius`).  Everything is read
+iterated until it is tight (:func:`spectral_radius`).  The blocks and the
+certificate's reach are found by frontier searches in numpy
+(:func:`_sparse_radius`, :func:`_search`).  Everything is read
 from the grammar's arrays: M's non-zeros from the right-hand-side ids, each
 local entropy from its non-terminal's segment of the probabilities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -53,6 +57,18 @@ RADIUS_TOL = 1e-14
 
 #: Power steps on one irreducible block before Noda iteration takes over.
 POWER_STEPS = 1000
+
+#: Rounds of trimming, and levels of a frontier search, that one graph
+#: search takes in numpy.  Each costs a pass over the edges left, so a long
+#: chain would cost time quadratic in its length: what the rounds leave goes
+#: to Tarjan's search, and what the levels leave to a search in Python.
+NUMPY_ROUNDS = 64
+
+#: The edges that :func:`certified_rows` searches at once: as many rows as
+#: keep their copies of the grammar's edges within this many, one at least.
+#: At about 26 bytes of temporaries an edge that is 0.43 MB, below what
+#: site_rows takes to smooth one block of rows of a grammar of 600 rules.
+SEARCH_EDGES = 2**14
 
 #: The largest dense matrix built, in bytes: 1 GiB, n x n for n up to
 #: 11,585.  The solve and the Noda iteration each hold about three such
@@ -223,14 +239,17 @@ def _strong_components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[
     return components
 
 
-def _perron_upper_bound(size: int, rows, cols, weights) -> float:
+def _perron_upper_bound(size: int, rows, cols, weights, renumber=None) -> float:
     """Collatz-Wielandt upper bound on the spectral radius of the
     irreducible size x size matrix B with entries `weights` at (rows, cols).
 
     Power iteration on B + I, then Noda iteration if POWER_STEPS leave the
     bracket open.  Every iterate x is positive, and the least upper end of
-    the brackets seen is returned.  Noda iteration on a block above
-    DENSE_LIMIT_BYTES raises :class:`NumericalError`."""
+    the brackets seen is returned.  The power steps give each vertex the
+    same bits in any order of the vertices, but Noda iteration's dense
+    solves do not: it puts vertex i at ``renumber()[i]`` when `renumber` is
+    given.  Noda iteration on a block above DENSE_LIMIT_BYTES raises
+    :class:`NumericalError`."""
     x = np.ones(size)
     upper = np.inf
     for _ in range(POWER_STEPS):
@@ -242,6 +261,11 @@ def _perron_upper_bound(size: int, rows, cols, weights) -> float:
             return upper
         x = bx + x  # (B + I) x: primitive, so periodic blocks converge too
         x /= x.max()
+    if renumber is not None:
+        at = renumber()
+        rows, cols, placed = at[rows], at[cols], np.empty_like(x)
+        placed[at] = x
+        x = placed
     # A small spectral gap: shifted inverse iteration (Noda 1971) at the
     # current upper bound converges quadratically, and the bound falls
     # monotonically until rounding stops it.
@@ -286,16 +310,42 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 def _sparse_radius(n: int, rows, cols, weights) -> float:
     """:func:`spectral_radius` of the n x n matrix with the positive
-    entries `weights` at (rows, cols), `rows` sorted.  A single vertex's
-    block has its diagonal entry as radius, so all of those are taken in
-    one step, and only larger blocks are iterated."""
-    blocks = _strong_components(n, rows, cols)
-    diagonal = np.zeros(n)
+    entries `weights` at (rows, cols), `rows` sorted.
+
+    The blocks are found in numpy.  Trimming removes, round after round,
+    every vertex with no edge in, or none out, from another vertex left:
+    each is a block of its own, whose radius is its diagonal entry.  One
+    forward and one backward search from a vertex left tell whether the
+    rest is one block; if it is not, or NUMPY_ROUNDS rounds leave the
+    trimming unfinished, Tarjan's search splits the rest.  Each larger
+    block is iterated (:func:`_perron_upper_bound`); Noda iteration, whose
+    bits depend on the order of the block's vertices, takes them in the
+    order of Tarjan's search over the whole graph."""
     loop = rows == cols
+    diagonal = np.zeros(n)
     diagonal[rows[loop]] = weights[loop]
-    singles = [block[0] for block in blocks if len(block) == 1]
-    radius = float(diagonal[singles].max()) if singles else 0.0
-    blocks = [block for block in blocks if len(block) > 1]
+    src, dst = rows[~loop], cols[~loop]
+    live, settled = np.ones(n, dtype=bool), False
+    for _ in range(NUMPY_ROUNDS):
+        rest = _trim_round(n, src, dst)
+        settled = np.count_nonzero(rest) == np.count_nonzero(live)
+        if settled:
+            break
+        live = rest
+        kept = live[src] & live[dst]
+        src, dst = src[kept], dst[kept]
+    radius = float(diagonal[~live].max(initial=0.0))
+    vertices = np.flatnonzero(live)
+    if settled and (not vertices.size or _one_block(n, src, dst, vertices)):
+        blocks = [vertices] if vertices.size else []
+    else:
+        blocks = []
+        compact = np.cumsum(live) - 1
+        for block in _strong_components(vertices.size, compact[src], compact[dst]):
+            if len(block) == 1:
+                radius = max(radius, float(diagonal[vertices[block[0]]]))
+            else:
+                blocks.append(vertices[block])
     label = np.full(n, -1, dtype=np.intp)
     position = np.empty(n, dtype=np.intp)  # within its block
     for b, block in enumerate(blocks):
@@ -304,13 +354,83 @@ def _sparse_radius(n: int, rows, cols, weights) -> float:
     # Edges inside a larger block, grouped by block.
     inside = np.flatnonzero((label[rows] == label[cols]) & (label[rows] >= 0))
     inside = inside[np.argsort(label[rows[inside]], kind="stable")]
-    rows, cols, weights = rows[inside], cols[inside], weights[inside]
-    bounds = np.searchsorted(label[rows], np.arange(len(blocks) + 1))
+    bounds = np.searchsorted(label[rows[inside]], np.arange(len(blocks) + 1))
+
+    @functools.cache
+    def tarjan():  # each vertex's position in its block as Tarjan lists it
+        at = np.empty(n, dtype=np.intp)
+        for component in _strong_components(n, rows, cols):
+            at[component] = np.arange(len(component))
+        return at
+
     for b, block in enumerate(blocks):
-        part = slice(bounds[b], bounds[b + 1])
+        edges = inside[bounds[b]:bounds[b + 1]]
         radius = max(radius, _perron_upper_bound(
-            len(block), position[rows[part]], position[cols[part]], weights[part]))
+            len(block), position[rows[edges]], position[cols[edges]], weights[edges],
+            lambda block=block: tarjan()[block]))
     return radius
+
+
+def _trim_round(n: int, rows, cols) -> np.ndarray:
+    """One round of trimming: the vertices with an edge in and an edge out
+    among the edges rows -> cols."""
+    has_in, has_out = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    has_in[cols] = True
+    has_out[rows] = True
+    return has_in & has_out
+
+
+def _one_block(n: int, rows, cols, vertices) -> bool:
+    """Whether the edges rows -> cols, `rows` sorted, make `vertices` one
+    strongly connected block: whether a search forward and a search
+    backward from its first vertex each reach all of them."""
+    by_col = np.argsort(cols.astype(np.min_scalar_type(n)), kind="stable")
+    for heads, tails in ((rows, cols), (cols[by_col], rows[by_col])):
+        reached = np.zeros(n, dtype=bool)
+        reached[vertices[0]] = True
+        _search(np.searchsorted(heads, np.arange(n + 1)), tails, reached, vertices[:1])
+        if np.count_nonzero(reached) < vertices.size:
+            return False
+    return True
+
+
+def _ranges(lo: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices ``lo[k]:lo[k] + sizes[k]``, one range after another."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(lo - ends + sizes, sizes)
+
+
+def _level(starts, succ, frontier, reached) -> np.ndarray:
+    """One level of a frontier search over the graph whose vertex v has the
+    edges to ``succ[starts[v]:starts[v + 1]]``: the vertices that the edges
+    out of `frontier` reach and `reached` does not hold yet, which are
+    added to it."""
+    lo = starts[frontier]
+    ahead = np.zeros_like(reached)
+    ahead[succ[_ranges(lo, starts[frontier + 1] - lo)]] = True
+    ahead &= ~reached
+    reached |= ahead
+    return np.flatnonzero(ahead)
+
+
+def _search(starts, succ, reached, frontier) -> None:
+    """Adds to the mask `reached` every vertex that the graph of
+    :func:`_level` leads to from the vertices `frontier`, which it holds:
+    NUMPY_ROUNDS levels in numpy, then the rest depth first in Python, so
+    that a long chain costs time linear in its length."""
+    for _ in range(NUMPY_ROUNDS):
+        if not frontier.size:
+            return
+        frontier = _level(starts, succ, frontier, reached)
+    starts, succ, stack = starts.tolist(), succ.tolist(), frontier.tolist()
+    seen = bytearray(reached.tobytes())
+    while stack:
+        v = stack.pop()
+        for w in succ[starts[v]:starts[v + 1]]:
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    reached[:] = np.frombuffer(seen, dtype=bool)
 
 
 def solve_system(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -395,13 +515,34 @@ def count_totals(grammar: Pcfg, children=None) -> CountTotals | None:
     occurrences = np.bincount(grammar.lhs, freq, minlength=len(grammar.nonterminals))
     if not (grammar.prob == freq / occurrences[grammar.lhs]).all():
         return None
-    sentences = certify_counts(grammar, grammar.freq, children)
+    sentences = certify_counts(grammar, grammar.freq, _edges_by_lhs(grammar, children))
     if sentences is None:
         return None
     return CountTotals(occurrences, sentences, int(freq @ emitted))
 
 
-def certify_counts(grammar: Pcfg, counts: np.ndarray, children) -> int | None:
+def _edges_by_lhs(grammar: Pcfg, children):
+    """The non-terminal occurrences on right-hand sides, as the edges
+    lhs -> child of M's pattern grouped by left-hand side, A's being
+    ``starts[A]:starts[A + 1]``: `starts`, and each occurrence's rule and
+    non-terminal.  `Pcfg.order` groups the rules, and each rule's
+    occurrences are a range of `children` (:func:`_children`), so no sort
+    runs."""
+    rule, child, _ = children
+    per_rule = np.bincount(rule, minlength=len(grammar))
+    sizes = per_rule[grammar.order]
+    grouped = _ranges((np.cumsum(per_rule) - per_rule)[grammar.order], sizes)
+    starts = np.concatenate(([0], np.cumsum(sizes)))[grammar.starts]
+    return starts, rule[grouped], child[grouped]
+
+
+#: What :class:`DivergentGrammarError` says of counts that leave a
+#: non-terminal with occurrences unreached from the root.
+_UNFED = ("some strongly connected block(s) of M receive no occurrence from "
+          "outside: spectral radius 1, expected subtree measures diverge")
+
+
+def certify_counts(grammar: Pcfg, counts: np.ndarray, edges) -> int | None:
     """N, if `counts` (one int64 count per rule of `grammar`) are the rule
     counts of N whole trees from the grammar's root and certify a spectral
     radius below one; None if they are not the counts of whole trees.
@@ -418,41 +559,54 @@ def certify_counts(grammar: Pcfg, counts: np.ndarray, children) -> int | None:
     root reaches every non-terminal with occurrences along the rules with a
     positive count, whose left-hand sides have occurrences: a fed block's
     feeding rule lies in an earlier block with occurrences, and these lead
-    back to the root's block.  So one depth-first search certifies.  Each
-    sum is taken in int64; `children` is the grammar's :func:`_children`.
+    back to the root's block.  So one frontier search from the root
+    certifies (:func:`certified_rows`).  `edges` are the grammar's
+    :func:`_edges_by_lhs`.
     """
-    n = len(grammar.nonterminals)
-    rule, child, _ = children
-    used = counts[rule] > 0
-    rule, child = rule[used], child[used]
-    occurrences = np.zeros(n, dtype=np.int64)
-    np.add.at(occurrences, grammar.lhs, counts)
-    free = occurrences.copy()
-    np.subtract.at(free, child, counts[rule])
-    root = grammar.nt_index[grammar.root]
-    sentences = int(free[root])
-    free[root] = 0
-    if sentences <= 0 or free.any() or (counts < 0).any():
+    sentences, unfed = certified_rows(grammar, counts[None], edges)
+    if not sentences[0]:
         return None
-    # The used (lhs -> child) edges by left-hand side, on an explicit stack.
-    parent = grammar.lhs[rule]
-    by_parent = np.argsort(parent)
-    starts = np.searchsorted(parent[by_parent], np.arange(n + 1)).tolist()
-    succ = child[by_parent].tolist()
-    reached, stack = bytearray(n), [root]
-    reached[root] = 1
-    while stack:
-        v = stack.pop()
-        for w in succ[starts[v]:starts[v + 1]]:
-            if not reached[w]:
-                reached[w] = 1
-                stack.append(w)
-    if occurrences[np.frombuffer(reached, dtype=np.uint8) == 0].any():
-        raise DivergentGrammarError(
-            "some strongly connected block(s) of M receive no occurrence from "
-            "outside: spectral radius 1, expected subtree measures diverge"
-        )
-    return sentences
+    if unfed[0]:
+        raise DivergentGrammarError(_UNFED)
+    return int(sentences[0])
+
+
+def certified_rows(grammar: Pcfg, counts: np.ndarray, edges):
+    """:func:`certify_counts` of each row of `counts`: each row's N, 0 if it
+    is not the counts of whole trees, and whether it leaves a non-terminal
+    with occurrences unreached from the root.
+
+    Each sum is taken in int64.  The rows of a block search together, as
+    one graph with a copy of the grammar's non-terminals per row, so that
+    they share the levels of the frontier search (:func:`_search`).
+    """
+    step = max(1, SEARCH_EDGES // max(edges[1].size, 1))
+    blocks = [_certified_block(grammar, counts[k:k + step], edges)
+              for k in range(0, max(len(counts), 1), step)]  # one block for no rows
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _certified_block(grammar: Pcfg, counts: np.ndarray, edges):
+    """:func:`certified_rows` of the rows `counts`, searched together."""
+    starts, rule, child = edges
+    n, tasks = len(grammar.nonterminals), len(counts)
+    occurrences = np.add.reduceat(counts[:, grammar.order], grammar.starts[:-1], axis=1)
+    free = occurrences.copy()
+    copies = np.arange(tasks)[:, None] * n  # row t's copy of vertex v is t n + v
+    np.subtract.at(free.reshape(-1), (copies + child).ravel(), counts[:, rule].ravel())
+    root = grammar.nt_index[grammar.root]
+    sentences = free[:, root].copy()
+    free[:, root] = 0
+    whole = (sentences > 0) & ~free.any(axis=1) & ~(counts < 0).any(axis=1)
+    # An unused edge leads to its row's root, which is reached from the start.
+    succ = np.where(counts[:, rule] > 0, copies + child, copies + root).ravel()
+    copied = (np.arange(tasks)[:, None] * rule.size + starts[:-1]).ravel()
+    reached = np.zeros(tasks * n, dtype=bool)
+    frontier = copies[:, 0] + root
+    reached[frontier] = True
+    _search(np.append(copied, succ.size), succ, reached, frontier)
+    unfed = ((occurrences > 0) & ~reached.reshape(tasks, n)).any(axis=1)
+    return np.where(whole, sentences, 0), unfed
 
 
 def root_values(grammar: Pcfg) -> np.ndarray:

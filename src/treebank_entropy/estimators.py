@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import _children, certify_counts, entropy_runs, segment_sums
+from .entropy import (_UNFED, _children, _edges_by_lhs, certified_rows, entropy_runs,
+                      segment_sums)
 from .errors import DivergentGrammarError, InputError, NumericalError
 from .grammar import FreqTable, Pcfg, induce
 from .trees import Corpus, CountedCorpus
@@ -286,25 +287,24 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     sample drawn from the grammar, a prefix of its corpus): the value of the
     grammar induced from those trees, with none built.
 
-    Each row is certified on its own (:func:`~.entropy.certify_counts`):
-    counts not of whole trees raise :class:`NumericalError`, a non-terminal
-    with occurrences that the root does not reach along the row's rules
-    :class:`DivergentGrammarError`, and an error names its row.  f_A are the
-    segment sums of a row in `Pcfg.order`, each smoother runs over the
-    positive counts of _BLOCK_ROWS rows at a time, and a row's value is
-    sum_A f_A h_A / N, the sum correctly rounded.  No value depends on the
-    rows beside it, so the blocks give the bits one call per row would.
+    Each row is certified (:func:`~.entropy.certify_counts`, the rows'
+    searches run together by :func:`~.entropy.certified_rows`): counts not
+    of whole trees raise :class:`NumericalError`, a non-terminal with
+    occurrences that the root does not reach along the row's rules
+    :class:`DivergentGrammarError`, and the error names the first row that
+    fails.  f_A are the segment sums of a row in `Pcfg.order`, each
+    smoother runs over the positive counts of _BLOCK_ROWS rows at a time,
+    and a row's value is sum_A f_A h_A / N, the sum correctly rounded.  No
+    value depends on the rows beside it, so the blocks give the bits one
+    call per row would.
     """
-    children = _children(grammar)
-    sentences = []
-    for t, row in enumerate(counts):
-        try:
-            certified = certify_counts(grammar, row, children)
-        except DivergentGrammarError as err:
-            raise DivergentGrammarError(f"row {t}: {err}") from None
-        if certified is None:
+    edges = _edges_by_lhs(grammar, _children(grammar))
+    sentences, unfed = certified_rows(grammar, counts, edges)
+    for t in np.flatnonzero((sentences == 0) | unfed)[:1]:
+        if not sentences[t]:
             raise NumericalError(f"row {t}: rule counts that are not those of whole trees")
-        sentences.append(certified)
+        raise DivergentGrammarError(f"row {t}: {_UNFED}")
+    sentences = sentences.tolist()
     values = np.empty((len(counts), len(smoothers)))
     for start in range(0, len(counts), _BLOCK_ROWS):
         end = start + _BLOCK_ROWS

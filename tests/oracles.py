@@ -22,7 +22,11 @@ rule counts from a
 :class:`Counter` of ``(lhs, rhs)`` keys (:class:`RuleCounts`), and the
 certificate of a row of counts from the strongly connected blocks of M, each
 tested for an occurrence from outside (:func:`reference_certify_counts`),
-where the package searches from the root.  The cross-entropy of a
+where the package searches from the root.  The package's searches before
+they ran in numpy are kept as well: the spectral radius over the blocks
+that Tarjan's search finds in the whole graph
+(:func:`reference_tarjan_radius`) and the certificate's depth-first search
+from the root in Python (:func:`reference_search_certificate`).  The cross-entropy of a
 grammar on test trees (:func:`cross_entropy`) walks each tree through
 :func:`~treebank_entropy.grammar.tree_probability`.
 """
@@ -1088,6 +1092,75 @@ def reference_sparse_radius(n: int, rows, cols, weights) -> float:
         radius = max(radius, _perron_upper_bound(
             len(block), position[rows[part]], position[cols[part]], weights[part]))
     return radius
+
+
+def reference_tarjan_radius(n: int, rows, cols, weights) -> float:
+    """The spectral radius as the package took it before it found the
+    blocks in numpy: Tarjan's search over the whole graph, each single
+    vertex's radius its diagonal entry, and :func:`_perron_upper_bound` on
+    each larger block, its vertices in Tarjan's order."""
+    blocks = _strong_components(n, rows, cols)
+    diagonal = np.zeros(n)
+    loop = rows == cols
+    diagonal[rows[loop]] = weights[loop]
+    singles = [block[0] for block in blocks if len(block) == 1]
+    radius = float(diagonal[singles].max()) if singles else 0.0
+    blocks = [block for block in blocks if len(block) > 1]
+    label = np.full(n, -1, dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)  # within its block
+    for b, block in enumerate(blocks):
+        label[block] = b
+        position[block] = np.arange(len(block))
+    inside = np.flatnonzero((label[rows] == label[cols]) & (label[rows] >= 0))
+    inside = inside[np.argsort(label[rows[inside]], kind="stable")]
+    rows, cols, weights = rows[inside], cols[inside], weights[inside]
+    bounds = np.searchsorted(label[rows], np.arange(len(blocks) + 1))
+    for b, block in enumerate(blocks):
+        part = slice(bounds[b], bounds[b + 1])
+        radius = max(radius, _perron_upper_bound(
+            len(block), position[rows[part]], position[cols[part]], weights[part]))
+    return radius
+
+
+def reference_search_certificate(grammar, counts):
+    """:func:`~treebank_entropy.entropy.certify_counts` as the package took
+    it before its search ran in numpy: sums by ``np.add.at``, and a
+    depth-first search from the root in Python over the used edges, sorted
+    by left-hand side for each row."""
+    n = len(grammar.nonterminals)
+    lengths = np.diff(grammar.rhs_offsets)
+    rule = np.repeat(np.arange(lengths.size), lengths)
+    inner = grammar.rhs < n
+    rule, child = rule[inner], grammar.rhs[inner]
+    used = counts[rule] > 0
+    rule, child = rule[used], child[used]
+    occurrences = np.zeros(n, dtype=np.int64)
+    np.add.at(occurrences, grammar.lhs, counts)
+    free = occurrences.copy()
+    np.subtract.at(free, child, counts[rule])
+    root = grammar.nt_index[grammar.root]
+    sentences = int(free[root])
+    free[root] = 0
+    if sentences <= 0 or free.any() or (counts < 0).any():
+        return None
+    parent = grammar.lhs[rule]
+    by_parent = np.argsort(parent)
+    starts = np.searchsorted(parent[by_parent], np.arange(n + 1)).tolist()
+    succ = child[by_parent].tolist()
+    reached, stack = bytearray(n), [root]
+    reached[root] = 1
+    while stack:
+        v = stack.pop()
+        for w in succ[starts[v]:starts[v + 1]]:
+            if not reached[w]:
+                reached[w] = 1
+                stack.append(w)
+    if occurrences[np.frombuffer(reached, dtype=np.uint8) == 0].any():
+        raise DivergentGrammarError(
+            "some strongly connected block(s) of M receive no occurrence from "
+            "outside: spectral radius 1, expected subtree measures diverge"
+        )
+    return sentences
 
 
 def reference_sampler_tables(grammar) -> dict:

@@ -340,17 +340,17 @@ class TestBranchedDraw:
         source, truth = sweep_truth()
         sizes = [100, 122, 1000, 4509]
         _, matrices = captured_rows(monkeypatch, source, sizes=sizes, replications=3, seed=9)
-        children = entropy._children(truth)
+        edges = entropy._edges_by_lhs(truth, entropy._children(truth))
         for counts in matrices:
             assert counts.dtype == np.int64
             for size, row in zip(sizes, counts):
-                assert entropy.certify_counts(truth, row, children) == size
+                assert entropy.certify_counts(truth, row, edges) == size
         monkeypatch.setattr(analysis, "_PADDING", 8)  # several groups
         offspring = analysis._offspring(truth)
         rng = np.random.default_rng(5)
         for size in sizes:
             row = analysis._branched(offspring, size, rng)
-            assert entropy.certify_counts(truth, row, children) == size
+            assert entropy.certify_counts(truth, row, edges) == size
 
     @pytest.mark.parametrize("padding", [analysis._PADDING, 8])
     def test_rows_are_padded_in_groups(self, padding, monkeypatch):

@@ -16,6 +16,7 @@ from oracles import (
     random_projective_graph,
     reference_certify_counts,
     reference_rule_arrays,
+    reference_search_certificate,
     reference_smoothed_local_entropies,
 )
 from synthetic import sample_corpus, scaffold_grammar
@@ -169,41 +170,57 @@ def test_cli_commands_build_no_matrix_and_solve_nothing(tmp_path, monkeypatch, c
     assert capsys.readouterr().out == from_treebank
 
 
-def test_only_the_spectral_radius_computes_blocks(tmp_path, monkeypatch, capsys):
-    # The certificate is a search from the root: no command but rate runs
-    # Tarjan's search for M's strongly connected blocks, and rate runs it
-    # once, for the radius.
-    real = entropy._strong_components
-    calls = []
+def test_no_command_runs_tarjan_on_one_block(tmp_path, monkeypatch, capsys):
+    # The certificate is a search from the root, and the radius trims M's
+    # graph and checks whether the rest is one block: no command runs
+    # Tarjan's search for the blocks of these grammars, whose rest is empty
+    # (GRAMMAR's) or one block (A and B call each other), and rate iterates
+    # that block once.  Two such blocks, one feeding the other, make rate
+    # split the rest with Tarjan's search, and only the rest.
+    real, perron = entropy._strong_components, entropy._perron_upper_bound
+    blocks, iterated = [], []
 
     def refuse(*args):
-        raise AssertionError("the count path computes no block of M")
+        raise AssertionError("Tarjan's search ran")
 
-    def count(*args):
-        calls.append(args)
-        return real(*args)
+    def split(n, *args):
+        blocks.append(n)
+        return real(n, *args)
 
-    files = sampled_files(tmp_path, 3)
-    grammar = str(tmp_path / "induced.txt")
+    def iterate(size, *args):
+        iterated.append(size)
+        return perron(size, *args)
+
+    sampled = sampled_files(tmp_path, 3)
+    one = [write(tmp_path / "one.mrg", "(S (A (B (A x) y)))\n(S (A x))\n"),
+           write(tmp_path / "one_more.mrg", "(S (A (B (A (B (A x) y) y) y)))\n")]
+    two = [write(tmp_path / "two.mrg",
+                 "(S (A (B (A (C (D (C x) y))) y)) z)\n(S (A (C x)) z)\n")]
     options = ["--no-preterminalize"]
     monkeypatch.setattr(entropy, "_strong_components", refuse)
-    for argv in (
-        ["site", *options, *files],
-        ["report", *options, *files],
-        ["incremental", *options, *files],
-        ["converge", "--sizes", "2,7", "--replications", "2", *options, *files],
-        ["entropy", *options, *files],
-        ["mlu", *options, *files],
-        ["induce", "-o", grammar, *options, *files],
-        ["entropy", "--grammar", grammar],
-        ["mlu", "--grammar", grammar],
-    ):
-        assert main(argv) == 0, argv
-    monkeypatch.setattr(entropy, "_strong_components", count)
-    for argv in (["rate", *options, *files], ["rate", "--grammar", grammar]):
-        calls.clear()
-        assert main(argv) == 0, argv
-        assert len(calls) == 1, argv
+    monkeypatch.setattr(entropy, "_perron_upper_bound", iterate)
+    for files, perron_calls in ((sampled, []), (one, [2])):
+        grammar = str(tmp_path / "induced.txt")
+        for argv in (
+            ["site", *options, *files],
+            ["report", *options, *files],
+            ["incremental", *options, *files],
+            ["converge", "--sizes", "2,7", "--replications", "2", *options, *files],
+            ["entropy", *options, *files],
+            ["mlu", *options, *files],
+            ["induce", "-o", grammar, *options, *files],
+            ["entropy", "--grammar", grammar],
+            ["mlu", "--grammar", grammar],
+        ):
+            assert main(argv) == 0, argv
+        assert iterated == []
+        for argv in (["rate", *options, *files], ["rate", "--grammar", grammar]):
+            assert main(argv) == 0, argv
+            assert iterated == perron_calls, argv
+            iterated.clear()
+    monkeypatch.setattr(entropy, "_strong_components", split)
+    assert main(["rate", *options, *two]) == 0
+    assert (blocks, iterated) == ([4], [2, 2])  # A, B, C, D; S is trimmed
     capsys.readouterr()
 
 
@@ -378,6 +395,7 @@ def test_site_rows_names_the_row_that_fails_its_certificate():
         with pytest.raises(NumericalError, match=f"^row 2: .*{message}") as raised:
             site_rows(GRAMMAR, np.insert(good, 2, bad, axis=0), smoothers)
         assert type(raised.value) is error
+    assert site_rows(GRAMMAR, good[:0], smoothers).shape == (0, len(smoothers))
     values = site_rows(GRAMMAR, good, smoothers)
     for row, value in zip(good, values):
         one = site_rows(GRAMMAR, row[None], smoothers)[0]
@@ -398,15 +416,37 @@ def verdict(certify, *args):
 
 def certificate_verdicts(grammar, rows):
     """The search certificate's verdict on each row, which must be the block
-    certificate's: N, None, or the error and its message."""
-    children = entropy._children(grammar)
+    certificate's and the Python search's: N, None, or the error and its
+    message."""
+    edges = entropy._edges_by_lhs(grammar, entropy._children(grammar))
     arrays = reference_rule_arrays(grammar)
     verdicts = []
     for row in rows:
-        got = verdict(entropy.certify_counts, grammar, row, children)
+        got = verdict(entropy.certify_counts, grammar, row, edges)
         assert got == verdict(reference_certify_counts, grammar, row, arrays)
+        assert got == verdict(reference_search_certificate, grammar, row)
         verdicts.append(got)
     return verdicts
+
+
+def site_verdict(grammar, rows):
+    """What site_rows raises on `rows`, its type and message, or None."""
+    try:
+        site_rows(grammar, np.array(rows), [SmootherKind.ML])
+    except NumericalError as err:
+        return type(err), str(err)
+    return None
+
+
+def reference_site_verdict(grammar, rows):
+    """site_verdict from the Python search: the first row it rejects."""
+    for t, row in enumerate(rows):
+        got = verdict(reference_search_certificate, grammar, row)
+        if got is None:
+            return NumericalError, f"row {t}: rule counts that are not those of whole trees"
+        if type(got) is tuple:
+            return got[0], f"row {t}: {got[1]}"
+    return None
 
 
 def test_certificate_matches_blocks_on_sweep_rows(bench_inputs, monkeypatch):
@@ -437,6 +477,24 @@ def test_certificate_matches_blocks_on_sweep_rows(bench_inputs, monkeypatch):
     verdicts = certificate_verdicts(truth, rows + looped)
     assert all(type(v) is int for v in verdicts[:len(rows)])
     assert {type(v) for v in verdicts[len(rows):]} == {int, tuple, type(None)}
+    # The rows searched together, and one a block, give each row its verdict.
+    edges = entropy._edges_by_lhs(truth, entropy._children(truth))
+    together = entropy.certified_rows(truth, np.array(rows + looped), edges)
+    monkeypatch.setattr(entropy, "SEARCH_EDGES", 1)
+    alone = entropy.certified_rows(truth, np.array(rows + looped), edges)
+    for sentences, unfed in (together, alone):
+        for v, n, u in zip(verdicts, sentences.tolist(), unfed.tolist()):
+            if v is None:
+                assert n == 0
+            elif type(v) is int:
+                assert (n, u) == (v, False)
+            else:
+                assert n > 0 and u
+    # site_rows names the row that fails, wherever it stands.
+    assert site_verdict(truth, rows) is None
+    for k, row in enumerate(looped[::7]):
+        block = rows[:k % len(rows)] + [row] + rows[:3]
+        assert site_verdict(truth, block) == reference_site_verdict(truth, block)
 
 
 def test_certificate_matches_blocks_on_an_unreached_loop():
@@ -473,6 +531,24 @@ def test_certificate_matches_blocks_on_long_chains(links):
     assert got_unfed[0] is DivergentGrammarError
 
 
+def test_deep_chain_takes_bounded_numpy_levels(monkeypatch):
+    # Each level of the frontier search takes one link of a 20,000-deep
+    # chain from the root: NUMPY_ROUNDS levels run in numpy, and the rest
+    # depth first in Python.
+    levels, real = [], entropy._level
+
+    def count(*args):
+        levels.append(args[2].size)
+        return real(*args)
+
+    monkeypatch.setattr(entropy, "_level", count)
+    grammar = chain_grammar(20000)
+    reached = np.ones(len(grammar), dtype=np.int64)
+    reached[[0, 2]] = 0
+    assert certificate_verdicts(grammar, [reached]) == [1]
+    assert levels == [1] * entropy.NUMPY_ROUNDS and entropy.NUMPY_ROUNDS <= 100
+
+
 def test_negative_count_is_no_count_of_trees():
     # The roots identity holds and B's block has no occurrences, so the
     # block certificate passes this row; its negative count makes it no
@@ -481,4 +557,6 @@ def test_negative_count_is_no_count_of_trees():
                          Rule("B", ("A",), 0.5, 1), Rule("A", ("a",), 1.0, 1)])
     row = np.array([1, -1, 1, 1])
     assert reference_certify_counts(grammar, row) == 1
-    assert entropy.certify_counts(grammar, row, entropy._children(grammar)) is None
+    edges = entropy._edges_by_lhs(grammar, entropy._children(grammar))
+    assert entropy.certify_counts(grammar, row, edges) is None
+    assert reference_search_certificate(grammar, row) is None

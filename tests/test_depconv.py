@@ -8,7 +8,7 @@ from oracles import (
     reference_crossing_arcs,
     reference_validate,
 )
-from treebank_entropy import conllu, depconv
+from treebank_entropy import conllu
 from treebank_entropy.conllu import DepGraph, parse_conllu
 from treebank_entropy.depconv import (
     ConversionConfig,
@@ -451,8 +451,7 @@ class TestColumnarReader:
         def refuse(text):
             raise AssertionError("the row reader ran")
 
-        for module in (conllu, depconv):
-            monkeypatch.setattr(module, "_sentences", refuse)
+        monkeypatch.setattr(conllu, "_sentences", refuse)
         with pytest.raises(AssertionError, match="row reader"):  # the patch holds
             counted_conllu(HAND_CASES["carriage returns"][0], config)
         corpus, skipped = counted_conllu(UD_TEXT, config)

@@ -11,6 +11,7 @@ from oracles import (
     reference_characteristic_matrix,
     reference_local_lengths,
     reference_sparse_radius,
+    reference_tarjan_radius,
     unreachable_nonterminals,
 )
 from synthetic import sample_corpus, scaffold_grammar
@@ -446,6 +447,42 @@ def _radius_cases():
         if k % 2:
             m = np.triu(m, k=-1)  # mostly single vertices
         yield f"random {k}", m
+    # With a cycle at one end, trimming takes the chain's free end, one
+    # vertex a round, and leaves the cycle; with one at both ends it takes
+    # nothing, and Tarjan's search splits the rest into two blocks and the
+    # chain's single vertices.
+    cycle = _weighted_cycle([0.9, 0.3, 0.6])
+    for ends in ("head", "tail", "both"):
+        m = np.eye(40, k=1) * 0.5
+        if ends != "tail":
+            m[:3, :3] = cycle
+        if ends != "head":
+            m[-3:, -3:] = cycle.T
+        yield f"chain with a cycle at the {ends}", m
+    # Several larger blocks, two of them left open by the power steps, so
+    # that Noda iteration runs on blocks that Tarjan's search splits off,
+    # their vertices not in ascending order.
+    gap = _weighted_cycle(np.random.default_rng(8).uniform(0.5, 1.5, 60))
+    perm = np.random.default_rng(9).permutation(60)
+    gap = gap[np.ix_(perm, perm)]
+    m = np.zeros((150, 150))
+    m[:60, :60] = gap
+    m[60:63, 60:63] = cycle
+    m[63:123, 63:123] = gap.T * 0.5
+    m[123:, 123:] = np.where(rng.random((27, 27)) < 0.2, rng.random((27, 27)), 0.0)
+    m[np.arange(59, 149, 7), np.arange(64, 150, 7) - 3] += 0.125  # one way
+    yield "several blocks, two by Noda iteration", m
+    # One block, found by the forward and backward searches, with a single
+    # vertex trimmed on each side; and the 200-cycle relabelled, so that
+    # Noda iteration must take its vertices in Tarjan's order.
+    m = np.zeros((62, 62))
+    m[1:61, 1:61] = gap
+    m[0, 1] = m[60, 61] = 0.5
+    m[61, 61] = 0.25
+    yield "one Noda block between trimmed vertices", m
+    perm = np.random.default_rng(10).permutation(200)
+    m = _weighted_cycle(np.random.default_rng(8).uniform(0.5, 1.5, 200))
+    yield "200-cycle relabelled", m[np.ix_(perm, perm)]
 
 
 class TestSparseRadiusByBlocks:
@@ -457,6 +494,64 @@ class TestSparseRadiusByBlocks:
         got, want = entropy._sparse_radius(*args), reference_sparse_radius(*args)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("case, m", list(_radius_cases()),
+                             ids=[case for case, _ in _radius_cases()])
+    def test_bits_equal_tarjan_search(self, case, m):
+        rows, cols = np.nonzero(m)
+        args = (m.shape[0], rows, cols, m[rows, cols])
+        got, want = entropy._sparse_radius(*args), reference_tarjan_radius(*args)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_bits_equal_tarjan_search_on_grammars(self):
+        # Induced from sampled trees and from random ones, and given by
+        # probabilities alone.
+        rng = np.random.default_rng(12)
+        sampler = Sampler(scaffold_grammar())
+        grammars = [induce(sample_corpus(sampler, size, rng)) for size in (5, 60, 400)]
+        grammars += [random_enumerable_pcfg(rng)[0] for _ in range(20)]
+        grammars += [induce(Corpus([Sampler(g).sample_tree(rng) for _ in range(30)]))
+                     for g in grammars[3:8]]
+        for grammar in grammars:
+            rows, cols, weights = entropy._entries(grammar, *entropy._children(grammar)[:2])
+            positive = weights > 0
+            args = (len(grammar.nonterminals), rows[positive], cols[positive],
+                    weights[positive])
+            got, want = entropy._sparse_radius(*args), reference_tarjan_radius(*args)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("cycles", [False, True])
+    def test_long_chain_takes_bounded_numpy_rounds(self, cycles, monkeypatch):
+        # Each round of trimming takes only a chain's two ends, and each
+        # level of a search one link, so a 20,000-vertex chain would take
+        # 10,000 rounds.  Past NUMPY_ROUNDS rounds Tarjan's search takes
+        # the rest.  With a two-cycle at each end nothing is trimmed, the
+        # forward search goes on depth first past NUMPY_ROUNDS levels, the
+        # backward one stops at once, and Tarjan's search splits the rest.
+        calls = {"_trim_round": 0, "_level": 0}
+
+        def counted(name):
+            real = getattr(entropy, name)
+
+            def step(*args):
+                calls[name] += 1
+                return real(*args)
+            return step
+
+        for name in calls:
+            monkeypatch.setattr(entropy, name, counted(name))
+        n = 20_000
+        rows, cols = np.arange(n - 1), np.arange(1, n)
+        weights = np.full(n - 1, 0.5)
+        if cycles:
+            rows, cols = np.append(rows, [1, n - 1]), np.append(cols, [0, n - 2])
+            order = np.argsort(rows, kind="stable")
+            rows, cols, weights = rows[order], cols[order], np.append(weights, [0.5, 0.5])[order]
+        got = entropy._sparse_radius(n, rows, cols, weights)
+        assert got == reference_tarjan_radius(n, rows, cols, weights) == (0.5 if cycles else 0.0)
+        assert entropy.NUMPY_ROUNDS <= 100  # far below the 10,000
+        assert calls["_trim_round"] <= (1 if cycles else entropy.NUMPY_ROUNDS)
+        assert calls["_level"] <= (2 * entropy.NUMPY_ROUNDS if cycles else 0)
 
     def test_iterates_only_blocks_of_two_or_more(self, monkeypatch):
         iterated, perron = [], entropy._perron_upper_bound

@@ -118,6 +118,36 @@ def test_commands_load_no_costly_lazy_numpy_module(tmp_path):
     assert loaded == [[]] * 6 + [["numpy.random"]]
 
 
+def test_rate_and_site_load_no_unused_standard_module(tmp_path):
+    # Without --json, rate and site write neither JSON nor CSV, and regular
+    # CoNLL-U text never reaches the row reader of treebank_entropy.conllu,
+    # which loads dataclasses (and copy with it).  The child imports no
+    # json of its own.
+    ptb, dep = tmp_path / "a.mrg", tmp_path / "a.conllu"
+    ptb.write_text("(S (NP (DT a) (NN b)) (VP (VB c)))\n(S (VP (VB d)))\n")
+    dep.write_text("1\tthe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"
+                   "2\tdog\tdog\tNOUN\t_\t_\t3\tnsubj\t_\t_\n"
+                   "3\truns\trun\tVERB\t_\t_\t0\troot\t_\t_\n\n")
+    runs = [[command, *options] for command in ("rate", "site")
+            for options in ([str(ptb)], ["--format", "conllu", str(dep)],
+                            ["--format", "conllu", "--use-form", "--unlabeled", str(dep)])]
+    unused = ("json", "csv", "dataclasses", "treebank_entropy.conllu")
+    code = (
+        "import contextlib, io, sys\n"
+        "from treebank_entropy.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        f"    print(*[m for m in {unused!r} if m in sys.modules])\n"
+    )
+    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.splitlines() == [""] * len(runs)
+
+
 @pytest.mark.parametrize("record, shown", [
     (RateReport(1.5, 3.0, 0.5, 0.25),
      "RateReport(entropy=1.5, mlu=3.0, rate=0.5, spectral_radius=0.25)"),
