@@ -11,39 +11,27 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS_BY_MODULE = {
-    "analysis": (
-        "DEFAULT_SIZES", "ConvergenceRow", "FileReport", "RegressionFit",
-        "converge", "file_reports", "fit", "incremental", "residualize",
-    ),
-    "conllu": ("DepGraph", "parse_conllu", "read_conllu"),
-    "depconv": (
-        "ConversionConfig", "counted_conllu", "dep_to_tree", "graphs_to_corpus",
-        "is_projective", "tree_to_dep",
-    ),
-    "entropy": (
-        "RateReport", "characteristic_matrix", "derivational_entropy",
-        "entropy_rate", "grammar_mlu", "local_entropies", "local_lengths",
-        "solve_system", "spectral_radius",
-    ),
+    "analysis": ("DEFAULT_SIZES", "ConvergenceRow", "FileReport", "converge",
+                 "file_reports", "incremental"),
+    "conllu": ("DepGraph", "dep_to_tree", "graphs_to_corpus", "is_projective",
+               "parse_conllu", "read_conllu", "tree_to_dep"),
+    "dense": ("characteristic_matrix", "solve_system", "spectral_radius"),
+    "depconv": ("ConversionConfig", "counted_conllu"),
+    "entropy": ("RateReport", "derivational_entropy", "entropy_rate", "grammar_mlu",
+                "local_entropies", "local_lengths"),
     "errors": (
-        "AlphabetClashError", "DivergentGrammarError", "EmptyInputError",
-        "InputError", "NonProjectiveError", "NumericalError", "OutOfGrammarError",
-        "ParseError", "SamplingDivergenceError", "StructuralError",
-        "TreebankEntropyError",
+        "AlphabetClashError", "DivergentGrammarError", "EmptyInputError", "InputError",
+        "NonProjectiveError", "NumericalError", "OutOfGrammarError", "ParseError",
+        "SamplingDivergenceError", "StructuralError", "TreebankEntropyError"
     ),
-    "estimators": (
-        "EstimateResult", "SmootherKind", "cae_entropy", "cwj_entropy",
-        "good_turing_probs", "ml_entropy", "site",
-    ),
-    "grammar": (
-        "FreqTable", "Pcfg", "Rule", "Sampler", "induce", "read_grammar",
-        "sample", "tree_probability", "write_grammar",
-    ),
-    "trees": (
-        "Corpus", "CountedCorpus", "Derivation", "RuleTable", "Tree",
-        "corpus_mlu", "counted_bracketed", "derivation", "parse_bracketed",
-        "read_bracketed", "write_bracketed",
-    ),
+    "estimators": ("EstimateResult", "SmootherKind", "cae_entropy", "cwj_entropy",
+                   "good_turing_probs", "ml_entropy", "site"),
+    "grammar": ("FreqTable", "Pcfg", "Rule", "induce", "read_grammar", "write_grammar"),
+    "regression": ("RegressionFit", "fit", "residualize"),
+    "sampling": ("Sampler", "sample", "tree_probability"),
+    "tree_objects": ("Corpus", "Tree", "derivation", "parse_bracketed", "read_bracketed",
+                     "write_bracketed"),
+    "trees": ("CountedCorpus", "Derivation", "RuleTable", "corpus_mlu", "counted_bracketed"),
 }
 
 #: The submodule that defines each exported name.

@@ -36,27 +36,19 @@ def _conversion_config(args):
     )
 
 
-def _read_file(path, args, table: RuleTable) -> CountedCorpus:
-    """The rule counts of a file's sentences, interned into `table`: all
-    that the treebank commands read.  Neither format builds trees."""
-    from .trees import DEFAULT_DROP_LABELS, counted_bracketed
+def _read_conllu(path, args, table: RuleTable) -> CountedCorpus:
+    """The rule counts of a CoNLL-U file's converted trees, interned into
+    `table`, built without graphs or trees."""
+    from .depconv import counted_conllu
 
-    if args.format == "conllu":
-        from .depconv import counted_conllu
-
-        corpus, skipped = counted_conllu(
-            read_text(path), _conversion_config(args), table, str(path))
-        if skipped:
-            print(
-                f"{path}: skipped {skipped} non-projective sentence(s)",
-                file=sys.stderr,
-            )
-        return corpus
-    drop = frozenset(args.drop_label) if args.drop_label else DEFAULT_DROP_LABELS
-    return counted_bracketed(
-        read_text(path), table, drop_labels=drop, strip_tags=args.strip_tags,
-        preterminalize=args.preterminalize, source_id=str(path),
-    )
+    corpus, skipped = counted_conllu(
+        read_text(path), _conversion_config(args), table, str(path))
+    if skipped:
+        print(
+            f"{path}: skipped {skipped} non-projective sentence(s)",
+            file=sys.stderr,
+        )
+    return corpus
 
 
 #: The reader options that each format leaves unread.
@@ -78,16 +70,24 @@ def _reader_options(args) -> list[str]:
 
 
 def _read_files(paths, args) -> list[CountedCorpus]:
-    """Every file's counts, over one shared table; a reader option that the
-    format does not read is refused before any file is read."""
-    from .trees import RuleTable
+    """Every file's rule counts, over one shared table: all that the
+    treebank commands read.  A reader option that the format does not read
+    is refused before any file is read; each file is read once the files
+    before it are counted."""
+    from .trees import DEFAULT_DROP_LABELS, RuleTable, counted_texts
 
     form = args.format or "ptb"
     unread = [o for o in _reader_options(args) if o in _UNREAD_BY_FORMAT[form]]
     if unread:
         raise InputError(f"--format {form} leaves input unread: {' '.join(unread)}")
     table = RuleTable()
-    corpora = [_read_file(p, args, table) for p in paths]
+    if form == "conllu":
+        corpora = [_read_conllu(p, args, table) for p in paths]
+    else:
+        corpora = counted_texts(
+            ((read_text(p), str(p)) for p in paths), table,
+            frozenset(args.drop_label or DEFAULT_DROP_LABELS), args.strip_tags,
+            args.preterminalize)
     if not any(len(c) for c in corpora):
         raise InputError("no sentences found in input")
     return corpora
@@ -204,8 +204,9 @@ def _cmd_sample(args):
         raise InputError(f"--seed must not be negative, not {args.seed}")
     import numpy as np
 
-    from .grammar import Sampler, read_grammar
-    from .trees import write_bracketed
+    from .grammar import read_grammar
+    from .sampling import Sampler
+    from .tree_objects import write_bracketed
 
     g = read_grammar(args.grammar)
     sampler = Sampler(g, max_nodes=args.max_nodes)
@@ -222,9 +223,8 @@ def _cmd_sample(args):
 
 
 def _cmd_convert(args):
-    from .conllu import read_conllu
-    from .depconv import graphs_to_corpus
-    from .trees import write_bracketed
+    from .conllu import graphs_to_corpus, read_conllu
+    from .tree_objects import write_bracketed
 
     config = _conversion_config(args)
     total_skipped = 0
@@ -333,7 +333,7 @@ def _column(rows, col, path) -> list[float]:
 def _cmd_fit(args):
     import csv
 
-    from .analysis import fit
+    from .regression import fit
 
     rows = list(csv.DictReader(io.StringIO(read_text(args.csv), newline="")))
     if not rows:

@@ -1,33 +1,31 @@
-"""Reversible conversion between projective dependency graphs and trees.
+"""Dependency treebanks as the rule counts of their converted trees.
 
 Each dependency node becomes an internal node labeled with its POS tag (or
 word form), expanded into its left dependents, an anchor leaf marked with a
 ``*`` suffix, and its right dependents, all in surface order.  In the labeled
 variant every dependent is wrapped in a relation node ``<headLabel>/<REL>``.
 The dependency root hangs from a synthetic ``ROOT`` node.  For projective
-input the mapping is information-preserving and :func:`tree_to_dep` inverts
-it exactly.  :func:`counted_conllu` reads CoNLL-U text straight into the
-interned rule ids of the converted trees (a :class:`~.trees.CountedCorpus`),
-without building graphs or trees: a scan of the whole file's bytes gives the
-token columns, and array operations over all sentences at once convert
-them.  Text the scan does not cover, and heads that form no tree, go
-through the row reader and tree walk of :func:`~.conllu.parse_conllu`,
-which raise its errors.
+input the mapping is information-preserving.  :func:`counted_conllu` reads
+CoNLL-U text straight into the interned rule ids of the converted trees (a
+:class:`~.trees.CountedCorpus`), without building graphs or trees: a scan
+of the whole file's bytes gives the token columns, and array operations
+over all sentences at once convert them.  Text the scan does not cover, and
+heads that form no tree, go through the row reader and tree walk of
+:func:`~.conllu.parse_conllu`, which raise its errors.
+
+The conversion of graphs to trees and back (:func:`~.conllu.dep_to_tree`,
+:func:`~.conllu.tree_to_dep`) lives with the graphs in :mod:`.conllu`,
+imported on first use; its public names are still found here (PEP 562).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+import importlib
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonProjectiveError, StructuralError
-from .trees import Corpus, CountedCorpus, RuleTable, Tree, _interned
-
-# The row reader of .conllu, and dataclasses with it, is imported by the
-# functions that use it: regular text never reaches it.
-if TYPE_CHECKING:
-    from .conllu import DepGraph
+from .trees import CountedCorpus, RuleTable, _interned
 
 ROOT_LABEL = "ROOT"
 ANCHOR_SUFFIX = "*"
@@ -40,176 +38,6 @@ class ConversionConfig(NamedTuple):
 
     labeled: bool = True
     use_pos: bool = True
-
-
-def _crossing_arcs(heads: list[int], order: list[int]) -> list[tuple[int, int]]:
-    """:func:`crossing_arcs` of the tree `heads`, given its pre-order from
-    :func:`~.conllu._tree_walk`."""
-    lo = list(range(len(heads) + 1))  # each projection's bounds and size
-    hi = lo[:]
-    size = [1] * len(lo)
-    for node in reversed(order):
-        head = heads[node - 1]
-        if head:
-            if lo[node] < lo[head]:
-                lo[head] = lo[node]
-            if hi[node] > hi[head]:
-                hi[head] = hi[node]
-            size[head] += size[node]
-    if all(h - l + 1 == s for l, h, s in zip(lo, hi, size)):
-        return []
-    rank = [0] * len(lo)
-    for i, node in enumerate(order):
-        rank[node] = i
-    bad = []
-    for dep, head in enumerate(heads, start=1):
-        if head == 0 or hi[head] - lo[head] + 1 == size[head]:
-            continue
-        first, end = rank[head], rank[head] + size[head]
-        between = range(min(head, dep), max(head, dep) + 1)
-        if not all(first <= rank[t] < end for t in between):
-            bad.append((head, dep))
-    return bad
-
-
-def crossing_arcs(graph: DepGraph) -> list[tuple[int, int]]:
-    """Arcs (head, dependent) that violate projectivity.
-
-    An arc is reported when some token inside its surface interval is not
-    dominated by the arc's head.  That happens only under a head whose
-    projection has a gap, and no projection has one exactly when no arcs
-    cross; so one pass over the projections' bounds and sizes settles the
-    common, projective case.  Raises :class:`StructuralError` unless the
-    graph passes :meth:`~.conllu.DepGraph.validate`.
-    """
-    _, order = graph._walk()
-    return _crossing_arcs(graph.heads, order)
-
-
-def is_projective(graph: DepGraph) -> bool:
-    """True iff no two dependency arcs cross in surface order."""
-    return not crossing_arcs(graph)
-
-
-def dep_to_tree(graph: DepGraph, config: ConversionConfig = ConversionConfig()) -> Tree:
-    """Convert a projective dependency graph to its derivation tree.
-
-    Raises :class:`NonProjectiveError` (listing the crossing arcs) on
-    non-projective input, and :class:`StructuralError` for a graph that
-    fails :meth:`~.conllu.DepGraph.validate` and, in the labeled variant,
-    for a dependent whose relation is empty or None.
-    """
-    deps, order = graph._walk()
-    bad = _crossing_arcs(graph.heads, order)
-    if bad:
-        ident = graph.sent_id or "dependency graph"
-        raise NonProjectiveError(f"{ident} is not projective", crossing=bad)
-
-    def node_label(idx: int) -> str:
-        form, pos = graph.tokens[idx - 1]
-        return pos if config.use_pos else form
-
-    # Post-order construction keeps arbitrarily deep chains off the call stack.
-    built: dict[int, Tree] = {}
-    for idx in reversed(order):
-        label = node_label(idx)
-        children = []
-        for d in (d for d in deps[idx] if d < idx):
-            children.append(_wrap(graph, config, idx, built[d], d))
-        children.append(Tree(label + ANCHOR_SUFFIX))
-        for d in (d for d in deps[idx] if d > idx):
-            children.append(_wrap(graph, config, idx, built[d], d))
-        built[idx] = Tree(label, children)
-    return Tree(ROOT_LABEL, [built[order[0]]])
-
-
-def _wrap(graph: DepGraph, config: ConversionConfig, head: int, sub: Tree, dep: int) -> Tree:
-    if not config.labeled:
-        return sub
-    form, pos = graph.tokens[head - 1]
-    head_label = pos if config.use_pos else form
-    rel = graph.labels[dep - 1]
-    if not rel:
-        raise StructuralError(
-            f"{graph.sent_id or 'dependency graph'}: token {dep} has no relation")
-    return Tree(head_label + RELATION_SEP + rel, [sub])
-
-
-def tree_to_dep(tree: Tree) -> DepGraph:
-    """Invert :func:`dep_to_tree` for the labeled variant.
-
-    Word forms are not encoded in the tree, so the recovered tokens carry the
-    node label in both the form and POS slots.  Raises
-    :class:`StructuralError` when the tree is not of conversion shape.
-    """
-    from .conllu import DepGraph
-
-    if (tree.is_leaf or tree.label != ROOT_LABEL or len(tree.children) != 1
-            or tree.children[0].is_leaf):
-        raise StructuralError("expected a ROOT node over exactly one dependency node")
-    # One walk in frontier order, on an explicit stack so that chain depth is
-    # unbounded: each node's anchor leaf fixes its surface position.
-    position: dict[int, int] = {}
-    arcs = []  # (node, its head's node or None, the relation)
-    stack = [(tree.children[0], None, None)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Tree):  # the node whose anchor comes next
-            position[id(item)] = len(position) + 1
-            continue
-        node, head, rel = item
-        anchor = node.label + ANCHOR_SUFFIX
-        leaves = [c.label for c in node.children if c.is_leaf]
-        if leaves.count(anchor) != 1:
-            raise StructuralError(
-                f"node '{node.label}' must contain exactly one anchor leaf '{anchor}'")
-        if len(leaves) > 1:
-            stray = next(label for label in leaves if label != anchor)
-            raise StructuralError(f"stray leaf '{stray}' under node '{node.label}'")
-        arcs.append((node, head, rel))
-        prefix = node.label + RELATION_SEP
-        for child in reversed(node.children):
-            if child.is_leaf:
-                stack.append(node)
-            elif not child.label.startswith(prefix):
-                raise StructuralError(
-                    f"expected relation node '{prefix}<rel>' under "
-                    f"'{node.label}', found '{child.label}'"
-                )
-            elif len(child.children) != 1 or child.children[0].is_leaf:
-                raise StructuralError(
-                    f"relation node '{child.label}' must wrap exactly one node")
-            else:
-                stack.append((child.children[0], node, child.label[len(prefix):]))
-    tokens, heads, labels = [None] * len(arcs), [0] * len(arcs), [None] * len(arcs)
-    for node, head, rel in arcs:
-        i = position[id(node)] - 1
-        tokens[i] = (node.label, node.label)
-        heads[i] = 0 if head is None else position[id(head)]
-        labels[i] = rel
-    graph = DepGraph(tokens=tokens, heads=heads, labels=labels)
-    graph.validate()
-    return graph
-
-
-def graphs_to_corpus(
-    graphs,
-    config: ConversionConfig = ConversionConfig(),
-    source_id: str = "",
-):
-    """Convert a batch of graphs, rejecting non-projective ones.
-
-    Returns ``(corpus, skipped)`` where `skipped` lists ``(index, error)``
-    pairs for the rejected sentences.
-    """
-    trees = []
-    skipped = []
-    for idx, graph in enumerate(graphs):
-        try:
-            trees.append(dep_to_tree(graph, config))
-        except NonProjectiveError as err:
-            skipped.append((idx, err))
-    return Corpus(trees, source_id=source_id), skipped
 
 
 class _Columns(NamedTuple):
@@ -243,36 +71,20 @@ def counted_conllu(
     (:func:`_scanned`) and converted by array operations
     (:func:`_converted`).  Text that the scan does not cover, or whose
     heads do not form trees, is read again by the row reader and tree walk
-    of :func:`~.conllu.parse_conllu` (:func:`_walked`), so malformed text
-    raises the same error.
+    of :func:`~.conllu.parse_conllu` (:func:`~.conllu._walked`), so
+    malformed text raises the same error.
     """
     table = RuleTable() if table is None else table
     columns = _scanned(text, config)
     counts = None if columns is None else _converted(columns, config.labeled, table)
     if counts is None:
+        from .conllu import _walked
+
         counts = _converted(_walked(text, config), config.labeled, table)
     ids, offsets, leaves, leaf_offsets, skipped = counts
     roots = [ROOT_LABEL] * (len(offsets) - 1)
     corpus = CountedCorpus._of(table, roots, ids, offsets, leaves, leaf_offsets, source_id)
     return corpus, skipped
-
-
-def _walked(text: str, config: ConversionConfig) -> _Columns:
-    """The columns of CoNLL-U `text` as the row reader of
-    :func:`~.conllu.parse_conllu` gives them, every sentence walked as a
-    tree first, so that malformed text raises that reader's error."""
-    from .conllu import _sentences, _tree_walk
-
-    heads, offsets, labels, relations, label_ids, relation_ids = [], [0], [], [], {}, {}
-    for ident, forms, tags, sentence_heads, rels in _sentences(text):
-        _tree_walk(sentence_heads, ident)
-        heads += sentence_heads
-        offsets.append(len(heads))
-        labels += [label_ids.setdefault(x, len(label_ids))
-                   for x in (tags if config.use_pos else forms)]
-        relations += [relation_ids.setdefault(x, len(relation_ids)) for x in rels]
-    return _Columns(np.array(heads, np.int64), np.array(offsets), np.array(labels, np.int64),
-                    list(label_ids), np.array(relations, np.int64), list(relation_ids))
 
 
 #: The characters other than "\n" that end a line for ``str.splitlines``,
@@ -473,3 +285,14 @@ def _projective(child, dependent, begins, counts, depth, sentence, sentences, ro
     above = np.cumsum(np.bincount(bottom, minlength=len(lo)))[bottom] - 1 - depth[bottom]
     nodes[above + depth[nodes]] = nodes.copy()
     return kept, nodes
+
+
+#: The names of the conversion of graphs, defined in :mod:`.conllu`.
+_CONVERSION = frozenset({"crossing_arcs", "dep_to_tree", "graphs_to_corpus", "is_projective",
+                         "tree_to_dep"})
+
+
+def __getattr__(name):  # PEP 562
+    if name in _CONVERSION:
+        return getattr(importlib.import_module(".conllu", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,34 +22,31 @@ emitted symbol.  No eigensolver runs, and two paths give that root row:
 * Any other grammar is solved: one factorization of I - M solves
   [1 | l | h], and c = (I - M)^-1 1 must be positive with (I - M) c
   positive with margin, which certifies the spectral radius below one
-  (:func:`solve_system`).
+  (:func:`~.dense.solve_system`).
 
 The spectral radius that :func:`entropy_rate` reports is a Collatz-Wielandt
 upper bound, taken over the strongly connected blocks of M's non-zeros and
-iterated until it is tight (:func:`spectral_radius`).  The blocks and the
+iterated until it is tight (:func:`_sparse_radius`).  The blocks and the
 certificate's reach are found by frontier searches in numpy
-(:func:`_sparse_radius`, :func:`_search`).  Everything is read
-from the grammar's arrays: M's non-zeros from the right-hand-side ids, each
-local entropy from its non-terminal's segment of the probabilities.
+(:func:`_search`).  Everything is read from the grammar's arrays: M's
+non-zeros from the right-hand-side ids, each local entropy from its
+non-terminal's segment of the probabilities.  The dense layer (M as an
+array, the solve, Noda iteration, and the radius of a given matrix,
+:func:`~.dense.spectral_radius`) is :mod:`.dense`, imported where it runs;
+its public names are still found here (PEP 562).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergentGrammarError, NumericalError, StructuralError
+from .errors import DivergentGrammarError, NumericalError
 from .grammar import Pcfg
-
-#: Relative residual bound for the linear solve, in the infinity norm.
-SOLVE_RESIDUAL_TOL = 1e-8
-
-#: Lower bound on every component of (I - M) c, c = (I - M)^-1 1, that
-#: certifies a spectral radius below one.
-CERTIFICATE_MARGIN = 0.5
 
 #: Relative width at which a Collatz-Wielandt bracket on a block's spectral
 #: radius counts as closed.
@@ -69,12 +66,6 @@ NUMPY_ROUNDS = 64
 #: At about 26 bytes of temporaries an edge that is 0.43 MB, below what
 #: site_rows takes to smooth one block of rows of a grammar of 600 rules.
 SEARCH_EDGES = 2**14
-
-#: The largest dense matrix built, in bytes: 1 GiB, n x n for n up to
-#: 11,585.  The solve and the Noda iteration each hold about three such
-#: matrices at once (M, its shifted copy and LAPACK's factor).
-DENSE_LIMIT_BYTES = 2**30
-
 
 def segment_sums(terms: np.ndarray, bounds: np.ndarray, keep: np.ndarray,
                  low=0.0) -> np.ndarray:
@@ -146,28 +137,6 @@ def _entries(grammar: Pcfg, rule: np.ndarray, child: np.ndarray):
     return rows, cols, np.bincount(inverse, grammar.prob[rule], minlength=keys.size)
 
 
-def _dense(n: int, what: str) -> np.ndarray:
-    """An n x n zero matrix; :class:`NumericalError` if it would take more
-    than DENSE_LIMIT_BYTES."""
-    if 8 * n * n > DENSE_LIMIT_BYTES:
-        most = math.isqrt(DENSE_LIMIT_BYTES // 8)
-        raise NumericalError(f"{what} needs a dense {n} x {n} matrix, above the bound "
-                             f"of {most} x {most} ({DENSE_LIMIT_BYTES / 2**30:g} GiB)")
-    return np.zeros((n, n))
-
-
-def characteristic_matrix(grammar: Pcfg) -> np.ndarray:
-    """Expected non-terminal production counts per single expansion.
-
-    Rows and columns follow `grammar.nonterminals` order.  A matrix above
-    DENSE_LIMIT_BYTES raises :class:`NumericalError`.
-    """
-    matrix = _dense(len(grammar.nonterminals), "the characteristic matrix")
-    rows, cols, weights = _entries(grammar, *_children(grammar)[:2])
-    matrix[rows, cols] = weights
-    return matrix
-
-
 def local_entropies(grammar: Pcfg) -> np.ndarray:
     """Entropy in bits of each non-terminal's rule-choice distribution."""
     return entropy_runs(grammar.prob[grammar.order], grammar.starts)
@@ -178,15 +147,6 @@ def local_lengths(grammar: Pcfg) -> np.ndarray:
     _, _, emitted = _children(grammar)
     return np.bincount(grammar.lhs, grammar.prob * emitted,
                        minlength=len(grammar.nonterminals))
-
-
-def _finite_nonnegative_square(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StructuralError("expected a square matrix")
-    if not np.isfinite(m).all() or (m < 0).any():
-        raise StructuralError("expected a finite non-negative matrix")
-    return m
 
 
 def _strong_components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
@@ -243,13 +203,12 @@ def _perron_upper_bound(size: int, rows, cols, weights, renumber=None) -> float:
     """Collatz-Wielandt upper bound on the spectral radius of the
     irreducible size x size matrix B with entries `weights` at (rows, cols).
 
-    Power iteration on B + I, then Noda iteration if POWER_STEPS leave the
-    bracket open.  Every iterate x is positive, and the least upper end of
-    the brackets seen is returned.  The power steps give each vertex the
-    same bits in any order of the vertices, but Noda iteration's dense
-    solves do not: it puts vertex i at ``renumber()[i]`` when `renumber` is
-    given.  Noda iteration on a block above DENSE_LIMIT_BYTES raises
-    :class:`NumericalError`."""
+    Power iteration on B + I, then Noda iteration
+    (:func:`~.dense._noda`) if POWER_STEPS leave the bracket open.  Every
+    iterate x is positive, and the least upper end of the brackets seen is
+    returned.  The power steps give each vertex the same bits in any order
+    of the vertices, but Noda iteration's dense solves do not: it puts
+    vertex i at ``renumber()[i]`` when `renumber` is given."""
     x = np.ones(size)
     upper = np.inf
     for _ in range(POWER_STEPS):
@@ -261,55 +220,13 @@ def _perron_upper_bound(size: int, rows, cols, weights, renumber=None) -> float:
             return upper
         x = bx + x  # (B + I) x: primitive, so periodic blocks converge too
         x /= x.max()
-    if renumber is not None:
-        at = renumber()
-        rows, cols, placed = at[rows], at[cols], np.empty_like(x)
-        placed[at] = x
-        x = placed
-    # A small spectral gap: shifted inverse iteration (Noda 1971) at the
-    # current upper bound converges quadratically, and the bound falls
-    # monotonically until rounding stops it.
-    b = _dense(size, "Noda iteration on a strongly connected block")
-    b[rows, cols] = weights
-    while True:
-        try:
-            y = np.linalg.solve(upper * np.eye(size) - b, x)
-        except np.linalg.LinAlgError:  # upper is an eigenvalue: rho itself
-            return upper
-        if not (y > 0).all():  # rounding put the shift at or below rho
-            return upper
-        x = y / y.max()
-        ratio = (b @ x) / x
-        lo, hi = float(ratio.min()), float(ratio.max())
-        if not hi < upper:
-            return upper
-        upper = hi
-        if hi - lo <= RADIUS_TOL * hi:
-            return upper
+    from .dense import _noda
 
-
-def spectral_radius(matrix: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a non-negative square matrix, as a
-    certified upper bound; no eigensolver runs.
-
-    rho(M) is the largest radius among the strongly connected blocks of M's
-    non-zero pattern.  A 1x1 block's radius is its diagonal entry, exactly,
-    so triangular, nilpotent and Jordan-type matrices come out exact: the
-    grammar S -> a S | A, A -> b A | c, every rule at 0.5, gives
-    M = [[.5, .5], [0, .5]] and rho = 0.5, where power iteration stalls.
-    A larger block B is irreducible, and any x > 0 brackets its radius,
-    min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i (Collatz-Wielandt;
-    Wielandt 1950).  Iteration on B narrows the bracket until its width is
-    at most RADIUS_TOL of the upper end; that end, the largest over the
-    blocks, is returned.  The power steps touch only the non-zero entries.
-    """
-    m = _finite_nonnegative_square(matrix)
-    rows, cols = np.nonzero(m)
-    return _sparse_radius(m.shape[0], rows, cols, m[rows, cols])
+    return _noda(size, rows, cols, weights, x, upper, renumber)
 
 
 def _sparse_radius(n: int, rows, cols, weights) -> float:
-    """:func:`spectral_radius` of the n x n matrix with the positive
+    """:func:`~.dense.spectral_radius` of the n x n matrix with the positive
     entries `weights` at (rows, cols), `rows` sorted.
 
     The blocks are found in numpy.  Trimming removes, round after round,
@@ -431,59 +348,6 @@ def _search(starts, succ, reached, frontier) -> None:
                 seen[w] = 1
                 stack.append(w)
     reached[:] = np.frombuffer(seen, dtype=bool)
-
-
-def solve_system(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Solve (I - M) x = v for a finite non-negative M with spectral radius < 1.
-
-    `vector` is one right-hand side or an (n, k) block; x has its shape.
-    One factorization solves [1 | v], and its first column c = (I - M)^-1 1
-    certifies convergence: I - M has non-positive off-diagonal entries, and
-    such a matrix is a non-singular M-matrix (equivalently rho(M) < 1) when
-    some c >= 0 has (I - M) c > 0 (Berman & Plemmons, *Nonnegative Matrices
-    in the Mathematical Sciences*, ch. 6).  c is accepted, unrefined, when
-    it is finite and positive and (I - M) c > 1/2 in every component.  A
-    failed certificate or an exactly singular I - M raises
-    :class:`DivergentGrammarError`; a negative or non-finite entry of M
-    raises :class:`StructuralError`.
-
-    Each column of x is refined until its residual is at most
-    ``1e-8 * max|v_j|``, the bound of its own right-hand side; failing
-    that, the condition estimate is reported.
-    """
-    m = _finite_nonnegative_square(matrix)
-    v = np.asarray(vector, dtype=np.float64)
-    n = m.shape[0]
-    if v.shape[0] != n:
-        raise StructuralError("matrix and vector dimensions disagree")
-    rhs = v.reshape(n, -1)
-    a = np.eye(n) - m
-    try:
-        solution = np.linalg.solve(a, np.column_stack((np.ones(n), rhs)))
-    except np.linalg.LinAlgError:  # I - M is exactly singular
-        solution = np.full((n, 1), np.nan)
-    c = solution[:, 0]
-    # Exact arithmetic gives (I - M) c = 1; the margin absorbs rounding.
-    if not (np.isfinite(c).all() and (c > 0).all()
-            and (a @ c > CERTIFICATE_MARGIN).all()):
-        raise DivergentGrammarError(
-            "no positive certificate (I - M)^-1 1: spectral radius >= 1, "
-            "expected subtree measures diverge"
-        )
-    x = solution[:, 1:]
-    bound = SOLVE_RESIDUAL_TOL * np.max(np.abs(rhs), axis=0)
-    for _ in range(3):
-        residual = a @ x - rhs
-        over = ~(np.max(np.abs(residual), axis=0) <= bound)  # nan is over
-        if not over.any():
-            return x.reshape(v.shape)
-        x[:, over] -= np.linalg.solve(a, residual[:, over])
-    residual = np.max(np.abs(a @ x - rhs), axis=0)
-    j = int(np.argmax(residual - bound))
-    raise NumericalError(
-        f"residual {residual[j]:.3e} exceeds {bound[j]:.3e} "
-        f"(condition estimate {np.linalg.cond(a, 1):.3e})"
-    )
 
 
 class CountTotals(NamedTuple):
@@ -615,7 +479,7 @@ def root_values(grammar: Pcfg) -> np.ndarray:
 
     A relative-frequency grammar (:func:`count_totals`) needs no M: the MLU
     is T / N and the entropy sum_A f_A h_A / N, the sum correctly rounded.
-    Any other grammar is solved (:func:`solve_system`).
+    Any other grammar is solved (:func:`~.dense.solve_system`).
     """
     return _root_row(grammar, count_totals(grammar))
 
@@ -624,6 +488,8 @@ def _root_row(grammar: Pcfg, totals: CountTotals | None) -> np.ndarray:
     """:func:`root_values`, given the grammar's :func:`count_totals`."""
     entropies = local_entropies(grammar)
     if totals is None:
+        from .dense import characteristic_matrix, solve_system
+
         x = solve_system(characteristic_matrix(grammar),
                          np.column_stack((local_lengths(grammar), entropies)))
         return x[grammar.nt_index[grammar.root]]
@@ -665,3 +531,15 @@ def entropy_rate(grammar: Pcfg) -> RateReport:
     radius = _sparse_radius(len(grammar.nonterminals), rows[positive], cols[positive],
                             weights[positive])
     return RateReport(entropy, mlu, entropy / mlu, radius)
+
+
+#: The dense layer (:mod:`.dense`), whose public names are found here on
+#: first use.
+_DENSE = frozenset({"CERTIFICATE_MARGIN", "DENSE_LIMIT_BYTES", "SOLVE_RESIDUAL_TOL",
+                    "characteristic_matrix", "solve_system", "spectral_radius"})
+
+
+def __getattr__(name):  # PEP 562
+    if name in _DENSE:
+        return getattr(importlib.import_module(".dense", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

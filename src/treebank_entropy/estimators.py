@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -40,7 +40,10 @@ from .entropy import (_UNFED, _children, _edges_by_lhs, certified_rows, entropy_
                       segment_sums)
 from .errors import DivergentGrammarError, InputError, NumericalError
 from .grammar import FreqTable, Pcfg, induce
-from .trees import Corpus, CountedCorpus
+
+if TYPE_CHECKING:
+    from .tree_objects import Corpus
+    from .trees import CountedCorpus
 
 _LN2 = math.log(2.0)
 

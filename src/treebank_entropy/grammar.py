@@ -17,39 +17,29 @@ with one ``bincount`` and passes the table's symbol ids of those rules,
 and ``Pcfg(root, rules)`` those of a dictionary over the rules' strings.
 The entropy path, the estimators, the sampler and :func:`dumps` read the
 arrays; rule keys ``(lhs, rhs)`` and :class:`Rule` objects are built only
-when `Pcfg.expansions` or `Pcfg.rules` is asked for.
+when `Pcfg.expansions` or `Pcfg.rules` is asked for.  Drawing from a grammar
+(:class:`~.sampling.Sampler`, :func:`~.sampling.sample`) and
+:func:`~.sampling.tree_probability` live in :mod:`.sampling`, and the grammar
+file's text in :mod:`.grammar_text`; each is imported on first use.  The
+public names of :mod:`.sampling`, and ``Tree`` and ``Corpus``, are still
+found here (PEP 562).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
-from bisect import bisect_right
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AlphabetClashError,
-    EmptyInputError,
-    InputError,
-    OutOfGrammarError,
-    SamplingDivergenceError,
-    StructuralError,
-    read_text,
-)
-from .trees import (
-    Corpus,
-    CountedCorpus,
-    Derivation,
-    RuleTable,
-    Tree,
-    _distinct,
-    _packed,
-    counted,
-    derivation,
-)
+from .errors import AlphabetClashError, EmptyInputError, StructuralError, read_text
+from .trees import CountedCorpus, RuleTable, _distinct, _packed, counted
+
+if TYPE_CHECKING:
+    from .tree_objects import Corpus
 
 #: Synthetic start symbol used when the treebank has several root labels.
 SYNTHETIC_ROOT = "⊤ROOT⊤"
@@ -58,7 +48,6 @@ SYNTHETIC_ROOT = "⊤ROOT⊤"
 PROPERNESS_TOL = 1e-9
 
 DEFAULT_MAX_NODES = 10_000
-MAX_SAMPLE_RETRIES = 1000
 
 
 class Rule(NamedTuple):
@@ -90,11 +79,6 @@ class FreqTable(_Counts):
         return sum(self.counts)
 
 
-class TreeProbability(NamedTuple):
-    prob: float
-    log2: float
-
-
 class Pcfg:
     """Immutable PCFG, held as arrays over its symbols, each interned once.
 
@@ -112,6 +96,8 @@ class Pcfg:
     """
 
     def __init__(self, root: str, rules: Iterable[Rule]):
+        from .grammar_text import _symbol_ids
+
         rules = tuple(rules)
         self._build(root, *_symbol_ids(rules), [r.prob for r in rules],
                     [r.freq for r in rules])
@@ -314,114 +300,6 @@ def _induce(table: RuleTable, ids: np.ndarray, roots: list[str], leaves):
     return Pcfg._of(root, lhs, rhs_offsets, rhs, names, None, freq), used
 
 
-def tree_probability(grammar: Pcfg, tree: Tree) -> TreeProbability:
-    """Probability of a tree: product of its rule probabilities.
-
-    Computed in log space; the linear-scale value may underflow to 0.0 for
-    large trees while the returned log2 stays exact.  An expansion missing
-    from the grammar raises :class:`OutOfGrammarError` naming the rule.
-    When the grammar carries a synthetic start symbol, the unary rule
-    rewriting it as the tree's root label enters the product as well.
-    """
-    root, rules, _ = derivation(tree)
-    if root != grammar.root:
-        rules.insert(0, (grammar.root, (root,)))
-    ids = [grammar._rule_ids.get(key) for key in rules]
-    missing = [f"{lhs} -> {' '.join(rhs)}" for (lhs, rhs), i in zip(rules, ids) if i is None]
-    if missing:
-        raise OutOfGrammarError("tree uses unknown rules", rules=missing)
-    log2 = 0.0
-    for prob in grammar.prob[ids].tolist():
-        log2 += math.log2(prob)
-    return TreeProbability(2.0 ** log2, log2)
-
-
-class Sampler:
-    """Repeated sampling from one grammar.
-
-    Expansion is leftmost; each non-terminal draws a rule from its own
-    distribution with one ``rng.random()``.  :meth:`sample` returns the
-    draw's :class:`Derivation`, which is all that rule counting reads, and
-    :meth:`sample_tree` builds the tree of the same draw.  Draws exceeding
-    the node budget are rejected and retried; the retry count of the last
-    draw is kept in `last_retries`.  Every draw takes its randomness from
-    the ``random()`` method of the generator passed in.
-    """
-
-    def __init__(self, grammar: Pcfg, max_nodes: int = DEFAULT_MAX_NODES):
-        if max_nodes < 2:  # a root and one child is the smallest tree
-            raise InputError(f"max_nodes must be at least 2, not {max_nodes}")
-        grammar.validate()
-        self.grammar = grammar
-        self.max_nodes = max_nodes
-        self.last_retries = 0
-        # Per non-terminal: the cumulative probabilities and, per rule, the
-        # (lhs, rhs) pair, its size and its rhs reversed for the agenda.
-        picks = [(key, len(key[1]), key[1][::-1]) for key in grammar.expansions]
-        order, starts = grammar.order.tolist(), grammar.starts.tolist()
-        self._tables = {
-            nt: (np.cumsum(probs).tolist(), [picks[i] for i in order[a:b]])
-            for nt, probs, a, b in zip(grammar.nonterminals,
-                                       grammar.by_lhs(grammar.prob), starts, starts[1:])
-        }
-
-    def sample(self, rng: np.random.Generator) -> Derivation:
-        for retries in range(MAX_SAMPLE_RETRIES):
-            drawn = self._try_sample(rng)
-            if drawn is not None:
-                self.last_retries = retries
-                return drawn
-        raise SamplingDivergenceError(
-            f"draw exceeded {self.max_nodes} nodes {MAX_SAMPLE_RETRIES} times"
-        )
-
-    def _try_sample(self, rng: np.random.Generator) -> Derivation | None:
-        tables = self._tables
-        random = rng.random
-        max_nodes = self.max_nodes
-        root = self.grammar.root
-        rules = []
-        leaves = []
-        agenda = [root]  # terminals too, so leaves come out left to right
-        nodes = 1
-        while agenda:
-            label = agenda.pop()
-            table = tables.get(label)
-            if table is None:
-                leaves.append(label)
-                continue
-            cum, picks = table
-            idx = bisect_right(cum, random())
-            if idx == len(picks):  # guards cum[-1] rounding below 1.0
-                idx -= 1
-            rule, size, reversed_rhs = picks[idx]
-            nodes += size
-            if nodes > max_nodes:
-                return None
-            rules.append(rule)
-            agenda.extend(reversed_rhs)
-        return Derivation(root, rules, leaves)
-
-    def sample_tree(self, rng: np.random.Generator) -> Tree:
-        """Draw one tree: :meth:`sample`'s draw, built in one pre-order pass."""
-        root, rules, _ = self.sample(rng)
-        tables = self._tables
-        tree = Tree(root)
-        agenda = [tree]  # internal nodes not yet expanded, leftmost last
-        for _, rhs in rules:
-            node = agenda.pop()
-            node.children = children = tuple(map(Tree, rhs))
-            agenda.extend(c for c in reversed(children) if c.label in tables)
-        return tree
-
-
-def sample(
-    grammar: Pcfg, seed: int, max_nodes: int = DEFAULT_MAX_NODES
-) -> Tree:
-    """Draw one tree, deterministically for a given seed."""
-    return Sampler(grammar, max_nodes).sample_tree(np.random.default_rng(seed))
-
-
 def dumps(grammar: Pcfg) -> str:
     """Serialize to text: a ``#root`` header plus one rule per line
     ``prob<TAB>freq<TAB>lhs -> rhs1 rhs2 ...``.
@@ -430,16 +308,9 @@ def dumps(grammar: Pcfg) -> str:
     output reproduces them bit-exactly.  Symbols must be non-empty and
     whitespace-free and must not equal ``->``.
     """
-    for sym in grammar.symbols:
-        if not sym or sym == "->" or any(c.isspace() for c in sym):
-            raise StructuralError(f"symbol {sym!r} is not serializable")
-    lines = [f"#root {grammar.root}"]
-    lines.extend(
-        f"{prob:.17g}\t{freq}\t{lhs} -> {rhs}"
-        for lhs, rhs, prob, freq
-        in zip(*grammar._texts(" ".join), grammar.prob.tolist(), grammar.freq.tolist())
-    )
-    return "\n".join(lines) + "\n"
+    from .grammar_text import written
+
+    return written(grammar)
 
 
 def loads(text: str) -> Pcfg:
@@ -464,17 +335,6 @@ def loads(text: str) -> Pcfg:
     return grammar
 
 
-def _symbol_ids(expansions) -> tuple:
-    """The rule keys `expansions` as ``(lhs, rhs_offsets, rhs, names)``,
-    each symbol an index into `names`."""
-    ids = {}
-    lhs = [ids.setdefault(key[0], len(ids)) for key in expansions]
-    rhs = [ids.setdefault(sym, len(ids)) for key in expansions for sym in key[1]]
-    offsets = np.zeros(len(lhs) + 1, np.intp)
-    np.cumsum([len(key[1]) for key in expansions], out=offsets[1:])
-    return np.array(lhs, np.intp), offsets, np.array(rhs, np.intp), list(ids)
-
-
 def write_grammar(grammar: Pcfg, path) -> None:
     text = dumps(grammar)  # a grammar it refuses leaves no file
     with open(path, "w", encoding="utf-8") as handle:
@@ -483,3 +343,15 @@ def write_grammar(grammar: Pcfg, path) -> None:
 
 def read_grammar(path) -> Pcfg:
     return loads(read_text(path))
+
+
+#: The names defined in modules that load on first use, found here too.
+_ELSEWHERE = {**dict.fromkeys(("Corpus", "Tree"), "tree_objects"),
+              **dict.fromkeys(("MAX_SAMPLE_RETRIES", "Sampler", "TreeProbability", "sample",
+                               "tree_probability"), "sampling")}
+
+
+def __getattr__(name):  # PEP 562
+    if name in _ELSEWHERE:
+        return getattr(importlib.import_module(f".{_ELSEWHERE[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,21 +1,52 @@
-"""Reading grammar files, the text that :func:`~.grammar.dumps` writes.
+"""Grammar files: the text that :func:`~.grammar.dumps` writes
+(:func:`written`) and :func:`~.grammar.loads` reads.
 
 :func:`scanned` reads text in that form in whole-file numpy passes over its
 bytes, and :func:`lines` reads any text line by line, which gives every
-:class:`~.errors.ParseError`.  :func:`~.grammar.loads` imports this module
-when it runs, so a command that reads no grammar file does not load it.
+:class:`~.errors.ParseError`.  :func:`~.grammar.loads` and
+:func:`~.grammar.dumps` import this module when they run, so a command that
+reads or writes no grammar file does not load it.  ``Pcfg(root, rules)``
+imports it too, for :func:`_symbol_ids`.
 """
 
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError
-from .grammar import _symbol_ids
+from .errors import ParseError, StructuralError
 from .trees import _IRREGULAR as _TREE_IRREGULAR
 from .trees import _interned
+
+if TYPE_CHECKING:
+    from .grammar import Pcfg
+
+
+def written(grammar: Pcfg) -> str:
+    """The text of :func:`~.grammar.dumps`."""
+    for sym in grammar.symbols:
+        if not sym or sym == "->" or any(c.isspace() for c in sym):
+            raise StructuralError(f"symbol {sym!r} is not serializable")
+    out = [f"#root {grammar.root}"]
+    out.extend(
+        f"{prob:.17g}\t{freq}\t{lhs} -> {rhs}"
+        for lhs, rhs, prob, freq
+        in zip(*grammar._texts(" ".join), grammar.prob.tolist(), grammar.freq.tolist())
+    )
+    return "\n".join(out) + "\n"
+
+
+def _symbol_ids(expansions) -> tuple:
+    """The rule keys `expansions` as ``(lhs, rhs_offsets, rhs, names)``,
+    each symbol an index into `names`."""
+    ids = {}
+    lhs = [ids.setdefault(key[0], len(ids)) for key in expansions]
+    rhs = [ids.setdefault(sym, len(ids)) for key in expansions for sym in key[1]]
+    offsets = np.zeros(len(lhs) + 1, np.intp)
+    np.cumsum([len(key[1]) for key in expansions], out=offsets[1:])
+    return np.array(lhs, np.intp), offsets, np.array(rhs, np.intp), list(ids)
 
 
 def lines(text: str):

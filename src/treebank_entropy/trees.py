@@ -1,90 +1,38 @@
-"""Ordered labeled trees, bracketed-treebank reading, and corpus statistics.
+"""Rule counts of treebanks: the counting bracketed reader, counted corpora.
 
-Trees are the common currency of the package: internal nodes carry
-non-terminal labels, leaves carry terminal labels, and the left-to-right
-sequence of leaves (the frontier) is the surface string.  All traversals are
-iterative; parsed trees can be arbitrarily deep.
-
-Every measure the package computes is a function of rule counts, so a
-corpus is counted into a :class:`CountedCorpus`: each rule is interned once
-in a :class:`RuleTable`, as symbol ids, as it is read, and every sentence
-becomes its rule ids in pre-order, its root label and its frontier.  No
-rule becomes a string key on the way: a rule is found again by its symbol
-ids packed into int64 words (:func:`_packed`).  :func:`counted_bracketed`
-counts regular bracketed text in a columnar scan, whole-file array passes
-over its bytes that build no tree.  :func:`parse_bracketed` builds the
-trees, in one token loop that cleans each node as it closes; it also reads
-the text that the scan leaves, and so gives every error.
+A treebank's trees have non-terminal labels on their internal nodes and
+terminal labels on their leaves, whose left-to-right sequence (the
+frontier) is the surface string.  Every measure the package computes is a
+function of rule counts, so a corpus is counted into a
+:class:`CountedCorpus`: each rule is interned once in a :class:`RuleTable`,
+as symbol ids, as it is read, and every sentence becomes its rule ids in
+pre-order, its root label and its frontier.  No rule becomes a string key
+on the way: a rule is found again by its symbol ids packed into int64
+words (:func:`_packed`).  :func:`counted_bracketed` counts regular
+bracketed text in a columnar scan, whole-file array passes over its bytes
+that build no tree, and :func:`counted_texts` interns the rules of a
+command's files in few lookups.  Trees as objects live in
+:mod:`.tree_objects`, imported on first use: its tree builder reads the
+text that the scan leaves, and so gives every error.  Its public names are
+still found here (PEP 562).
 """
 
 from __future__ import annotations
 
-import re
-from itertools import chain, islice, repeat
-from typing import NamedTuple
+import importlib
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, ParseError, StructuralError, read_text
+from .errors import EmptyInputError
+
+if TYPE_CHECKING:
+    from .tree_objects import Corpus
 
 #: Pre-terminal labels whose subtrees are dropped on reading (trace/empty
 #: elements carry no surface tokens and would corrupt MLU).
 DEFAULT_DROP_LABELS = frozenset({"-NONE-"})
-
-
-class Tree:
-    """Ordered rooted tree; a node with no children is a leaf."""
-
-    __slots__ = ("label", "children")
-
-    def __init__(self, label: str, children=()):
-        self.label = label
-        self.children = tuple(children)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def __eq__(self, other):
-        if not isinstance(other, Tree):
-            return NotImplemented
-        # Iterative comparison; recursion would overflow on deep trees.
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a.label != b.label or len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
-
-    def __hash__(self):
-        return hash((self.label, len(self.children)))
-
-    def __repr__(self):
-        return f"Tree({write_bracketed(self)!r})"
-
-    def iter_nodes(self):
-        """Yield every node in pre-order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def frontier(self) -> list[str]:
-        """Leaf labels from left to right."""
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node.label)
-            else:
-                stack.extend(reversed(node.children))
-        return out
-
-    def node_count(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
 
 
 class Derivation(NamedTuple):
@@ -105,27 +53,6 @@ class Derivation(NamedTuple):
     def node_count(self) -> int:
         """Nodes of the tree: one per expansion plus one per leaf."""
         return len(self.rules) + len(self.leaves)
-
-
-def derivation(tree: Tree) -> Derivation:
-    """The derivation of a tree, walking it once."""
-    rules, leaves = [], []
-    _walk(tree, rules, leaves)
-    return Derivation(tree.label, rules, leaves)
-
-
-def _walk(tree: Tree, rules: list, leaves: list) -> None:
-    """Append the ``(lhs, rhs)`` expansion of every internal node of `tree`
-    to `rules`, in pre-order, and its frontier to `leaves`."""
-    stack = [tree]
-    while stack:  # pre-order, left to right
-        node = stack.pop()
-        children = node.children
-        if children:
-            rules.append((node.label, tuple([c.label for c in children])))
-            stack.extend(children[::-1])
-        else:
-            leaves.append(node.label)
 
 
 class RuleTable:
@@ -227,31 +154,11 @@ class RuleTable:
         return self.lhs[rules], offsets, self.rhs[_spans(starts, lengths)]
 
     def intern(self, keys: list[tuple[str, tuple[str, ...]]]) -> np.ndarray:
-        """The ids of the rule keys `keys`, the new ones interned in order.
+        """The ids of the rule keys `keys`, the new ones interned in order
+        (:func:`~.tree_objects.interned`)."""
+        from .tree_objects import interned
 
-        A dict of string keys holds every rule of the table once this has
-        run (the rules that :meth:`rule_ids` added since are named first),
-        so a key that it lacks is new.
-        """
-        known = self._strings
-        if len(known) < len(self):
-            known.update(zip(self.keys()[len(known):], range(len(known), len(self))))
-        before = len(known)
-        setdefault = known.setdefault
-        ids = np.array([setdefault(key, len(known)) for key in keys], np.int64)
-        fresh = list(islice(known, before, None))  # the new keys, by first use
-        if fresh:
-            lengths = np.array([len(rhs) for _, rhs in fresh], np.int64)
-            symbols = self.symbol_ids([sym for lhs, rhs in fresh for sym in (lhs, *rhs)])
-            heads = (lengths + 1).cumsum() - lengths - 1  # each lhs among the symbols
-            body = np.ones(len(symbols), bool)
-            body[heads] = False
-            self.lhs = np.concatenate([self.lhs, symbols[heads]])
-            self.rhs = np.concatenate([self.rhs, symbols[body]])
-            self.rhs_offsets = np.concatenate([self.rhs_offsets,
-                                               self.rhs_offsets[-1] + lengths.cumsum()])
-            self._bits = 0  # the packed keys are made when the table is next looked up
-        return ids
+        return interned(self, keys)
 
     def keys(self) -> list[tuple[str, tuple[str, ...]]]:
         """Every rule key ``(lhs, rhs)``, indexed by its id."""
@@ -260,36 +167,6 @@ class RuleTable:
         symbols = [names[i] for i in self.rhs.tolist()]
         cuts = self.rhs_offsets.tolist()
         return [(head, tuple(symbols[a:b])) for head, a, b in zip(heads, cuts, cuts[1:])]
-
-
-#: A character that would split or end a label when the text is read back.
-_UNSERIALIZABLE = re.compile(r"[\s()]")
-
-
-def parse_bracketed(
-    text: str,
-    drop_labels=frozenset(),
-    strip_tags: bool = False,
-    preterminalize: bool = False,
-) -> list[Tree]:
-    """Parse one or more parenthesized trees from `text`.
-
-    Node labels are kept verbatim unless one of the keywords asks otherwise.
-    Each internal node is cleaned as it closes, so every kept tree is built
-    once: a pre-terminal labeled in `drop_labels` is dropped, and so is a
-    node none of whose children were kept; with `strip_tags` function-tag
-    suffixes are cut, after the drop test; with `preterminalize` a
-    pre-terminal becomes a leaf labeled with its tag.  Trees left empty are
-    omitted.  A top-level group that wraps exactly one subtree without a
-    label of its own (the common treebank file convention ``( (S ...) )``)
-    is unwrapped.  Raises :class:`ParseError` on unbalanced parentheses
-    (reporting the 1-based character offset in `text`, not a byte offset)
-    and :class:`StructuralError` on empty nodes; with `preterminalize`, a
-    node mixing word and phrase children raises :class:`StructuralError`
-    once the whole text has parsed.  This is the tree builder, and the
-    error path of :func:`counted_bracketed`.
-    """
-    return _read(text, drop_labels, strip_tags, preterminalize)
 
 
 def counted_bracketed(
@@ -301,130 +178,71 @@ def counted_bracketed(
     source_id: str = "",
 ) -> CountedCorpus:
     """The trees ``parse_bracketed(text, ...)`` returns, as a
-    :class:`CountedCorpus` over `table` (a new one if None).
+    :class:`CountedCorpus` over `table` (a new one if None): the one text of
+    :func:`counted_texts`."""
+    (corpus,) = counted_texts([(text, source_id)], table, drop_labels, strip_tags,
+                              preterminalize)
+    return corpus
+
+
+def counted_texts(texts, table: RuleTable | None = None, drop_labels=frozenset(),
+                  strip_tags: bool = False, preterminalize: bool = False
+                  ) -> list[CountedCorpus]:
+    """:func:`counted_bracketed` of each ``(text, source_id)`` that the
+    iterable `texts` yields, in order, over one `table` (a new one if None).
 
     Regular text is counted by a columnar scan of its bytes
-    (:func:`_scanned`), which builds no tree.  Other text is read by the
-    tree builder of :func:`parse_bracketed` and its trees are counted, so
-    text that does not parse raises the same error at the same offset.
+    (:func:`_scanned`), which builds no tree, and the rules of successive
+    scanned texts are interned together, in one :meth:`RuleTable.rule_ids`
+    call once `_SETTLE_RULES` of them wait or the texts end.  Other text is
+    read by the tree builder of :func:`~.tree_objects.parse_bracketed` and
+    its trees are counted, so text that does not parse raises the same
+    error at the same offset, before a later text is taken from `texts`.
+    The rules scanned before such a text are interned first, so the table
+    and the ids are those that counting the texts one by one gives.
     """
     table = RuleTable() if table is None else table
-    counts = _scanned(text, drop_labels, strip_tags, preterminalize, table)
-    if counts is None:
-        return counted(Corpus(_read(text, drop_labels, strip_tags, preterminalize),
-                              source_id), table)
-    return CountedCorpus._of(table, *counts, source_id=source_id)
+    corpora, scans = [], []  # scans: (place in corpora, source id, *scan) to intern
+    for text, source_id in texts:
+        scan = _scanned(text, drop_labels, strip_tags, preterminalize, table)
+        if scan is None:
+            from .tree_objects import Corpus, _read
 
-
-def _read(text, drop_labels, strip_tags, preterminalize):
-    """Read bracketed `text` into its kept trees.
-
-    The tokens are those of ``str.split`` once every parenthesis is spaced
-    out.  Each node applies the close rule of :func:`parse_bracketed` as it
-    closes; a pre-terminal, the most common node, is closed without being
-    pushed.  Offsets are found only when raising, by counting parentheses
-    in `text` again.
-    """
-    out = []  # the kept trees
-    # Open nodes: [label or None, kept children, words, phrases, ordinal],
-    # where words and phrases count the node's children as written and
-    # ordinal counts the '(' before the node's own.
-    stack = []
-    opened = 0  # the '(' read so far
-    label_next = False  # the token after a '(' is its node's label
-    mixed = None
-    # A '(' under an open node waits off the stack: `pending` is its
-    # ordinal, and `tag` and `word` are the tokens read after it.  Read as
-    # "( tag word )" it closes as a pre-terminal, by the close rule below,
-    # without entering the stack; any other token first pushes it as read
-    # so far.
-    pending = tag = word = None
-    for token in text.replace("(", " ( ").replace(")", " ) ").split():
-        if pending is not None:
-            if token == "(" or token == ")":
-                if token == ")" and word is not None:
-                    if tag in drop_labels:
-                        node = None
-                    else:
-                        if strip_tags:
-                            tag = _cut_function_tags(tag)
-                        node = Tree(tag) if preterminalize else Tree(tag, (Tree(word),))
-                    parent = stack[-1]
-                    parent[3] += 1
-                    if node is not None:
-                        parent[1].append(node)
-                    pending = tag = word = None
-                    continue
-            elif tag is None:
-                tag = token
-                continue
-            elif word is None:
-                word = token
-                continue
-            kept = [] if word is None else [Tree(word)]
-            stack.append([tag, kept, len(kept), 0, pending])
-            pending = tag = word = None
-            label_next = False
-        if token == "(":
-            if stack:  # it waits for its tag and word
-                pending = opened
-                label_next = False
-            else:
-                stack.append([None, [], 0, 0, opened])
-                label_next = True
-            opened += 1
-        elif not stack:
-            # The stray token is the first one after the last top-level ')'.
-            pos = _after(text, ")", opened)
-            while text[pos].isspace():
-                pos += 1
-            raise ParseError("expected '('", offset=pos + 1)
-        elif token == ")":
-            label_next = False
-            label, kept, words, phrases, ordinal = stack.pop()
-            if label is None:
-                if stack or words + phrases != 1:
-                    offset = _after(text, "(", ordinal + 1)
-                    raise StructuralError(f"node without a label at offset {offset}")
-                node = kept[0] if kept else None  # unwrap unlabeled top-level group
-            elif not words + phrases:
-                offset = _after(text, "(", ordinal + 1)
-                raise StructuralError(f"node '{label}' has no children at offset {offset}")
-            elif not kept or (not phrases and label in drop_labels):
-                node = None
-            else:
-                if strip_tags:
-                    label = _cut_function_tags(label)
-                if not (preterminalize and words):
-                    node = Tree(label, kept)
-                elif words == len(kept):  # the pre-terminal becomes a leaf
-                    node = Tree(label)
-                else:
-                    # Raised once the text has parsed: a syntax error
-                    # anywhere in the text takes precedence over it.
-                    mixed = mixed or StructuralError(
-                        f"node '{label}' mixes leaf and internal children"
-                    )
-                    node = None
-            if stack:
-                parent = stack[-1]
-                parent[3] += 1
-                if node is not None:
-                    parent[1].append(node)
-            elif node is not None:
-                out.append(node)
-        elif label_next:
-            stack[-1][0] = token
-            label_next = False
+            _settle(table, corpora, scans)
+            corpora.append(counted(Corpus(_read(text, drop_labels, strip_tags, preterminalize),
+                                          source_id), table))
         else:
-            top = stack[-1]
-            top[2] += 1
-            top[1].append(Tree(token))
-    if stack:
-        raise ParseError("unbalanced", offset=len(text) + 1)
-    if mixed is not None:
-        raise mixed
-    return out
+            scans.append((len(corpora), source_id, *scan))
+            corpora.append(None)
+            if sum(len(pending[3][0]) for pending in scans) >= _SETTLE_RULES:
+                _settle(table, corpora, scans)
+    _settle(table, corpora, scans)
+    return corpora
+
+
+#: :func:`counted_texts` interns the scanned rules once this many wait:
+#: enough to spread a lookup's fixed cost of some forty numpy calls, few
+#: enough that its working arrays, which grow with the rules looked up
+#: together, stay small.
+_SETTLE_RULES = 2**12
+
+
+def _settle(table: RuleTable, corpora: list, scans: list) -> None:
+    """Intern the rules of `scans` in one call, put each scan's corpus in
+    its place in `corpora`, and empty `scans`."""
+    if not scans:
+        return
+    lhs, symbols, starts, lengths = zip(*[scan[3] for scan in scans])
+    shifts = np.cumsum([0, *map(len, symbols[:-1])])  # each text's first symbol
+    ids = table.rule_ids(np.concatenate(lhs), np.concatenate(symbols),
+                         np.concatenate([a + shift for a, shift in zip(starts, shifts)]),
+                         np.concatenate(lengths))
+    cuts = np.cumsum([*map(len, lhs)])[:-1]
+    for (at, source_id, roots, _, offsets, leaves, leaf_offsets), part in zip(
+            scans, np.split(ids, cuts)):
+        corpora[at] = CountedCorpus._of(table, roots, part, offsets, leaves, leaf_offsets,
+                                        source_id)
+    scans.clear()
 
 
 #: The characters other than ASCII whitespace that ``str.split`` splits
@@ -440,9 +258,12 @@ _KINDS = bytes(_SPACE if b in b" \t\n\v\f\r" else _OPEN if b == ord("(")
 
 def _scanned(text, drop_labels, strip_tags, preterminalize, table):
     """The counts of the trees ``parse_bracketed(text, ...)`` returns, as
-    a :class:`CountedCorpus` holds them, ``(roots, ids, offsets, leaves,
-    leaf_offsets)``, read in whole-file passes over the UTF-8 bytes of
-    `text`; or None, with `table` untouched, unless the text is regular.
+    a :class:`CountedCorpus` holds them but with rules not yet interned,
+    ``(roots, rows, offsets, leaves, leaf_offsets)``, read in whole-file
+    passes over the UTF-8 bytes of `text`; or None, with `table` untouched,
+    unless the text is regular.  `rows` are the arguments of
+    :meth:`RuleTable.rule_ids` for the rules in pre-order, over `table`'s
+    symbol ids, which are interned here.
 
     Regular text holds no NUL, which pads the fields that :func:`_interned`
     compares, and each of its nodes is a pre-terminal ``(tag word)``, a
@@ -451,8 +272,7 @@ def _scanned(text, drop_labels, strip_tags, preterminalize, table):
     ASCII space.  One stable sort of the parentheses on the depth before
     each lists the nodes level by level and each node's children together,
     in order.  A node is kept when its span holds a kept pre-terminal;
-    labels are tested and cut once per distinct label, and only the
-    distinct rules are looked up in `table` (:meth:`RuleTable.rule_ids`).
+    labels are tested and cut once per distinct label.
     """
     if "\x00" in text:
         return None
@@ -470,7 +290,8 @@ def _scanned(text, drop_labels, strip_tags, preterminalize, table):
     # A token starts at each parenthesis and at the first byte of an atom.
     tokens = kind[1:-1][(kind[1:-1] > atom[:-2]).nonzero()[0]]
     if not len(tokens):
-        return [], [], [0], [], [0]
+        none = np.empty(0, np.int64)
+        return [], (none, none, none, none), [0], [], [0]
 
     # The shape: balanced parentheses, each '(' followed by a label or, at
     # the top, by a '(', and each atom a label or a pre-terminal's word.
@@ -562,9 +383,9 @@ def _scanned(text, drop_labels, strip_tags, preterminalize, table):
         lengths[word_rule] = 1
     named = np.array(names, dtype=object)
     interned = table.symbol_ids(names)
-    ids = table.rule_ids(interned[label[rule]], interned[np.concatenate(
-        [label[by_level[in_level]], leaf_symbols])], starts, lengths)
-    return (named[label[sentences + wrapper[sentences]]].tolist(), ids,
+    rows = (interned[label[rule]],
+            interned[np.concatenate([label[by_level[in_level]], leaf_symbols])], starts, lengths)
+    return (named[label[sentences + wrapper[sentences]]].tolist(), rows,
             np.append(np.searchsorted(rule, sentences), len(rule)),
             named[leaf_symbols].tolist(),
             np.append(np.searchsorted(leaf, sentences), len(leaf)))
@@ -683,15 +504,6 @@ def _distinct(keys):
     return np.minimum.reduceat(order, new.nonzero()[0]), inverse
 
 
-def _after(text: str, char: str, count: int) -> int:
-    """The index just past the `count`-th `char` in `text` (0 for none),
-    which is the 1-based offset of that character."""
-    pos = 0
-    for _ in range(count):
-        pos = text.index(char, pos) + 1
-    return pos
-
-
 def _cut_function_tags(label: str) -> str:
     """``NP-SBJ=2`` -> ``NP``; a separator at the start of a label does not
     cut it (``-NONE-`` stays)."""
@@ -702,60 +514,12 @@ def _cut_function_tags(label: str) -> str:
     return label
 
 
-def write_bracketed(tree: Tree) -> str:
-    """Serialize a tree to the bracketed format read by :func:`parse_bracketed`.
-
-    Labels containing whitespace or parentheses cannot round-trip and are
-    rejected.
-    """
-    out = []
-    # Emission stack holds trees and literal strings.
-    stack = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        if not item.label or _UNSERIALIZABLE.search(item.label):
-            raise StructuralError(
-                f"label {item.label!r} is not serializable in bracketed form"
-            )
-        if item.is_leaf:
-            out.append(item.label)
-            continue
-        out.append(f"({item.label}")
-        stack.append(")")
-        for child in reversed(item.children):
-            stack.append(child)
-            stack.append(" ")
-    return "".join(out)
-
-
-class Corpus:
-    """A list of parsed sentences plus provenance."""
-
-    def __init__(self, sentences: list[Tree], source_id: str = ""):
-        self.sentences = sentences
-        self.source_id = source_id
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sentences, self.source_id) == (other.sentences, other.source_id)
-
-    def __repr__(self):
-        return f"Corpus(sentences={self.sentences!r}, source_id={self.source_id!r})"
-
-    def __len__(self):
-        return len(self.sentences)
-
-
 class CountedCorpus:
     """The rule counts of a list of sentences plus provenance: what the
     counting readers (:func:`counted_bracketed`,
     :func:`~.depconv.counted_conllu`) return.  It stands in for a
-    :class:`Corpus` wherever only rule counts, sentence counts and frontier
-    lengths are read.
+    :class:`~.tree_objects.Corpus` wherever only rule counts, sentence
+    counts and frontier lengths are read.
 
     Every sentence's rules are ids into `table` in pre-order, all in one
     int64 stream `ids`, sentence k's being ``ids[offsets[k]:offsets[k +
@@ -808,18 +572,13 @@ class CountedCorpus:
 def counted(corpus: Corpus | CountedCorpus,
             table: RuleTable | None = None) -> CountedCorpus:
     """`corpus` itself if it is counted, else its trees' derivations
-    interned into `table` (a new one if None), every tree walked once."""
+    interned into `table` (a new one if None), every tree walked once
+    (:func:`~.tree_objects.counted_trees`)."""
     if isinstance(corpus, CountedCorpus):
         return corpus
-    table = RuleTable() if table is None else table
-    roots, keys, offsets, leaves, leaf_offsets = [], [], [0], [], [0]
-    for tree in corpus.sentences:
-        roots.append(tree.label)
-        _walk(tree, keys, leaves)
-        offsets.append(len(keys))
-        leaf_offsets.append(len(leaves))
-    return CountedCorpus._of(table, roots, table.intern(keys), offsets, leaves, leaf_offsets,
-                             corpus.source_id)
+    from .tree_objects import counted_trees
+
+    return counted_trees(corpus, RuleTable() if table is None else table)
 
 
 def merge(corpora: list[CountedCorpus], source_id: str = "") -> CountedCorpus:
@@ -860,25 +619,12 @@ def corpus_mlu(corpus: Corpus | CountedCorpus) -> float:
     return total / len(corpus)
 
 
-def read_bracketed(
-    path,
-    drop_labels=DEFAULT_DROP_LABELS,
-    strip_tags: bool = False,
-    source_id: str | None = None,
-    preterminalize: bool = False,
-) -> Corpus:
-    """Read a bracketed treebank file into a :class:`Corpus`.
+#: The tree objects layer, whose names are found here on first use.
+_TREE_OBJECTS = frozenset({"Corpus", "Tree", "derivation", "parse_bracketed",
+                           "read_bracketed", "write_bracketed"})
 
-    Subtrees under pre-terminals listed in `drop_labels` are removed; with
-    `strip_tags`, function-tag suffixes on internal labels are cut; with
-    `preterminalize`, the word layer is deleted, so pre-terminals (POS tags)
-    become the leaves.  Every node is cleaned as :func:`parse_bracketed`
-    reads it.
-    """
-    trees = parse_bracketed(
-        read_text(path),
-        drop_labels=drop_labels or frozenset(),
-        strip_tags=strip_tags,
-        preterminalize=preterminalize,
-    )
-    return Corpus(trees, source_id=source_id if source_id is not None else str(path))
+
+def __getattr__(name):  # PEP 562
+    if name in _TREE_OBJECTS:
+        return getattr(importlib.import_module(".tree_objects", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,7 @@ from scipy import stats
 
 from oracles import cross_entropy, reference_sample, reference_site
 from synthetic import sample_corpus, scaffold_grammar
-from treebank_entropy import analysis, entropy, grammar, trees
+from treebank_entropy import analysis, entropy, grammar, sampling, tree_objects, trees
 from treebank_entropy.analysis import (
     DEFAULT_ESTIMATORS,
     DEFAULT_SIZES,
@@ -218,14 +218,13 @@ class TestConverge:
                 return derivation(tree)
 
         with monkeypatch.context() as patch:
-            patch.setattr(analysis, "Sampler", ReferenceSampler)
+            patch.setattr(sampling, "Sampler", ReferenceSampler)
             expected = converge(source, **sweep)
 
         def no_tree(*args, **kwargs):
             raise AssertionError("converge built a Tree")
 
-        monkeypatch.setattr("treebank_entropy.grammar.Tree", no_tree)
-        monkeypatch.setattr("treebank_entropy.trees.Tree", no_tree)
+        monkeypatch.setattr(tree_objects, "Tree", no_tree)
         assert converge(source, **sweep) == expected
 
     @pytest.mark.parametrize("several_roots", [False, True])
@@ -252,7 +251,7 @@ class TestConverge:
             matrices.append(values)
             return values
 
-        monkeypatch.setattr(analysis, "Sampler", RecordingSampler)
+        monkeypatch.setattr(sampling, "Sampler", RecordingSampler)
         monkeypatch.setattr(analysis, "site_rows", recording_site_rows)
         estimators = ("ml", "site-cae", "site-cwj")
         rows = converge(source, sizes=sizes, replications=replications,
@@ -280,16 +279,16 @@ class TestConverge:
             assert means[size, "coverage-nonterminals"] == float(np.mean(nts))
 
     @pytest.mark.parametrize("seed", [0, 3, 41, 2024])
-    @pytest.mark.parametrize("batch", [1, 7, analysis._UNIFORM_BATCH])
+    @pytest.mark.parametrize("batch", [1, 7, sampling._UNIFORM_BATCH])
     def test_batched_uniforms_draw_the_scalar_derivations(self, seed, batch,
                                                           monkeypatch):
         # 400 sentences take about 4,000 uniforms: every batch size ends
         # batches inside sentences.
-        monkeypatch.setattr(analysis, "_UNIFORM_BATCH", batch)
+        monkeypatch.setattr(sampling, "_UNIFORM_BATCH", batch)
         sampler = Sampler(scaffold_grammar())
         scalar = np.random.default_rng(seed)
         expected = [sampler.sample(scalar) for _ in range(400)]
-        draws = analysis._uniforms(np.random.default_rng(seed))
+        draws = sampling._uniforms(np.random.default_rng(seed))
         assert [sampler.sample(draws) for _ in range(400)] == expected
 
 
@@ -306,8 +305,8 @@ def sampled_row(truth, sampler, seed, rep, size):
     """A task's row drawn sentence by sentence, as every task was before
     large tasks drew theirs as a branching process."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, rep, size)))
-    draws = analysis._uniforms(rng)
-    return analysis._count_row(truth, chain.from_iterable(
+    draws = sampling._uniforms(rng)
+    return sampling._count_row(truth, chain.from_iterable(
         sampler.sample(draws).rules for _ in range(size)))
 
 
@@ -329,12 +328,12 @@ class TestBranchedDraw:
     def test_small_tasks_are_sampled_sentence_by_sentence(self, monkeypatch):
         source, truth = sweep_truth()
         sampler = Sampler(truth)
-        sizes = [1, 7, analysis._BRANCH_FROM - 1, analysis._BRANCH_FROM, 250]
+        sizes = [1, 7, sampling._BRANCH_FROM - 1, sampling._BRANCH_FROM, 250]
         _, matrices = captured_rows(monkeypatch, source, sizes=sizes, replications=3, seed=4)
         for rep, counts in enumerate(matrices):
             for size, row in zip(sizes, counts):
                 sampled = sampled_row(truth, sampler, 4, rep, size)
-                assert (row == sampled).all() == (size < analysis._BRANCH_FROM)
+                assert (row == sampled).all() == (size < sampling._BRANCH_FROM)
 
     def test_branched_rows_are_counts_of_whole_trees(self, monkeypatch):
         source, truth = sweep_truth()
@@ -345,19 +344,19 @@ class TestBranchedDraw:
             assert counts.dtype == np.int64
             for size, row in zip(sizes, counts):
                 assert entropy.certify_counts(truth, row, edges) == size
-        monkeypatch.setattr(analysis, "_PADDING", 8)  # several groups
-        offspring = analysis._offspring(truth)
+        monkeypatch.setattr(sampling, "_PADDING", 8)  # several groups
+        offspring = sampling._offspring(truth)
         rng = np.random.default_rng(5)
         for size in sizes:
-            row = analysis._branched(offspring, size, rng)
+            row = sampling._branched(offspring, size, rng)
             assert entropy.certify_counts(truth, row, edges) == size
 
-    @pytest.mark.parametrize("padding", [analysis._PADDING, 8])
+    @pytest.mark.parametrize("padding", [sampling._PADDING, 8])
     def test_rows_are_padded_in_groups(self, padding, monkeypatch):
         # Each non-terminal's rules, right-aligned in one row of its group.
-        monkeypatch.setattr(analysis, "_PADDING", padding)
+        monkeypatch.setattr(sampling, "_PADDING", padding)
         _, truth = sweep_truth()
-        groups = analysis._offspring(truth).groups
+        groups = sampling._offspring(truth).groups
         assert (len(groups) == 1) == (padding > 8)
         members = np.concatenate([m for m, _, _ in groups])
         assert sorted(members) == list(range(len(truth.nonterminals)))
@@ -371,15 +370,15 @@ class TestBranchedDraw:
                 assert p[-mine.size:].tolist() == truth.prob[mine].tolist()
         assert cells <= 2 * len(truth) + padding * len(groups)
 
-    @pytest.mark.parametrize("padding", [analysis._PADDING, 8])
+    @pytest.mark.parametrize("padding", [sampling._PADDING, 8])
     def test_mean_counts_are_the_truths_expectation(self, padding, monkeypatch):
         # For an induced truth, E[count_r] = n f_r / N exactly.
-        monkeypatch.setattr(analysis, "_PADDING", padding)
+        monkeypatch.setattr(sampling, "_PADDING", padding)
         source, truth = sweep_truth()
-        offspring = analysis._offspring(truth)
+        offspring = sampling._offspring(truth)
         size, draws = 150, 400
         rng = np.random.default_rng(2024)
-        rows = np.array([analysis._branched(offspring, size, rng) for _ in range(draws)])
+        rows = np.array([sampling._branched(offspring, size, rng) for _ in range(draws)])
         expected = size * truth.freq / len(source)
         stderr = rows.std(axis=0, ddof=1) / math.sqrt(draws)
         assert (np.abs(rows.mean(axis=0) - expected) <= 5 * stderr + 1e-9 * expected).all()
@@ -390,10 +389,10 @@ class TestBranchedDraw:
         # Per rule, the mean and the variance of 300 branched rows and 300
         # rows sampled sentence by sentence agree within 5 standard errors.
         _, truth = sweep_truth()
-        offspring, sampler = analysis._offspring(truth), Sampler(truth)
+        offspring, sampler = sampling._offspring(truth), Sampler(truth)
         size, draws = 20, 300
         rng = np.random.default_rng(seed)
-        branched = np.array([analysis._branched(offspring, size, rng) for _ in range(draws)])
+        branched = np.array([sampling._branched(offspring, size, rng) for _ in range(draws)])
         sampled = np.array([sampled_row(truth, sampler, seed, rep, size)
                             for rep in range(draws)])
         moments = []
@@ -411,14 +410,14 @@ class TestBranchedDraw:
         source, truth = sweep_truth()
         _, matrices = captured_rows(monkeypatch, source, sizes=[150, 1000, 5],
                                     replications=3, seed=6)
-        offspring = analysis._offspring(truth)
+        offspring = sampling._offspring(truth)
         tasks = [(rep, i, size) for rep in range(3) for i, size in enumerate([5, 150, 1000])]
         for k in np.random.default_rng(0).permutation(len(tasks)):
             rep, i, size = tasks[k]
-            if size < analysis._BRANCH_FROM:
+            if size < sampling._BRANCH_FROM:
                 continue
             rng = np.random.default_rng(np.random.SeedSequence((6, rep, size)))
-            assert (analysis._branched(offspring, size, rng) == matrices[rep][i]).all()
+            assert (sampling._branched(offspring, size, rng) == matrices[rep][i]).all()
         once = captured_rows(monkeypatch, source, sizes=[1000, 150], replications=3, seed=6)
         assert (np.stack(once[1]) == np.stack(matrices)[:, 1:]).all()
 
@@ -439,14 +438,14 @@ class TestBranchedDraw:
 
     def test_node_budget(self):
         _, truth = sweep_truth()
-        offspring = analysis._offspring(truth)
+        offspring = sampling._offspring(truth)
         with pytest.raises(SamplingDivergenceError, match="150 derivations drawn together "
                            "exceeded 300 nodes"):
-            analysis._branched(offspring, 150, np.random.default_rng(1), max_nodes=2)
+            sampling._branched(offspring, 150, np.random.default_rng(1), max_nodes=2)
         # A supercritical grammar grows without end.
         binary = Pcfg("S", [Rule("S", ("S", "S"), 0.6), Rule("S", ("a",), 0.4)])
         with pytest.raises(SamplingDivergenceError, match="exceeded 2000000 nodes"):
-            analysis._branched(analysis._offspring(binary), 200, np.random.default_rng(1))
+            sampling._branched(sampling._offspring(binary), 200, np.random.default_rng(1))
 
 
 class TestIncremental:

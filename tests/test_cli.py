@@ -12,7 +12,7 @@ import pytest
 
 from synthetic import sample_corpus
 import treebank_entropy
-from treebank_entropy import analysis, trees
+from treebank_entropy import analysis, tree_objects, trees
 from treebank_entropy.cli import build_parser, main
 from treebank_entropy.estimators import SmootherKind
 from treebank_entropy.grammar import DEFAULT_MAX_NODES, Pcfg, Rule, Sampler, write_grammar
@@ -787,7 +787,7 @@ PTB = """\
 
 def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
     calls = []
-    real = trees.parse_bracketed
+    real = tree_objects.parse_bracketed
 
     def spy(text, *args, **kwargs):
         calls.append(text)
@@ -796,14 +796,14 @@ def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
     # Every package namespace that holds the tree reader gets the spy.
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "treebank_entropy":
-            if getattr(module, "parse_bracketed", None) is real:
+            if vars(module).get("parse_bracketed") is real:
                 monkeypatch.setattr(module, "parse_bracketed", spy)
 
     def no_tree(*args, **kwargs):
         raise AssertionError("a command built a Tree")
 
-    tree = trees.Tree
-    monkeypatch.setattr("treebank_entropy.trees.Tree", no_tree)
+    tree = tree_objects.Tree
+    monkeypatch.setattr(tree_objects, "Tree", no_tree)
     first, second = tmp_path / "a.mrg", tmp_path / "b.mrg"
     first.write_text(PTB, encoding="utf-8")
     second.write_text(PTB.split("\n", 1)[1], encoding="utf-8")
@@ -819,7 +819,7 @@ def test_ptb_commands_build_no_trees(tmp_path, monkeypatch, capsys):
     assert calls == []
     # Malformed text is not regular: the tree builder behind the scan reads
     # it and raises the error, and still no command calls parse_bracketed.
-    monkeypatch.setattr("treebank_entropy.trees.Tree", tree)
+    monkeypatch.setattr(tree_objects, "Tree", tree)
     bad = tmp_path / "bad.mrg"
     bad.write_text("(S (NN x)", encoding="utf-8")
     assert main(["site", str(bad)]) == 2
@@ -869,7 +869,7 @@ def test_scan_and_tree_reader_give_the_same_commands(tmp_path, monkeypatch, caps
     def refuse(*args):
         raise AssertionError("the tree reader ran")
 
-    monkeypatch.setattr(trees, "_read", refuse)
+    monkeypatch.setattr(tree_objects, "_read", refuse)
     scanned = run_all()
     monkeypatch.undo()
     monkeypatch.setattr(trees, "_scanned", lambda *args: None)

@@ -33,12 +33,12 @@ from synthetic import sample_corpus, scaffold_grammar
 from test_depconv import CONFIGS, to_conllu
 from test_fuzz import BRACKETED, CONLLU, _conllu_outcome, _texts
 from test_trees import READ_OPTIONS, _outcome, random_ptb
-from treebank_entropy import cli, estimators, grammar, trees
-from treebank_entropy.analysis import _count_row
+from treebank_entropy import cli, estimators, grammar, tree_objects, trees
 from treebank_entropy.depconv import counted_conllu
-from treebank_entropy.errors import InputError
+from treebank_entropy.errors import InputError, ParseError
 from treebank_entropy.estimators import SmootherKind, site_rows
 from treebank_entropy.grammar import Sampler
+from treebank_entropy.sampling import _count_row
 from treebank_entropy.trees import (
     DEFAULT_DROP_LABELS,
     CountedCorpus,
@@ -141,6 +141,70 @@ class TestBracketed:
         for _ in range(6):
             assert_counts_like_reference(random_ptb(rng, 5), table)
         assert len(table) > 0
+
+
+class TestCountedTexts:
+    """`counted_texts` counts a command's files over one table, interning
+    the rules of all the texts the scan counts in one lookup."""
+
+    @staticmethod
+    def _texts(preterminalize):
+        texts = _several_root_texts(9)
+        texts.insert(2, "")
+        texts.insert(3, "(S (NP (DT a\x00) (NN b)) (VP (VB c)))\n")  # a NUL: refused
+        if not preterminalize:  # a word beside a phrase: refused
+            texts.insert(5, "( (S (NP a (NN b)) (VP-1 (VB c))) )\n")
+        return texts
+
+    @pytest.mark.parametrize("bound", [trees._SETTLE_RULES, 1])
+    @pytest.mark.parametrize("options", READ_OPTIONS)
+    def test_one_lookup_per_run_of_scanned_texts(self, options, bound, monkeypatch):
+        # The table, and every corpus's ids, roots and leaves, are those of
+        # reading the texts one by one.  The scanned texts before, between
+        # and after the refused ones are interned in one call each, and a
+        # run is cut once `bound` rules wait: with a bound of 1, every text
+        # has its own call.
+        monkeypatch.setattr(trees, "_SETTLE_RULES", bound)
+        texts = self._texts(options["preterminalize"])
+        scanned = [trees._scanned(t, *options.values(), RuleTable()) is not None
+                   for t in texts]
+        refused = scanned.count(False)
+        assert refused == 1 + (not options["preterminalize"])
+        one_by_one = RuleTable()
+        expected = [counted_bracketed(t, one_by_one, source_id=str(i), **options)
+                    for i, t in enumerate(texts)]
+        calls, real = [], RuleTable.rule_ids
+
+        def counting(table, *args):
+            calls.append(len(args[0]))
+            return real(table, *args)
+
+        monkeypatch.setattr(RuleTable, "rule_ids", counting)
+        table = RuleTable()
+        got = trees.counted_texts(((t, str(i)) for i, t in enumerate(texts)), table,
+                                  **options)
+        assert len(calls) == (len(texts) - refused if bound == 1 else refused + 1)
+        assert sum(calls) == sum(len(c.ids) for c, s in zip(expected, scanned) if s)
+        assert table.names == one_by_one.names
+        for name in ("lhs", "rhs", "rhs_offsets"):
+            assert (getattr(table, name) == getattr(one_by_one, name)).all(), name
+        for a, b in zip(got, expected, strict=True):
+            assert a.table is table and a.source_id == b.source_id
+            assert (a.ids == b.ids).all() and (a.offsets == b.offsets).all()
+            assert (a.roots, a.leaves) == (b.roots, b.leaves)
+            assert (a.leaf_offsets == b.leaf_offsets).all()
+
+    def test_a_bad_text_raises_before_a_later_one_is_taken(self):
+        taken = []
+
+        def texts():
+            for i, text in enumerate(["(S (NN a))", "(S (NN b)", "(S (NN c))"]):
+                taken.append(i)
+                yield text, str(i)
+
+        with pytest.raises(ParseError, match="unbalanced"):
+            trees.counted_texts(texts())
+        assert taken == [0, 1]
 
 
 class TestConllu:
@@ -321,7 +385,8 @@ def test_treebank_commands_read_no_derivation_and_look_up_no_key(tmp_path, monke
     def forbidden(*args, **kwargs):
         raise AssertionError("a Derivation or a rule key lookup on the count path")
 
-    monkeypatch.setattr(trees, "Derivation", forbidden)
+    for module in (trees, tree_objects):  # each module's own name
+        monkeypatch.setattr(module, "Derivation", forbidden)
     monkeypatch.setattr(grammar.Pcfg, "_rule_ids", property(forbidden))
     for argv in (["site", *paths], ["rate", *paths], ["report", *paths],
                  ["incremental", *paths], ["incremental", "--order", "shuffled", *paths],

@@ -22,7 +22,7 @@ from oracles import (
 from synthetic import sample_corpus, scaffold_grammar
 from test_depconv import to_conllu
 from test_properties import CORPORA
-from treebank_entropy import entropy
+from treebank_entropy import dense, entropy
 from treebank_entropy.cli import build_parser, main
 from treebank_entropy.cli import _merge, _read_files
 from treebank_entropy.entropy import (
@@ -145,8 +145,8 @@ def test_cli_commands_build_no_matrix_and_solve_nothing(tmp_path, monkeypatch, c
     def refuse(*args, **kwargs):
         raise AssertionError("the count path builds no M and solves nothing")
 
-    monkeypatch.setattr(entropy, "solve_system", refuse)
-    monkeypatch.setattr(entropy, "characteristic_matrix", refuse)
+    monkeypatch.setattr(dense, "solve_system", refuse)
+    monkeypatch.setattr(dense, "characteristic_matrix", refuse)
     files = sampled_files(tmp_path, 3)
     grammar = str(tmp_path / "induced.txt")
     options = ["--no-preterminalize"]
@@ -288,13 +288,13 @@ PROBABILITY_ONLY = """\
 def test_probability_only_file_is_solved(tmp_path, monkeypatch, capsys, command, printed):
     # The bytes printed before the count path existed.
     solves = []
-    real = entropy.solve_system
+    real = dense.solve_system
 
     def spy(matrix, vector):
         solves.append(np.shape(vector))
         return real(matrix, vector)
 
-    monkeypatch.setattr(entropy, "solve_system", spy)
+    monkeypatch.setattr(dense, "solve_system", spy)
     path = write(tmp_path / "g.txt", PROBABILITY_ONLY)
     assert main([command, "--grammar", path]) == 0
     assert capsys.readouterr().out == printed
@@ -355,7 +355,7 @@ def test_closed_block_fails_certificate(tmp_path, monkeypatch, capsys):
         raise AssertionError("the count path solves nothing")
 
     path = write(tmp_path / "closed.txt", CLOSED_BLOCK)
-    monkeypatch.setattr(entropy, "solve_system", refuse)
+    monkeypatch.setattr(dense, "solve_system", refuse)
     for command in ("rate", "entropy", "mlu"):
         assert main([command, "--grammar", path]) == 3
         captured = capsys.readouterr()

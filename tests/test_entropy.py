@@ -15,7 +15,7 @@ from oracles import (
     unreachable_nonterminals,
 )
 from synthetic import sample_corpus, scaffold_grammar
-from treebank_entropy import entropy
+from treebank_entropy import dense, entropy
 from treebank_entropy.analysis import converge
 from treebank_entropy.cli import main as cli_main
 from treebank_entropy.entropy import (
@@ -585,7 +585,7 @@ class TestDenseBound:
         # before anything is allocated.
         grammar = _probability_chain(11_585)
         assert len(grammar.nonterminals) == 11_586
-        assert 8 * 11_586**2 > entropy.DENSE_LIMIT_BYTES >= 8 * 11_585**2
+        assert 8 * 11_586**2 > dense.DENSE_LIMIT_BYTES >= 8 * 11_585**2
         with pytest.raises(NumericalError, match=r"11586 x 11586 matrix, above the "
                            r"bound of 11585 x 11585 \(1 GiB\)"):
             characteristic_matrix(grammar)
@@ -597,7 +597,7 @@ class TestDenseBound:
             f"{r.prob!r}\t0\t{r.lhs} -> {' '.join(r.rhs)}\n" for r in grammar.rules))
         assert cli_main(["rate", "--grammar", str(path)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(entropy, "DENSE_LIMIT_BYTES", 8 * 5**2 - 1)
+        monkeypatch.setattr(dense, "DENSE_LIMIT_BYTES", 8 * 5**2 - 1)
         with pytest.raises(NumericalError, match="the characteristic matrix needs a "
                            "dense 5 x 5 matrix"):
             entropy_rate(grammar)
@@ -608,9 +608,9 @@ class TestDenseBound:
         # The 200-cycle leaves the power steps' bracket open (see
         # TestSpectralRadius), so its block would be built dense.
         m = _weighted_cycle(np.random.default_rng(8).uniform(0.5, 1.5, 200))
-        monkeypatch.setattr(entropy, "DENSE_LIMIT_BYTES", 8 * 200**2)
+        monkeypatch.setattr(dense, "DENSE_LIMIT_BYTES", 8 * 200**2)
         radius = spectral_radius(m)
-        monkeypatch.setattr(entropy, "DENSE_LIMIT_BYTES", 8 * 200**2 - 1)
+        monkeypatch.setattr(dense, "DENSE_LIMIT_BYTES", 8 * 200**2 - 1)
         with pytest.raises(NumericalError, match="Noda iteration on a strongly connected "
                            "block needs a dense 200 x 200 matrix"):
             spectral_radius(m)

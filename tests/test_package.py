@@ -26,25 +26,42 @@ from treebank_entropy.trees import Corpus, Tree
 
 #: Every name the package exports, by the submodule that defines it.
 EXPORTED = {
-    "analysis": ["DEFAULT_SIZES", "ConvergenceRow", "FileReport", "RegressionFit",
-                 "converge", "file_reports", "fit", "incremental", "residualize"],
-    "conllu": ["DepGraph", "parse_conllu", "read_conllu"],
-    "depconv": ["ConversionConfig", "counted_conllu", "dep_to_tree",
-                "graphs_to_corpus", "is_projective", "tree_to_dep"],
-    "entropy": ["RateReport", "characteristic_matrix", "derivational_entropy",
-                "entropy_rate", "grammar_mlu", "local_entropies", "local_lengths",
-                "solve_system", "spectral_radius"],
+    "analysis": ["DEFAULT_SIZES", "ConvergenceRow", "FileReport", "converge",
+                 "file_reports", "incremental"],
+    "conllu": ["DepGraph", "dep_to_tree", "graphs_to_corpus", "is_projective",
+               "parse_conllu", "read_conllu", "tree_to_dep"],
+    "dense": ["characteristic_matrix", "solve_system", "spectral_radius"],
+    "depconv": ["ConversionConfig", "counted_conllu"],
+    "entropy": ["RateReport", "derivational_entropy", "entropy_rate", "grammar_mlu",
+                "local_entropies", "local_lengths"],
     "errors": ["AlphabetClashError", "DivergentGrammarError", "EmptyInputError",
                "InputError", "NonProjectiveError", "NumericalError",
                "OutOfGrammarError", "ParseError", "SamplingDivergenceError",
                "StructuralError", "TreebankEntropyError"],
     "estimators": ["EstimateResult", "SmootherKind", "cae_entropy", "cwj_entropy",
                    "good_turing_probs", "ml_entropy", "site"],
-    "grammar": ["FreqTable", "Pcfg", "Rule", "Sampler", "induce", "read_grammar",
-                "sample", "tree_probability", "write_grammar"],
-    "trees": ["Corpus", "CountedCorpus", "Derivation", "RuleTable", "Tree",
-              "corpus_mlu", "counted_bracketed", "derivation",
-              "parse_bracketed", "read_bracketed", "write_bracketed"],
+    "grammar": ["FreqTable", "Pcfg", "Rule", "induce", "read_grammar", "write_grammar"],
+    "regression": ["RegressionFit", "fit", "residualize"],
+    "sampling": ["Sampler", "sample", "tree_probability"],
+    "tree_objects": ["Corpus", "Tree", "derivation", "parse_bracketed", "read_bracketed",
+                     "write_bracketed"],
+    "trees": ["CountedCorpus", "Derivation", "RuleTable", "corpus_mlu",
+              "counted_bracketed"],
+}
+
+#: The names that a module still gives for the modules it loads on first
+#: use (PEP 562), by the module that defines them.
+FORWARDED = {
+    "analysis": {"regression": ["RegressionFit", "fit", "residualize"]},
+    "depconv": {"conllu": ["crossing_arcs", "dep_to_tree", "graphs_to_corpus",
+                           "is_projective", "tree_to_dep"]},
+    "entropy": {"dense": ["CERTIFICATE_MARGIN", "DENSE_LIMIT_BYTES", "SOLVE_RESIDUAL_TOL",
+                          "characteristic_matrix", "solve_system", "spectral_radius"]},
+    "grammar": {"sampling": ["MAX_SAMPLE_RETRIES", "Sampler", "TreeProbability", "sample",
+                             "tree_probability"],
+                "tree_objects": ["Corpus", "Tree"]},
+    "trees": {"tree_objects": ["Corpus", "Tree", "derivation", "parse_bracketed",
+                               "read_bracketed", "write_bracketed"]},
 }
 
 
@@ -65,6 +82,30 @@ def test_unknown_name_raises_attribute_error():
         treebank_entropy.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from treebank_entropy import no_such_name  # noqa: F401
+    for module in FORWARDED:
+        hot = importlib.import_module(f"treebank_entropy.{module}")
+        with pytest.raises(AttributeError, match=f"'treebank_entropy.{module}' has no "
+                           "attribute 'no_such_name'"):
+            hot.no_such_name  # noqa: B018
+
+
+def test_moved_names_are_found_where_they_were():
+    for module, homes in FORWARDED.items():
+        hot = importlib.import_module(f"treebank_entropy.{module}")
+        for home, names in homes.items():
+            defining = importlib.import_module(f"treebank_entropy.{home}")
+            for name in names:
+                assert name not in vars(hot), (module, name)
+                assert getattr(hot, name) is getattr(defining, name), (module, name)
+
+
+def _child(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this package."""
+    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
 
 
 def test_bare_import_loads_submodules_on_use():
@@ -76,11 +117,7 @@ def test_bare_import_loads_submodules_on_use():
         "rows = te.analysis.converge(corpus, sizes=[2], replications=2, coverage=False)\n"
         "print(json.dumps([before, [row.mean for row in rows]]))\n"
     )
-    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120, check=True)
+    result = _child(code)
     before, means = json.loads(result.stdout.strip().splitlines()[-1])
     assert before == []
     assert means == [0.0] * 4
@@ -109,11 +146,7 @@ def test_commands_load_no_costly_lazy_numpy_module(tmp_path):
         "    loaded.append([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
         "print(json.dumps(loaded))\n"
     )
-    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120, check=True)
+    result = _child(code)
     loaded = json.loads(result.stdout.strip().splitlines()[-1])
     assert loaded == [[]] * 6 + [["numpy.random"]]
 
@@ -140,12 +173,69 @@ def test_rate_and_site_load_no_unused_standard_module(tmp_path):
         "        assert main(argv) == 0, argv\n"
         f"    print(*[m for m in {unused!r} if m in sys.modules])\n"
     )
-    src = str(Path(treebank_entropy.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120, check=True)
+    result = _child(code)
     assert result.stdout.splitlines() == [""] * len(runs)
+
+
+#: The modules that no count-path command loads: the tree objects, the dense
+#: solve, the draw, the fits, and the CoNLL-U row reader with the conversion.
+COLD = ("treebank_entropy.tree_objects", "treebank_entropy.dense",
+        "treebank_entropy.sampling", "treebank_entropy.regression",
+        "treebank_entropy.conllu")
+
+
+def test_count_path_commands_load_no_cold_module(tmp_path):
+    # Every benchmark command, in one fresh interpreter: none loads a cold
+    # module, but converge, which draws, loads treebank_entropy.sampling.
+    # Then a PTB file that the scan refuses goes through the tree builder
+    # and prints what the trees it builds give.
+    from treebank_entropy.cli import main
+    from treebank_entropy.estimators import site
+
+    ptb = [tmp_path / "a.mrg", tmp_path / "b.mrg"]
+    ptb[0].write_text("(S (NP (DT a) (NN b)) (VP (VB c)))\n(S (VP (VB d)))\n")
+    ptb[1].write_text("(S (NP (NN b)) (VP (VB c) (NP (DT a) (NN e))))\n")
+    dep = tmp_path / "a.conllu"
+    dep.write_text("1\tthe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"
+                   "2\tdog\tdog\tNOUN\t_\t_\t3\tnsubj\t_\t_\n"
+                   "3\truns\trun\tVERB\t_\t_\t0\troot\t_\t_\n\n")
+    grammar = tmp_path / "g.txt"
+    two = tmp_path / "two.mrg"  # rate runs Tarjan's search: A, B and C, D are blocks
+    two.write_text("(S (A (B (A (C (D (C (X x)) (Y y)) (Y y)) (Y y)) (Y y)) (Y y)) (Z z))\n")
+    files, conllu = list(map(str, ptb)), ["--format", "conllu", "--use-form", "--unlabeled"]
+    assert main(["induce", "-o", str(grammar), *files]) == 0
+    runs = [["site", *files], ["rate", *files], ["report", *files],
+            ["incremental", "--order", "shuffled", *files],
+            ["rate", str(two)],
+            ["rate", *conllu, str(dep)], ["site", *conllu, str(dep)],
+            ["rate", "--grammar", str(grammar)],
+            ["converge", "--sizes", "1,150", "--replications", "1", *files]]
+    refused = {  # the scan refuses each text; the tree builder reads it
+        "nul.mrg": ("(S (NP (DT a\x00) (NN b)) (VP (VB c)))\n", []),
+        "mixed.mrg": ("(S (NP a (NN b)) (VP (VB c)))\n", ["--no-preterminalize"]),
+    }
+    for name, (text, options) in refused.items():
+        (tmp_path / name).write_text(text)
+        runs.append(["site", *options, str(tmp_path / name)])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from treebank_entropy.cli import main\n"
+        "results = []\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert main(argv) == 0, argv\n"
+        f"    results.append([out.getvalue(), [m for m in {COLD!r} if m in sys.modules]])\n"
+        "print(json.dumps(results))\n"
+    )
+    results = json.loads(_child(code).stdout.strip().splitlines()[-1])
+    assert [loaded for _, loaded in results[:-2]] == [[]] * 8 + [["treebank_entropy.sampling"]]
+    for (out, loaded), (text, options) in zip(results[-2:], refused.values()):
+        assert "treebank_entropy.tree_objects" in loaded
+        trees = treebank_entropy.parse_bracketed(
+            text, drop_labels=frozenset({"-NONE-"}), preterminalize=not options)
+        result = site(treebank_entropy.tree_objects.Corpus(trees))
+        assert out == (f"entropy_bits\t{result.value}\nmethod\tsite-cwj\n"
+                       f"sentences\t{result.sample_size}\n")
 
 
 @pytest.mark.parametrize("record, shown", [

@@ -6,7 +6,7 @@ import pytest
 from oracles import reference_parse_bracketed, reference_read
 from synthetic import sample_corpus, scaffold_grammar
 from treebank_entropy.errors import EmptyInputError, ParseError, StructuralError
-from treebank_entropy import trees
+from treebank_entropy import tree_objects, trees
 from treebank_entropy.grammar import Pcfg, Rule, Sampler
 from treebank_entropy.trees import (
     DEFAULT_DROP_LABELS,
@@ -466,7 +466,7 @@ class TestColumnarReader:
         def refuse(*args):
             raise AssertionError("the tree builder ran")
 
-        monkeypatch.setattr(trees, "_read", refuse)
+        monkeypatch.setattr(tree_objects, "_read", refuse)
         with pytest.raises(AssertionError, match="tree builder"):  # the patch holds
             counted_bracketed("(S (NP x) y)")
         for options, derivations in zip(READ_OPTIONS, expected):
@@ -488,8 +488,8 @@ class TestColumnarReader:
         def refuse(*args, **kwargs):
             raise AssertionError("a tree was built")
 
-        monkeypatch.setattr(trees, "_read", refuse)
-        monkeypatch.setattr(trees, "Tree", refuse)
+        monkeypatch.setattr(tree_objects, "_read", refuse)
+        monkeypatch.setattr(tree_objects, "Tree", refuse)
         for (text, i), derivations in expected.items():
             assert counted_bracketed(text, **READ_OPTIONS[i]).derivations() == derivations
 
