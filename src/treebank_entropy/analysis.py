@@ -132,17 +132,14 @@ def converge(
         by_rep.append(values)
     by_task = np.stack(by_rep, axis=-1)  # size, series, replication
 
-    rows = []
-    for size, by_series in zip(sizes, by_task):
-        for est, values in zip(series, by_series):
-            mean = float(np.mean(values))
-            if replications > 1:
-                half = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(replications)
-            else:
-                half = 0.0
-            rows.append(
-                ConvergenceRow(size, est, mean, mean - half, mean + half, replications)
-            )
+    means = np.mean(by_task, axis=-1)
+    if replications > 1:  # ddof=1 of one value warns
+        halves = 1.96 * np.std(by_task, axis=-1, ddof=1) / math.sqrt(replications)
+    else:
+        halves = np.zeros_like(means)
+    rows = [ConvergenceRow(size, est, mean, mean - half, mean + half, replications)
+            for size, size_means, size_halves in zip(sizes, means.tolist(), halves.tolist())
+            for est, mean, half in zip(series, size_means, size_halves)]
     return rows
 
 

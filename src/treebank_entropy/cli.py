@@ -185,16 +185,9 @@ def _cmd_rate(args):
 def _cmd_site(args):
     from .estimators import site
 
-    corpus = _merge(_read_files(args.files, args))
-    result = site(corpus, args.smoother)
-    _print_scalar(
-        args,
-        {
-            "entropy_bits": result.value,
-            "method": result.method,
-            "sentences": result.sample_size,
-        },
-    )
+    result = site(_merge(_read_files(args.files, args)), args.smoother)
+    _print_scalar(args, {"entropy_bits": result.value, "method": result.method,
+                         "sentences": result.sample_size})
 
 
 def _cmd_sample(args):
@@ -215,10 +208,7 @@ def _cmd_sample(args):
         for _ in range(args.count):
             tree = sampler.sample_tree(rng)
             if sampler.last_retries:
-                print(
-                    f"draw retried {sampler.last_retries} time(s)",
-                    file=sys.stderr,
-                )
+                print(f"draw retried {sampler.last_retries} time(s)", file=sys.stderr)
             handle.write(write_bracketed(tree) + "\n")
 
 
@@ -276,21 +266,15 @@ def _cmd_converge(args):
 def _cmd_incremental(args):
     from .analysis import incremental
 
-    corpora = _read_files(args.files, args)
-    points = incremental(
-        corpora, order=args.order, seed=args.seed,
-        smoother=args.smoother,
-    )
+    points = incremental(_read_files(args.files, args), order=args.order,
+                         seed=args.seed, smoother=args.smoother)
     metadata = f"order={args.order}"
     if args.order == "shuffled":
         metadata += f" seed={args.seed} generator=pcg64"
     _write_rows(
         args,
         ("step", "label", "cumulative_sentences", "entropy_bits"),
-        [
-            (p.step, p.label, p.cumulative_sentences, repr(p.entropy))
-            for p in points
-        ],
+        [(p.step, p.label, p.cumulative_sentences, repr(p.entropy)) for p in points],
         metadata=metadata,
     )
 
@@ -347,131 +331,139 @@ def _cmd_fit(args):
     _write_json(args, result._asdict())
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # The parser imports no package module, so the library's values that it
-    # shows are written out: the `SmootherKind` values, the sampler's
-    # DEFAULT_MAX_NODES and analysis's DEFAULT_ESTIMATORS.  Unset, --sizes
-    # and --estimators take analysis's defaults.
-    parser = argparse.ArgumentParser(
-        prog="treebank-entropy",
-        description="Grammar induction and derivational-entropy analysis of treebanks.",
-    )
-    # Option groups; each subcommand takes only the groups its _cmd_* reads.
-    # A reader command names the format that reads each reader option.
-    def dependency_options(group, suffix=""):
-        group.add_argument(
-            "--unlabeled", action="store_true",
-            help="omit relation nodes when converting dependencies" + suffix,
-        )
-        group.add_argument(
-            "--use-form", action="store_true",
-            help="label dependency nodes by word form instead of POS" + suffix,
-        )
+# Option groups, each added to a subcommand's parser by a function; a
+# subcommand takes only the groups its _cmd_* reads, and a reader command
+# names the format that reads each reader option.  The parser imports no
+# package module, so the library's values that it shows are written out:
+# the `SmootherKind` values, the sampler's DEFAULT_MAX_NODES and analysis's
+# DEFAULT_ESTIMATORS.  Unset, --sizes and --estimators take analysis's
+# defaults.
+def _dependency(p, suffix=""):
+    p.add_argument("--unlabeled", action="store_true",
+                   help="omit relation nodes when converting dependencies" + suffix)
+    p.add_argument("--use-form", action="store_true",
+                   help="label dependency nodes by word form instead of POS" + suffix)
 
-    dependency = argparse.ArgumentParser(add_help=False)
-    dependency_options(dependency)
-    reader = argparse.ArgumentParser(add_help=False)
-    dependency_options(reader, " (conllu only)")
-    reader.add_argument(
-        "--format", choices=("ptb", "conllu"),
-        help="treebank file format (default: ptb)",
-    )
-    reader.add_argument(
-        "--drop-label", action="append", default=None, metavar="LABEL",
-        help="pre-terminal labels to strip (default: -NONE-; ptb only)",
-    )
-    reader.add_argument(
-        "--strip-tags", action="store_true",
-        help="cut -/= function-tag suffixes from internal labels (ptb only)",
-    )
-    reader.add_argument(
-        "--no-preterminalize", dest="preterminalize", action="store_false",
-        help="keep word leaves instead of reducing to POS leaves (ptb only)",
-    )
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--output", "-o", help="write output to this file")
-    as_json = argparse.ArgumentParser(add_help=False)
-    as_json.add_argument("--json", action="store_true", help="print JSON")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="random seed")
-    smoother = argparse.ArgumentParser(add_help=False)
-    smoother.add_argument(
-        "--smoother", choices=["ml", "cae", "cwj"], default="cwj",
-        help="local-entropy smoother for SITE (default: cwj)",
-    )
 
-    sub = parser.add_subparsers(dest="command", required=True)
+def _reader(p):
+    _dependency(p, " (conllu only)")
+    p.add_argument("--format", choices=("ptb", "conllu"),
+                   help="treebank file format (default: ptb)")
+    p.add_argument("--drop-label", action="append", default=None, metavar="LABEL",
+                   help="pre-terminal labels to strip (default: -NONE-; ptb only)")
+    p.add_argument("--strip-tags", action="store_true",
+                   help="cut -/= function-tag suffixes from internal labels (ptb only)")
+    p.add_argument("--no-preterminalize", dest="preterminalize", action="store_false",
+                   help="keep word leaves instead of reducing to POS leaves (ptb only)")
 
-    def add(name, func, helptext, *parents):
-        p = sub.add_parser(name, parents=list(parents), help=helptext)
-        p.set_defaults(func=func)
-        return p
 
-    p = add("induce", _cmd_induce, "induce a grammar and print it", reader, output)
+def _output(p):
+    p.add_argument("--output", "-o", help="write output to this file")
+
+
+def _as_json(p):
+    p.add_argument("--json", action="store_true", help="print JSON")
+
+
+def _seed(p):
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+
+
+def _smoother(p):
+    p.add_argument("--smoother", choices=["ml", "cae", "cwj"], default="cwj",
+                   help="local-entropy smoother for SITE (default: cwj)")
+
+
+def _files(p):
     p.add_argument("files", nargs="+")
 
-    for name, func, helptext in (
-        ("entropy", _cmd_entropy, "exact derivational entropy of a grammar"),
-        ("rate", _cmd_rate, "entropy, MLU, and entropy rate of a grammar"),
-        ("mlu", _cmd_mlu, "mean length of utterances"),
-    ):
-        p = add(name, func, helptext, reader, output, as_json)
-        p.add_argument("files", nargs="*")
-        p.add_argument("--grammar", help="serialized grammar file")
 
-    p = add("site", _cmd_site, "smoothed treebank entropy",
-            reader, output, as_json, smoother)
-    p.add_argument("files", nargs="+")
+def _files_or_grammar(p):
+    p.add_argument("files", nargs="*")
+    p.add_argument("--grammar", help="serialized grammar file")
 
-    p = add("sample", _cmd_sample, "sample trees from a grammar", output, seed)
+
+def _sample_args(p):
     p.add_argument("--grammar", required=True)
     p.add_argument("--count", "-n", type=int, default=1)
     p.add_argument("--max-nodes", type=int, default=10_000)
 
-    p = add("convert", _cmd_convert, "dependency graphs to trees", dependency, output)
-    p.add_argument("files", nargs="+")
 
-    p = add("converge", _cmd_converge, "estimator convergence sweep",
-            reader, output, seed)
-    p.add_argument("files", nargs="+")
-    p.add_argument("--sizes",
-                   help="comma-separated sample sizes (default: 1 to 15000)")
+def _converge_args(p):
+    _files(p)
+    p.add_argument("--sizes", help="comma-separated sample sizes (default: 1 to 15000)")
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--estimators",
                    help="comma-separated ids (default: ml,mc,site-cae,site-cwj)")
     p.add_argument("--no-coverage", action="store_true", help="omit coverage rows")
 
-    p = add("incremental", _cmd_incremental, "cumulative entropy curve",
-            reader, output, seed, smoother)
-    p.add_argument("files", nargs="+")
+
+def _incremental_args(p):
+    _files(p)
     p.add_argument("--order", choices=("original", "shuffled"), default="original")
 
-    p = add("report", _cmd_report, "per-file MLU and entropy",
-            reader, output, as_json, smoother)
-    p.add_argument("files", nargs="+")
 
-    p = add("fit", _cmd_fit, "least-squares fit on CSV columns", output)
+def _fit_args(p):
     p.add_argument("csv", help="CSV file with a header row")
     p.add_argument("--x", required=True, help="predictor column")
     p.add_argument("--y", required=True, help="response column")
     p.add_argument("--no-intercept", action="store_true")
 
+
+#: Each subcommand's handler, help, and the functions that add its
+#: arguments, in the order its help lists them.
+_COMMANDS = {
+    "induce": (_cmd_induce, "induce a grammar and print it", _reader, _output, _files),
+    "entropy": (_cmd_entropy, "exact derivational entropy of a grammar",
+                _reader, _output, _as_json, _files_or_grammar),
+    "rate": (_cmd_rate, "entropy, MLU, and entropy rate of a grammar",
+             _reader, _output, _as_json, _files_or_grammar),
+    "mlu": (_cmd_mlu, "mean length of utterances",
+            _reader, _output, _as_json, _files_or_grammar),
+    "site": (_cmd_site, "smoothed treebank entropy",
+             _reader, _output, _as_json, _smoother, _files),
+    "sample": (_cmd_sample, "sample trees from a grammar", _output, _seed, _sample_args),
+    "convert": (_cmd_convert, "dependency graphs to trees", _dependency, _output, _files),
+    "converge": (_cmd_converge, "estimator convergence sweep",
+                 _reader, _output, _seed, _converge_args),
+    "incremental": (_cmd_incremental, "cumulative entropy curve",
+                    _reader, _output, _seed, _smoother, _incremental_args),
+    "report": (_cmd_report, "per-file MLU and entropy",
+               _reader, _output, _as_json, _smoother, _files),
+    "fit": (_cmd_fit, "least-squares fit on CSV columns", _output, _fit_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, or with `command` only that one's
+    arguments: every name and help is registered, so `command`'s lines
+    parse, and fail, as with the whole parser."""
+    parser = argparse.ArgumentParser(
+        prog="treebank-entropy",
+        description="Grammar induction and derivational-entropy analysis of treebanks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, helptext, *adders) in _COMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
+        if command in (None, name):
+            p.set_defaults(func=func)
+            for add in adders:
+                add(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes no option with a value: its first word names the command.
+    args = build_parser(next((a for a in argv if a[:1] != "-"), "")).parse_args(argv)
     try:
         args.func(args)
-    except InputError as err:
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -279,9 +279,11 @@ _RUNS = {
 }
 
 
-#: Rows of counts that :func:`site_rows` smooths at a time, which bounds
-#: its temporaries by a block's non-zeros, not all rows'.
-_BLOCK_ROWS = 4
+#: Cells (rows times rules) of counts that :func:`site_rows` smooths at a
+#: time: a block of max(1, _BLOCK_CELLS // len(grammar)) rows bounds its
+#: temporaries by a block's cells, not all rows', and lets a grammar of
+#: 11,740 rules still take 5 rows at a time.
+_BLOCK_CELLS = 2**16
 
 
 def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
@@ -296,10 +298,11 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
     occurrences that the root does not reach along the row's rules
     :class:`DivergentGrammarError`, and the error names the first row that
     fails.  f_A are the segment sums of a row in `Pcfg.order`, each
-    smoother runs over the positive counts of _BLOCK_ROWS rows at a time,
-    and a row's value is sum_A f_A h_A / N, the sum correctly rounded.  No
-    value depends on the rows beside it, so the blocks give the bits one
-    call per row would.
+    smoother runs over the positive counts of a block of rows at a time,
+    as many as fit in _BLOCK_CELLS cells and at least one, and a row's
+    value is sum_A f_A h_A / N, the sum correctly rounded.  No value
+    depends on the rows beside it, so the blocks give the bits one call per
+    row would.
     """
     edges = _edges_by_lhs(grammar, _children(grammar))
     sentences, unfed = certified_rows(grammar, counts, edges)
@@ -309,8 +312,9 @@ def site_rows(grammar: Pcfg, counts: np.ndarray, smoothers) -> np.ndarray:
         raise DivergentGrammarError(f"row {t}: {_UNFED}")
     sentences = sentences.tolist()
     values = np.empty((len(counts), len(smoothers)))
-    for start in range(0, len(counts), _BLOCK_ROWS):
-        end = start + _BLOCK_ROWS
+    step = max(1, _BLOCK_CELLS // len(grammar))
+    for start in range(0, len(counts), step):
+        end = start + step
         values[start:end] = _site_block(grammar, counts[start:end], smoothers,
                                         sentences[start:end])
     return values

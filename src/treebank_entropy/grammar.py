@@ -101,6 +101,7 @@ class Pcfg:
         rules = tuple(rules)
         self._build(root, *_symbol_ids(rules), [r.prob for r in rules],
                     [r.freq for r in rules])
+        self._refuse_duplicates()
         self.rules = rules
 
     @classmethod
@@ -108,7 +109,9 @@ class Pcfg:
         """The grammar whose rule i rewrites ``names[lhs[i]]`` as the names
         of ``rhs[rhs_offsets[i]:rhs_offsets[i + 1]]``, its probabilities
         `prob` (None for each rule's relative frequency) and frequencies
-        `freq`; the names need not all be used."""
+        `freq`; the names need not all be used.  No two rules may be equal,
+        which only a caller that takes rules from outside checks
+        (:meth:`_refuse_duplicates`)."""
         grammar = cls.__new__(cls)
         grammar._build(root, lhs, rhs_offsets, rhs, names, prob, freq)
         return grammar
@@ -144,9 +147,6 @@ class Pcfg:
         self.lhs = index[lhs]
         self.rhs_offsets = np.asarray(rhs_offsets, np.intp)
         self.rhs = index[rhs]
-        if any(len(_distinct(key)[0]) < len(key) for _, key
-               in _packed(self.lhs, self.rhs, self.rhs_offsets, len(ordered).bit_length())):
-            raise StructuralError("duplicate rules (same lhs and rhs)")
         try:
             self.freq = np.array(freq, dtype=np.int64)
         except OverflowError:  # kept exactly; such a grammar is solved
@@ -156,6 +156,12 @@ class Pcfg:
         self.prob = np.array(prob, dtype=np.float64)
         self.order = self.lhs.astype(np.min_scalar_type(n)).argsort(kind="stable")
         self.starts = np.concatenate(([0], np.cumsum(np.bincount(self.lhs, minlength=n))))
+
+    def _refuse_duplicates(self) -> None:
+        """Raise :class:`StructuralError` if two rules are equal."""
+        if any(len(_distinct(key)[0]) < len(key) for _, key in _packed(
+                self.lhs, self.rhs, self.rhs_offsets, len(self.symbols).bit_length())):
+            raise StructuralError("duplicate rules (same lhs and rhs)")
 
     def by_lhs(self, values) -> list[np.ndarray]:
         """Each non-terminal's entries of the per-rule array `values`, in
@@ -331,6 +337,7 @@ def loads(text: str) -> Pcfg:
 
     parts = scanned(text)
     grammar = Pcfg._of(*(lines(text) if parts is None else parts))
+    grammar._refuse_duplicates()
     grammar.validate()
     return grammar
 

@@ -227,6 +227,44 @@ class TestConverge:
         monkeypatch.setattr(tree_objects, "Tree", no_tree)
         assert converge(source, **sweep) == expected
 
+    @pytest.mark.parametrize("replications", [1, 2, 7, 100])
+    def test_summary_equals_a_per_cell_reference(self, replications, monkeypatch):
+        # Each row's mean and CI bounds are, bit for bit, np.mean and
+        # np.std(ddof=1) of its (size, series) cell's replications, taken
+        # one cell at a time.
+        source = sampled_corpus(scaffold_grammar(), 60, 9)
+        truth = induce(source)
+        sizes = [1, 3, 20]
+        drawn = []
+
+        def recording_site_rows(grammar, counts, smoothers):
+            values = site_rows(grammar, counts, smoothers)
+            drawn.append((counts, values))
+            return values
+
+        monkeypatch.setattr(analysis, "site_rows", recording_site_rows)
+        rows = converge(source, sizes=sizes, replications=replications, seed=4)
+        assert len(drawn) == replications
+        smoothers = [SmootherKind.ML, SmootherKind.CAE, SmootherKind.CWJ]
+        cells = {}
+        for counts, values in drawn:
+            for size, row, estimates in zip(sizes, counts, values):
+                seen = set(truth.lhs[np.flatnonzero(row)].tolist())
+                for est in DEFAULT_ESTIMATORS:
+                    column = smoothers.index(analysis._SMOOTHER_OF[est])
+                    cells.setdefault((size, est), []).append(estimates[column])
+                cells.setdefault((size, "coverage-rules"), []).append(
+                    100.0 * np.count_nonzero(row) / len(truth))
+                cells.setdefault((size, "coverage-nonterminals"), []).append(
+                    100.0 * len(seen) / len(truth.nonterminals))
+        expected = []
+        for (size, est), values in cells.items():
+            mean = float(np.mean(values))
+            half = (1.96 * float(np.std(values, ddof=1)) / math.sqrt(replications)
+                    if replications > 1 else 0.0)
+            expected.append((size, est, mean, mean - half, mean + half, replications))
+        assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in expected]
+
     @pytest.mark.parametrize("several_roots", [False, True])
     def test_count_rows_equal_per_task_grammars(self, several_roots, monkeypatch):
         # Each row of a replication's count matrix gives what the grammar

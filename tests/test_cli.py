@@ -12,7 +12,7 @@ import pytest
 
 from synthetic import sample_corpus
 import treebank_entropy
-from treebank_entropy import analysis, tree_objects, trees
+from treebank_entropy import analysis, cli, tree_objects, trees
 from treebank_entropy.cli import build_parser, main
 from treebank_entropy.estimators import SmootherKind
 from treebank_entropy.grammar import DEFAULT_MAX_NODES, Pcfg, Rule, Sampler, write_grammar
@@ -461,6 +461,65 @@ class TestOptions:
         assert options["sample", "max_nodes"].default == DEFAULT_MAX_NODES
         shown = ",".join(analysis.DEFAULT_ESTIMATORS)
         assert f"(default: {shown})" in subparsers.choices["converge"].format_help()
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The exit code, stdout and stderr with which `parse(argv)` exits."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
+
+class TestOneSubcommandParser:
+    """`main` gives only the invoked subcommand its arguments, and prints
+    and exits as the whole parser does."""
+
+    ARGVS = [["--help"], [], ["bogus"], ["--bogus", "site"], ["--", "rate", "--bogus"],
+             *([name, "--help"] for name in TestOptions.EXPECTED),
+             *([name, "--no-such-option"] for name in TestOptions.EXPECTED)]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-words")
+    def test_help_and_usage_errors_equal_the_whole_parser(self, argv, capsys):
+        assert (_parse_outcome(main, argv, capsys)
+                == _parse_outcome(build_parser().parse_args, argv, capsys))
+
+    @pytest.mark.parametrize("argv", [
+        ["site", "{bank}"], ["rate", "{bank}"], ["report", "{bank}"],
+        ["incremental", "--order", "shuffled", "--seed", "41", "{bank}", "{bank}"],
+        ["converge", "--sizes", "1,3", "--replications", "2", "--estimators",
+         "ml,mc,site-cae,site-cwj", "--seed", "41", "{bank}"],
+        ["induce", "--format", "conllu", "--use-form", "--unlabeled", "-o", "{out}",
+         "{conllu}"],
+        ["rate", "--format", "conllu", "--use-form", "--unlabeled", "{conllu}"],
+        ["site", "--format", "conllu", "--use-form", "--unlabeled", "{conllu}"],
+        ["rate", "--grammar", "{grammar}"],
+    ], ids=lambda argv: "-".join(a for a in argv if "{" not in a))
+    def test_main_adds_arguments_for_the_invoked_subcommand_only(
+        self, argv, grammar_file, tmp_path, monkeypatch, capsys
+    ):
+        bank, conllu = tmp_path / "bank.mrg", tmp_path / "sents.conllu"
+        bank.write_text("(S (NP (DT the) (NN dog)) (VP (VBZ runs)))\n"
+                        "(S (NP (NNS cats)) (VP (VBP sleep) (NP (NN dog))))\n",
+                        encoding="utf-8")
+        conllu.write_text(CONLLU, encoding="utf-8")
+        paths = {"bank": bank, "conllu": conllu, "grammar": grammar_file,
+                 "out": tmp_path / "out.grammar"}
+        built = []
+
+        def recording_build_parser(*args):
+            built.append(build_parser(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+        assert main([arg.format(**paths) for arg in argv]) == 0
+        (parser,) = built
+        (subparsers,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert subparsers.choices.keys() == TestOptions.EXPECTED.keys()
+        with_arguments = [name for name, sub in subparsers.choices.items()
+                          if any(a.dest != "help" for a in sub._actions)]
+        assert with_arguments == [argv[0]]
 
 
 class TestExitCodes:

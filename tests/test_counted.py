@@ -404,19 +404,33 @@ def _sampled_rows(truth, rows, seed):
 
 
 class TestSiteRowBlocks:
-    def test_blocks_give_the_bits_of_one_row_calls(self):
+    """`site_rows` smooths max(1, _BLOCK_CELLS // len(grammar)) rows at a
+    time."""
+
+    def test_budget_gives_the_wide_bench_grammar_four_rows(self):
+        assert estimators._BLOCK_CELLS // 11_740 >= 4
+
+    @pytest.mark.parametrize("wider", [False, True],
+                             ids=["narrower-than-budget", "wider-than-budget"])
+    def test_blocks_give_the_bits_of_one_row_calls(self, monkeypatch, wider):
         truth = grammar.induce(sample_corpus(Sampler(scaffold_grammar()), 200,
                                              np.random.default_rng(6)))
+        if wider:
+            monkeypatch.setattr(estimators, "_BLOCK_CELLS", len(truth) - 1)
+        per_block = max(1, estimators._BLOCK_CELLS // len(truth))
+        assert (per_block == 1) == wider
         smoothers = list(SmootherKind)
-        for rows in (1, estimators._BLOCK_ROWS, 2 * estimators._BLOCK_ROWS + 3):
-            counts = _sampled_rows(truth, rows, rows)
-            got = site_rows(truth, counts, smoothers)
-            one = np.vstack([site_rows(truth, row[None], smoothers) for row in counts])
-            assert got.tobytes() == one.tobytes()
+        sampled = _sampled_rows(truth, 15, 6)
+        one = np.vstack([site_rows(truth, row[None], smoothers) for row in sampled])
+        for rows in (1, per_block, 2 * per_block + 3):
+            pick = np.arange(rows) % len(sampled)
+            got = site_rows(truth, sampled[pick], smoothers)
+            assert got.tobytes() == one[pick].tobytes()
 
-    def test_peak_memory_does_not_grow_with_the_rows(self):
+    def test_peak_memory_does_not_grow_with_the_rows(self, monkeypatch):
         truth = grammar.induce(sample_corpus(Sampler(scaffold_grammar()), 400,
                                              np.random.default_rng(7)))
+        monkeypatch.setattr(estimators, "_BLOCK_CELLS", 4 * len(truth))  # 4 rows a block
         counts = np.repeat(truth.freq[None], 64, axis=0)
         smoothers = list(SmootherKind)
 
@@ -428,5 +442,5 @@ class TestSiteRowBlocks:
             finally:
                 tracemalloc.stop()
 
-        block = peak(counts[:estimators._BLOCK_ROWS])
+        block = peak(counts[:4])
         assert peak(counts) < 1.25 * block

@@ -451,6 +451,39 @@ class TestPcfgValidation:
         with pytest.raises(StructuralError, match="duplicate"):
             Pcfg("S", [Rule("S", ("a",), 0.5, 1), Rule("S", ("a",), 0.5, 1)])
 
+    #: Duplicates of a one-word and of a two-word packed key.
+    DUPLICATE_RHS = ["a B", " ".join(f"a{i}" for i in range(40))]
+
+    @pytest.mark.parametrize("rhs", DUPLICATE_RHS, ids=["short", "long"])
+    def test_duplicate_rules_refused_by_the_constructor(self, rhs):
+        rules = [Rule("S", tuple(rhs.split()), 0.5, 1), Rule("B", ("b",), 1.0, 2),
+                 Rule("S", tuple(rhs.split()), 0.5, 1)]
+        with pytest.raises(StructuralError, match=r"^duplicate rules \(same lhs and rhs\)$"):
+            Pcfg("S", rules)
+
+    @pytest.mark.parametrize("scan", [True, False], ids=["scanned", "lines"])
+    @pytest.mark.parametrize("rhs", DUPLICATE_RHS, ids=["short", "long"])
+    def test_duplicate_rules_refused_by_loads(self, rhs, scan):
+        text = f"#root S\n0.5\t1\tS -> {rhs}\n1\t2\tB -> b\n0.5\t1\tS -> {rhs}\n"
+        if not scan:  # two spaces: only the line reader takes it
+            text = text.replace(" -> ", "  -> ")
+        assert (grammar_text.scanned(text) is not None) == scan
+        with pytest.raises(StructuralError, match=r"^duplicate rules \(same lhs and rhs\)$"):
+            loads(text)
+
+    @pytest.mark.parametrize("texts", [
+        ["(S (A a) (B b))", "(S (A a) (B c))", "(X (A a))"],  # a synthetic root
+        ["(S (A a) (S (B b)))", "(S (A c))"],
+    ])
+    def test_induced_grammar_has_the_arrays_of_its_checked_rules(self, texts):
+        grammar = induce(corpus_of(*texts))
+        grammar._refuse_duplicates()
+        checked = Pcfg(grammar.root, grammar.rules)
+        assert grammar.symbols == checked.symbols
+        for name in ("lhs", "rhs_offsets", "rhs", "prob", "freq", "order", "starts"):
+            got, want = getattr(grammar, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     def test_unreachable_reported(self):
         grammar = Pcfg(
             "S",
@@ -466,6 +499,7 @@ class TestPcfgValidation:
 def loaded_by_lines(text):
     """What :func:`loads` gives when the line loop reads `text`."""
     grammar = Pcfg._of(*grammar_text.lines(text))
+    grammar._refuse_duplicates()
     grammar.validate()
     return grammar
 
